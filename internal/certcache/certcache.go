@@ -2,6 +2,12 @@
 // sharded, bounded-LRU map from the identity of one Theorem IV.1 release
 // check to its certified qp.ReleaseDecision.
 //
+// An entry keeps what a hit is read for — OK and the two verdicts, one
+// byte — and Get rebuilds the decision around them. The solver's
+// diagnostics (bounds, node counts, two BestPi vectors of m floats each)
+// are dropped at Put: nothing reads them back, and at 65 536 entries they
+// were most of a serving process's heap.
+//
 // The planar Laplace mechanism (and every other history-independent LPPM)
 // emits the same column for a given budget at every timestamp, so the
 // certified verdict for a candidate observation is fully determined by
@@ -60,7 +66,27 @@ const numShards = 64
 
 type entry struct {
 	key Key
-	dec qp.ReleaseDecision
+	v   verdicts
+}
+
+// verdicts packs a certified decision: Eq15's verdict in bits 0–1, Eq16's
+// in bits 2–3, OK in bit 4. Conservative is never stored.
+type verdicts uint8
+
+func pack(dec qp.ReleaseDecision) verdicts {
+	v := verdicts(dec.Eq15.Verdict) | verdicts(dec.Eq16.Verdict)<<2
+	if dec.OK {
+		v |= 1 << 4
+	}
+	return v
+}
+
+func (v verdicts) decision() qp.ReleaseDecision {
+	return qp.ReleaseDecision{
+		OK:   v&(1<<4) != 0,
+		Eq15: qp.Result{Verdict: qp.Verdict(v & 3)},
+		Eq16: qp.Result{Verdict: qp.Verdict(v >> 2 & 3)},
+	}
 }
 
 type shard struct {
@@ -109,28 +135,30 @@ func (c *Cache) Get(k Key) (qp.ReleaseDecision, bool) {
 		return qp.ReleaseDecision{}, false
 	}
 	sh.ll.MoveToFront(el)
-	dec := el.Value.(*entry).dec
+	v := el.Value.(*entry).v
 	sh.mu.Unlock()
 	c.hits.Add(1)
-	return dec, true
+	return v.decision(), true
 }
 
 // Put stores a decision, evicting the shard's least recently used entry
 // beyond capacity. Callers must not store Unknown/conservative verdicts
-// (see the package comment); Put panics if they do.
+// (see the package comment); Put panics if they do. A rejection whose
+// other condition was Skipped is certified and is stored.
 func (c *Cache) Put(k Key, dec qp.ReleaseDecision) {
 	if dec.Conservative || dec.Eq15.Verdict == qp.Unknown || dec.Eq16.Verdict == qp.Unknown {
 		panic("certcache: conservative/Unknown verdicts must not be cached")
 	}
+	v := pack(dec)
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.entries[k]; ok {
 		sh.ll.MoveToFront(el)
-		el.Value.(*entry).dec = dec
+		el.Value.(*entry).v = v
 		return
 	}
-	sh.entries[k] = sh.ll.PushFront(&entry{key: k, dec: dec})
+	sh.entries[k] = sh.ll.PushFront(&entry{key: k, v: v})
 	for len(sh.entries) > c.perShard {
 		back := sh.ll.Back()
 		sh.ll.Remove(back)
@@ -149,7 +177,7 @@ func (c *Cache) Range(f func(Key, qp.ReleaseDecision) bool) {
 		sh.mu.Lock()
 		for el := sh.ll.Front(); el != nil; el = el.Next() {
 			e := el.Value.(*entry)
-			if !f(e.key, e.dec) {
+			if !f(e.key, e.v.decision()) {
 				sh.mu.Unlock()
 				return
 			}

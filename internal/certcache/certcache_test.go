@@ -56,6 +56,44 @@ func TestGetPut(t *testing.T) {
 	}
 }
 
+// TestSkippedRejectionStored: a rejection settled by one violated
+// condition, the other Skipped, is a certified verdict: it is stored and
+// read back as the same rejection, without the solver's diagnostics.
+func TestSkippedRejectionStored(t *testing.T) {
+	c := New(64)
+	for i, dec := range []qp.ReleaseDecision{
+		{Eq15: qp.Result{Verdict: qp.Violated, Lower: 0.3, BestPi: []float64{1, 0}, Nodes: 7}, Eq16: qp.Result{Verdict: qp.Skipped}},
+		{Eq15: qp.Result{Verdict: qp.Skipped}, Eq16: qp.Result{Verdict: qp.Violated}},
+		okDecision(),
+	} {
+		k := Key{Plan: 1, Obs: i}
+		c.Put(k, dec)
+		got, ok := c.Get(k)
+		if !ok || got.OK != dec.OK || got.Conservative ||
+			got.Eq15.Verdict != dec.Eq15.Verdict || got.Eq16.Verdict != dec.Eq16.Verdict {
+			t.Fatalf("stored %+v, read back %+v (hit %v)", dec, got, ok)
+		}
+		if got.Eq15.BestPi != nil || got.Eq15.Nodes != 0 || got.Eq15.Lower != 0 {
+			t.Fatalf("entry kept solver diagnostics: %+v", got.Eq15)
+		}
+	}
+	// Range hands out the same rebuilt decisions (it holds the shard lock,
+	// so compare after it returns).
+	ranged := map[Key]qp.ReleaseDecision{}
+	c.Range(func(k Key, dec qp.ReleaseDecision) bool {
+		ranged[k] = dec
+		return true
+	})
+	if len(ranged) != 3 {
+		t.Fatalf("Range visited %d of 3 entries", len(ranged))
+	}
+	for k, dec := range ranged {
+		if want, _ := c.Get(k); dec.OK != want.OK || dec.Eq15.Verdict != want.Eq15.Verdict || dec.Eq16.Verdict != want.Eq16.Verdict {
+			t.Fatalf("Range and Get disagree on %+v", k)
+		}
+	}
+}
+
 func TestUnknownRejected(t *testing.T) {
 	c := New(64)
 	defer func() {

@@ -299,6 +299,8 @@ func (f *Framework) Step(trueLoc int) (StepResult, error) {
 // containing Unknown are never stored — they encode an expired time
 // budget, not a property of the release — so with no QP deadline a
 // cache-backed run is decision-for-decision identical to an uncached one.
+// A rejection whose other condition the solver Skipped is certified by
+// the violated one and is stored like any other.
 //
 // With Config.Shadow, a cache miss first tries the float32 shadow check:
 // the quantifier's shadow forward pass plus qp.CheckReleaseShadow, which

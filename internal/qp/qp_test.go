@@ -210,6 +210,19 @@ func TestSolveZeroAIsLinear(t *testing.T) {
 	}
 }
 
+// simplexLP solves one standalone LP, maximise c·π over {π ∈ Δ,
+// sl ≤ a·π ≤ sh}, through the solver's workspace.
+func simplexLP(c, a mat.Vector, sl, sh float64) (float64, mat.Vector, bool) {
+	ws := acquire(a, Options{})
+	sr := &ws.cond[0]
+	sr.w, sr.q = make(mat.Vector, len(a)), c
+	v, ok := ws.simplexLP(sr, 0, sl, sh)
+	pi := ws.pi.Clone()
+	ws.clearCandidate()
+	ws.release()
+	return v, pi, ok
+}
+
 func TestSimplexLPBasic(t *testing.T) {
 	c := mat.Vector{3, 2, -1}
 	a := mat.Vector{0.2, 0.5, 0.9}
@@ -370,6 +383,41 @@ func TestCheckReleaseRevealingObservationFails(t *testing.T) {
 	}
 }
 
+// TestCheckReleaseSkipsTheOtherCondition: a violation settles the release,
+// and the condition left undecided must say so — not pass for Satisfied
+// (the zero Verdict) nor for Unknown (a spent budget, which is never
+// cached) — whichever of the two is the violated one.
+func TestCheckReleaseSkipsTheOtherCondition(t *testing.T) {
+	a := mat.Vector{0.9, 0.1}
+	b := mat.Vector{0.9 * 0.99, 0.1 * 0.01}
+	signalsEvent := ReleaseCheck{ATilde: a, BTilde: b, Epsilon: 0.5,
+		CTilde: mat.Vector{b[0] + 0.001*(1-a[0]), b[1] + 0.001*(1-a[1])}}
+	// The mirror image: the observation all but rules the event out.
+	signalsAbsence := ReleaseCheck{ATilde: a, Epsilon: 0.5,
+		BTilde: mat.Vector{0.001 * a[0], 0.001 * a[1]},
+		CTilde: mat.Vector{0.001*a[0] + 0.99*(1-a[0]), 0.001*a[1] + 0.01*(1-a[1])}}
+	for name, c := range map[string]struct {
+		chk        ReleaseCheck
+		eq15, eq16 Verdict
+	}{
+		"eq15 violated": {signalsEvent, Violated, Skipped},
+		"eq16 violated": {signalsAbsence, Skipped, Violated},
+	} {
+		dec, err := CheckRelease(c.chk, ReleaseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.OK || dec.Conservative || dec.Eq15.Verdict != c.eq15 || dec.Eq16.Verdict != c.eq16 {
+			t.Errorf("%s: OK %v conservative %v eq15 %v eq16 %v", name, dec.OK, dec.Conservative, dec.Eq15.Verdict, dec.Eq16.Verdict)
+		}
+		for _, r := range []Result{dec.Eq15, dec.Eq16} {
+			if r.Verdict == Violated && (r.BestPi == nil || !(r.Lower > 1e-9) || r.Lower > r.Upper) {
+				t.Errorf("%s: violation without its witness: %+v", name, r)
+			}
+		}
+	}
+}
+
 func TestCheckReleaseZeroScaleTrivial(t *testing.T) {
 	a := mat.Vector{0.5, 0.5}
 	z := mat.Vector{0, 0}
@@ -450,7 +498,7 @@ func TestFixedPiLossErrors(t *testing.T) {
 }
 
 func TestVerdictString(t *testing.T) {
-	if Satisfied.String() != "satisfied" || Violated.String() != "violated" || Unknown.String() != "unknown" {
+	if Satisfied.String() != "satisfied" || Violated.String() != "violated" || Unknown.String() != "unknown" || Skipped.String() != "skipped" {
 		t.Error("verdict strings wrong")
 	}
 	if Verdict(9).String() == "" {

@@ -36,14 +36,17 @@ type ReleaseOptions struct {
 	// relative to the scale of the normalised problem.
 	Solver Options
 	// Deadline is the total budget across both conditions (the paper's
-	// conservative-release threshold); zero means unlimited.
+	// conservative-release threshold); zero means unlimited. A smaller
+	// Solver.Deadline takes its place.
 	Deadline time.Duration
 }
 
 // ReleaseDecision is the outcome of checking both conditions.
 type ReleaseDecision struct {
 	OK bool // both conditions certified to hold
-	// Eq15 and Eq16 are the individual solver results.
+	// Eq15 and Eq16 are the individual solver results. A violation of one
+	// condition settles the release, so the other is then left Skipped
+	// unless its search had already ended.
 	Eq15, Eq16 Result
 	// Conservative is true when OK is false only because a verdict was
 	// Unknown (budget ran out), not because a violation was found.
@@ -55,75 +58,8 @@ type ReleaseDecision struct {
 // the box. Following the paper's conservative release, OK is true only when
 // both maxima are certified non-positive.
 func CheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, error) {
-	n := len(chk.ATilde)
-	if len(chk.BTilde) != n || len(chk.CTilde) != n {
-		return ReleaseDecision{}, fmt.Errorf("qp: release check length mismatch a=%d b=%d c=%d",
-			n, len(chk.BTilde), len(chk.CTilde))
-	}
-	if chk.Epsilon <= 0 || math.IsNaN(chk.Epsilon) || math.IsInf(chk.Epsilon, 0) {
-		return ReleaseDecision{}, fmt.Errorf("qp: epsilon must be positive and finite, got %g", chk.Epsilon)
-	}
-	// Joint rescale of (b̃, c̃) for numerical health; the conditions are
-	// invariant under this scaling.
-	scale := math.Max(chk.BTilde.AbsMax(), chk.CTilde.AbsMax())
-	if scale == 0 {
-		// Observations impossible under every starting state: nothing is
-		// disclosed, release trivially safe.
-		return ReleaseDecision{OK: true,
-			Eq15: Result{Verdict: Satisfied},
-			Eq16: Result{Verdict: Satisfied}}, nil
-	}
-	w1, q1, w2, q2 := releaseConditions(chk, scale)
-
-	so := chk.normalisedOptions(opt)
-	dec := ReleaseDecision{}
-	deadline := time.Now().Add(opt.Deadline)
-
-	r15, err := Solve(Problem{A: chk.ATilde, W: w1, Q: q1}, so)
-	if err != nil {
-		return ReleaseDecision{}, fmt.Errorf("qp: Eq.15 solve: %w", err)
-	}
-	dec.Eq15 = r15
-	if opt.Deadline > 0 {
-		if rem := time.Until(deadline); rem <= 0 {
-			so.Deadline = time.Nanosecond
-		} else {
-			so.Deadline = rem
-		}
-	}
-	r16, err := Solve(Problem{A: chk.ATilde, W: w2, Q: q2}, so)
-	if err != nil {
-		return ReleaseDecision{}, fmt.Errorf("qp: Eq.16 solve: %w", err)
-	}
-	dec.Eq16 = r16
-
-	dec.OK = r15.Verdict == Satisfied && r16.Verdict == Satisfied
-	dec.Conservative = !dec.OK &&
-		r15.Verdict != Violated && r16.Verdict != Violated
-	return dec, nil
-}
-
-// releaseConditions builds the normalised linear data of the two
-// Theorem IV.1 conditions: b̂ = b̃/scale, ĉ = c̃/scale, and
-//
-//	Eq. 15: w₁ = (e^ε−1)·b̂ − e^ε·ĉ, q₁ = b̂
-//	Eq. 16: w₂ = (e^ε−1)·b̂ + ĉ,    q₂ = −e^ε·b̂
-func releaseConditions(chk ReleaseCheck, scale float64) (w1, q1, w2, q2 mat.Vector) {
-	n := len(chk.ATilde)
-	inv := 1 / scale
-	b := chk.BTilde.Clone().Scale(inv)
-	c := chk.CTilde.Clone().Scale(inv)
-	eEps := math.Exp(chk.Epsilon)
-	w1 = make(mat.Vector, n)
-	q1 = b
-	w2 = make(mat.Vector, n)
-	q2 = make(mat.Vector, n)
-	for i := 0; i < n; i++ {
-		w1[i] = (eEps-1)*b[i] - eEps*c[i]
-		w2[i] = (eEps-1)*b[i] + c[i]
-		q2[i] = -eEps * b[i]
-	}
-	return w1, q1, w2, q2
+	dec, _, err := checkRelease(chk, 0, opt)
+	return dec, err
 }
 
 // CheckReleaseShadow is CheckRelease over *approximate* (b̃, c̃) — the
@@ -153,82 +89,125 @@ func releaseConditions(chk ReleaseCheck, scale float64) (w1, q1, w2, q2 mat.Vect
 // exact float64 path. Commit-side state is untouched either way, so
 // release sequences stay bit-identical to the exact path.
 func CheckReleaseShadow(chk ReleaseCheck, eta float64, opt ReleaseOptions) (ReleaseDecision, bool, error) {
-	n := len(chk.ATilde)
-	if len(chk.BTilde) != n || len(chk.CTilde) != n {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: shadow check length mismatch a=%d b=%d c=%d",
-			n, len(chk.BTilde), len(chk.CTilde))
-	}
-	if chk.Epsilon <= 0 || math.IsNaN(chk.Epsilon) || math.IsInf(chk.Epsilon, 0) {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: epsilon must be positive and finite, got %g", chk.Epsilon)
-	}
 	if eta <= 0 || eta >= 1e-3 {
 		return ReleaseDecision{}, false, fmt.Errorf("qp: implausible shadow eta %g", eta)
 	}
-	scale := math.Max(chk.BTilde.AbsMax(), chk.CTilde.AbsMax())
-	if scale == 0 {
-		// The shadow vectors collapsed; the exact ones may not have.
-		// Only the exact path can certify the trivially-safe case.
-		return ReleaseDecision{}, false, nil
-	}
-	w1, q1, w2, q2 := releaseConditions(chk, scale)
-
-	maxA := chk.ATilde.AbsMax()
-	eEps := math.Exp(chk.Epsilon)
-	etaN := 2 * eta
-	d1 := maxA*(2*eEps-1)*etaN + etaN
-	d2 := eEps * (maxA + 1) * etaN
-
-	so := chk.normalisedOptions(opt)
-	deadline := time.Now().Add(opt.Deadline)
-	dec := ReleaseDecision{}
-
-	r15, err := Solve(Problem{A: chk.ATilde, W: w1, Q: q1}, so)
-	if err != nil {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: shadow Eq.15 solve: %w", err)
-	}
-	dec.Eq15 = r15
-	if r15.Verdict == Violated && r15.Lower > so.Tol+d1 {
-		// Certified violation of Eq. 15: reject without solving Eq. 16,
-		// exactly as the exact path's !OK outcome (not conservative).
-		return dec, true, nil
-	}
-	sat15 := r15.Verdict == Satisfied && r15.Upper <= so.Tol-d1
-
-	if opt.Deadline > 0 {
-		if rem := time.Until(deadline); rem <= 0 {
-			so.Deadline = time.Nanosecond
-		} else {
-			so.Deadline = rem
-		}
-	}
-	r16, err := Solve(Problem{A: chk.ATilde, W: w2, Q: q2}, so)
-	if err != nil {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: shadow Eq.16 solve: %w", err)
-	}
-	dec.Eq16 = r16
-	if r16.Verdict == Violated && r16.Lower > so.Tol+d2 {
-		return dec, true, nil
-	}
-	sat16 := r16.Verdict == Satisfied && r16.Upper <= so.Tol-d2
-
-	if sat15 && sat16 {
-		dec.OK = true
-		return dec, true, nil
-	}
-	// Margins too tight to certify either way: ambiguous, recompute
-	// exactly.
-	return dec, false, nil
+	return checkRelease(chk, eta, opt)
 }
 
-func (chk ReleaseCheck) normalisedOptions(opt ReleaseOptions) Options {
-	so := opt.Solver
-	if so.Tol <= 0 {
-		so.Tol = 1e-9
+// checkRelease is the one release check: exact with eta = 0, where every
+// margin below vanishes, shadow otherwise. A violation of either condition
+// rejects the release whatever the other one holds, and most rejected
+// candidates are violated at a seed point, so the conditions advance
+// together — best vertex of each, then the uniform point and root
+// relaxation of each, then each one's branching — and the check returns
+// at the first lower bound past Tol + Δ. Only a release about to be
+// accepted pays for two full certifications. Each search finds what it
+// would have found alone (its stages share nothing with the other's), so
+// OK and Conservative are those of two solves run to the end.
+func checkRelease(chk ReleaseCheck, eta float64, opt ReleaseOptions) (dec ReleaseDecision, decided bool, err error) {
+	start := time.Now()
+	n := len(chk.ATilde)
+	if len(chk.BTilde) != n || len(chk.CTilde) != n {
+		return dec, false, fmt.Errorf("qp: release check length mismatch a=%d b=%d c=%d",
+			n, len(chk.BTilde), len(chk.CTilde))
 	}
-	if opt.Deadline > 0 && (so.Deadline == 0 || so.Deadline > opt.Deadline) {
-		so.Deadline = opt.Deadline
+	if chk.Epsilon <= 0 || math.IsNaN(chk.Epsilon) || math.IsInf(chk.Epsilon, 0) {
+		return dec, false, fmt.Errorf("qp: epsilon must be positive and finite, got %g", chk.Epsilon)
 	}
-	return so
+	// Joint rescale of (b̃, c̃) for numerical health; the conditions are
+	// invariant under this scaling.
+	scale := math.Max(chk.BTilde.AbsMax(), chk.CTilde.AbsMax())
+	if scale == 0 {
+		// Observations impossible under every starting state: nothing is
+		// disclosed, release trivially safe. Collapsed shadow vectors say
+		// nothing about the exact ones, so only the exact path may certify
+		// it.
+		dec.OK = eta == 0
+		return dec, dec.OK, nil
+	}
+
+	// Shadow margins Δ₁, Δ₂ (see CheckReleaseShadow); zero when exact.
+	maxA, eEps, etaN := chk.ATilde.AbsMax(), math.Exp(chk.Epsilon), 2*eta
+	margin := [2]float64{maxA*(2*eEps-1)*etaN + etaN, eEps * (maxA + 1) * etaN}
+
+	budget := opt.Deadline
+	if d := opt.Solver.Deadline; d > 0 && (budget <= 0 || d < budget) {
+		budget = d
+	}
+
+	ws := acquire(chk.ATilde, opt.Solver.withDefaults())
+	ws.releaseConditions(chk, scale, eEps)
+	dec, decided, err = ws.decide(start, deadlineAfter(start, budget), margin)
+	ws.release()
+	return dec, decided, err
+}
+
+// decide runs the staged searches of both conditions bound to ws.
+func (ws *workspace) decide(start, deadline time.Time, margin [2]float64) (dec ReleaseDecision, decided bool, err error) {
+	for k, name := range [2]string{"Eq.15", "Eq.16"} {
+		if err := (Problem{A: ws.a, W: ws.cond[k].w, Q: ws.cond[k].q}).Validate(); err != nil {
+			return dec, false, fmt.Errorf("qp: %s solve: %w", name, err)
+		}
+	}
+	tol := ws.opts.Tol
+	res := [2]Result{{Verdict: Skipped}, {Verdict: Skipped}}
+	prev := start
+	for stage := 0; stage < 3; stage++ {
+		for k := range ws.cond {
+			sr := &ws.cond[k]
+			switch stage {
+			case 0:
+				ws.seedVertex(sr)
+			case 1:
+				ws.seedRoot(sr)
+			default:
+				ws.branch(sr, deadline)
+			}
+			now := time.Now()
+			sr.elapsed += now.Sub(prev)
+			prev = now
+			violated := sr.lower > tol+margin[k]
+			if violated || stage == 2 {
+				res[k] = ws.result(sr)
+			}
+			if violated {
+				// Certified violation: the release is rejected, not
+				// conservatively, and the other condition, unless its
+				// search has already ended, stays Skipped.
+				return ReleaseDecision{Eq15: res[0], Eq16: res[1]}, true, nil
+			}
+		}
+	}
+	dec = ReleaseDecision{OK: true, Eq15: res[0], Eq16: res[1]}
+	for k, r := range res {
+		dec.OK = dec.OK && r.Verdict == Satisfied && r.Upper <= tol-margin[k]
+	}
+	// Without OK: an Unknown verdict on the exact path, or margins too
+	// tight to certify either way on the shadow path, which must then be
+	// recomputed exactly.
+	dec.Conservative = !dec.OK && res[0].Verdict != Violated && res[1].Verdict != Violated
+	return dec, dec.OK, nil
+}
+
+// releaseConditions binds the two searches to the normalised linear data
+// of the two Theorem IV.1 conditions: b̂ = b̃/scale, ĉ = c̃/scale, and
+//
+//	Eq. 15: w₁ = (e^ε−1)·b̂ − e^ε·ĉ, q₁ = b̂
+//	Eq. 16: w₂ = (e^ε−1)·b̂ + ĉ,    q₂ = −e^ε·b̂
+func (ws *workspace) releaseConditions(chk ReleaseCheck, scale, eEps float64) {
+	n := ws.n
+	w1, q1, w2, q2 := ws.lin[:n:n], ws.lin[n:2*n:2*n], ws.lin[2*n:3*n:3*n], ws.lin[3*n:]
+	inv := 1 / scale
+	for i := 0; i < n; i++ {
+		b, c := chk.BTilde[i]*inv, chk.CTilde[i]*inv
+		w1[i] = (eEps-1)*b - eEps*c
+		q1[i] = b
+		w2[i] = (eEps-1)*b + c
+		q2[i] = -eEps * b
+	}
+	ws.cond[0].w, ws.cond[0].q = w1, q1
+	ws.cond[1].w, ws.cond[1].q = w2, q2
 }
 
 // FixedPiLoss returns the realised privacy loss for a *known* initial

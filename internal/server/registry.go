@@ -254,8 +254,10 @@ func (r *PlanRegistry) injectWarm(key planKey, plan *core.Plan) {
 
 // exportCache renders the live cache as persistable entries: each cached
 // decision whose plan id is still registered is keyed by the canonical
-// plan-key string (stable across restarts). Solver diagnostics are
-// dropped; only verdicts survive.
+// plan-key string (stable across restarts). The format records, per
+// condition, whether it was certified to hold; a violated condition and
+// one the solver skipped because the other was violated are both written
+// as not-OK, and injectWarm reads either back as a certified rejection.
 func (r *PlanRegistry) exportCache() []store.CacheEntry {
 	if r.cache == nil {
 		return nil

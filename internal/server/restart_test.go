@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"priste/internal/certcache"
+	"priste/internal/qp"
 	"priste/internal/store"
 )
 
@@ -275,6 +277,74 @@ func TestWarmCacheRestart(t *testing.T) {
 			t.Fatalf("warm step %d: got %+v, want %+v", k, got, wantRes)
 		}
 	}
+}
+
+// TestWarmLoadKeepsSkippedRejections: a rejection the solver settled on one
+// violated condition leaves the other Skipped. Every cached decision must
+// persist with the OK it was certified with — a Skipped condition written
+// as satisfied would put "Eq16OK" beside a rejection — and come back from
+// a warm load as the same hit: rejected stays rejected, never
+// conservative, so replays keep skipping the solver.
+func TestWarmLoadKeepsSkippedRejections(t *testing.T) {
+	dir := t.TempDir()
+	srvA, err := New(durableConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(5)
+	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 8; k++ {
+		if _, err := srvA.Step(bg, "u", k%36); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type verdictKey struct {
+		event, t, obs      int
+		history, alphaBits uint64
+	}
+	want := map[verdictKey]bool{}         // the decision's OK
+	certified := map[verdictKey][2]bool{} // which conditions were certified to hold
+	skipped := 0
+	srvA.Plans().Cache().Range(func(k certcache.Key, dec qp.ReleaseDecision) bool {
+		vk := verdictKey{k.Event, k.T, k.Obs, k.History, k.AlphaBits}
+		want[vk] = dec.OK
+		certified[vk] = [2]bool{dec.Eq15.Verdict == qp.Satisfied, dec.Eq16.Verdict == qp.Satisfied}
+		if dec.Eq15.Verdict == qp.Skipped || dec.Eq16.Verdict == qp.Skipped {
+			skipped++
+			if dec.OK {
+				t.Errorf("accepted with a skipped condition: %+v", dec)
+			}
+		}
+		return true
+	})
+	if skipped == 0 {
+		t.Fatal("no rejection with a skipped condition was cached — test premise broken")
+	}
+	for _, e := range srvA.Plans().exportCache() {
+		vk := verdictKey{e.Event, e.T, e.Obs, e.History, e.AlphaBits}
+		if got := [2]bool{e.Eq15OK, e.Eq16OK}; got != certified[vk] || (e.Eq15OK && e.Eq16OK) != want[vk] {
+			t.Fatalf("decision with OK = %v, certified %v persisted as %v", want[vk], certified[vk], got)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srvA.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB := newTestServer(t, durableConfig(t, dir))
+	if got := srvB.Plans().WarmLoaded(); got != int64(len(want)) {
+		t.Fatalf("warm-loaded %d of %d entries", got, len(want))
+	}
+	srvB.Plans().Cache().Range(func(k certcache.Key, dec qp.ReleaseDecision) bool {
+		ok, found := want[verdictKey{k.Event, k.T, k.Obs, k.History, k.AlphaBits}]
+		if !found || dec.OK != ok || dec.Conservative {
+			t.Errorf("warm entry %+v reads (OK %v, conservative %v); cached as OK %v (found %v)", k, dec.OK, dec.Conservative, ok, found)
+		}
+		return true
+	})
 }
 
 // TestWorldMismatchRefusesReplay: sessions journaled under one world

@@ -259,6 +259,141 @@ func BenchmarkEngineStepCeiling(b *testing.B) {
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "steps/sec")
 }
 
+// deferralWorlds are the maps of the service benchmark's workloads
+// (replay-small, unique-mid, replay-dense): where an operator commit costs
+// 19 µs, ~250 µs and ~3.4 ms.
+var deferralWorlds = []struct {
+	name  string
+	side  int
+	event string
+}{
+	{"m=36", 6, "0-5@2-4"},
+	{"m=100", 10, "0-9@3-7"},
+	{"m=256-dense", 16, "0-127@3-7"},
+}
+
+const (
+	deferralSeed    = 77
+	deferralHorizon = 12
+)
+
+// deferralPlan compiles one of deferralWorlds and releases one seeded
+// session of deferralHorizon steps on it, returning the plan, the
+// trajectory (one location longer, for a step after a restore) and the
+// finished session's snapshot. With cache, the session's verdicts stay
+// cached, so replaying the same seed and trajectory hits on every check.
+func deferralPlan(b *testing.B, side int, spec string, cache bool) (*priste.Plan, []int, priste.SessionSnapshot) {
+	b.Helper()
+	g, err := priste.NewGrid(side, side, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chain, err := priste.GaussianChain(g, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := priste.ParseEventSpec(spec, g.States(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := priste.DefaultConfig(0.5, 1.0)
+	cfg.QPTimeout = 0
+	plan, err := priste.NewPlan(priste.SharedMechanism(priste.NewPlanarLaplace(g)),
+		priste.Homogeneous(chain), []priste.Event{ev}, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if cache {
+		plan.EnableCache(priste.NewCertCache(1 << 16))
+	}
+	traj := chain.SamplePath(rand.New(rand.NewSource(deferralSeed)), priste.UniformDistribution(g.States()), deferralHorizon+1)
+	fw, err := plan.NewSession(priste.NewSessionRNG(deferralSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := fw.Run(traj[:deferralHorizon]); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := fw.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan, traj, snap
+}
+
+// BenchmarkHitStep prices one engine step whose every release check hits
+// the certified-release cache (sessions replaying a warmed seed and
+// trajectory, recycled at the horizon): the step a commit's operator
+// products used to dominate and now never reaches. A developer tool, like
+// the two below; the gate is the service benchmark.
+func BenchmarkHitStep(b *testing.B) {
+	for _, w := range deferralWorlds {
+		b.Run(w.name, func(b *testing.B) {
+			plan, traj, _ := deferralPlan(b, w.side, w.event, true)
+			var fw *priste.Framework
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if fw == nil || fw.T() == deferralHorizon {
+					var err error
+					if fw, err = plan.NewSession(priste.NewSessionRNG(deferralSeed)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				res, err := fw.Step(traj[fw.T()])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.CertCacheMisses != 0 {
+					b.Fatalf("step %d missed the cache", res.T)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestore prices Plan.Restore of a deferralHorizon-step
+// planar-Laplace session: what daemon start-up, ImportSession and the
+// router's re-homing pause pay per session.
+func BenchmarkRestore(b *testing.B) {
+	for _, w := range deferralWorlds {
+		b.Run(w.name, func(b *testing.B) {
+			plan, _, snap := deferralPlan(b, w.side, w.event, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := plan.Restore(snap, priste.NewSessionRNG(0)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestoreThenFirstMiss prices Restore plus the restored
+// session's first step on a plan without a cache, which must read the
+// operators: the total that deferring the rebuild conserves. It should
+// equal an eager restore plus one miss step — the work moved, it did not
+// shrink.
+func BenchmarkRestoreThenFirstMiss(b *testing.B) {
+	for _, w := range deferralWorlds {
+		b.Run(w.name, func(b *testing.B) {
+			plan, traj, snap := deferralPlan(b, w.side, w.event, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				fw, err := plan.Restore(snap, priste.NewSessionRNG(0))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := fw.Step(traj[deferralHorizon]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchServer starts a benchmark-scale pristed server.
 func benchServer(b *testing.B) (*priste.Server, priste.ServerConfig) {
 	b.Helper()
@@ -328,7 +463,7 @@ func reportStages(b *testing.B, srv *priste.Server, transport string) {
 		return
 	}
 	var sum float64
-	for _, stage := range []string{"decode", "queue_wait", "commit_hit", "commit_miss", "wal_append", "encode"} {
+	for _, stage := range []string{"decode", "queue_wait", "commit_hit", "commit_miss", "rebuild", "wal_append", "encode"} {
 		sg, ok := ts.Stages[stage]
 		if !ok {
 			continue

@@ -22,7 +22,7 @@
 // serving numbers are compared against.
 //
 // Serving benchmarks additionally report the server's per-stage latency
-// means (decode, queue_wait, commit_hit/commit_miss, wal_append, encode
+// means (decode, queue_wait, commit_hit/commit_miss, rebuild, wal_append, encode
 // — the instrumentation behind /metricsz and `pristectl stats -stages`).
 // benchjson lifts those into a top-level "stages" section per serving
 // benchmark, with the stage sum and the measured end-to-end served mean

@@ -265,7 +265,7 @@ func runStats(ctx context.Context, client api.Client, args []string) {
 	}
 	// Stage order mirrors a step's path through the server; a transport
 	// with no served steps is skipped.
-	order := []string{"decode", "queue_wait", "commit_hit", "commit_miss", "wal_append", "encode"}
+	order := []string{"decode", "queue_wait", "commit_hit", "commit_miss", "rebuild", "wal_append", "encode"}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "TRANSPORT\tSTAGE\tCOUNT\tMEAN_US\tP99_US")
 	for _, tr := range []struct {

@@ -129,17 +129,23 @@ type SessionStats struct {
 
 // StepStats counts served steps. SuppressionRate is the fraction of
 // released timestamps that fell back to the uniform (zero-information)
-// release.
+// release. RebuiltCommits counts the committed releases whose operator
+// products were actually computed: the engine defers them until a check
+// misses the certified-release cache, so Served − RebuiltCommits is the
+// commits no later check ever read (and a burst of them on one step is a
+// session rebuilding after a run of hits, a restart or a migration).
 type StepStats struct {
 	Served          int64   `json:"served"`
 	Errors          int64   `json:"errors"`
 	Uniform         int64   `json:"uniform"`
 	SuppressionRate float64 `json:"suppression_rate"`
 	QueueRejections int64   `json:"queue_rejections"`
+	RebuiltCommits  int64   `json:"rebuilt_commits"`
 }
 
 // LatencyStats summarises engine commit latency (the worker-pool
-// Framework.Step call, all transports merged). The quantiles come from
+// Framework.Step call less any operator rebuild it triggered — that is
+// the rebuild stage — all transports merged). The quantiles come from
 // the lifetime latency histogram — log-spaced buckets with ≤12.5%
 // relative quantization error — and Samples counts the observations
 // backing them (equals Steps.Served).
@@ -193,7 +199,11 @@ type CertCacheStats struct {
 // StoreStats is the /statsz durability section: the store's own
 // counters (appends, fsyncs, snapshots, ...) plus the serving layer's
 // view of it — append failures, startup session replays and their total
-// latency, and warm-loaded certified-release cache entries.
+// latency, and warm-loaded certified-release cache entries. A replay
+// validates a journal (tag ranges, fingerprint chain, RNG state) and
+// re-registers the session; the operator rebuild it used to include now
+// happens at the session's first cache miss and is reported as the
+// rebuild stage and StepStats.RebuiltCommits.
 type StoreStats struct {
 	store.Stats
 	// AppendErrors counts failed write-ahead journal appends (acknowledged
@@ -250,7 +260,11 @@ type TransportStats struct {
 //	queue_wait  enqueue to worker pickup on the session FIFO
 //	commit_hit  engine commit, every release-condition check served
 //	            from the certified-release cache
-//	commit_miss engine commit with at least one cache miss (or no cache)
+//	commit_miss engine commit with at least one cache miss (or no cache),
+//	            less the rebuild below
+//	rebuild     replaying committed release tags into the quantifier
+//	            operators, on the first miss after a run of hits, a
+//	            restart or an import (a stateful session: its own commit)
 //	wal_append  write-ahead journaling of the committed release
 //	encode      render + write the response (JSON / binary frame)
 //

@@ -137,32 +137,52 @@ type StepResult struct {
 	// separately.
 	CertCacheHits   int
 	CertCacheMisses int
+	// Rebuilt is the number of committed release tags folded into the
+	// quantifier operators during this step and RebuildTime the wall time
+	// that took (not part of CheckTime). A history-independent session
+	// defers every commit's operator products to the next check that
+	// misses the cache, so a miss after a run of hits — or the first one
+	// after a Restore — pays for the whole run here; a stateful session
+	// reports its own commit, 1.
+	Rebuilt     int
+	RebuildTime time.Duration
 }
 
 // Framework is the per-session half of the PriSTE release loop: the
-// session's RNG, its mechanism state, one streaming quantifier per
-// protected event, and the next timestamp. Everything immutable — the
-// validated configuration, compiled world models, uniform-fallback
-// structures and (for history-independent mechanisms) the shared emission
-// table and certified-release cache — lives in the Plan, so any number of
-// sessions over identical parameters share one Plan via Plan.NewSession.
+// session's RNG, its mechanism state, the committed release-tag log and
+// the next timestamp. Everything immutable — the validated configuration,
+// compiled world models, uniform-fallback structures and (for
+// history-independent mechanisms) the shared emission table and
+// certified-release cache — lives in the Plan, so any number of sessions
+// over identical parameters share one Plan via Plan.NewSession.
+//
+// The tag log is the state; the per-event streaming quantifiers are a view
+// of it, built by materialise when a check misses the cache (or
+// RealizedLoss asks) and not before: a session whose checks all hit, and a
+// restored or imported one until its first miss, holds no operators.
 type Framework struct {
-	plan   *Plan
-	mech   lppm.Perturber
-	quants []*world.Quantifier
-	rng    Rand
-	t      int
+	plan *Plan
+	mech lppm.Perturber
+	rng  Rand
+	t    int
 
-	// colBuf is the scratch emission column of the candidate loop: one
-	// buffer per session instead of one allocation per candidate. Safe
-	// because the framework is single-writer and no callee retains the
-	// column (see lppm.Perturber.Observe).
-	colBuf mat.Vector
-
-	// tags is the committed release history: one (alphaBits, obs) pair
-	// per released timestamp. Together with the plan it fully determines
-	// the quantifier and mechanism state (see Snapshot / Plan.Restore).
+	// tags is the committed release history, one (alphaBits, obs) pair
+	// per released timestamp, and fp the rolling fingerprint over it
+	// (world.FingerprintFold from world.FingerprintSeed). Together with
+	// the plan they determine the quantifier and mechanism state (see
+	// Snapshot / Plan.Restore).
 	tags []ReleaseTag
+	fp   uint64
+
+	// quants holds one quantifier per protected event with tags[:applied]
+	// committed; nil until materialise first runs. colBuf is the candidate
+	// column of the miss path and replayBuf the column materialise
+	// re-derives per pending tag — two buffers, because tags are replayed
+	// while a live candidate sits in colBuf. Both are allocated with the
+	// quantifiers; no callee retains a column (see lppm.Perturber.Observe).
+	quants            []*world.Quantifier
+	applied           int
+	colBuf, replayBuf mat.Vector
 }
 
 // ReleaseTag is one committed release: math.Float64bits of the budget the
@@ -255,14 +275,13 @@ func (f *Framework) Step(trueLoc int) (StepResult, error) {
 		if err != nil {
 			return StepResult{}, fmt.Errorf("core: sampling: %w", err)
 		}
-		col := em.ColInto(f.colBuf, obs)
-		ok, conservative, dur, err := f.checkAll(&res, t, math.Float64bits(alpha), obs, col, relOpts)
+		ok, conservative, dur, err := f.checkAll(&res, t, math.Float64bits(alpha), obs, em, relOpts)
 		res.CheckTime += dur
 		if err != nil {
 			return StepResult{}, err
 		}
 		if ok {
-			if err := f.commit(t, obs, math.Float64bits(alpha), col); err != nil {
+			if err := f.commit(&res, obs, math.Float64bits(alpha)); err != nil {
 				return StepResult{}, err
 			}
 			res.Obs = obs
@@ -281,7 +300,7 @@ func (f *Framework) Step(trueLoc int) (StepResult, error) {
 	if err != nil {
 		return StepResult{}, err
 	}
-	if err := f.commit(t, obs, 0, f.plan.uniformCol); err != nil {
+	if err := f.commit(&res, obs, 0); err != nil {
 		return StepResult{}, err
 	}
 	res.Obs = obs
@@ -295,12 +314,18 @@ func (f *Framework) Step(trueLoc int) (StepResult, error) {
 // plan carries a certified-release cache (history-independent mechanisms
 // only), each per-event check is first looked up by (plan, event,
 // timestamp, committed history fingerprint, candidate alphaBits, obs); a
-// hit skips both the quantifier forward pass and the QP solves. Verdicts
-// containing Unknown are never stored — they encode an expired time
-// budget, not a property of the release — so with no QP deadline a
-// cache-backed run is decision-for-decision identical to an uncached one.
-// A rejection whose other condition the solver Skipped is certified by
-// the violated one and is stored like any other.
+// hit touches no quantifier at all — no forward pass, no QP solve, no
+// emission column, none of the operator products of the commits since the
+// last miss. Verdicts containing Unknown are never stored — they encode an
+// expired time budget, not a property of the release — so with no QP
+// deadline a cache-backed run is decision-for-decision identical to an
+// uncached one. A rejection whose other condition the solver Skipped is
+// certified by the violated one and is stored like any other.
+//
+// The first miss of a candidate brings the operators up to the tag log
+// (materialise; charged to res.RebuildTime, not to dur) and derives the
+// candidate's emission column; later events of the same candidate reuse
+// both.
 //
 // With Config.Shadow, a cache miss first tries the float32 shadow check:
 // the quantifier's shadow forward pass plus qp.CheckReleaseShadow, which
@@ -308,18 +333,19 @@ func (f *Framework) Step(trueLoc int) (StepResult, error) {
 // error bound. A decided shadow verdict is used directly but never
 // cached (the cache stores exact verdicts only); an ambiguous one falls
 // through to the exact float64 check below.
-func (f *Framework) checkAll(res *StepResult, t int, alphaBits uint64, obs int, col mat.Vector, opts qp.ReleaseOptions) (ok, conservative bool, dur time.Duration, err error) {
+func (f *Framework) checkAll(res *StepResult, t int, alphaBits uint64, obs int, em *mat.Matrix, opts qp.ReleaseOptions) (ok, conservative bool, dur time.Duration, err error) {
 	start := time.Now()
 	defer func() { dur = time.Since(start) }()
 	cache := f.plan.cache
-	for i, q := range f.quants {
+	var col mat.Vector
+	for i := range f.plan.models {
 		var key certcache.Key
 		if cache != nil {
 			key = certcache.Key{
 				Plan:      f.plan.id,
 				Event:     i,
 				T:         t,
-				History:   q.HistoryFingerprint(),
+				History:   f.fp,
 				AlphaBits: alphaBits,
 				Obs:       obs,
 			}
@@ -332,6 +358,15 @@ func (f *Framework) checkAll(res *StepResult, t int, alphaBits uint64, obs int, 
 			}
 			res.CertCacheMisses++
 		}
+		if col == nil {
+			before := res.RebuildTime
+			if err := f.materialise(res); err != nil {
+				return false, false, 0, err
+			}
+			start = start.Add(res.RebuildTime - before) // dur excludes the rebuild
+			col = em.ColInto(f.colBuf, obs)
+		}
+		q := f.quants[i]
 		if f.plan.cfg.Shadow {
 			if shadowChk, okS := q.ShadowCheck(col); okS {
 				f.plan.shadowChecks.Add(1)
@@ -368,28 +403,83 @@ func (f *Framework) checkAll(res *StepResult, t int, alphaBits uint64, obs int, 
 	return true, false, 0, nil
 }
 
-// commit folds the released observation into every quantifier (tagged
-// with its (alphaBits, obs) release pair for the history fingerprint) and
-// the mechanism state.
-func (f *Framework) commit(t, obs int, alphaBits uint64, col mat.Vector) error {
-	for _, q := range f.quants {
-		q.CommitTaggedTrusted(col, alphaBits, obs)
-	}
-	if err := f.mech.Observe(t, obs, col); err != nil {
-		return fmt.Errorf("core: mechanism Observe: %w", err)
-	}
+// commit appends the release to the tag log, folds it into the rolling
+// fingerprint and advances time — for a history-independent mechanism that
+// is the whole commit: the operator products wait in the log until a check
+// reads the operators (materialise), and a commit no later check reads
+// never runs them. A stateful mechanism's Observe needs the committed
+// column before its next Begin and its checks are never cached, so its
+// session materialises at once.
+func (f *Framework) commit(res *StepResult, obs int, alphaBits uint64) error {
 	f.tags = append(f.tags, ReleaseTag{AlphaBits: alphaBits, Obs: obs})
+	f.fp = world.FingerprintFold(f.fp, alphaBits, obs)
 	f.t++
+	if f.plan.stateless {
+		return nil
+	}
+	return f.materialise(res)
+}
+
+// materialise brings the quantifier view up to the tag log: it allocates
+// the quantifiers on first use and replays tags[applied:] through the eager
+// world.Quantifier commit and the mechanism's Observe, re-deriving each
+// committed column from its tag — the budget's column for the released
+// observation, or the uniform column for a fallback tag. It is the only
+// place operators are written (Step's miss path, a stateful commit,
+// RealizedLoss and, through commit, Plan.Restore all come here), so every
+// commit runs at most once, in log order, on the column its tag determines,
+// and the operators are bit-identical to those of a session that
+// materialises after every commit. The operators' fingerprint is checked
+// against the log's whenever they are advanced. On error applied marks the
+// first tag not committed and the next call resumes there. res, when
+// non-nil, is charged the tags replayed and the time taken.
+func (f *Framework) materialise(res *StepResult) error {
+	if f.quants != nil && f.applied == len(f.tags) {
+		return nil
+	}
+	start := time.Now()
+	if f.quants == nil {
+		for _, md := range f.plan.models {
+			f.quants = append(f.quants, world.NewQuantifier(md))
+		}
+		f.colBuf, f.replayBuf = mat.NewVector(f.plan.m), mat.NewVector(f.plan.m)
+	}
+	from := f.applied
+	for ; f.applied < len(f.tags); f.applied++ {
+		t, tag := f.applied, f.tags[f.applied]
+		col := f.plan.uniformCol
+		if tag.AlphaBits != 0 {
+			alpha := math.Float64frombits(tag.AlphaBits)
+			em, err := f.mech.Emission(alpha)
+			if err != nil {
+				return fmt.Errorf("core: replay t=%d: emission at alpha=%g: %w", t, alpha, err)
+			}
+			col = em.ColInto(f.replayBuf, tag.Obs)
+		}
+		// Observe first: it can fail, the operator commits cannot, so a
+		// failed tag is committed nowhere.
+		if err := f.mech.Observe(t, tag.Obs, col); err != nil {
+			return fmt.Errorf("core: replay t=%d: mechanism Observe: %w", t, err)
+		}
+		for _, q := range f.quants {
+			q.CommitTaggedTrusted(col, tag.AlphaBits, tag.Obs)
+		}
+	}
+	if res != nil {
+		res.Rebuilt += f.applied - from
+		res.RebuildTime += time.Since(start)
+	}
+	if got := f.quants[0].HistoryFingerprint(); got != f.fp {
+		return fmt.Errorf("%w: operators at %#x, tag log at %#x", ErrFingerprintMismatch, got, f.fp)
+	}
 	return nil
 }
 
 // Fingerprint returns the rolling history fingerprint of the committed
-// release tags (world.FingerprintSeed before the first commit). Every
-// quantifier of the session folds the same tags, so they agree; the
-// first one is authoritative.
-func (f *Framework) Fingerprint() uint64 {
-	return f.quants[0].HistoryFingerprint()
-}
+// release tags (world.FingerprintSeed before the first commit). The
+// quantifiers fold the same tags as they are materialised and are held to
+// this value.
+func (f *Framework) Fingerprint() uint64 { return f.fp }
 
 // Tags returns the committed release-tag history. Callers must not
 // mutate the slice.
@@ -422,7 +512,7 @@ func (f *Framework) Snapshot() (Snapshot, error) {
 	return Snapshot{
 		T:           f.t,
 		Tags:        append([]ReleaseTag(nil), f.tags...),
-		Fingerprint: f.Fingerprint(),
+		Fingerprint: f.fp,
 		RNG:         rng,
 	}, nil
 }
@@ -445,8 +535,11 @@ func (f *Framework) Run(traj []int) ([]StepResult, error) {
 // to protected event i (diagnostics; the release-time guarantee already
 // holds for every initial probability).
 func (f *Framework) RealizedLoss(i int, pi mat.Vector) (float64, error) {
-	if i < 0 || i >= len(f.quants) {
-		return 0, fmt.Errorf("core: event index %d outside [0,%d)", i, len(f.quants))
+	if i < 0 || i >= len(f.plan.models) {
+		return 0, fmt.Errorf("core: event index %d outside [0,%d)", i, len(f.plan.models))
+	}
+	if err := f.materialise(nil); err != nil {
+		return 0, err
 	}
 	return qp.FixedPiLoss(f.quants[i].Current(), pi)
 }

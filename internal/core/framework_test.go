@@ -370,6 +370,9 @@ func TestCheckAgainstDirectQP(t *testing.T) {
 	if _, err := f.Step(4); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.materialise(nil); err != nil {
+		t.Fatal(err)
+	}
 	chk := f.quants[0].Current()
 	chk.Epsilon = 0.5
 	dec, err := qp.CheckRelease(chk, qp.ReleaseOptions{})

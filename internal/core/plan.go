@@ -183,9 +183,10 @@ func (p *Plan) EnableCache(c *certcache.Cache) {
 // Cache returns the attached certified-release cache, or nil.
 func (p *Plan) Cache() *certcache.Cache { return p.cache }
 
-// NewSession mints a lightweight per-session Framework over the plan: a
-// fresh quantifier per event, the session's RNG, and — for stateful
-// mechanisms — a fresh mechanism instance from the factory.
+// NewSession mints a lightweight per-session Framework over the plan: an
+// empty release-tag log, the session's RNG, and — for stateful mechanisms —
+// a fresh mechanism instance from the factory. No quantifier is allocated
+// until a check first reads one (Framework.materialise).
 func (p *Plan) NewSession(rng Rand) (*Framework, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: nil rng")
@@ -213,34 +214,30 @@ func (p *Plan) NewSession(rng Rand) (*Framework, error) {
 			return nil, fmt.Errorf("core: stateful mechanism instance reused across sessions (factory must return fresh instances)")
 		}
 	}
-	f := &Framework{
-		plan:   p,
-		mech:   mech,
-		rng:    rng,
-		colBuf: mat.NewVector(p.m),
-	}
-	for _, md := range p.models {
-		f.quants = append(f.quants, world.NewQuantifier(md))
-	}
-	return f, nil
+	return &Framework{plan: p, mech: mech, rng: rng, fp: world.FingerprintSeed}, nil
 }
 
-// ErrFingerprintMismatch reports that replaying a snapshot's tag log did
-// not reproduce its recorded history fingerprint: the log and the
-// fingerprint disagree about the committed history, so the restored
-// session cannot be trusted.
+// ErrFingerprintMismatch reports that replaying a tag log did not
+// reproduce the history fingerprint recorded for it — a snapshot's at
+// Restore, the session's own when its operators are rebuilt: the log and
+// the fingerprint disagree about the committed history, so the session
+// cannot be trusted.
 var ErrFingerprintMismatch = errors.New("core: restored history fingerprint mismatch")
 
-// Restore rebuilds a session from a Snapshot by replaying its committed
-// release-tag history through the plan: for each tag the mechanism is
-// advanced (Begin), the committed emission column is re-derived — the
-// budget's column for the released observation, or the uniform column
-// for a fallback tag — and committed into every quantifier and the
-// mechanism state, exactly as the original Step did. Replay is
-// deterministic, so the rehydrated quantifier operators, mechanism
-// posterior and timestamp are bit-identical to the uninterrupted run's;
-// the rolling history fingerprint is verified against the snapshot at
-// the end (ErrFingerprintMismatch otherwise).
+// Restore rebuilds a session from a Snapshot by re-committing its release
+// tags in order through the same commit Step uses: each tag is validated
+// (observation in range, budget a genuine positive finite value or the
+// uniform fallback's 0), the mechanism is advanced (Begin) and the tag is
+// appended to the log and folded into the fingerprint, which is verified
+// against the snapshot at the end (ErrFingerprintMismatch otherwise). For a
+// history-independent mechanism that is all — O(T) integer work; the
+// quantifier operators are rebuilt from the log by the first check that
+// misses the cache, through the one replay path the live session uses
+// (Framework.materialise), and are held to the log's fingerprint there. A
+// stateful mechanism's commit materialises at once, so its posterior and
+// operators are rebuilt here, column by column, as before. Either way
+// replay is deterministic: operators, mechanism state and timestamp are
+// bit-identical to the uninterrupted run's whenever they are read.
 //
 // When the snapshot carries RNG state, rng must implement
 // encoding.BinaryUnmarshaler (SessionRNG does) and is restored to it, so
@@ -254,33 +251,23 @@ func (p *Plan) Restore(snap Snapshot, rng Rand) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.tags = make([]ReleaseTag, 0, len(snap.Tags))
 	for t, tag := range snap.Tags {
 		if tag.Obs < 0 || tag.Obs >= p.m {
 			return nil, fmt.Errorf("core: replay t=%d: observation %d outside [0,%d)", t, tag.Obs, p.m)
 		}
+		if alpha := math.Float64frombits(tag.AlphaBits); tag.AlphaBits != 0 && (alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0)) {
+			return nil, fmt.Errorf("core: replay t=%d: invalid budget %g", t, alpha)
+		}
 		if err := f.mech.Begin(t); err != nil {
 			return nil, fmt.Errorf("core: replay t=%d: mechanism Begin: %w", t, err)
 		}
-		var col mat.Vector
-		if tag.AlphaBits == 0 {
-			col = p.uniformCol
-		} else {
-			alpha := math.Float64frombits(tag.AlphaBits)
-			if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
-				return nil, fmt.Errorf("core: replay t=%d: invalid budget %g", t, alpha)
-			}
-			em, err := f.mech.Emission(alpha)
-			if err != nil {
-				return nil, fmt.Errorf("core: replay t=%d: emission at alpha=%g: %w", t, alpha, err)
-			}
-			col = em.ColInto(f.colBuf, tag.Obs)
-		}
-		if err := f.commit(t, tag.Obs, tag.AlphaBits, col); err != nil {
-			return nil, fmt.Errorf("core: replay t=%d: %w", t, err)
+		if err := f.commit(nil, tag.Obs, tag.AlphaBits); err != nil {
+			return nil, err
 		}
 	}
-	if f.Fingerprint() != snap.Fingerprint {
-		return nil, fmt.Errorf("%w: replayed %#x, snapshot %#x", ErrFingerprintMismatch, f.Fingerprint(), snap.Fingerprint)
+	if f.fp != snap.Fingerprint {
+		return nil, fmt.Errorf("%w: replayed %#x, snapshot %#x", ErrFingerprintMismatch, f.fp, snap.Fingerprint)
 	}
 	if len(snap.RNG) > 0 {
 		u, ok := rng.(encoding.BinaryUnmarshaler)

@@ -20,8 +20,8 @@ func planConfig(eps, alpha float64) Config {
 // stripTimings drops the fields the equivalence contract excludes: wall
 // time (always differs), conservative-rejection counts (defined only
 // under a QP deadline, which deterministic runs disable), and the cert-
-// cache hit/miss observability counters (by construction they differ
-// between cache-on and cache-off runs).
+// cache hit/miss and operator-rebuild observability counters (by
+// construction they differ between cache-on and cache-off runs).
 func stripTimings(rs []StepResult) []StepResult {
 	out := make([]StepResult, len(rs))
 	for i, r := range rs {
@@ -29,6 +29,7 @@ func stripTimings(rs []StepResult) []StepResult {
 		r.ConservativeRejections = 0
 		r.CertCacheHits = 0
 		r.CertCacheMisses = 0
+		r.Rebuilt, r.RebuildTime = 0, 0
 		out[i] = r
 	}
 	return out

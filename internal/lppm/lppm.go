@@ -57,7 +57,9 @@ type Perturber interface {
 }
 
 // HistoryIndependent marks a Perturber whose behaviour does not depend on
-// the release history: Begin and Observe are no-ops and Emission is a pure
+// the release history: Begin and Observe are no-ops (the engine calls
+// Observe when it folds a release into its operators, which for such a
+// mechanism may be several timestamps late or never) and Emission is a pure
 // function of the budget. Such a mechanism can be shared by every session
 // of a compiled core.Plan (its Emission must then be safe for concurrent
 // use), and its certified release verdicts are fully determined by the

@@ -249,7 +249,7 @@ func TestEngineReleasesMatchReference(t *testing.T) {
 				want := w.algo1(t, seed, c.steps, ref)
 				for i := range want {
 					g := got[i]
-					g.CheckTime = 0
+					g.CheckTime, g.Rebuilt, g.RebuildTime = 0, 0, 0
 					if g != want[i] {
 						t.Fatalf("session %d step %d: engine %+v, reference loop %+v", s, i, g, want[i])
 					}

@@ -603,6 +603,7 @@ func (rt *Router) Stats() api.Stats {
 		out.Steps.Errors += a.stats.Steps.Errors
 		out.Steps.Uniform += a.stats.Steps.Uniform
 		out.Steps.QueueRejections += a.stats.Steps.QueueRejections
+		out.Steps.RebuiltCommits += a.stats.Steps.RebuiltCommits
 	}
 	if out.Steps.Served > 0 {
 		out.Steps.SuppressionRate = float64(out.Steps.Uniform) / float64(out.Steps.Served)

@@ -71,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"priste/internal/api"
 )
@@ -120,19 +121,34 @@ func appendFrame(buf []byte, op byte, reqID, trace uint64, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// readFrame reads one frame from r.
+// frameChunk is the most readFrame allocates on the strength of a length
+// prefix alone. Steps, acks and control calls are far smaller and take the
+// one-allocation path; only session exports and imports outgrow it.
+const frameChunk = 64 << 10
+
+// readFrame reads one frame from r. The length prefix is unauthenticated,
+// so it sizes nothing beyond the first frameChunk bytes: a larger frame's
+// buffer grows, at most doubling, only as the announced bytes arrive — a
+// peer cannot make the server hold memory it has not paid for in traffic.
 func readFrame(r io.Reader) (op byte, reqID, trace uint64, body []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return 0, 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := int(binary.BigEndian.Uint32(lenBuf[:]))
 	if n < frameHeader || n > maxFrame {
 		return 0, 0, 0, nil, fmt.Errorf("rpc: bad frame length %d", n)
 	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return 0, 0, 0, nil, err
+	msg := make([]byte, min(n, frameChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, msg[have:]); err != nil {
+			return 0, 0, 0, nil, err
+		}
+		if have = len(msg); have == n {
+			break
+		}
+		msg = slices.Grow(msg, min(n-have, have))
+		msg = msg[:min(n, cap(msg))]
 	}
 	return msg[0], binary.BigEndian.Uint64(msg[1:9]), binary.BigEndian.Uint64(msg[9:17]), msg[17:], nil
 }

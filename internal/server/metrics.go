@@ -46,12 +46,13 @@ const (
 	stageQueueWait
 	stageCommitHit
 	stageCommitMiss
+	stageRebuild
 	stageWalAppend
 	stageEncode
 	numStages
 )
 
-var stageNames = [numStages]string{"decode", "queue_wait", "commit_hit", "commit_miss", "wal_append", "encode"}
+var stageNames = [numStages]string{"decode", "queue_wait", "commit_hit", "commit_miss", "rebuild", "wal_append", "encode"}
 
 // transportMetrics is one transport's request and step instrumentation.
 // Request/step counts are the histograms' counts — no separate counters
@@ -84,6 +85,7 @@ type Metrics struct {
 	stepErrors      *obs.Counter
 	uniformReleases *obs.Counter
 	queueRejections *obs.Counter
+	rebuiltCommits  *obs.Counter
 
 	storeAppendErrors    *obs.Counter
 	storeSnapshotErrors  *obs.Counter
@@ -127,11 +129,12 @@ func newMetrics() *Metrics {
 	m.stepErrors = reg.Counter("priste_step_errors_total", "Steps failed in the engine.")
 	m.uniformReleases = reg.Counter("priste_uniform_releases_total", "Steps that fell back to the uniform (zero-information) release.")
 	m.queueRejections = reg.Counter("priste_queue_rejections_total", "Steps rejected by per-session queue backpressure.")
+	m.rebuiltCommits = reg.Counter("priste_engine_rebuilt_commits_total", "Committed release tags folded into quantifier operators (deferred until a check misses the cache; steps served minus this is the commits never computed).")
 
 	m.storeAppendErrors = reg.Counter("priste_store_append_errors_total", "Failed write-ahead journal appends.")
 	m.storeSnapshotErrors = reg.Counter("priste_store_snapshot_errors_total", "Failed snapshot compactions.")
 	m.storeTombstoneErrors = reg.Counter("priste_store_tombstone_errors_total", "Failed delete/evict tombstones.")
-	m.storeReplayed = reg.Counter("priste_store_sessions_replayed_total", "Sessions rehydrated from the journal at startup.")
+	m.storeReplayed = reg.Counter("priste_store_sessions_replayed_total", "Sessions whose journal was validated and re-registered at startup (operators are rebuilt at the session's first cache miss).")
 	m.storeReplayFailures = reg.Counter("priste_store_replay_failures_total", "Persisted sessions that failed replay and were skipped.")
 	m.storeReplayNanos = &obs.Counter{} // internal: total replay time, reported via /statsz only
 	m.storeWarmLoadFailed = reg.Counter("priste_store_warm_load_failures_total", "Persisted cert-cache files that could not be read at startup.")
@@ -171,7 +174,8 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 func (m *Metrics) Handler() http.Handler { return m.reg.Handler() }
 
 // observeStep records the pool-side outcome of one step: queue wait,
-// engine commit (split by certified-release cache hit/miss) and WAL
+// engine commit (split by certified-release cache hit/miss, with the
+// operator rebuild a miss triggered carved out as its own stage) and WAL
 // append time (wal < 0 when the deployment is not durable).
 func (m *Metrics) observeStep(transport int, wait, commit, wal time.Duration, res core.StepResult, err error) {
 	if err != nil {
@@ -187,7 +191,11 @@ func (m *Metrics) observeStep(transport int, wait, commit, wal time.Duration, re
 	if res.CertCacheMisses == 0 && res.CertCacheHits > 0 {
 		t.stages[stageCommitHit].Observe(commit)
 	} else {
-		t.stages[stageCommitMiss].Observe(commit)
+		t.stages[stageCommitMiss].Observe(commit - res.RebuildTime)
+	}
+	if res.RebuildTime > 0 {
+		m.rebuiltCommits.Add(int64(res.Rebuilt))
+		t.stages[stageRebuild].Observe(res.RebuildTime)
 	}
 	if wal >= 0 {
 		t.stages[stageWalAppend].Observe(wal)
@@ -277,6 +285,7 @@ func (m *Metrics) Snapshot() api.Stats {
 			Uniform:         uniform,
 			SuppressionRate: rate,
 			QueueRejections: m.queueRejections.Load(),
+			RebuiltCommits:  m.rebuiltCommits.Load(),
 		},
 		Latency: api.LatencyStats{
 			P50Micros: float64(lat.Quantile(0.50)) / 1e3,

@@ -205,6 +205,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	for _, want := range []string{
 		"priste_steps_served_total 5",
+		// Five all-miss steps: each folds in the one commit before it.
+		"priste_engine_rebuilt_commits_total 4",
 		"priste_sessions_live 1",
 		"priste_sessions_created_total 1",
 		`priste_step_served_seconds_count{transport="http"} 5`,

@@ -275,6 +275,8 @@ func (p *pool) drain(s *Session) (requeue bool) {
 					"wal_append_us", float64(max(wal, 0))/1e3,
 					"cache_hits", res.CertCacheHits,
 					"cache_misses", res.CertCacheMisses,
+					"rebuilt", res.Rebuilt,
+					"rebuild_us", float64(res.RebuildTime)/1e3,
 					"uniform", res.Uniform)
 			}
 		}

@@ -316,11 +316,16 @@ func (s *Server) saveCache() {
 
 // rehydrate rebuilds every surviving journaled session: the plan is
 // recompiled (or shared) from the persisted metadata and the committed
-// release-tag history is replayed through it, verifying the rolling
-// history fingerprint; the session RNG resumes from the persisted PCG
-// state. A session that fails replay is counted and skipped with its
-// journal preserved — it must not wedge startup, and the next restart
-// (e.g. under the original world model) may still recover it.
+// release-tag history is validated against it and re-committed to the
+// session's tag log, verifying the rolling history fingerprint; the
+// session RNG resumes from the persisted PCG state. That is integer work
+// per tag: a history-independent session's quantifier operators are
+// rebuilt from the log by whichever worker serves its first cache-missing
+// step (core.Plan.Restore), so start-up does not wait for the sum of all
+// sessions' operator products. A session that fails replay is counted
+// and skipped with its journal preserved — it must not wedge startup,
+// and the next restart (e.g. under the original world model) may still
+// recover it.
 func (s *Server) rehydrate() error {
 	states, err := s.cfg.Store.LoadSessions()
 	if err != nil {
@@ -1174,8 +1179,9 @@ func (s *Server) ExportSession(ctx context.Context, id string) (api.SessionExpor
 // ImportSession implements api.Service: it registers a migrated session
 // from another instance's export. The world tag must match this
 // server's (ErrWorldMismatch otherwise), the release-tag history is
-// replayed through the shared compiled plan with the rolling
-// fingerprint verified end-to-end, and on durable deployments the full
+// validated and re-committed through the shared compiled plan with the
+// rolling fingerprint verified end-to-end (operators are rebuilt at the
+// session's first cache miss here), and on durable deployments the full
 // history is journaled atomically (snapshot + fresh WAL, a new journal
 // generation) before the session goes live — a crash straight after the
 // import recovers the complete migrated state.

@@ -13,8 +13,12 @@
 //	-full          paper-scale parameters (20×20, T=50, 100 runs) — slow
 //
 // Absolute numbers differ from the paper (different hardware, a synthetic
-// Geolife substitute, and a rank-one branch-and-bound instead of CPLEX);
-// EXPERIMENTS.md records the shape comparisons that are expected to hold.
+// Geolife substitute, and an exact O(m²) edge scan of the rank-one release
+// conditions instead of CPLEX). One column differs in kind: Table III's
+// conservative releases count candidates whose check the deadline cut
+// short, and the scan is never "not sure", so the count is 0 from the
+// 1 ms threshold up at the default scale; only thresholds shorter than a
+// scan (50 µs, 200 µs) hold anything back.
 package main
 
 import (

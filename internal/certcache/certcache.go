@@ -14,13 +14,13 @@
 // (plan, event, timestamp, committed (alphaBits, obs) history, candidate
 // alphaBits, candidate obs) — the Key below. Thousands of sessions sharing
 // one compiled plan therefore repeat each other's QP work exactly, and a
-// hit replaces an O(m²) quantifier check plus a branch-and-bound solve
+// hit replaces an O(m²) quantifier check plus an O(m²) condition scan
 // with one map lookup. Stateful mechanisms (δ-location-set) have
 // session-dependent emissions and must bypass the cache entirely.
 //
 // Unknown (conservative) verdicts are never stored: they encode an
-// expired time budget, not a property of the release, and replaying them
-// would turn one slow solve into a permanent rejection.
+// expired deadline, not a property of the release, and replaying them
+// would turn one slow check into a permanent rejection.
 package certcache
 
 import (

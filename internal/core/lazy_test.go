@@ -119,7 +119,11 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 
 				// Warm the cache on the chosen steps only: a session with
 				// the same seed draws the same candidates, so it hits there
-				// and misses everywhere else.
+				// and misses everywhere else. The shadow path caches none
+				// of the checks it decides, and it decides nearly all of
+				// them, so the warm-up runs unshadowed — same plan, same
+				// releases, every verdict through the exact, cached path.
+				plan.cfg.Shadow = false
 				warm, err := plan.NewSession(NewSessionRNG(seed))
 				if err != nil {
 					t.Fatal(err)
@@ -133,7 +137,7 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				plan.cache = cache
+				plan.cache, plan.cfg.Shadow = cache, c.shadow
 
 				lazy, err := plan.NewSession(NewSessionRNG(seed))
 				if err != nil {

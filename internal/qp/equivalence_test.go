@@ -9,11 +9,26 @@ import (
 	"priste/internal/mat"
 )
 
+// bracketSlack is how far outside the reference's certified [Lower, Upper]
+// the scan's value may fall: both sides round.
+const bracketSlack = 1e-12
+
+// inBracket reports whether got is consistent with the bounds ref
+// certified for the same problem: a value the scan attained never exceeds
+// ref's upper bound, and a scan that ran to its end found no less than
+// ref's best point.
+func inBracket(got, ref Result) bool {
+	if got.Lower > ref.Upper+bracketSlack {
+		return false
+	}
+	return got.Upper != got.Lower || got.Lower >= ref.Lower-bracketSlack
+}
+
 // TestSolveMatchesReferenceProperty: on random problems — condition-shaped
-// and unstructured, with tied and zero entries in A, trees cut short by a
-// small node budget — Solve reproduces the reference's verdict, node count,
-// bounds and maximiser to the last bit. The problems real release loops
-// pose are held to the same standard in harvest_test.go.
+// and unstructured, with tied and zero entries in A — whenever the
+// branch-and-bound reaches a verdict it is Solve's, and Solve's maximum
+// lies between the bounds the branch-and-bound certified. The problems real
+// release loops pose are held to the same standard in harvest_test.go.
 func TestSolveMatchesReferenceProperty(t *testing.T) {
 	verdicts := map[Verdict]int{}
 	for seed := int64(0); seed < 400; seed++ {
@@ -33,30 +48,27 @@ func TestSolveMatchesReferenceProperty(t *testing.T) {
 				p.Q[i] -= 0.05
 			}
 		}
-		opt := Options{MaxNodes: 1 + rng.Intn(400)}
-		got, err := Solve(p, opt)
+		got, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refSolve(p, opt)
+		want, err := refSolve(p, refOptions{MaxNodes: 4000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Verdict != want.Verdict || got.Nodes != want.Nodes ||
-			math.Float64bits(got.Lower) != math.Float64bits(want.Lower) ||
-			math.Float64bits(got.Upper) != math.Float64bits(want.Upper) {
-			t.Fatalf("seed %d: %v after %d nodes in [%v, %v], reference %v after %d in [%v, %v]", seed,
-				got.Verdict, got.Nodes, got.Lower, got.Upper, want.Verdict, want.Nodes, want.Lower, want.Upper)
+		if got.Upper != got.Lower || p.Eval(got.BestPi) != got.Lower {
+			t.Fatalf("seed %d: Solve ended in [%v, %v] with g(BestPi) = %v", seed, got.Lower, got.Upper, p.Eval(got.BestPi))
 		}
-		for i := range want.BestPi {
-			if math.Float64bits(got.BestPi[i]) != math.Float64bits(want.BestPi[i]) {
-				t.Fatalf("seed %d: BestPi[%d] = %v, reference %v", seed, i, got.BestPi[i], want.BestPi[i])
-			}
+		if !inBracket(got, want.Result) {
+			t.Fatalf("seed %d: maximum %v outside the reference's [%v, %v]", seed, got.Lower, want.Lower, want.Upper)
 		}
-		verdicts[got.Verdict]++
+		if want.Verdict != Unknown && got.Verdict != want.Verdict {
+			t.Fatalf("seed %d: %v at %v, reference %v in [%v, %v]", seed, got.Verdict, got.Lower, want.Verdict, want.Lower, want.Upper)
+		}
+		verdicts[want.Verdict]++
 	}
-	if len(verdicts) < 3 {
-		t.Fatalf("the problems reached only %v", verdicts)
+	if verdicts[Satisfied] < 20 || verdicts[Violated] < 20 {
+		t.Fatalf("the reference reached only %v", verdicts)
 	}
 }
 
@@ -98,8 +110,9 @@ func fuzzCheck(data []byte) (ReleaseCheck, bool) {
 }
 
 // FuzzCheckRelease: the check and the reference's two full solves never
-// disagree on a release, and no prior on a grid over the simplex loses more
-// than ε on a release the check certified.
+// disagree on a release, every value the check reports lies between the
+// bounds the reference certified, and no prior on a grid over the simplex
+// loses more than ε on a release the check certified.
 func FuzzCheckRelease(f *testing.F) {
 	// The seed corpus is testdata/fuzz/FuzzCheckRelease.
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -107,18 +120,27 @@ func FuzzCheckRelease(f *testing.F) {
 		if !ok {
 			return
 		}
-		opt := ReleaseOptions{Solver: Options{MaxNodes: 2000}}
-		got, err := CheckRelease(chk, opt)
+		got, err := CheckRelease(chk, ReleaseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refCheckRelease(chk, opt)
+		want, err := refCheckReleaseNodes(chk, ReleaseOptions{}, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.OK != want.OK || got.Conservative != want.Conservative {
-			t.Fatalf("CheckRelease = (OK %v, conservative %v), two full solves say (%v, %v) on %+v",
-				got.OK, got.Conservative, want.OK, want.Conservative, chk)
+		for k, pair := range [2][2]Result{{got.Eq15, want.Eq15}, {got.Eq16, want.Eq16}} {
+			if pair[0].BestPi != nil && !inBracket(pair[0], pair[1]) { // nil: Skipped, or a zero-scale check
+				t.Fatalf("Eq.%d: [%v, %v] outside the reference's [%v, %v] on %+v",
+					15+k, pair[0].Lower, pair[0].Upper, pair[1].Lower, pair[1].Upper, chk)
+			}
+		}
+		if got.Conservative {
+			t.Fatalf("a check without a deadline was conservative on %+v", chk)
+		}
+		// The node budget can leave the reference Unknown; it is then no
+		// witness either way.
+		if !want.Conservative && got.OK != want.OK {
+			t.Fatalf("CheckRelease OK = %v, two full solves say %v on %+v", got.OK, want.OK, chk)
 		}
 		if !got.OK {
 			return

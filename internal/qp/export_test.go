@@ -6,8 +6,8 @@ import "math"
 // harvest their problems from real release loops and so must import the
 // packages that import this one.
 var (
-	RefSolve        = refSolve
 	RefCheckRelease = refCheckRelease
+	InBracket       = inBracket
 )
 
 // Conditions returns the two normalised problems a release check solves.

@@ -118,7 +118,7 @@ func TestSolveIndefiniteInterior(t *testing.T) {
 		W: mat.Vector{2, -3, 1},
 		Q: mat.Vector{-0.2, 0.4, -0.1},
 	}
-	r := solveOK(t, p, Options{MaxNodes: 20000})
+	r := solveOK(t, p, Options{})
 	want := bruteMax(p, 60)
 	if r.Upper < want-1e-6 {
 		t.Fatalf("upper %v below brute-force max %v", r.Upper, want)
@@ -132,14 +132,13 @@ func TestSolveIndefiniteInterior(t *testing.T) {
 }
 
 func TestSolveSatisfiedGapCloses(t *testing.T) {
-	// A strictly-negative instance: the solver must close the gap and
-	// certify satisfaction, not stop at Unknown.
+	// A strictly-negative instance: the solver must certify satisfaction.
 	p := Problem{
 		A: mat.Vector{1, 0.5, 0.2},
 		W: mat.Vector{2, -3, 1},
 		Q: mat.Vector{-3, -3, -3},
 	}
-	r := solveOK(t, p, Options{MaxNodes: 20000})
+	r := solveOK(t, p, Options{})
 	if r.Verdict != Satisfied {
 		t.Fatalf("verdict = %v bounds [%v,%v]", r.Verdict, r.Lower, r.Upper)
 	}
@@ -159,7 +158,7 @@ func TestSolveBoundsSandwichBruteForceProperty(t *testing.T) {
 			p.W[i] = rng.NormFloat64()
 			p.Q[i] = rng.NormFloat64() * 0.5
 		}
-		r, err := Solve(p, Options{MaxNodes: 5000})
+		r, err := Solve(p, Options{})
 		if err != nil {
 			return false
 		}
@@ -186,15 +185,21 @@ func TestSolveDeadlineReturnsQuickly(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p.A[i] = rng.Float64()
 		p.W[i] = rng.NormFloat64()
-		p.Q[i] = rng.NormFloat64()
+		p.Q[i] = rng.NormFloat64() - 5 // no vertex violates
 	}
 	start := time.Now()
-	r := solveOK(t, p, Options{Deadline: time.Millisecond, MaxNodes: 1 << 30})
+	r := solveOK(t, p, Options{Deadline: time.Millisecond})
 	if e := time.Since(start); e > 2*time.Second {
 		t.Fatalf("solver ignored deadline, took %v", e)
 	}
 	if r.Lower > r.Upper {
 		t.Fatalf("bounds inverted: [%v, %v]", r.Lower, r.Upper)
+	}
+	// A deadline that has passed before the edge pass starts leaves the
+	// best vertex and certifies nothing.
+	r = solveOK(t, p, Options{Deadline: time.Nanosecond})
+	if r.Verdict != Unknown || !math.IsInf(r.Upper, 1) || p.Eval(r.BestPi) != r.Lower {
+		t.Fatalf("expired deadline: %v in [%v, %v]", r.Verdict, r.Lower, r.Upper)
 	}
 }
 
@@ -210,25 +215,172 @@ func TestSolveZeroAIsLinear(t *testing.T) {
 	}
 }
 
-// simplexLP solves one standalone LP, maximise c·π over {π ∈ Δ,
-// sl ≤ a·π ≤ sh}, through the solver's workspace.
-func simplexLP(c, a mat.Vector, sl, sh float64) (float64, mat.Vector, bool) {
-	ws := acquire(a, Options{})
-	sr := &ws.cond[0]
-	sr.w, sr.q = make(mat.Vector, len(a)), c
-	v, ok := ws.simplexLP(sr, 0, sl, sh)
-	pi := ws.pi.Clone()
-	ws.clearCandidate()
-	ws.release()
-	return v, pi, ok
+// onSimplex reports whether π is a distribution with at most two non-zero
+// coordinates, which is all the scan ever returns.
+func onSimplex(pi mat.Vector) bool {
+	nz := 0
+	for _, x := range pi {
+		if x < 0 {
+			return false
+		}
+		if x != 0 {
+			nz++
+		}
+	}
+	return nz >= 1 && nz <= 2 && math.Abs(pi.Sum()-1) <= 1e-15
 }
+
+// TestSolveDominatesSimplexGrid: no point of a grid over the whole simplex
+// — interiors of every face included, n up to 7, magnitudes from 1e-3 to
+// 1e3, entries of A tied — beats the maximum the scan found on the edges,
+// and the scan's π attains exactly what it reports.
+func TestSolveDominatesSimplexGrid(t *testing.T) {
+	steps := []int{0, 1, 400, 120, 40, 24, 16, 12} // by n: ≤ 20 000 grid points
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(7)
+		scale := math.Pow(10, float64(rng.Intn(7)-3))
+		p := Problem{A: make(mat.Vector, n), W: make(mat.Vector, n), Q: make(mat.Vector, n)}
+		for i := 0; i < n; i++ {
+			p.A[i] = rng.Float64()
+			if seed%4 == 0 {
+				p.A[i] = float64(rng.Intn(3)) / 2
+			}
+			p.W[i] = rng.NormFloat64() * scale
+			p.Q[i] = rng.NormFloat64() * 0.3 * scale
+		}
+		r := solveOK(t, p, Options{})
+		if r.Upper != r.Lower || p.Eval(r.BestPi) != r.Lower || !onSimplex(r.BestPi) {
+			t.Fatalf("seed %d: [%v, %v] at %v, g = %v", seed, r.Lower, r.Upper, r.BestPi, p.Eval(r.BestPi))
+		}
+		if grid := bruteMax(p, steps[n]); grid > r.Upper+1e-12*scale {
+			t.Fatalf("seed %d: a grid point reaches %v, the scan stopped at %v", seed, grid, r.Upper)
+		}
+	}
+}
+
+// TestSolveEdgeCases: the shapes the edge argument has to survive.
+func TestSolveEdgeCases(t *testing.T) {
+	for name, c := range map[string]struct {
+		p    Problem
+		want float64
+	}{
+		"one state": {Problem{A: mat.Vector{0.3}, W: mat.Vector{-2}, Q: mat.Vector{0.1}}, 0.3*-2 + 0.1},
+		// a constant: g = 0.4·(π·w) + q·π is linear, its maximum a vertex.
+		"all a equal": {Problem{A: mat.Vector{0.4, 0.4, 0.4}, W: mat.Vector{1, -1, 3}, Q: mat.Vector{0, 2, -1}}, 0.4*-1 + 2},
+		// the tied pair (0, 1) is a linear edge; on (0, 2) g = λ(1−λ).
+		"ties in a": {Problem{A: mat.Vector{0, 0, 1}, W: mat.Vector{1, 1, 0}, Q: mat.Vector{0, 0, 0}}, 0.25},
+		"w zero":    {Problem{A: mat.Vector{0.2, 0.9, 0.5}, W: mat.Vector{0, 0, 0}, Q: mat.Vector{-1, -3, -2}}, -1},
+		// Δa·Δw underflows to a subnormal and the edge passes the interior
+		// test with a λ* that is a ratio of subnormals: the point is still
+		// on the edge and its value still an end's.
+		"subnormal curvature": {Problem{A: mat.Vector{0, 1e-160}, W: mat.Vector{1e-160, 0}, Q: mat.Vector{-1, -1}}, -1},
+		// g = λ(1−λ) peaks at ¼ between two vertices worth 0.
+		"interior peak": {Problem{A: mat.Vector{0, 1}, W: mat.Vector{1, 0}, Q: mat.Vector{0, 0}}, 0.25},
+	} {
+		r := solveOK(t, c.p, Options{})
+		if r.Lower != c.want || r.Upper != c.want || c.p.Eval(r.BestPi) != c.want || !onSimplex(r.BestPi) {
+			t.Errorf("%s: [%v, %v] at %v, want %v", name, r.Lower, r.Upper, r.BestPi, c.want)
+		}
+	}
+}
+
+// TestCheckReleaseExtremeMagnitudes: b̃ and c̃ whose entries span 600
+// decades within one check. The rescale flushes the small ones to zero or
+// into the subnormals, and the decision is still the reference's.
+func TestCheckReleaseExtremeMagnitudes(t *testing.T) {
+	var accepted, rejected int
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(8)
+		chk := ReleaseCheck{ATilde: make(mat.Vector, n), BTilde: make(mat.Vector, n), CTilde: make(mat.Vector, n), Epsilon: 0.1 + 3*rng.Float64()}
+		for i := 0; i < n; i++ {
+			chk.ATilde[i] = rng.Float64()
+			chk.CTilde[i] = (0.5 + rng.Float64()) * math.Pow(10, float64(rng.Intn(601)-300))
+			chk.BTilde[i] = chk.CTilde[i] * chk.ATilde[i] * (0.9 + 0.2*rng.Float64())
+		}
+		got, err := CheckRelease(chk, ReleaseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refCheckRelease(chk, ReleaseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Conservative {
+			continue // the reference ran out of nodes
+		}
+		if got.OK != want.OK || got.Conservative || (got.Eq15.BestPi != nil && !inBracket(got.Eq15, want.Eq15)) ||
+			(got.Eq16.BestPi != nil && !inBracket(got.Eq16, want.Eq16)) {
+			t.Fatalf("seed %d: %+v, reference %+v", seed, got, want)
+		}
+		if got.OK {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	if accepted < 20 || rejected < 20 {
+		t.Fatalf("%d accepted, %d rejected: one side untested", accepted, rejected)
+	}
+}
+
+// TestCheckReleaseViolationIsAttained: a check that returns at the first
+// violation — at a vertex or on an edge, of either condition — hands back a
+// π that really violates, and an expired deadline is never an acceptance.
+func TestCheckReleaseViolationIsAttained(t *testing.T) {
+	var atVertex, onEdge int
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(30)
+		chk := ReleaseCheck{ATilde: make(mat.Vector, n), BTilde: make(mat.Vector, n), CTilde: make(mat.Vector, n), Epsilon: 0.2 + rng.Float64()}
+		for i := 0; i < n; i++ {
+			chk.ATilde[i] = rng.Float64()
+			chk.CTilde[i] = 0.5 + rng.Float64()
+			// b̃ᵢ/c̃ᵢ within a few percent of ãᵢ: close enough to
+			// uninformative that violations, when there are any, are small
+			// and often sit inside an edge.
+			chk.BTilde[i] = chk.CTilde[i] * chk.ATilde[i] * (1 + 0.08*rng.NormFloat64()*chk.Epsilon)
+		}
+		dec, err := CheckRelease(chk, ReleaseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p15, p16 := Conditions(chk)
+		for k, r := range []Result{dec.Eq15, dec.Eq16} {
+			if r.Verdict != Violated {
+				continue
+			}
+			p := []Problem{p15, p16}[k]
+			if v := p.Eval(r.BestPi); v != r.Lower || !(v > 1e-9) || !onSimplex(r.BestPi) || !math.IsInf(r.Upper, 1) {
+				t.Fatalf("seed %d Eq.%d: violation %v in [%v, %v] at %v", seed, 15+k, v, r.Lower, r.Upper, r.BestPi)
+			}
+			if r.BestPi.Max() == 1 {
+				atVertex++
+			} else {
+				onEdge++
+			}
+		}
+		late, err := CheckRelease(chk, ReleaseOptions{Deadline: time.Nanosecond})
+		if err != nil || late.OK || (late.Conservative == (late.Eq15.Verdict == Violated || late.Eq16.Verdict == Violated)) {
+			t.Fatalf("seed %d: 1 ns deadline gave %+v (err %v)", seed, late, err)
+		}
+	}
+	if atVertex < 20 || onEdge < 20 {
+		t.Fatalf("%d vertex violations, %d edge violations: one side untested", atVertex, onEdge)
+	}
+}
+
+// The LP relaxation and the one-variable quadratic step belong to the
+// branch-and-bound in reference_test.go; the tests below keep that oracle
+// honest.
 
 func TestSimplexLPBasic(t *testing.T) {
 	c := mat.Vector{3, 2, -1}
 	a := mat.Vector{0.2, 0.5, 0.9}
 	// Unconstrained simplex optimum is the best vertex: e_0 with value 3,
 	// feasible when its a (0.2) lies in the interval.
-	v, pi, ok := simplexLP(c, a, 0.1, 0.9)
+	v, pi, ok := refSimplexLP(c, a, 0.1, 0.9)
 	if !ok || math.Abs(v-3) > 1e-12 {
 		t.Fatalf("v = %v ok = %v", v, ok)
 	}
@@ -237,7 +389,7 @@ func TestSimplexLPBasic(t *testing.T) {
 	}
 	// Force s ≥ 0.4: best is the mixture of vertices 0 and 1 on the hull
 	// at s = 0.4 — value interpolates between (0.2,3) and (0.5,2).
-	v, pi, ok = simplexLP(c, a, 0.4, 0.9)
+	v, pi, ok = refSimplexLP(c, a, 0.4, 0.9)
 	if !ok {
 		t.Fatal("infeasible")
 	}
@@ -250,10 +402,10 @@ func TestSimplexLPBasic(t *testing.T) {
 		t.Fatalf("pi infeasible: %v", pi)
 	}
 	// Interval outside [min a, max a] is infeasible.
-	if _, _, ok = simplexLP(c, a, 1.5, 2); ok {
+	if _, _, ok = refSimplexLP(c, a, 1.5, 2); ok {
 		t.Fatal("infeasible interval accepted")
 	}
-	if _, _, ok = simplexLP(c, a, -1, 0.1); ok {
+	if _, _, ok = refSimplexLP(c, a, -1, 0.1); ok {
 		t.Fatal("interval below min a accepted")
 	}
 }
@@ -262,7 +414,7 @@ func TestSimplexLPEqualA(t *testing.T) {
 	// All a equal: hull collapses to one point carrying the best c.
 	c := mat.Vector{-1, 5, 2}
 	a := mat.Vector{0.3, 0.3, 0.3}
-	v, pi, ok := simplexLP(c, a, 0.3, 0.3)
+	v, pi, ok := refSimplexLP(c, a, 0.3, 0.3)
 	if !ok || v != 5 || pi[1] != 1 {
 		t.Fatalf("v = %v pi = %v ok = %v", v, pi, ok)
 	}
@@ -283,7 +435,7 @@ func TestSimplexLPOptimalityProperty(t *testing.T) {
 		lo, hi := a.Min(), a.Max()
 		sl := lo + rng.Float64()*(hi-lo)
 		sh := sl + rng.Float64()*(hi-sl)
-		v, pi, ok := simplexLP(c, a, sl, sh)
+		v, pi, ok := refSimplexLP(c, a, sl, sh)
 		if !ok {
 			return false
 		}
@@ -315,19 +467,19 @@ func TestSimplexLPOptimalityProperty(t *testing.T) {
 
 func TestBestQuadOnInterval(t *testing.T) {
 	// Concave with interior max at 0.5: -x² + x on [-1, 1].
-	if x := bestQuadOnInterval(-1, 1, -1, 1); math.Abs(x-0.5) > 1e-12 {
+	if x := refBestQuadOnInterval(-1, 1, -1, 1); math.Abs(x-0.5) > 1e-12 {
 		t.Fatalf("x = %v", x)
 	}
 	// Convex: best endpoint. x² + x on [-1, 1] → max at 1 (value 2).
-	if x := bestQuadOnInterval(1, 1, -1, 1); x != 1 {
+	if x := refBestQuadOnInterval(1, 1, -1, 1); x != 1 {
 		t.Fatalf("x = %v", x)
 	}
 	// Decreasing linear on [-0.5, 1]: max at -0.5.
-	if x := bestQuadOnInterval(0, -1, -0.5, 1); x != -0.5 {
+	if x := refBestQuadOnInterval(0, -1, -0.5, 1); x != -0.5 {
 		t.Fatalf("x = %v", x)
 	}
 	// No gain: returns 0.
-	if x := bestQuadOnInterval(-1, 0, -0.5, 0.5); x != 0 {
+	if x := refBestQuadOnInterval(-1, 0, -0.5, 0.5); x != 0 {
 		t.Fatalf("x = %v", x)
 	}
 }

@@ -10,8 +10,38 @@ import (
 	"priste/internal/mat"
 )
 
-// This file is the reference the rewritten solver is tested against. Nothing
-// outside _test.go files may call it.
+// This file is the reference the solver is tested against: the
+// branch-and-bound on s = π·a that decided the conditions before the edge
+// scan, as it stood before its own support-list rewrite. Nothing outside
+// _test.go files may call it.
+
+// refOptions are Options with the two knobs only the branch-and-bound has.
+type refOptions struct {
+	Options
+	// MaxNodes caps branch-and-bound nodes. Default 20000.
+	MaxNodes int
+	// AscentPasses is the number of pairwise-exchange ascent sweeps used
+	// to sharpen lower bounds at each node. Default 2.
+	AscentPasses int
+}
+
+func (o refOptions) withDefaults() refOptions {
+	o.Options = o.Options.withDefaults()
+	if o.MaxNodes <= 0 {
+		o.MaxNodes = 20000
+	}
+	if o.AscentPasses <= 0 {
+		o.AscentPasses = 2
+	}
+	return o
+}
+
+// refResult is a Result with the number of branch-and-bound nodes
+// processed.
+type refResult struct {
+	Result
+	Nodes int
+}
 
 type refNode struct {
 	sl, sh float64
@@ -32,23 +62,22 @@ func (h *refNodeHeap) Pop() interface{} {
 	return x
 }
 
-// refSolve is the solver as it stood before the support-list rewrite:
-// one fresh workspace per call, the full n(n−1)/2 pair sweep in every
-// ascent, container/heap. It is kept verbatim as the oracle the
-// equivalence tests, the fuzz target and the engine-level comparison hold
-// Solve and CheckRelease to.
-func refSolve(p Problem, opt Options) (Result, error) {
+// refSolve is the branch-and-bound: one fresh workspace per call, the full
+// n(n−1)/2 pair sweep in every ascent, container/heap. It is kept verbatim
+// as the oracle the equivalence tests, the fuzz target and the engine-level
+// comparison hold Solve and CheckRelease to.
+func refSolve(p Problem, opt refOptions) (refResult, error) {
 	start := time.Now()
 	opt = opt.withDefaults()
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return refResult{}, err
 	}
 	n := len(p.A)
 	sMin, sMax := p.A.Min(), p.A.Max()
 
 	ws := newRefWorkspace(p)
 
-	best := Result{Lower: math.Inf(-1), Upper: math.Inf(1)}
+	best := refResult{Result: Result{Lower: math.Inf(-1), Upper: math.Inf(1)}}
 	consider := func(pi mat.Vector) {
 		if pi == nil {
 			return
@@ -382,6 +411,12 @@ func refHullInterp(hull []refHullPt, x float64, pi mat.Vector) float64 {
 // refCheckRelease is CheckRelease as it stood: both conditions solved to
 // the end, one after the other, whatever the first one found.
 func refCheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, error) {
+	return refCheckReleaseNodes(chk, opt, 0)
+}
+
+// refCheckReleaseNodes is refCheckRelease with a node budget per solve (0
+// for the default), which keeps the fuzz target's executions short.
+func refCheckReleaseNodes(chk ReleaseCheck, opt ReleaseOptions, maxNodes int) (ReleaseDecision, error) {
 	n := len(chk.ATilde)
 	if len(chk.BTilde) != n || len(chk.CTilde) != n {
 		return ReleaseDecision{}, fmt.Errorf("qp: release check length mismatch a=%d b=%d c=%d",
@@ -398,7 +433,7 @@ func refCheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, err
 	}
 	w1, q1, w2, q2 := refReleaseConditions(chk, scale)
 
-	so := opt.Solver
+	so := refOptions{Options: opt.Solver, MaxNodes: maxNodes}
 	if so.Tol <= 0 {
 		so.Tol = 1e-9
 	}
@@ -412,7 +447,7 @@ func refCheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, err
 	if err != nil {
 		return ReleaseDecision{}, fmt.Errorf("qp: Eq.15 solve: %w", err)
 	}
-	dec.Eq15 = r15
+	dec.Eq15 = r15.Result
 	if opt.Deadline > 0 {
 		if rem := time.Until(deadline); rem <= 0 {
 			so.Deadline = time.Nanosecond
@@ -424,7 +459,7 @@ func refCheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, err
 	if err != nil {
 		return ReleaseDecision{}, fmt.Errorf("qp: Eq.16 solve: %w", err)
 	}
-	dec.Eq16 = r16
+	dec.Eq16 = r16.Result
 
 	dec.OK = r15.Verdict == Satisfied && r16.Verdict == Satisfied
 	dec.Conservative = !dec.OK &&

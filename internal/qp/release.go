@@ -46,10 +46,10 @@ type ReleaseDecision struct {
 	OK bool // both conditions certified to hold
 	// Eq15 and Eq16 are the individual solver results. A violation of one
 	// condition settles the release, so the other is then left Skipped
-	// unless its search had already ended.
+	// unless its scan had already ended.
 	Eq15, Eq16 Result
 	// Conservative is true when OK is false only because a verdict was
-	// Unknown (budget ran out), not because a violation was found.
+	// Unknown (the deadline passed), not because a violation was found.
 	Conservative bool
 }
 
@@ -98,13 +98,12 @@ func CheckReleaseShadow(chk ReleaseCheck, eta float64, opt ReleaseOptions) (Rele
 // checkRelease is the one release check: exact with eta = 0, where every
 // margin below vanishes, shadow otherwise. A violation of either condition
 // rejects the release whatever the other one holds, and most rejected
-// candidates are violated at a seed point, so the conditions advance
-// together — best vertex of each, then the uniform point and root
-// relaxation of each, then each one's branching — and the check returns
-// at the first lower bound past Tol + Δ. Only a release about to be
-// accepted pays for two full certifications. Each search finds what it
-// would have found alone (its stages share nothing with the other's), so
-// OK and Conservative are those of two solves run to the end.
+// candidates are violated at a vertex, so the conditions advance together —
+// the vertex pass of each, then the edge pass of each — and the check
+// returns at the first value past Tol + Δ. Only a release about to be
+// accepted pays for two full scans. Each scan finds what it would have
+// found alone (its passes share nothing with the other's), so OK and
+// Conservative are those of two solves run to the end.
 func checkRelease(chk ReleaseCheck, eta float64, opt ReleaseOptions) (dec ReleaseDecision, decided bool, err error) {
 	start := time.Now()
 	n := len(chk.ATilde)
@@ -136,45 +135,44 @@ func checkRelease(chk ReleaseCheck, eta float64, opt ReleaseOptions) (dec Releas
 		budget = d
 	}
 
-	ws := acquire(chk.ATilde, opt.Solver.withDefaults())
-	ws.releaseConditions(chk, scale, eEps)
-	dec, decided, err = ws.decide(start, deadlineAfter(start, budget), margin)
-	ws.release()
+	buf := scratch.Get().(*mat.Vector)
+	if cap(*buf) < 4*n {
+		*buf = make(mat.Vector, 4*n)
+	}
+	cond := releaseConditions(chk, scale, eEps, (*buf)[:4*n])
+	dec, decided, err = decide(&cond, opt.Solver.withDefaults().Tol, margin, start, deadlineAfter(start, budget))
+	scratch.Put(buf)
 	return dec, decided, err
 }
 
-// decide runs the staged searches of both conditions bound to ws.
-func (ws *workspace) decide(start, deadline time.Time, margin [2]float64) (dec ReleaseDecision, decided bool, err error) {
+// decide runs the staged scans of both conditions.
+func decide(cond *[2]scan, tol float64, margin [2]float64, start, deadline time.Time) (dec ReleaseDecision, decided bool, err error) {
 	for k, name := range [2]string{"Eq.15", "Eq.16"} {
-		if err := (Problem{A: ws.a, W: ws.cond[k].w, Q: ws.cond[k].q}).Validate(); err != nil {
+		if err := (Problem{A: cond[k].a, W: cond[k].w, Q: cond[k].q}).Validate(); err != nil {
 			return dec, false, fmt.Errorf("qp: %s solve: %w", name, err)
 		}
 	}
-	tol := ws.opts.Tol
 	res := [2]Result{{Verdict: Skipped}, {Verdict: Skipped}}
 	prev := start
-	for stage := 0; stage < 3; stage++ {
-		for k := range ws.cond {
-			sr := &ws.cond[k]
-			switch stage {
-			case 0:
-				ws.seedVertex(sr)
-			case 1:
-				ws.seedRoot(sr)
-			default:
-				ws.branch(sr, deadline)
+	for pass := 0; pass < 2; pass++ {
+		for k := range cond {
+			s := &cond[k]
+			if pass == 0 {
+				s.vertices()
+			} else {
+				s.edges(tol+margin[k], deadline)
 			}
 			now := time.Now()
-			sr.elapsed += now.Sub(prev)
+			s.elapsed += now.Sub(prev)
 			prev = now
-			violated := sr.lower > tol+margin[k]
-			if violated || stage == 2 {
-				res[k] = ws.result(sr)
+			violated := s.best > tol+margin[k]
+			if violated || pass == 1 {
+				res[k] = s.result(tol)
 			}
 			if violated {
 				// Certified violation: the release is rejected, not
 				// conservatively, and the other condition, unless its
-				// search has already ended, stays Skipped.
+				// scan has already ended, stays Skipped.
 				return ReleaseDecision{Eq15: res[0], Eq16: res[1]}, true, nil
 			}
 		}
@@ -183,21 +181,22 @@ func (ws *workspace) decide(start, deadline time.Time, margin [2]float64) (dec R
 	for k, r := range res {
 		dec.OK = dec.OK && r.Verdict == Satisfied && r.Upper <= tol-margin[k]
 	}
-	// Without OK: an Unknown verdict on the exact path, or margins too
+	// Without OK: the deadline passed on the exact path, or margins too
 	// tight to certify either way on the shadow path, which must then be
 	// recomputed exactly.
 	dec.Conservative = !dec.OK && res[0].Verdict != Violated && res[1].Verdict != Violated
 	return dec, dec.OK, nil
 }
 
-// releaseConditions binds the two searches to the normalised linear data
-// of the two Theorem IV.1 conditions: b̂ = b̃/scale, ĉ = c̃/scale, and
+// releaseConditions lays the normalised linear data of the two Theorem
+// IV.1 conditions out in lin (4n floats) and returns their scans:
+// b̂ = b̃/scale, ĉ = c̃/scale, and
 //
 //	Eq. 15: w₁ = (e^ε−1)·b̂ − e^ε·ĉ, q₁ = b̂
 //	Eq. 16: w₂ = (e^ε−1)·b̂ + ĉ,    q₂ = −e^ε·b̂
-func (ws *workspace) releaseConditions(chk ReleaseCheck, scale, eEps float64) {
-	n := ws.n
-	w1, q1, w2, q2 := ws.lin[:n:n], ws.lin[n:2*n:2*n], ws.lin[2*n:3*n:3*n], ws.lin[3*n:]
+func releaseConditions(chk ReleaseCheck, scale, eEps float64, lin mat.Vector) [2]scan {
+	n := len(chk.ATilde)
+	w1, q1, w2, q2 := lin[:n:n], lin[n:2*n:2*n], lin[2*n:3*n:3*n], lin[3*n:]
 	inv := 1 / scale
 	for i := 0; i < n; i++ {
 		b, c := chk.BTilde[i]*inv, chk.CTilde[i]*inv
@@ -206,8 +205,7 @@ func (ws *workspace) releaseConditions(chk ReleaseCheck, scale, eEps float64) {
 		w2[i] = (eEps-1)*b + c
 		q2[i] = -eEps * b
 	}
-	ws.cond[0].w, ws.cond[0].q = w1, q1
-	ws.cond[1].w, ws.cond[1].q = w2, q2
+	return [2]scan{{a: chk.ATilde, w: w1, q: q1}, {a: chk.ATilde, w: w2, q: q2}}
 }
 
 // FixedPiLoss returns the realised privacy loss for a *known* initial

@@ -45,7 +45,7 @@ func benchSetup(b *testing.B, side int) (*Model, []mat.Vector) {
 // BenchmarkQuantifierCommit measures one committed timestamp (two m×m
 // multiplications) — the per-step cost of Algorithm 2's A/B updates.
 func BenchmarkQuantifierCommit(b *testing.B) {
-	for _, side := range []int{10, 20} {
+	for _, side := range []int{10, 16, 20} {
 		b.Run(gridName(side), func(b *testing.B) {
 			md, cols := benchSetup(b, side)
 			b.ReportAllocs()
@@ -62,10 +62,12 @@ func BenchmarkQuantifierCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantifierCheck measures one candidate check (O(m²)) — the
-// per-attempt cost before the QP solve.
+// BenchmarkQuantifierCheck measures one candidate check (seven m×m
+// matrix–vector products in the event window) — the per-attempt cost
+// before the QP scan, at the three sizes internal/qp's
+// BenchmarkCheckRelease prices the scan at.
 func BenchmarkQuantifierCheck(b *testing.B) {
-	for _, side := range []int{10, 20} {
+	for _, side := range []int{10, 16, 20} {
 		b.Run(gridName(side), func(b *testing.B) {
 			md, cols := benchSetup(b, side)
 			q := NewQuantifier(md)
@@ -282,9 +284,4 @@ func BenchmarkPrior(b *testing.B) {
 	}
 }
 
-func gridName(side int) string {
-	if side >= 20 {
-		return "20x20"
-	}
-	return "10x10"
-}
+func gridName(side int) string { return fmt.Sprintf("%dx%d", side, side) }

@@ -15,8 +15,8 @@
 //     mechanism provides (§III);
 //   - the PriSTE release loop that calibrates a mechanism's budget until
 //     the release conditions of Theorem IV.1 are certified for *every*
-//     possible adversary initial belief (§IV), using a certified
-//     branch-and-bound solver in place of the paper's CPLEX;
+//     possible adversary initial belief (§IV), using an exact O(m²)
+//     edge scan of the rank-one conditions in place of the paper's CPLEX;
 //   - an experiment harness regenerating the paper's evaluation
 //     (internal/experiments, driven by cmd/experiments).
 //

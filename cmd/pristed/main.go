@@ -269,6 +269,7 @@ func main() {
 		"durability", durability,
 		"version", health.Version,
 		"go", health.GoVersion,
+		"row_kernel", health.RowKernel,
 	}
 	if *rpcAddr != "" {
 		banner = append(banner, "rpc_addr", *rpcAddr)

@@ -250,6 +250,10 @@ type Health struct {
 	// that built it.
 	Version   string `json:"version,omitempty"`
 	GoVersion string `json:"go_version,omitempty"`
+	// RowKernel names the body of mat's row primitive this process
+	// selected at start-up from CPUID: "avx2" or "portable". Releases
+	// are bit-identical under both; only the speed differs.
+	RowKernel string `json:"row_kernel,omitempty"`
 }
 
 // Service is the versioned, transport-neutral service surface. Every

@@ -75,89 +75,25 @@ func mulBandRows(dst, a, b *Matrix, aBand, bBand, lo, hi int) {
 	kk := a.Cols
 	n := b.Cols
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*kk : (i+1)*kk]
-		drow := dst.Data[i*n : (i+1)*n]
-		k0, k1 := i-aBand, i+aBand
-		if k0 < 0 {
-			k0 = 0
-		}
-		if k1 > kk-1 {
-			k1 = kk - 1
-		}
-		for k := k0; k <= k1; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			j0, j1 := k-bBand, k+bBand
-			if j0 < 0 {
-				j0 = 0
-			}
-			if j1 > n-1 {
-				j1 = n - 1
-			}
-			brow := b.Data[k*n+j0 : k*n+j1+1]
-			dseg := drow[j0 : j1+1]
-			for jj, bv := range brow {
-				dseg[jj] += aik * bv
-			}
-		}
+		rowMulBand(dst.Data[i*n:(i+1)*n], a.Data[i*kk:(i+1)*kk], max(i-aBand, 0), min(i+aBand, kk-1), b, bBand)
 	}
 }
 
-// NNZ counts the nonzero entries of a. The adaptive dense dispatch uses
-// it to decide between the skip-based naive kernel (wins below ~50%
-// density) and the blocked kernel; the scan is ~0.5% of a blocked m=400
-// product.
-func (a *Matrix) NNZ() int {
-	n := 0
-	for _, v := range a.Data {
-		if v != 0 {
-			n++
+// rowMulBand accumulates Σ_{k=k0..k1} arow[k]·b[k, k−bBand..k+bBand]
+// into drow, k ascending, skipping zero arow[k] — the banded form of the
+// row primitive (the column window moves with k, so it stays a Go loop).
+func rowMulBand(drow, arow []float64, k0, k1 int, b *Matrix, bBand int) {
+	n := b.Cols
+	for k := k0; k <= k1; k++ {
+		aik := arow[k]
+		if aik == 0 {
+			continue
 		}
-	}
-	return n
-}
-
-// parallelVecFlops is the multiply-add count above which the banded
-// matvec splits its band strips across the pool: a matvec is memory-
-// bound, so the cutoff sits well below the matrix-product cutoffs.
-const parallelVecFlops = 1 << 18
-
-// MulVecBandInto computes dst = a·x for a with bandwidth band: each row
-// dot is restricted to the band columns. Bit-identical to
-// Matrix.MulVecInto on a matrix that respects the band (skipped terms
-// are exact +0 on non-negative x) — each dst element is one ascending-k
-// dot with a single writer, so parallel dispatch preserves bits too.
-// dst must not alias x.
-func MulVecBandInto(dst Vector, a *Matrix, x Vector, band int) {
-	if len(x) != a.Cols || len(dst) != a.Rows {
-		panic("mat: MulVecBand shape mismatch")
-	}
-	if !par.Default().Parallel(a.Rows, int64(a.Rows)*int64(2*band+1), parallelVecFlops) {
-		mulVecBandRows(dst, a, x, band, 0, a.Rows)
-		return
-	}
-	par.Default().For(a.Rows, func(lo, hi int) { mulVecBandRows(dst, a, x, band, lo, hi) })
-}
-
-// mulVecBandRows computes dst[lo:hi] of the band-restricted matvec.
-func mulVecBandRows(dst Vector, a *Matrix, x Vector, band, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		k0, k1 := i-band, i+band
-		if k0 < 0 {
-			k0 = 0
+		j0, j1 := max(k-bBand, 0), min(k+bBand, n-1)
+		brow := b.Data[k*n+j0 : k*n+j1+1]
+		dseg := drow[j0 : j1+1]
+		for jj, bv := range brow {
+			dseg[jj] += aik * bv
 		}
-		if k1 > a.Cols-1 {
-			k1 = a.Cols - 1
-		}
-		var s float64
-		seg := row[k0 : k1+1]
-		xs := x[k0 : k1+1]
-		for k, av := range seg {
-			s += av * xs[k]
-		}
-		dst[i] = s
 	}
 }

@@ -55,10 +55,21 @@ func TestMulBandIntoMatchesNaive(t *testing.T) {
 					tc.m, tc.aBand, tc.bBand, i, want.Data[i], got.Data[i])
 			}
 		}
+		// The CSR product reads b inside the same declared band.
+		got.Data[0] = math.NaN()
+		CSRFromDense(a).MulMatInto(got, b, tc.bBand)
+		for i := range want.Data {
+			if want.Data[i] != got.Data[i] {
+				t.Fatalf("m=%d bands=(%d,%d): CSR element %d differs", tc.m, tc.aBand, tc.bBand, i)
+			}
+		}
 	}
 }
 
-func TestMulVecBandIntoMatchesDot(t *testing.T) {
+// TestRowMulIntoBandedMatchesDot: the band-limited row product on the
+// transposed operator is the matvec a·x the quantifier's checks need
+// (the band of aᵀ is the band of a), bit for bit against the row dots.
+func TestRowMulIntoBandedMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	for _, tc := range []struct{ m, band int }{
 		{1, 0}, {7, 0}, {12, 3}, {40, 39}, {55, 9},
@@ -71,7 +82,8 @@ func TestMulVecBandIntoMatchesDot(t *testing.T) {
 		want := make(Vector, tc.m)
 		a.MulVecInto(want, x)
 		got := make(Vector, tc.m)
-		MulVecBandInto(got, a, x, tc.band)
+		got[0] = math.NaN() // must be fully overwritten
+		RowMulInto(got, x, a.Transpose(), tc.band)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("m=%d band=%d: element %d differs", tc.m, tc.band, i)

@@ -90,9 +90,9 @@ func BenchmarkCSRMulVec(b *testing.B) {
 	})
 }
 
-// BenchmarkMulCSRInto measures the Commit-update product A·M (dense ×
-// sparse) against the dense kernel at the same shape.
-func BenchmarkMulCSRInto(b *testing.B) {
+// BenchmarkCSRMulMat measures the Commit-update product Mᵀ·Op (sparse ×
+// dense) against the dense kernel at the same shape.
+func BenchmarkCSRMulMat(b *testing.B) {
 	const n = 400
 	m := benchSparse(n, 5)
 	s := CSRFromDense(m)
@@ -101,13 +101,13 @@ func BenchmarkMulCSRInto(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			MulInto(dst, a, m)
+			MulInto(dst, m, a)
 		}
 	})
 	b.Run("csr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			MulCSRInto(dst, a, s)
+			s.MulMatInto(dst, a, n-1)
 		}
 	})
 }

@@ -4,14 +4,14 @@ import "priste/internal/par"
 
 // Blocked dense multiplication.
 //
-// The Theorem IV.1 forward-operator updates are dense m×m products
-// (X = A·M, and Mᵀ·B on the backward phase). The naive i-k-j loop in
-// MulInto streams a store per output element per k step; the kernel here
+// The quantifier no longer calls this kernel (its products run through
+// the row primitive, see rowmul.go); it stays because the benchmark
+// harness's mat.mul_ms still times it. The naive i-k-j loop in MulInto
+// streams a store per output element per k step; the kernel here
 // instead computes each output element as a dot product against a
 // precomputed transpose of the right operand, holding a 4×2 block of
 // accumulators in registers — 8 independent multiply-add chains, one
-// store per output element, and operand rows that stay resident across
-// the inner loop.
+// store per output element.
 //
 // Bit-identity with the naive kernel: every accumulator sums its k terms
 // in ascending order — exactly the order MulInto adds them — so each
@@ -112,24 +112,4 @@ func mulABtRows(dst, a, bt *Matrix, lo, hi int) {
 			drow[j] = c
 		}
 	}
-}
-
-// TransposeInto stores srcᵀ into dst and returns dst. dst must not alias
-// src and must have shape src.Cols × src.Rows. It exists for hot paths
-// that transpose into reused scratch (the backward Commit update feeds
-// the blocked kernel a transpose of the accumulator each step).
-func TransposeInto(dst, src *Matrix) *Matrix {
-	if dst.Rows != src.Cols || dst.Cols != src.Rows {
-		panic("mat: TransposeInto dst shape mismatch")
-	}
-	if sameBacking(dst.Data, src.Data) {
-		panic("mat: TransposeInto dst aliases src")
-	}
-	for i := 0; i < src.Rows; i++ {
-		row := src.Data[i*src.Cols : (i+1)*src.Cols]
-		for j, v := range row {
-			dst.Data[j*dst.Cols+i] = v
-		}
-	}
-	return dst
 }

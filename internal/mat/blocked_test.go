@@ -45,19 +45,6 @@ func TestMulABtIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestTransposeInto(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	src := randomNonNeg(rng, 7, 5, 0.2)
-	dst := NewMatrix(5, 7)
-	TransposeInto(dst, src)
-	want := src.Transpose()
-	for i := range want.Data {
-		if dst.Data[i] != want.Data[i] {
-			t.Fatalf("element %d differs", i)
-		}
-	}
-}
-
 func BenchmarkMulNaive400(b *testing.B) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	a := randomNonNeg(rng, 400, 400, 0)

@@ -156,61 +156,20 @@ func (s *CSR) VecMulInto(dst, x Vector) Vector {
 	return dst
 }
 
-// parallelSparseFlops is the multiply-add count above which the two
-// matrix-level CSR products split their output rows across CPUs. Sparse
+// parallelSparseFlops is the multiply-add count above which the
+// matrix-level CSR product splits its output rows across CPUs. Sparse
 // multiply-adds carry an index load each, so the cutoff sits below the
 // dense kernel's.
 const parallelSparseFlops = 1 << 19
 
-// MulCSRInto computes dst = a·s (dense × CSR), the Commit-update form
-// X = A·M: for each row of a, the nonzeros of s's row k are scattered into
-// the output row scaled by a[i,k]. dst must not alias a and must have
-// shape a.Rows × s.Cols. Rows are split across CPUs above a work cutoff;
-// each output row is produced by exactly one goroutine with the same
-// per-row evaluation order as the serial loop, so the result is
-// bit-deterministic.
-func MulCSRInto(dst, a *Matrix, s *CSR) {
-	if a.Cols != s.rows {
-		panic(fmt.Sprintf("mat: MulCSR inner dims %d vs %d", a.Cols, s.rows))
-	}
-	if dst.Rows != a.Rows || dst.Cols != s.cols {
-		panic(fmt.Sprintf("mat: MulCSR dst %d×%d want %d×%d", dst.Rows, dst.Cols, a.Rows, s.cols))
-	}
-	if sameBacking(dst.Data, a.Data) {
-		panic("mat: MulCSRInto dst aliases an operand")
-	}
-	// Serial path stays closure-free: 0 allocs/op (see MulInto).
-	if !par.Default().Parallel(a.Rows, int64(a.Rows)*int64(s.NNZ()), parallelSparseFlops) {
-		mulCSRRows(dst, a, s, 0, a.Rows)
-		return
-	}
-	par.Default().For(a.Rows, func(lo, hi int) { mulCSRRows(dst, a, s, lo, hi) })
-}
-
-// mulCSRRows computes rows [lo,hi) of dst = a·s.
-func mulCSRRows(dst, a *Matrix, s *CSR, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*s.cols : (i+1)*s.cols]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			for p := s.rowPtr[k]; p < s.rowPtr[k+1]; p++ {
-				drow[s.colIdx[p]] += aik * s.val[p]
-			}
-		}
-	}
-}
-
-// MulMatInto computes dst = s·b (CSR × dense), the backward-update form
-// Mᵀ·B when called on a precomputed transpose. dst must not alias b and
-// must have shape s.Rows × b.Cols. Parallel and bit-deterministic like
-// MulCSRInto.
-func (s *CSR) MulMatInto(dst, b *Matrix) {
+// MulMatInto computes dst = s·b (CSR × dense), the Commit-update form
+// Mᵀ·Op when called on a precomputed transpose, reading each row of b
+// only inside its band bBand (entries outside |i−j| ≤ bBand must be
+// exactly zero; pass ≥ b.Cols−1 for a full matrix). dst must not alias
+// b and must have shape s.Rows × b.Cols. Rows are split across CPUs
+// above a work cutoff, one writer per row in the serial loop's order, so
+// the result is bit-deterministic.
+func (s *CSR) MulMatInto(dst, b *Matrix, bBand int) {
 	if s.cols != b.Rows {
 		panic(fmt.Sprintf("mat: CSR MulMat inner dims %d vs %d", s.cols, b.Rows))
 	}
@@ -220,15 +179,16 @@ func (s *CSR) MulMatInto(dst, b *Matrix) {
 	if sameBacking(dst.Data, b.Data) {
 		panic("mat: CSR MulMatInto dst aliases an operand")
 	}
+	// Serial path stays closure-free: 0 allocs/op (see MulInto).
 	if !par.Default().Parallel(s.rows, int64(s.NNZ())*int64(b.Cols), parallelSparseFlops) {
-		s.mulMatRows(dst, b, 0, s.rows)
+		s.mulMatRows(dst, b, bBand, 0, s.rows)
 		return
 	}
-	par.Default().For(s.rows, func(lo, hi int) { s.mulMatRows(dst, b, lo, hi) })
+	par.Default().For(s.rows, func(lo, hi int) { s.mulMatRows(dst, b, bBand, lo, hi) })
 }
 
 // mulMatRows computes rows [lo,hi) of dst = s·b.
-func (s *CSR) mulMatRows(dst, b *Matrix, lo, hi int) {
+func (s *CSR) mulMatRows(dst, b *Matrix, bBand, lo, hi int) {
 	bc := b.Cols
 	for i := lo; i < hi; i++ {
 		drow := dst.Data[i*bc : (i+1)*bc]
@@ -237,9 +197,11 @@ func (s *CSR) mulMatRows(dst, b *Matrix, lo, hi int) {
 		}
 		for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
 			sv := s.val[p]
-			brow := b.Data[int(s.colIdx[p])*bc : (int(s.colIdx[p])+1)*bc]
-			for j, bv := range brow {
-				drow[j] += sv * bv
+			k := int(s.colIdx[p])
+			j0, j1 := max(k-bBand, 0), min(k+bBand, bc-1)
+			dseg := drow[j0 : j1+1]
+			for j, bv := range b.Data[k*bc+j0 : k*bc+j1+1] {
+				dseg[j] += sv * bv
 			}
 		}
 	}

@@ -94,16 +94,16 @@ func TestCSRMatchesDenseKernels(t *testing.T) {
 		sameExact(t, "VecMul", s.VecMulInto(NewVector(tc.n), x), m.VecMul(x))
 
 		a := randSparse(rng, tc.n, 0.6)
-		want := a.Mul(m)
-		got := NewMatrix(tc.n, tc.n)
-		MulCSRInto(got, a, s)
-		sameExact(t, "MulCSR", got.Data, want.Data)
-
 		wantT := NewMatrix(tc.n, tc.n)
 		MulInto(wantT, m.Transpose(), a)
 		gotT := NewMatrix(tc.n, tc.n)
-		s.Transpose().MulMatInto(gotT, a)
+		s.Transpose().MulMatInto(gotT, a, tc.n-1)
 		sameExact(t, "MulMat", gotT.Data, wantT.Data)
+
+		// The forward commit in the transposed layout: (a·m)ᵀ = mᵀ·aᵀ,
+		// term for term.
+		s.Transpose().MulMatInto(gotT, a.Transpose(), tc.n-1)
+		sameExact(t, "MulMat transposed", gotT.Data, a.Mul(m).Transpose().Data)
 	}
 }
 
@@ -114,10 +114,8 @@ func TestCSRShapePanics(t *testing.T) {
 		"MulVec dst":  func() { s.MulVecInto(NewVector(2), NewVector(3)) },
 		"VecMul x":    func() { s.VecMulInto(NewVector(3), NewVector(2)) },
 		"VecMul dst":  func() { s.VecMulInto(NewVector(2), NewVector(3)) },
-		"MulCSR":      func() { MulCSRInto(NewMatrix(3, 3), NewMatrix(3, 2), s) },
-		"MulCSR dst":  func() { MulCSRInto(NewMatrix(2, 3), NewMatrix(3, 3), s) },
-		"MulMat":      func() { s.MulMatInto(NewMatrix(3, 3), NewMatrix(2, 3)) },
-		"MulMat dst":  func() { s.MulMatInto(NewMatrix(3, 2), NewMatrix(3, 3)) },
+		"MulMat":      func() { s.MulMatInto(NewMatrix(3, 3), NewMatrix(2, 3), 2) },
+		"MulMat dst":  func() { s.MulMatInto(NewMatrix(3, 2), NewMatrix(3, 3), 2) },
 		"ColInto dst": func() { Identity(3).ColInto(NewVector(2), 0) },
 	} {
 		func() {

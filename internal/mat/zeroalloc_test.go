@@ -13,7 +13,7 @@ import (
 // These matrices sit far below every cutoff, so the serial path is what
 // runs regardless of GOMAXPROCS.
 func TestSerialKernelsZeroAlloc(t *testing.T) {
-	const n = 24
+	const n = 40 // one assembly block plus remainder columns
 	rng := rand.New(rand.NewSource(3))
 	a := NewMatrix(n, n)
 	b := NewMatrix(n, n)
@@ -21,8 +21,7 @@ func TestSerialKernelsZeroAlloc(t *testing.T) {
 		a.Data[i] = rng.Float64()
 		b.Data[i] = rng.Float64()
 	}
-	bt := NewMatrix(n, n)
-	TransposeInto(bt, b)
+	bt := b.Transpose()
 	csr := CSRFromDense(b)
 	dst := NewMatrix(n, n)
 	x := make(Vector, n)
@@ -38,9 +37,10 @@ func TestSerialKernelsZeroAlloc(t *testing.T) {
 		{"MulInto", func() { MulInto(dst, a, b) }},
 		{"MulABtInto", func() { MulABtInto(dst, a, bt) }},
 		{"MulBandInto", func() { MulBandInto(dst, a, b, n-1, n-1) }},
-		{"MulVecBandInto", func() { MulVecBandInto(y, a, x, n-1) }},
-		{"MulCSRInto", func() { MulCSRInto(dst, a, csr) }},
-		{"CSR.MulMatInto", func() { csr.MulMatInto(dst, b) }},
+		{"MulRowsInto", func() { MulRowsInto(dst, a, b) }},
+		{"RowMulInto", func() { RowMulInto(y, x, b, n-1) }},
+		{"RowMulInto/banded", func() { RowMulInto(y, x, b, 3) }},
+		{"CSR.MulMatInto", func() { csr.MulMatInto(dst, b, n-1) }},
 	}
 	for _, tc := range cases {
 		tc.op() // warm up (one-time lazy state, if any)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"priste/internal/api"
+	"priste/internal/mat"
 	"priste/internal/obs"
 )
 
@@ -154,7 +155,7 @@ func TestHealthzDraining(t *testing.T) {
 	if code != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("healthy probe = %d %q", code, h.Status)
 	}
-	if h.UptimeSeconds < 0 || h.Version == "" || h.GoVersion == "" {
+	if h.UptimeSeconds < 0 || h.Version == "" || h.GoVersion == "" || h.RowKernel != mat.RowKernel() {
 		t.Fatalf("health missing build info: %+v", h)
 	}
 

@@ -1045,6 +1045,7 @@ func (s *Server) Health() api.Health {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Version:       buildVersion(),
 		GoVersion:     runtime.Version(),
+		RowKernel:     mat.RowKernel(),
 	}
 }
 

@@ -16,20 +16,20 @@ const (
 	// paths are bit-for-bit equivalent (see mat.CSR), so the choice is
 	// purely a performance decision.
 	KernelAuto KernelMode = iota
-	// KernelDense forces the dense kernels. The dense path dispatches
-	// each operator product adaptively — banded while the tracked
-	// operator bandwidth beats dense flops, otherwise the skip-based
-	// naive loop below ~50% operator density and the blocked
-	// register-tiled kernel above it. All three produce bit-identical
-	// results (see mat.MulABtInto, mat.MulBandInto).
+	// KernelDense forces the dense kernels: every product is the row
+	// primitive (mat.MulRowsInto, mat.RowMulInto), band-limited while
+	// the tracked operator bandwidth beats dense flops
+	// (mat.MulBandInto). Both forms produce bit-identical results.
 	KernelDense
 	// KernelSparse forces CSR regardless of density (test mode; a dense
 	// matrix through CSR is slower, not wrong).
 	KernelSparse
-	// KernelOracle forces the naive dense reference kernels everywhere:
-	// no CSR, no blocking, no banded dispatch. It is the bit-identical
-	// oracle the cross-kernel equivalence tests and BENCH kernel
-	// comparisons measure the adaptive paths against.
+	// KernelOracle forces plain Go loops everywhere (mat.MulInto,
+	// Matrix.MulVecInto, Matrix.VecMulInto) on the same transposed
+	// layout: no CSR, no row primitive — so no assembly — and no banded
+	// dispatch. It is the bit-identical oracle the cross-kernel
+	// equivalence tests, the benchmark's verify phase and BENCH kernel
+	// comparisons measure the other paths against.
 	KernelOracle
 )
 
@@ -93,38 +93,30 @@ type MatrixLister interface {
 
 // stepKernel is one compiled transition matrix: the original dense form
 // plus either its CSR form and CSR transpose (sparse path) or its dense
-// transpose (dense path). For kernels retained in a Model's map the
-// transpose is precomputed at compile time — once per Model, replacing
-// the per-quantifier transpose cache that grew with the horizon under
-// time-inhomogeneous chains. Kernels compiled on a cache miss (exotic
-// providers only; call-private, never shared) defer it until the
-// backward phase actually needs it.
+// transpose (dense path). Every commit multiplies by Mᵀ and every dense
+// check product runs xᵀ·Mᵀ, so the transpose is always built with the
+// kernel — once per Model for the kernels in its map, once per call for
+// a matrix a provider first shows past the probe window.
 type stepKernel struct {
 	dense  *mat.Matrix
-	denseT *mat.Matrix // non-nil iff csr == nil (once materialised)
+	denseT *mat.Matrix // non-nil iff csr == nil
 	csr    *mat.CSR    // non-nil on the sparse path
 	csrT   *mat.CSR
 
 	// bw is the bandwidth of the transition matrix (largest |i−j| over
-	// nonzeros): the amount each committed step widens the forward
-	// operators' band. Computed for every mode; only the adaptive dense
-	// dispatch consumes it.
+	// nonzeros, the same for Mᵀ): the amount each committed step widens
+	// the operators' band. Computed for every mode; only the dense
+	// non-oracle dispatch consumes it.
 	bw     int
 	oracle bool
-	// tNNZ is the nonzero count of denseT, fixed at materialisation —
-	// the backward dispatch's density input, scanned once per kernel
-	// instead of once per commit.
-	tNNZ int
 
 	// float32 shadow forms (ModelOptions.Shadow only).
 	m32 *mat.Matrix32
 	c32 *mat.CSR32
 }
 
-// compileKernel builds the kernel for one transition matrix. lazyT
-// defers the transpose; pass false for kernels that will be shared
-// (the transpose write in backwardMul is only safe call-private).
-func compileKernel(m *mat.Matrix, opts ModelOptions, lazyT bool) *stepKernel {
+// compileKernel builds the complete kernel for one transition matrix.
+func compileKernel(m *mat.Matrix, opts ModelOptions) *stepKernel {
 	k := &stepKernel{dense: m, bw: mat.Bandwidth(m)}
 	switch opts.Kernel {
 	case KernelDense:
@@ -137,6 +129,11 @@ func compileKernel(m *mat.Matrix, opts ModelOptions, lazyT bool) *stepKernel {
 			k.csr = c
 		}
 	}
+	if k.csr != nil {
+		k.csrT = k.csr.Transpose()
+	} else {
+		k.denseT = m.Transpose()
+	}
 	if opts.Shadow {
 		if k.csr != nil {
 			k.c32 = k.csr.Shadow32()
@@ -145,26 +142,10 @@ func compileKernel(m *mat.Matrix, opts ModelOptions, lazyT bool) *stepKernel {
 			k.m32 = mat.Shadow32Scaled(m, 1)
 		}
 	}
-	if !lazyT {
-		k.materialiseTranspose()
-	}
 	return k
 }
 
-// materialiseTranspose fills the path-appropriate transpose.
-func (k *stepKernel) materialiseTranspose() {
-	if k.csr != nil {
-		k.csrT = k.csr.Transpose()
-	} else {
-		k.denseT = k.dense.Transpose()
-		k.tNNZ = k.denseT.NNZ()
-	}
-}
-
-// sparse reports whether the kernel runs on the CSR path.
-func (k *stepKernel) sparse() bool { return k.csr != nil }
-
-// kernelCounters tallies adaptive dispatch decisions. A Model is shared
+// kernelCounters tallies dense dispatch decisions. A Model is shared
 // across sessions, so the counters are atomic.
 type kernelCounters struct {
 	blocked atomic.Int64
@@ -172,10 +153,10 @@ type kernelCounters struct {
 }
 
 // bandedWins reports whether a banded product over bands (aBand, bBand)
-// beats the blocked dense kernel on an m×m product. The banded scatter
-// costs ~2× per multiply-add what the register-blocked kernel does, so
-// the band wins while its flop count is under half of m³. Bands at or
-// beyond m−1 are full rows — banded degenerates to a slower naive loop.
+// beats the full-band row primitive on an m×m product. The banded
+// scatter costs at least 2× per multiply-add what the primitive does,
+// so the band wins while its flop count is under half of m³. Bands at
+// or beyond m−1 are full rows — banded degenerates to a slower loop.
 func bandedWins(m, aBand, bBand int) bool {
 	if aBand >= m-1 && bBand >= m-1 {
 		return false
@@ -186,19 +167,17 @@ func bandedWins(m, aBand, bBand int) bool {
 	return 2*flops < int64(m)*int64(m)*int64(m)
 }
 
-// mulVecInto stores M·x into dst. dst must not alias x. The dense
-// non-oracle path restricts the row dots to M's band (bit-identical:
-// the skipped entries are exact zeros).
+// mulVecInto stores M·x into dst — as xᵀ·Mᵀ within M's band on the
+// dense non-oracle path. dst must not alias x.
 func (k *stepKernel) mulVecInto(dst, x mat.Vector) {
-	if k.csr != nil {
+	switch {
+	case k.csr != nil:
 		k.csr.MulVecInto(dst, x)
-		return
+	case k.oracle:
+		k.dense.MulVecInto(dst, x)
+	default:
+		mat.RowMulInto(dst, x, k.denseT, k.bw)
 	}
-	if !k.oracle && 2*k.bw+1 < k.dense.Rows {
-		mat.MulVecBandInto(dst, k.dense, x, k.bw)
-		return
-	}
-	k.dense.MulVecInto(dst, x)
 }
 
 // mulVec32Into stores M·x into dst through the float32 shadow kernel
@@ -215,74 +194,32 @@ func (k *stepKernel) mulVec32Into(dst, x mat.Vector) bool {
 	return false
 }
 
-// forwardMul stores a·M into dst (the forward Commit update X = A·M),
-// where a is a forward operator with tracked bandwidth aBand (pass
-// ≥ m−1 when unknown/full). dst must not alias a. The dense non-oracle
-// path picks, in order: the banded kernel while the band beats dense
-// flops, the skip-based naive loop while a is under ~50% dense (a
-// nonzero scan costs ~0.5% of a blocked product), and the blocked
-// register-tiled kernel otherwise. All paths are bit-identical.
-func (k *stepKernel) forwardMul(dst, a *mat.Matrix, aBand int, kc *kernelCounters) {
-	if k.csr != nil {
-		mat.MulCSRInto(dst, a, k.csr)
-		return
-	}
-	if k.oracle {
-		mat.MulInto(dst, a, k.dense)
-		return
-	}
-	m := a.Rows
-	if bandedWins(m, aBand, k.bw) {
-		mat.MulBandInto(dst, a, k.dense, min(aBand, m-1), k.bw)
+// mulInto stores Mᵀ·op into dst — every Commit product: the forward
+// blocks are kept transposed, so Xᵀ = Mᵀ·A_Fᵀ has the shape of the
+// backward Mᵀ·B₁. op's nonzeros lie within opBand (pass ≥ m−1 when
+// full) and opMax is its largest entry: an all-zero operator (an
+// impossible observation history) has an all-zero product. dst must not
+// alias op. All paths are bit-identical.
+func (k *stepKernel) mulInto(dst, op *mat.Matrix, opBand int, opMax float64, kc *kernelCounters) {
+	m := op.Rows
+	switch {
+	case k.oracle:
+		mat.MulInto(dst, k.denseT, op)
+	case opMax == 0:
+		dst.Zero()
+	case k.csrT != nil:
+		k.csrT.MulMatInto(dst, op, opBand)
+	case bandedWins(m, k.bw, opBand):
+		mat.MulBandInto(dst, k.denseT, op, k.bw, min(opBand, m-1))
 		kc.banded.Add(1)
-		return
+	default:
+		mat.MulRowsInto(dst, k.denseT, op)
+		kc.blocked.Add(1)
 	}
-	if 2*a.NNZ() < m*m {
-		mat.MulInto(dst, a, k.dense)
-		return
-	}
-	if k.denseT == nil {
-		k.materialiseTranspose()
-	}
-	mat.MulABtInto(dst, a, k.denseT)
-	kc.blocked.Add(1)
-}
-
-// backwardMul stores Mᵀ·b into dst (the backward Commit update), where
-// b is the backward accumulator with tracked bandwidth bBand. dst must
-// not alias b. tScratch is caller scratch (≥ b's shape) the blocked
-// path may overwrite with bᵀ; the blocked kernel wants the right
-// operand transposed, and transposing b costs ~2% of the product.
-func (k *stepKernel) backwardMul(dst, b *mat.Matrix, bBand int, tScratch *mat.Matrix, kc *kernelCounters) {
-	if k.csrT == nil && k.denseT == nil {
-		// Lazily-compiled (call-private) kernel: first backward use.
-		k.materialiseTranspose()
-	}
-	if k.csrT != nil {
-		k.csrT.MulMatInto(dst, b)
-		return
-	}
-	if k.oracle {
-		mat.MulInto(dst, k.denseT, b)
-		return
-	}
-	m := b.Rows
-	if bandedWins(m, k.bw, bBand) {
-		mat.MulBandInto(dst, k.denseT, b, k.bw, min(bBand, m-1))
-		kc.banded.Add(1)
-		return
-	}
-	if 2*k.tNNZ < m*m {
-		mat.MulInto(dst, k.denseT, b)
-		return
-	}
-	mat.TransposeInto(tScratch, b)
-	mat.MulABtInto(dst, k.denseT, tScratch)
-	kc.blocked.Add(1)
 }
 
 // KernelStats summarises a model's (or plan's) compiled step kernels and
-// the adaptive dispatch decisions taken so far.
+// the dense dispatch decisions taken so far.
 type KernelStats struct {
 	// Sparse and Dense count compiled kernels by path.
 	Sparse int `json:"sparse"`
@@ -292,9 +229,10 @@ type KernelStats struct {
 	// Density is the mean per-kernel density; a dense-path kernel
 	// counts as 1 regardless of its zero pattern.
 	Density float64 `json:"density"`
-	// Blocked and Banded count operator products executed through the
-	// blocked register-tiled and banded kernels (the adaptive dense
-	// dispatch; naive-loop products are not counted).
+	// Blocked and Banded count the dense operator products executed
+	// full-band through the row primitive and band-limited through the
+	// banded kernel (CSR and oracle products are not counted). Blocked
+	// keeps the name of the register-tiled kernel it used to count.
 	Blocked int64 `json:"blocked"`
 	Banded  int64 `json:"banded"`
 }

@@ -2,6 +2,7 @@ package world
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"priste/internal/event"
@@ -225,17 +226,17 @@ func TestKernelProbeFallback(t *testing.T) {
 
 // freshMatrixProvider returns a new matrix pointer on every call — the
 // pathological shape that defeats both the lister and the probe, so
-// every kernel() lookup misses and compiles call-private (with the
-// transpose deferred to the backward phase).
+// every kernel() lookup misses and compiles call-private.
 type freshMatrixProvider struct{ m *mat.Matrix }
 
 func (p freshMatrixProvider) States() int            { return p.m.Rows }
 func (p freshMatrixProvider) Matrix(int) *mat.Matrix { return p.m.Clone() }
 
-// TestKernelMissCompilesLazily: unstable matrix pointers stay correct —
-// including the backward phase, which materialises the transpose on a
-// call-private kernel — and agree exactly with the cached path.
-func TestKernelMissCompilesLazily(t *testing.T) {
+// TestKernelMissCompilesComplete: unstable matrix pointers stay correct
+// — a miss compiles a complete kernel, transpose included, for the
+// forward and the backward phase alike — and agree exactly with the
+// cached path.
+func TestKernelMissCompilesComplete(t *testing.T) {
 	g := grid.MustNew(4, 4, 1)
 	walk, err := markov.LazyRandomWalk(g, 0.3)
 	if err != nil {
@@ -267,6 +268,100 @@ func TestKernelMissCompilesLazily(t *testing.T) {
 		cr, cm := qr.Current(), qm.Current()
 		sameBits(t, "miss current b", cr.BTilde, cm.BTilde)
 		sameBits(t, "miss current c", cr.CTilde, cm.CTilde)
+	}
+}
+
+// lateMatrixProvider switches to a second matrix past the probe window
+// and hides DistinctMatrices, so that matrix is never in the Model's
+// kernel map and every step there compiles on a miss.
+type lateMatrixProvider struct{ early, late *mat.Matrix }
+
+func (p lateMatrixProvider) States() int { return p.early.Rows }
+func (p lateMatrixProvider) Matrix(t int) *mat.Matrix {
+	if t < kernelProbeLimit+2 {
+		return p.early
+	}
+	return p.late
+}
+
+// TestKernelMissPastProbeWindowConcurrent steps two quantifiers over one
+// shared model from two goroutines across the probe limit, for every
+// kernel mode. A miss used to hand out a kernel whose transpose the
+// product dispatch filled in on first use — a write on a read path that
+// was safe only because the kernel was call-private; now nothing on the
+// step path writes to a kernel. Run under -race; both goroutines must
+// also reproduce the lister-compiled reference bit for bit.
+func TestKernelMissPastProbeWindowConcurrent(t *testing.T) {
+	g := grid.MustNew(4, 4, 1)
+	early, err := markov.LazyRandomWalk(g, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := markov.GaussianChain(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := grid.RegionRange(16, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The window straddles the switch: forward commits, checks and
+	// backward commits all meet the uncached matrix.
+	ev := event.MustNewPresence(region, kernelProbeLimit, kernelProbeLimit+4)
+	const steps = kernelProbeLimit + 8
+	tp := lateMatrixProvider{early.Matrix(), late.Matrix()}
+	mats := make([]*mat.Matrix, steps)
+	for i := range mats {
+		mats[i] = tp.Matrix(i)
+	}
+	listed, err := NewVarying(mats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]mat.Vector, steps)
+	rng := rand.New(rand.NewSource(13))
+	for i := range cols {
+		cols[i] = randomEmissionColumn(rng, 16)
+	}
+	trace := func(md *Model) [][2]mat.Vector {
+		q := NewQuantifier(md)
+		out := make([][2]mat.Vector, steps)
+		for step, col := range cols {
+			chk := q.CheckTrusted(col)
+			out[step] = [2]mat.Vector{chk.BTilde.Clone(), chk.CTilde.Clone()}
+			q.commitTrusted(col)
+		}
+		return out
+	}
+	for _, mode := range []KernelMode{KernelAuto, KernelDense, KernelSparse, KernelOracle} {
+		ref, err := NewModelWithOptions(listed, ev, ModelOptions{Kernel: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := trace(ref)
+		md, err := NewModelWithOptions(tp, ev, ModelOptions{Kernel: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, cached := md.kernels[tp.late]; cached {
+			t.Fatal("late matrix was compiled by the probe")
+		}
+		var got [2][][2]mat.Vector
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[w] = trace(md)
+			}()
+		}
+		wg.Wait()
+		for w := range got {
+			for step := range want {
+				sameBits(t, mode.String()+" check b", got[w][step][0], want[step][0])
+				sameBits(t, mode.String()+" check c", got[w][step][1], want[step][1])
+			}
+		}
 	}
 }
 

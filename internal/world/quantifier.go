@@ -21,6 +21,15 @@ import (
 // candidate observation) and, once a candidate is accepted, Commit with
 // the released observation's emission column.
 //
+// Layout: the forward blocks are stored transposed (af[j][i] =
+// A_F[i][j], likewise at), so that everything the quantifier computes is
+// one shape — a row vector times a row-major matrix, mat's row
+// primitive. A check product A·u is uᵀ·Aᵀ, M·x is xᵀ·Mᵀ through the
+// step kernel's transpose, zᵀ·B₁ already had the shape; the forward
+// commit Xᵀ = Mᵀ·A_Fᵀ is m such rows, exactly like the backward Mᵀ·B₁.
+// Each output element is still the same ascending-k chain of the same
+// factors, so the layout moves no bit.
+//
 // To avoid underflow over long horizons the internal operators are
 // renormalised whenever their magnitude drifts out of a wide safe band
 // (see renormalise); b̃ and c̃ therefore carry a shared unknown scale
@@ -29,7 +38,7 @@ import (
 type Quantifier struct {
 	md *Model
 
-	af, at *mat.Matrix // committed forward blocks, m×m each
+	af, at *mat.Matrix // committed forward blocks, transposed, m×m each
 	b1     *mat.Matrix // backward block, valid once t > end
 	t      int         // next timestamp to be observed (0-based)
 
@@ -45,8 +54,8 @@ type Quantifier struct {
 	// fwdBand and b1Band track the live bandwidth of the forward
 	// operators and the backward accumulator: each committed step widens
 	// the band by the step matrix's bandwidth (clamped at m−1 = full).
-	// The adaptive dense dispatch uses them to run banded products while
-	// they beat dense flops. fwdMax/b1Max hold the largest absolute
+	// The dense dispatch uses them to run banded products while they
+	// beat dense flops. fwdMax/b1Max hold the largest absolute
 	// operator entry after the latest commit (a free byproduct of the
 	// commit write passes) — the normalisation scale for the float32
 	// shadow copies.
@@ -60,7 +69,7 @@ type Quantifier struct {
 	// scratch. Check and Current are zero-allocation: each writes its
 	// b̃/c̃ into its own pair of reusable buffers (checkB/checkC and
 	// curB/curC), which the returned ReleaseCheck aliases — see the
-	// ownership contract on Check. tmp1/tmp2/uvec hold matvec
+	// ownership contract on Check. tmp1/tmp2/uvec hold row-product
 	// intermediates; mx/my the Commit matrix products.
 	tmp1, tmp2, uvec mat.Vector
 	checkB, checkC   mat.Vector
@@ -68,9 +77,10 @@ type Quantifier struct {
 	mx, my           *mat.Matrix
 }
 
-// shadowState carries the float32 copies of the forward operators and
-// backward accumulator consumed by ShadowCheck. Copies are converted
-// lazily (dirty flags set by Commit) and normalised by the operator's
+// shadowState carries the float32 copies of the forward operators (in
+// the quantifier's transposed layout) and backward accumulator consumed
+// by ShadowCheck. Copies are converted lazily (dirty flags set by
+// Commit) and normalised by the operator's
 // maximum entry — the float64 operators roam a magnitude band float32
 // cannot represent. The common scale factor cancels in the Theorem IV.1
 // conditions, which are homogeneous in (b̃, c̃).
@@ -162,40 +172,39 @@ func (q *Quantifier) CheckTrusted(emis mat.Vector) qp.ReleaseCheck {
 			q.tmp1[i] = emis[i] * ((1-ft[i])*vF[i] + ft[i]*vT[i])
 		}
 		k.mulVecInto(q.uvec, q.tmp1)
-		q.fwdMulVec(q.af, b, q.uvec)
+		q.rowMul(b, q.uvec, q.af, q.fwdBand) // A_F·uF = uFᵀ·A_Fᵀ
 		// uT likewise with the true-world mask.
 		for i := 0; i < m; i++ {
 			q.tmp1[i] = emis[i] * ((1-tt[i])*vF[i] + tt[i]*vT[i])
 		}
 		k.mulVecInto(q.uvec, q.tmp1)
-		q.fwdMulVec(q.at, q.tmp2, q.uvec)
+		q.rowMul(q.tmp2, q.uvec, q.at, q.fwdBand)
 		b.AddInto(b, q.tmp2)
 		// c̃ = (A_F + A_T)·(M·emis)
 		k.mulVecInto(q.uvec, emis)
-		q.fwdMulVec(q.af, c, q.uvec)
-		q.fwdMulVec(q.at, q.tmp2, q.uvec)
+		q.rowMul(c, q.uvec, q.af, q.fwdBand)
+		q.rowMul(q.tmp2, q.uvec, q.at, q.fwdBand)
 		c.AddInto(c, q.tmp2)
 	default: // q.t > end
 		k := q.md.kernel(q.t - 1)
 		k.mulVecInto(q.uvec, emis)
-		z := q.b1.VecMulInto(q.tmp2, q.uvec) // row: (M·emis)ᵀ·B₁
-		q.fwdMulVec(q.at, b, z)
-		q.fwdMulVec(q.af, c, z)
+		z := q.rowMul(q.tmp2, q.uvec, q.b1, q.b1Band) // (M·emis)ᵀ·B₁
+		q.rowMul(b, z, q.at, q.fwdBand)
+		q.rowMul(c, z, q.af, q.fwdBand)
 		c.AddInto(c, b)
 	}
 	return qp.ReleaseCheck{ATilde: q.atilde, BTilde: b, CTilde: c}
 }
 
-// fwdMulVec computes dst = a·x for a forward operator (af or at),
-// restricting the row dots to the operator's tracked band when it is
-// worthwhile — bit-identical to the full dot, since the skipped entries
-// are exact zeros. The oracle mode keeps the plain loop.
-func (q *Quantifier) fwdMulVec(a *mat.Matrix, dst, x mat.Vector) {
-	if q.md.opts.Kernel != KernelOracle && 2*q.fwdBand+1 < q.md.m {
-		mat.MulVecBandInto(dst, a, x, q.fwdBand)
-		return
+// rowMul stores xᵀ·op into dst for one of the quantifier's operators as
+// stored (af, at or b1) with its tracked band: the row primitive (band-
+// limited while that skips columns), or the plain Go loop in oracle
+// mode. dst must not alias x.
+func (q *Quantifier) rowMul(dst, x mat.Vector, op *mat.Matrix, band int) mat.Vector {
+	if q.md.opts.Kernel == KernelOracle {
+		return op.VecMulInto(dst, x)
 	}
-	a.MulVecInto(dst, x)
+	return mat.RowMulInto(dst, x, op, band)
 }
 
 // Current returns the Theorem IV.1 vectors for the already-committed
@@ -213,16 +222,16 @@ func (q *Quantifier) Current() qp.ReleaseCheck {
 		}
 	case q.t-1 <= q.md.end:
 		vF, vT := q.md.vF[q.t-1], q.md.vT[q.t-1]
-		q.af.MulVecInto(b, vF)
-		q.at.MulVecInto(q.tmp2, vT)
+		q.rowMul(b, vF, q.af, q.fwdBand)
+		q.rowMul(q.tmp2, vT, q.at, q.fwdBand)
 		b.AddInto(b, q.tmp2)
-		q.af.MulVecInto(c, q.md.ones)
-		q.at.MulVecInto(q.tmp2, q.md.ones)
+		q.rowMul(c, q.md.ones, q.af, q.fwdBand)
+		q.rowMul(q.tmp2, q.md.ones, q.at, q.fwdBand)
 		c.AddInto(c, q.tmp2)
 	default:
-		z := q.b1.VecMulInto(q.tmp2, q.md.ones)
-		q.at.MulVecInto(b, z)
-		q.af.MulVecInto(c, z)
+		z := q.rowMul(q.tmp2, q.md.ones, q.b1, q.b1Band)
+		q.rowMul(b, z, q.at, q.fwdBand)
+		q.rowMul(c, z, q.af, q.fwdBand)
 		c.AddInto(c, b)
 	}
 	return qp.ReleaseCheck{ATilde: q.atilde, BTilde: b, CTilde: c}
@@ -264,8 +273,8 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 	case q.t <= q.md.end:
 		ft, tt := q.md.stepMasks(q.t - 1)
 		k := q.md.kernel(q.t - 1)
-		k.forwardMul(q.mx, q.af, q.fwdBand, &q.md.kc) // X = A_F·M
-		k.forwardMul(q.my, q.at, q.fwdBand, &q.md.kc) // Y = A_T·M
+		k.mulInto(q.mx, q.af, q.fwdBand, q.fwdMax, &q.md.kc) // Xᵀ = Mᵀ·A_Fᵀ
+		k.mulInto(q.my, q.at, q.fwdBand, q.fwdMax, &q.md.kc) // Yᵀ = Mᵀ·A_Tᵀ
 		scale = q.maskAndScale(ft, tt, emis)
 		q.fwdBand = min(q.fwdBand+k.bw, m-1)
 		q.fwdMax = scale
@@ -274,7 +283,7 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 		}
 	default: // q.t > end: B₁ ← diag(emis)·Mᵀ·B₁
 		k := q.md.kernel(q.t - 1)
-		k.backwardMul(q.mx, q.b1, q.b1Band, q.my, &q.md.kc)
+		k.mulInto(q.mx, q.b1, q.b1Band, q.b1Max, &q.md.kc)
 		scale = mat.ScaleRowsMaxInto(q.b1, q.mx, emis)
 		q.b1Band = min(q.b1Band+k.bw, m-1)
 		q.b1Max = scale
@@ -294,9 +303,10 @@ const maskFlopsCutoff = 1 << 17
 
 // maskAndScale folds the step masks and the emission column into the
 // forward blocks: A_F' = X·diag(1−ft) + Y·diag(1−tt), A_T' = X·diag(ft)
-// + Y·diag(tt), both column-scaled by the emission, and returns the
-// largest absolute entry written (fused so renormalisation needs no
-// second sweep of the operators). Row tiles go through the shared pool
+// + Y·diag(tt), both column-scaled by the emission — row scalings of the
+// transposed blocks — and returns the largest absolute entry written
+// (fused so renormalisation needs no second sweep of the operators). Row
+// tiles go through the shared pool
 // with fixed boundaries and a single writer per row, so the split is
 // bit-deterministic; the max reduction is exact under any split. The
 // serial path materialises no closure (commit stays allocation-free).
@@ -310,20 +320,22 @@ func (q *Quantifier) maskAndScale(ft, tt, emis mat.Vector) float64 {
 	})
 }
 
-// maskRows runs the fused mask+emission+max loop over rows [lo,hi).
+// maskRows runs the fused mask+emission+max loop over rows [lo,hi) of
+// the transposed blocks: row j carries column j's mask and emission.
 func (q *Quantifier) maskRows(ft, tt, emis mat.Vector, lo, hi int) float64 {
 	m := q.md.m
 	var best float64
-	for i := lo; i < hi; i++ {
-		xr := q.mx.Row(i)
-		yr := q.my.Row(i)
-		fr := q.af.Row(i)
-		trw := q.at.Row(i)
-		for j := 0; j < m; j++ {
-			f := (xr[j]*(1-ft[j]) + yr[j]*(1-tt[j])) * emis[j]
-			tr := (xr[j]*ft[j] + yr[j]*tt[j]) * emis[j]
-			fr[j] = f
-			trw[j] = tr
+	for j := lo; j < hi; j++ {
+		xr := q.mx.Row(j)
+		yr := q.my.Row(j)
+		fr := q.af.Row(j)
+		trw := q.at.Row(j)
+		ftj, ttj, e := ft[j], tt[j], emis[j]
+		for i := 0; i < m; i++ {
+			f := (xr[i]*(1-ftj) + yr[i]*(1-ttj)) * e
+			tr := (xr[i]*ftj + yr[i]*ttj) * e
+			fr[i] = f
+			trw[i] = tr
 			if f = math.Abs(f); f > best {
 				best = f
 			}
@@ -401,7 +413,7 @@ func (q *Quantifier) CommitTaggedTrusted(emis mat.Vector, alphaBits uint64, obs 
 // float64, and the engine's data is non-negative — sums never cancel,
 // so per-term relative errors bound the relative error of the sum. The
 // deepest chain (post-window: kernel matvec → B₁ row-product → operator
-// matvec → add) compounds ≤ 4 such roundings plus O(m·2⁻⁵³) float64
+// row-product → add) compounds ≤ 4 such roundings plus O(m·2⁻⁵³) float64
 // accumulation noise and the ~1e-38 subnormal flush of the conversion;
 // 16·2⁻²⁴ covers all of it with 4× slack.
 const ShadowEta = 16.0 / (1 << 24)
@@ -441,16 +453,16 @@ func (q *Quantifier) ShadowCheck(emis mat.Vector) (qp.ReleaseCheck, bool) {
 		if !k.mulVec32Into(q.uvec, q.tmp1) {
 			return qp.ReleaseCheck{}, false
 		}
-		sh.af32.MulVecInto(b, q.uvec)
+		sh.af32.VecMulInto(b, q.uvec)
 		for i := 0; i < m; i++ {
 			q.tmp1[i] = emis[i] * ((1-tt[i])*vF[i] + tt[i]*vT[i])
 		}
 		k.mulVec32Into(q.uvec, q.tmp1)
-		sh.at32.MulVecInto(q.tmp2, q.uvec)
+		sh.at32.VecMulInto(q.tmp2, q.uvec)
 		b.AddInto(b, q.tmp2)
 		k.mulVec32Into(q.uvec, emis)
-		sh.af32.MulVecInto(c, q.uvec)
-		sh.at32.MulVecInto(q.tmp2, q.uvec)
+		sh.af32.VecMulInto(c, q.uvec)
+		sh.at32.VecMulInto(q.tmp2, q.uvec)
 		c.AddInto(c, q.tmp2)
 	} else {
 		if q.b1Max == 0 {
@@ -471,8 +483,8 @@ func (q *Quantifier) ShadowCheck(emis mat.Vector) (qp.ReleaseCheck, bool) {
 			return qp.ReleaseCheck{}, false
 		}
 		z := sh.b132.VecMulInto(q.tmp2, q.uvec)
-		sh.at32.MulVecInto(b, z)
-		sh.af32.MulVecInto(c, z)
+		sh.at32.VecMulInto(b, z)
+		sh.af32.VecMulInto(c, z)
 		c.AddInto(c, b)
 	}
 	return qp.ReleaseCheck{ATilde: q.atilde, BTilde: b, CTilde: c}, true

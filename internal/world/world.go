@@ -130,7 +130,7 @@ type Model struct {
 	kernels map[*mat.Matrix]*stepKernel
 	kstats  KernelStats
 
-	// kc tallies the adaptive kernel dispatch decisions of every
+	// kc tallies the dense kernel dispatch decisions of every
 	// quantifier over this model (atomic: models are shared across
 	// sessions).
 	kc kernelCounters
@@ -168,8 +168,7 @@ func NewModelWithOptions(tp TransitionProvider, ev event.Event, opts ModelOption
 // matrices of a provider without DistinctMatrices — and therefore the
 // kernels (each carrying a precomputed transpose) such a provider can
 // pin. A provider synthesizing a fresh matrix per call retains at most
-// this many useless kernels and falls back to per-call compilation,
-// which defers the transpose until the backward phase needs it.
+// this many useless kernels and falls back to per-call compilation.
 const kernelProbeLimit = 64
 
 // compileKernels builds the step kernel (CSR form or dense transpose) of
@@ -196,7 +195,7 @@ func (md *Model) compileKernels() {
 		if _, ok := md.kernels[m]; ok {
 			continue
 		}
-		k := compileKernel(m, md.opts, false)
+		k := compileKernel(m, md.opts)
 		md.kernels[m] = k
 		md.foldKernelStats(k)
 	}
@@ -204,14 +203,14 @@ func (md *Model) compileKernels() {
 
 func (md *Model) foldKernelStats(k *stepKernel) {
 	one := KernelStats{Dense: 1, Density: 1}
-	if k.sparse() {
+	if k.csr != nil {
 		one = KernelStats{Sparse: 1, NNZ: int64(k.csr.NNZ()), Density: k.csr.Density()}
 	}
 	md.kstats = md.kstats.Add(one)
 }
 
 // KernelStats reports the compiled step kernels (how many took the
-// sparse vs the dense path, and at what density) plus the adaptive
+// sparse vs the dense path, and at what density) plus the dense
 // dispatch counts accumulated by quantifiers over this model.
 func (md *Model) KernelStats() KernelStats {
 	ks := md.kstats
@@ -222,15 +221,15 @@ func (md *Model) KernelStats() KernelStats {
 
 // kernel returns the compiled kernel for the transition from time t to
 // t+1. The compile-time map covers every matrix of a MatrixLister
-// provider (and the probe window of any other); a miss compiles on the
-// fly without caching — correct for exotic providers at the cost of
-// allocation, with the transpose deferred until the backward phase.
+// provider (and the probe window of any other); a miss compiles a
+// complete call-private kernel without caching — correct for exotic
+// providers at the cost of allocation.
 func (md *Model) kernel(t int) *stepKernel {
 	m := md.tp.Matrix(t)
 	if k, ok := md.kernels[m]; ok {
 		return k
 	}
-	return compileKernel(m, md.opts, true)
+	return compileKernel(m, md.opts)
 }
 
 // States returns m.

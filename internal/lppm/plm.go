@@ -113,7 +113,9 @@ func (p *PlanarLaplace) SampleContinuous(rng Rand, u int, alpha float64) (x, y f
 	theta := rng.Float64() * 2 * math.Pi
 	pr := rng.Float64()
 	r := -(lambertWm1((pr-1)/math.E) + 1) / alpha
-	return cx + r*math.Cos(theta), cy + r*math.Sin(theta), nil
+	// float64(x*y) forbids the fused multiply-add gc emits on arm64 (here
+	// and in lambertWm1), so a draw snaps to the same cell on every machine.
+	return cx + float64(r*math.Cos(theta)), cy + float64(r*math.Sin(theta)), nil
 }
 
 // SampleSnapped draws from the continuous planar Laplace and snaps the
@@ -151,14 +153,14 @@ func lambertWm1(x float64) float64 {
 		l2 := math.Log(-l1)
 		w = l1 - l2
 	} else {
-		p := -math.Sqrt(2 * (1 + math.E*x))
+		p := -math.Sqrt(2 * (1 + float64(math.E*x)))
 		w = -1 + p - p*p/3
 	}
 	for i := 0; i < 64; i++ {
 		ew := math.Exp(w)
-		f := w*ew - x
+		f := float64(w*ew) - x
 		// Halley step.
-		denom := ew*(w+1) - (w+2)*f/(2*w+2)
+		denom := float64(ew*(w+1)) - (w+2)*f/(2*w+2)
 		dw := f / denom
 		w -= dw
 		if math.Abs(dw) < 1e-14*(1+math.Abs(w)) {

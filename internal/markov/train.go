@@ -47,7 +47,9 @@ func Train(trajs [][]int, opt TrainOptions) (*Chain, error) {
 	t := mat.NewMatrix(m, m)
 	for i := 0; i < m; i++ {
 		row := counts.Row(i)
-		sum := row.Sum() + opt.Smoothing*float64(m)
+		// float64(x*y) forbids arm64's fused multiply-add: a trained chain
+		// has the same bits on every machine.
+		sum := row.Sum() + float64(opt.Smoothing*float64(m))
 		out := t.Row(i)
 		if sum == 0 {
 			// Unvisited state with no smoothing: self-loop keeps the
@@ -88,7 +90,7 @@ func EmpiricalInitial(trajs [][]int, m int, smoothing float64) (mat.Vector, erro
 		return nil, fmt.Errorf("markov: no trajectories and no smoothing")
 	}
 	for i := range p {
-		p[i] = (p[i] + smoothing) / (float64(n) + smoothing*float64(m))
+		p[i] = (p[i] + smoothing) / (float64(n) + float64(smoothing*float64(m)))
 	}
 	return p, nil
 }

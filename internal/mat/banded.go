@@ -75,7 +75,18 @@ func mulBandRows(dst, a, b *Matrix, aBand, bBand, lo, hi int) {
 	kk := a.Cols
 	n := b.Cols
 	for i := lo; i < hi; i++ {
-		rowMulBand(dst.Data[i*n:(i+1)*n], a.Data[i*kk:(i+1)*kk], max(i-aBand, 0), min(i+aBand, kk-1), b, bBand)
+		drow, arow := dst.Row(i), a.Row(i)
+		k0, k1 := max(i-aBand, 0), min(i+aBand, kk-1)
+		if bBand == 0 {
+			// A diagonal b is a column scaling: each dst[i][k] is the
+			// one-term chain 0 + a[i][k]·b[k][k], and 0 + x = x on the
+			// engine's non-negative data.
+			for k := k0; k <= min(k1, n-1); k++ {
+				drow[k] = float64(arow[k] * b.Data[k*n+k])
+			}
+			continue
+		}
+		rowMulBand(drow, arow, k0, k1, b, bBand)
 	}
 }
 
@@ -93,7 +104,7 @@ func rowMulBand(drow, arow []float64, k0, k1 int, b *Matrix, bBand int) {
 		brow := b.Data[k*n+j0 : k*n+j1+1]
 		dseg := drow[j0 : j1+1]
 		for jj, bv := range brow {
-			dseg[jj] += aik * bv
+			dseg[jj] += float64(aik * bv)
 		}
 	}
 }

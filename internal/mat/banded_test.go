@@ -38,9 +38,12 @@ func TestBandwidth(t *testing.T) {
 
 func TestMulBandIntoMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
+	// bBand 0 (a diagonal b, as B₁ = I and the first forward operator
+	// are) takes the column-scaling path.
 	for _, tc := range []struct{ m, aBand, bBand int }{
 		{1, 0, 0}, {6, 0, 2}, {6, 2, 0}, {9, 1, 3}, {25, 4, 4},
 		{40, 7, 39}, {40, 39, 7}, {33, 32, 32}, {300, 12, 5},
+		{7, 0, 0}, {40, 39, 0}, {100, 99, 0}, {300, 12, 0},
 	} {
 		a := randomBanded(rng, tc.m, tc.aBand, 0.3)
 		b := randomBanded(rng, tc.m, tc.bBand, 0.3)

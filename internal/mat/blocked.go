@@ -71,17 +71,17 @@ func mulABtRows(dst, a, bt *Matrix, lo, hi int) {
 			for k, bv0 := range b0 {
 				bv1 := b1[k]
 				av := a0[k]
-				c00 += av * bv0
-				c01 += av * bv1
+				c00 += float64(av * bv0)
+				c01 += float64(av * bv1)
 				av = a1[k]
-				c10 += av * bv0
-				c11 += av * bv1
+				c10 += float64(av * bv0)
+				c11 += float64(av * bv1)
 				av = a2[k]
-				c20 += av * bv0
-				c21 += av * bv1
+				c20 += float64(av * bv0)
+				c21 += float64(av * bv1)
 				av = a3[k]
-				c30 += av * bv0
-				c31 += av * bv1
+				c30 += float64(av * bv0)
+				c31 += float64(av * bv1)
 			}
 			d0[j], d0[j+1] = c00, c01
 			d1[j], d1[j+1] = c10, c11
@@ -92,10 +92,10 @@ func mulABtRows(dst, a, bt *Matrix, lo, hi int) {
 			b0 := bt.Data[j*kk : j*kk+kk]
 			var c0, c1, c2, c3 float64
 			for k, bv := range b0 {
-				c0 += a0[k] * bv
-				c1 += a1[k] * bv
-				c2 += a2[k] * bv
-				c3 += a3[k] * bv
+				c0 += float64(a0[k] * bv)
+				c1 += float64(a1[k] * bv)
+				c2 += float64(a2[k] * bv)
+				c3 += float64(a3[k] * bv)
 			}
 			d0[j], d1[j], d2[j], d3[j] = c0, c1, c2, c3
 		}
@@ -107,7 +107,7 @@ func mulABtRows(dst, a, bt *Matrix, lo, hi int) {
 			b0 := bt.Data[j*kk : j*kk+kk]
 			var c float64
 			for k, bv := range b0 {
-				c += arow[k] * bv
+				c += float64(arow[k] * bv)
 			}
 			drow[j] = c
 		}

@@ -36,7 +36,7 @@ func SymEigen(a *Matrix) (Vector, *Matrix, error) {
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+				off += float64(w.At(i, j) * w.At(i, j))
 			}
 		}
 		if off <= 1e-28*math.Max(1, scale*scale) {
@@ -52,11 +52,11 @@ func SymEigen(a *Matrix) (Vector, *Matrix, error) {
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(theta*theta+1))
+					t = 1 / (theta + math.Sqrt(float64(theta*theta)+1))
 				} else {
-					t = -1 / (-theta + math.Sqrt(theta*theta+1))
+					t = -1 / (-theta + math.Sqrt(float64(theta*theta)+1))
 				}
-				c := 1 / math.Sqrt(t*t+1)
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				jacobiRotate(w, v, p, q, c, s)
 			}
@@ -76,18 +76,18 @@ func jacobiRotate(w, v *Matrix, p, q int, c, s float64) {
 	n := w.Rows
 	for k := 0; k < n; k++ {
 		wkp, wkq := w.At(k, p), w.At(k, q)
-		w.Set(k, p, c*wkp-s*wkq)
-		w.Set(k, q, s*wkp+c*wkq)
+		w.Set(k, p, float64(c*wkp)-float64(s*wkq))
+		w.Set(k, q, float64(s*wkp)+float64(c*wkq))
 	}
 	for k := 0; k < n; k++ {
 		wpk, wqk := w.At(p, k), w.At(q, k)
-		w.Set(p, k, c*wpk-s*wqk)
-		w.Set(q, k, s*wpk+c*wqk)
+		w.Set(p, k, float64(c*wpk)-float64(s*wqk))
+		w.Set(q, k, float64(s*wpk)+float64(c*wqk))
 	}
 	for k := 0; k < n; k++ {
 		vkp, vkq := v.At(k, p), v.At(k, q)
-		v.Set(k, p, c*vkp-s*vkq)
-		v.Set(k, q, s*vkp+c*vkq)
+		v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+		v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 	}
 }
 
@@ -123,7 +123,7 @@ func RankOneSymEigen(a, w Vector) (lo, hi float64) {
 	dot := a.Dot(w)
 	na := math.Sqrt(a.Dot(a))
 	nw := math.Sqrt(w.Dot(w))
-	lo = (dot - na*nw) / 2
-	hi = (dot + na*nw) / 2
+	lo = (dot - float64(na*nw)) / 2
+	hi = (dot + float64(na*nw)) / 2
 	return lo, hi
 }

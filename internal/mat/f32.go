@@ -62,7 +62,7 @@ func (a *Matrix32) MulVecInto(dst Vector, x Vector) {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		var s float64
 		for k, av := range row {
-			s += float64(av) * x[k]
+			s += float64(float64(av) * x[k])
 		}
 		dst[i] = s
 	}
@@ -84,7 +84,7 @@ func (a *Matrix32) VecMulInto(dst Vector, x Vector) Vector {
 		}
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		for j, av := range row {
-			dst[j] += xi * float64(av)
+			dst[j] += float64(xi * float64(av))
 		}
 	}
 	return dst
@@ -120,7 +120,7 @@ func (c *CSR32) MulVecInto(dst Vector, x Vector) {
 	for i := 0; i < c.rows; i++ {
 		var s float64
 		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
-			s += float64(c.val[p]) * x[c.colIdx[p]]
+			s += float64(float64(c.val[p]) * x[c.colIdx[p]])
 		}
 		dst[i] = s
 	}

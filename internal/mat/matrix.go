@@ -158,7 +158,7 @@ func (m *Matrix) VecMulInto(dst, x Vector) Vector {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, v := range row {
-			dst[j] += xi * v
+			dst[j] += float64(xi * v)
 		}
 	}
 	return dst
@@ -215,7 +215,7 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 			}
 			brow := b.Data[k*bc : (k+1)*bc]
 			for j, bkj := range brow {
-				drow[j] += aik * bkj
+				drow[j] += float64(aik * bkj)
 			}
 		}
 	}

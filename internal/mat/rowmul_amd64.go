@@ -1,13 +1,20 @@
 package mat
 
-// rowMulAVX2 is the assembly body of the row primitive over `blocks`
-// whole 32-column blocks: for each block, 8 YMM accumulators start at
-// zero and take VBROADCASTSD a[k] · B[k, block] for k = 0..kk−1 as one
-// VMULPD then one VADDPD — no FMA, so every lane rounds exactly as the
-// Go body does. stride is B's row length in elements; kk must be ≥ 1.
+// rowMulAVX2 is the assembly body of the row primitive over all n
+// columns of dst: YMM accumulators start at zero and take VBROADCASTSD
+// a[k] · B[k, cols] for k = 0..kk−1 as one VMULPD then one VADDPD — no
+// FMA, so every lane rounds exactly as the Go body does. The last n mod 4
+// columns go through a masked load and store. stride is B's row length
+// in elements; kk and n must be ≥ 1.
 //
 //go:noescape
-func rowMulAVX2(dst, a, b *float64, kk, blocks, stride int)
+func rowMulAVX2(dst, a, b *float64, kk, n, stride int)
+
+// rowMul2AVX2 is rowMulAVX2 for two rows against the same B — the
+// register tile: each load of B feeds both rows' accumulators.
+//
+//go:noescape
+func rowMul2AVX2(dst0, dst1, a0, a1, b *float64, kk, n, stride int)
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

@@ -126,7 +126,7 @@ func (s *CSR) MulVecInto(dst, x Vector) Vector {
 	for i := 0; i < s.rows; i++ {
 		var acc float64
 		for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
-			acc += s.val[p] * x[s.colIdx[p]]
+			acc += float64(s.val[p] * x[s.colIdx[p]])
 		}
 		dst[i] = acc
 	}
@@ -150,7 +150,7 @@ func (s *CSR) VecMulInto(dst, x Vector) Vector {
 			continue
 		}
 		for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
-			dst[s.colIdx[p]] += xi * s.val[p]
+			dst[s.colIdx[p]] += float64(xi * s.val[p])
 		}
 	}
 	return dst
@@ -201,7 +201,7 @@ func (s *CSR) mulMatRows(dst, b *Matrix, bBand, lo, hi int) {
 			j0, j1 := max(k-bBand, 0), min(k+bBand, bc-1)
 			dseg := drow[j0 : j1+1]
 			for j, bv := range b.Data[k*bc+j0 : k*bc+j1+1] {
-				dseg[j] += sv * bv
+				dseg[j] += float64(sv * bv)
 			}
 		}
 	}

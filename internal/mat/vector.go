@@ -5,6 +5,11 @@
 // The package is deliberately small and allocation-conscious: the PriSTE
 // release loop multiplies m×m and m×2m matrices at every timestamp, so all
 // hot operations offer an "into destination" form that reuses storage.
+//
+// Every product that feeds an add is written float64(x*y). The explicit
+// conversion is how the Go spec forbids fusing it into one multiply-add,
+// which gc does on arm64 and never on amd64; without it a release would
+// depend on the machine.
 package mat
 
 import (
@@ -43,7 +48,7 @@ func (v Vector) Dot(w Vector) float64 {
 	}
 	var s float64
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }

@@ -105,7 +105,7 @@ func (p Problem) Validate() error {
 
 // Eval returns the objective value at π.
 func (p Problem) Eval(pi mat.Vector) float64 {
-	return pi.Dot(p.A)*pi.Dot(p.W) + pi.Dot(p.Q)
+	return float64(pi.Dot(p.A)*pi.Dot(p.W)) + pi.Dot(p.Q)
 }
 
 // Verdict classifies the outcome of a bound check.
@@ -182,7 +182,10 @@ const pollRows = 16
 // scan is the search for the maximum of one condition. Its passes —
 // vertices, then edges — run in that order; what they find does not depend
 // on what happens between them, so CheckRelease can interleave the passes
-// of its two conditions.
+// of its two conditions. Every product that feeds an add, here and in
+// release.go, is written float64(x*y): the explicit conversion forbids
+// the fused multiply-add gc emits on arm64, so a verdict is the same on
+// every machine.
 type scan struct {
 	a, w, q mat.Vector
 
@@ -202,7 +205,7 @@ type scan struct {
 func (s *scan) vertices() {
 	s.best = math.Inf(-1)
 	for i, ai := range s.a {
-		if v := ai*s.w[i] + s.q[i]; v > s.best {
+		if v := float64(ai*s.w[i]) + s.q[i]; v > s.best {
 			s.best, s.i, s.j = v, i, i
 		}
 	}
@@ -226,7 +229,7 @@ func (s *scan) edges(stop float64, deadline time.Time) {
 			if !(qa < 0) {
 				continue
 			}
-			qb := ai*dw + wi*da + (qj[k] - qi)
+			qb := float64(ai*dw) + float64(wi*da) + (qj[k] - qi)
 			if !(qb > 0 && qb < -2*qa) {
 				continue
 			}
@@ -246,7 +249,10 @@ func (s *scan) edges(stop float64, deadline time.Time) {
 // sums it over the dense vector, whose other terms are exact zeros.
 func (s *scan) at(i, j int, lam float64) float64 {
 	pi, pj := 1-lam, lam
-	return (pi*s.a[i]+pj*s.a[j])*(pi*s.w[i]+pj*s.w[j]) + (pi*s.q[i] + pj*s.q[j])
+	a := float64(pi*s.a[i]) + float64(pj*s.a[j])
+	w := float64(pi*s.w[i]) + float64(pj*s.w[j])
+	q := float64(pi*s.q[i]) + float64(pj*s.q[j])
+	return float64(a*w) + q
 }
 
 // result reports where the scan stands. Until the edge pass has run to its

@@ -128,7 +128,7 @@ func checkRelease(chk ReleaseCheck, eta float64, opt ReleaseOptions) (dec Releas
 
 	// Shadow margins Δ₁, Δ₂ (see CheckReleaseShadow); zero when exact.
 	maxA, eEps, etaN := chk.ATilde.AbsMax(), math.Exp(chk.Epsilon), 2*eta
-	margin := [2]float64{maxA*(2*eEps-1)*etaN + etaN, eEps * (maxA + 1) * etaN}
+	margin := [2]float64{float64(maxA*(2*eEps-1)*etaN) + etaN, eEps * (maxA + 1) * etaN}
 
 	budget := opt.Deadline
 	if d := opt.Solver.Deadline; d > 0 && (budget <= 0 || d < budget) {
@@ -199,10 +199,10 @@ func releaseConditions(chk ReleaseCheck, scale, eEps float64, lin mat.Vector) [2
 	w1, q1, w2, q2 := lin[:n:n], lin[n:2*n:2*n], lin[2*n:3*n:3*n], lin[3*n:]
 	inv := 1 / scale
 	for i := 0; i < n; i++ {
-		b, c := chk.BTilde[i]*inv, chk.CTilde[i]*inv
-		w1[i] = (eEps-1)*b - eEps*c
+		b, c := float64(chk.BTilde[i]*inv), float64(chk.CTilde[i]*inv)
+		w1[i] = float64((eEps-1)*b) - float64(eEps*c)
 		q1[i] = b
-		w2[i] = (eEps-1)*b + c
+		w2[i] = float64((eEps-1)*b) + c
 		q2[i] = -eEps * b
 	}
 	return [2]scan{{a: chk.ATilde, w: w1, q: q1}, {a: chk.ATilde, w: w2, q: q2}}

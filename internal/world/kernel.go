@@ -180,6 +180,18 @@ func (k *stepKernel) mulVecInto(dst, x mat.Vector) {
 	}
 }
 
+// mulVec2Into stores M·x0 into dst0 and M·x1 into dst1 — on the dense
+// non-oracle path as the two rows x0ᵀ·Mᵀ, x1ᵀ·Mᵀ of one register tile.
+// Neither dst may alias an x.
+func (k *stepKernel) mulVec2Into(dst0, dst1, x0, x1 mat.Vector) {
+	if k.csr != nil || k.oracle {
+		k.mulVecInto(dst0, x0)
+		k.mulVecInto(dst1, x1)
+		return
+	}
+	mat.RowMul2Into(dst0, dst1, x0, x1, k.denseT, k.bw)
+}
+
 // mulVec32Into stores M·x into dst through the float32 shadow kernel
 // with float64 accumulation, reporting whether a shadow form exists.
 func (k *stepKernel) mulVec32Into(dst, x mat.Vector) bool {
@@ -197,15 +209,16 @@ func (k *stepKernel) mulVec32Into(dst, x mat.Vector) bool {
 // mulInto stores Mᵀ·op into dst — every Commit product: the forward
 // blocks are kept transposed, so Xᵀ = Mᵀ·A_Fᵀ has the shape of the
 // backward Mᵀ·B₁. op's nonzeros lie within opBand (pass ≥ m−1 when
-// full) and opMax is its largest entry: an all-zero operator (an
-// impossible observation history) has an all-zero product. dst must not
-// alias op. All paths are bit-identical.
-func (k *stepKernel) mulInto(dst, op *mat.Matrix, opBand int, opMax float64, kc *kernelCounters) {
+// full), and opZero reports that op is all-zero — A_T before the window
+// opens, or any block after an impossible observation history — whose
+// product is all-zero too and is not computed (not counted either).
+// dst must not alias op. All paths are bit-identical.
+func (k *stepKernel) mulInto(dst, op *mat.Matrix, opBand int, opZero bool, kc *kernelCounters) {
 	m := op.Rows
 	switch {
 	case k.oracle:
 		mat.MulInto(dst, k.denseT, op)
-	case opMax == 0:
+	case opZero:
 		dst.Zero()
 	case k.csrT != nil:
 		k.csrT.MulMatInto(dst, op, opBand)
@@ -247,7 +260,7 @@ func (s KernelStats) Add(o KernelStats) KernelStats {
 	s.Blocked += o.Blocked
 	s.Banded += o.Banded
 	if se+oe > 0 {
-		s.Density = (s.Density*se + o.Density*oe) / (se + oe)
+		s.Density = (float64(s.Density*se) + float64(o.Density*oe)) / (se + oe)
 	}
 	return s
 }

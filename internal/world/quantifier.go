@@ -3,6 +3,7 @@ package world
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"priste/internal/mat"
 	"priste/internal/par"
@@ -58,9 +59,12 @@ type Quantifier struct {
 	// beat dense flops. fwdMax/b1Max hold the largest absolute
 	// operator entry after the latest commit (a free byproduct of the
 	// commit write passes) — the normalisation scale for the float32
-	// shadow copies.
+	// shadow copies. afZero/atZero record, from the same passes, that a
+	// forward block was written all-zero (A_T until the window opens):
+	// commit and check products over it are zeros and are skipped.
 	fwdBand, b1Band int
 	fwdMax, b1Max   float64
+	afZero, atZero  bool
 
 	// shadow holds the float32 operator copies for the shadow check
 	// path (nil unless ModelOptions.Shadow).
@@ -69,12 +73,12 @@ type Quantifier struct {
 	// scratch. Check and Current are zero-allocation: each writes its
 	// b̃/c̃ into its own pair of reusable buffers (checkB/checkC and
 	// curB/curC), which the returned ReleaseCheck aliases — see the
-	// ownership contract on Check. tmp1/tmp2/uvec hold row-product
+	// ownership contract on Check. tmp1/tmp2/uvec/uF hold row-product
 	// intermediates; mx/my the Commit matrix products.
-	tmp1, tmp2, uvec mat.Vector
-	checkB, checkC   mat.Vector
-	curB, curC       mat.Vector
-	mx, my           *mat.Matrix
+	tmp1, tmp2, uvec, uF mat.Vector
+	checkB, checkC       mat.Vector
+	curB, curC           mat.Vector
+	mx, my               *mat.Matrix
 }
 
 // shadowState carries the float32 copies of the forward operators (in
@@ -103,6 +107,7 @@ func NewQuantifier(md *Model) *Quantifier {
 		tmp1:   mat.NewVector(m),
 		tmp2:   mat.NewVector(m),
 		uvec:   mat.NewVector(m),
+		uF:     mat.NewVector(m),
 		checkB: mat.NewVector(m),
 		checkC: mat.NewVector(m),
 		curB:   mat.NewVector(m),
@@ -164,47 +169,75 @@ func (q *Quantifier) CheckTrusted(emis mat.Vector) qp.ReleaseCheck {
 			c[i] = emis[i]
 		}
 	case q.t <= q.md.end:
+		// b̃ = A_F·uF + A_T·uT and c̃ = A_F·u + A_T·u, where u = M·emis
+		// and uF = M·((1−ft)∘(emis∘vF) + ft∘(emis∘vT)), uT likewise with
+		// the true-world mask. Rows against the same matrix share a
+		// register tile: (uF, u) through Mᵀ, then (uF, u) against A_Fᵀ
+		// and (uT, u) against A_Tᵀ.
 		ft, tt := q.md.stepMasks(q.t - 1)
 		k := q.md.kernel(q.t - 1)
 		vF, vT := q.md.vF[q.t], q.md.vT[q.t]
-		// uF = M·((1−ft)∘(emis∘vF) + ft∘(emis∘vT))
 		for i := 0; i < m; i++ {
-			q.tmp1[i] = emis[i] * ((1-ft[i])*vF[i] + ft[i]*vT[i])
+			q.tmp1[i] = emis[i] * blend(ft, vF, vT, i)
 		}
-		k.mulVecInto(q.uvec, q.tmp1)
-		q.rowMul(b, q.uvec, q.af, q.fwdBand) // A_F·uF = uFᵀ·A_Fᵀ
-		// uT likewise with the true-world mask.
-		for i := 0; i < m; i++ {
-			q.tmp1[i] = emis[i] * ((1-tt[i])*vF[i] + tt[i]*vT[i])
+		k.mulVec2Into(q.uF, q.uvec, q.tmp1, emis)
+		q.rowMul2(b, c, q.uF, q.uvec, q.af, q.fwdBand, q.afZero)
+		if !q.skips(q.atZero) {
+			for i := 0; i < m; i++ {
+				q.tmp1[i] = emis[i] * blend(tt, vF, vT, i)
+			}
+			k.mulVecInto(q.uF, q.tmp1)
+			q.rowMul2(q.tmp1, q.tmp2, q.uF, q.uvec, q.at, q.fwdBand, q.atZero)
+			b.AddInto(b, q.tmp1)
+			c.AddInto(c, q.tmp2)
 		}
-		k.mulVecInto(q.uvec, q.tmp1)
-		q.rowMul(q.tmp2, q.uvec, q.at, q.fwdBand)
-		b.AddInto(b, q.tmp2)
-		// c̃ = (A_F + A_T)·(M·emis)
-		k.mulVecInto(q.uvec, emis)
-		q.rowMul(c, q.uvec, q.af, q.fwdBand)
-		q.rowMul(q.tmp2, q.uvec, q.at, q.fwdBand)
-		c.AddInto(c, q.tmp2)
 	default: // q.t > end
 		k := q.md.kernel(q.t - 1)
 		k.mulVecInto(q.uvec, emis)
-		z := q.rowMul(q.tmp2, q.uvec, q.b1, q.b1Band) // (M·emis)ᵀ·B₁
-		q.rowMul(b, z, q.at, q.fwdBand)
-		q.rowMul(c, z, q.af, q.fwdBand)
+		z := q.rowMul(q.tmp2, q.uvec, q.b1, q.b1Band, q.b1Max == 0) // (M·emis)ᵀ·B₁
+		q.rowMul(b, z, q.at, q.fwdBand, q.atZero)
+		q.rowMul(c, z, q.af, q.fwdBand, q.afZero)
 		c.AddInto(c, b)
 	}
 	return qp.ReleaseCheck{ATilde: q.atilde, BTilde: b, CTilde: c}
 }
 
+// skips reports whether products over a block are skipped: the block is
+// known to be all-zero, and the kernel is not the oracle, which computes
+// them anyway as the independent reference. A skipped product is zeros,
+// and adding zeros to the engine's non-negative sums moves no bit.
+func (q *Quantifier) skips(zero bool) bool {
+	return zero && q.md.opts.Kernel != KernelOracle
+}
+
 // rowMul stores xᵀ·op into dst for one of the quantifier's operators as
-// stored (af, at or b1) with its tracked band: the row primitive (band-
-// limited while that skips columns), or the plain Go loop in oracle
-// mode. dst must not alias x.
-func (q *Quantifier) rowMul(dst, x mat.Vector, op *mat.Matrix, band int) mat.Vector {
-	if q.md.opts.Kernel == KernelOracle {
+// stored (af, at or b1) with its tracked band and zero flag: zeros for a
+// skipped block, else the row primitive (band-limited while that skips
+// columns), or the plain Go loop in oracle mode. dst must not alias x.
+func (q *Quantifier) rowMul(dst, x mat.Vector, op *mat.Matrix, band int, zero bool) mat.Vector {
+	switch {
+	case q.md.opts.Kernel == KernelOracle:
 		return op.VecMulInto(dst, x)
+	case zero:
+		clear(dst)
+		return dst
 	}
 	return mat.RowMulInto(dst, x, op, band)
+}
+
+// rowMul2 is rowMul for two rows against the same operator: x0ᵀ·op into
+// dst0 and x1ᵀ·op into dst1, through the register tile.
+func (q *Quantifier) rowMul2(dst0, dst1, x0, x1 mat.Vector, op *mat.Matrix, band int, zero bool) {
+	switch {
+	case q.md.opts.Kernel == KernelOracle:
+		op.VecMulInto(dst0, x0)
+		op.VecMulInto(dst1, x1)
+	case zero:
+		clear(dst0)
+		clear(dst1)
+	default:
+		mat.RowMul2Into(dst0, dst1, x0, x1, op, band)
+	}
 }
 
 // Current returns the Theorem IV.1 vectors for the already-committed
@@ -221,17 +254,18 @@ func (q *Quantifier) Current() qp.ReleaseCheck {
 			c[i] = 1
 		}
 	case q.t-1 <= q.md.end:
+		// b̃ = A_F·vF + A_T·vT, c̃ = A_F·1 + A_T·1.
 		vF, vT := q.md.vF[q.t-1], q.md.vT[q.t-1]
-		q.rowMul(b, vF, q.af, q.fwdBand)
-		q.rowMul(q.tmp2, vT, q.at, q.fwdBand)
-		b.AddInto(b, q.tmp2)
-		q.rowMul(c, q.md.ones, q.af, q.fwdBand)
-		q.rowMul(q.tmp2, q.md.ones, q.at, q.fwdBand)
-		c.AddInto(c, q.tmp2)
+		q.rowMul2(b, c, vF, q.md.ones, q.af, q.fwdBand, q.afZero)
+		if !q.skips(q.atZero) {
+			q.rowMul2(q.tmp1, q.tmp2, vT, q.md.ones, q.at, q.fwdBand, q.atZero)
+			b.AddInto(b, q.tmp1)
+			c.AddInto(c, q.tmp2)
+		}
 	default:
-		z := q.rowMul(q.tmp2, q.md.ones, q.b1, q.b1Band)
-		q.rowMul(b, z, q.at, q.fwdBand)
-		q.rowMul(c, z, q.af, q.fwdBand)
+		z := q.rowMul(q.tmp2, q.md.ones, q.b1, q.b1Band, q.b1Max == 0)
+		q.rowMul(b, z, q.at, q.fwdBand, q.atZero)
+		q.rowMul(c, z, q.af, q.fwdBand, q.afZero)
 		c.AddInto(c, b)
 	}
 	return qp.ReleaseCheck{ATilde: q.atilde, BTilde: b, CTilde: c}
@@ -258,13 +292,17 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 		mask0 := q.md.mask0
 		q.af.Zero()
 		q.at.Zero()
+		var fMax, tMax float64
 		for i := 0; i < m; i++ {
 			f := (1 - mask0[i]) * emis[i]
 			tr := mask0[i] * emis[i]
 			q.af.Set(i, i, f)
 			q.at.Set(i, i, tr)
-			scale = math.Max(scale, math.Max(math.Abs(f), math.Abs(tr)))
+			fMax = math.Max(fMax, math.Abs(f))
+			tMax = math.Max(tMax, math.Abs(tr))
 		}
+		scale = math.Max(fMax, tMax)
+		q.afZero, q.atZero = fMax == 0, tMax == 0
 		q.fwdBand = 0
 		q.fwdMax = scale
 		if q.shadow != nil {
@@ -273,9 +311,9 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 	case q.t <= q.md.end:
 		ft, tt := q.md.stepMasks(q.t - 1)
 		k := q.md.kernel(q.t - 1)
-		k.mulInto(q.mx, q.af, q.fwdBand, q.fwdMax, &q.md.kc) // Xᵀ = Mᵀ·A_Fᵀ
-		k.mulInto(q.my, q.at, q.fwdBand, q.fwdMax, &q.md.kc) // Yᵀ = Mᵀ·A_Tᵀ
-		scale = q.maskAndScale(ft, tt, emis)
+		k.mulInto(q.mx, q.af, q.fwdBand, q.afZero, &q.md.kc) // Xᵀ = Mᵀ·A_Fᵀ
+		k.mulInto(q.my, q.at, q.fwdBand, q.atZero, &q.md.kc) // Yᵀ = Mᵀ·A_Tᵀ
+		scale, q.afZero, q.atZero = q.maskAndScale(ft, tt, emis)
 		q.fwdBand = min(q.fwdBand+k.bw, m-1)
 		q.fwdMax = scale
 		if q.shadow != nil {
@@ -283,7 +321,7 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 		}
 	default: // q.t > end: B₁ ← diag(emis)·Mᵀ·B₁
 		k := q.md.kernel(q.t - 1)
-		k.mulInto(q.mx, q.b1, q.b1Band, q.b1Max, &q.md.kc)
+		k.mulInto(q.mx, q.b1, q.b1Band, q.b1Max == 0, &q.md.kc)
 		scale = mat.ScaleRowsMaxInto(q.b1, q.mx, emis)
 		q.b1Band = min(q.b1Band+k.bw, m-1)
 		q.b1Max = scale
@@ -304,27 +342,38 @@ const maskFlopsCutoff = 1 << 17
 // maskAndScale folds the step masks and the emission column into the
 // forward blocks: A_F' = X·diag(1−ft) + Y·diag(1−tt), A_T' = X·diag(ft)
 // + Y·diag(tt), both column-scaled by the emission — row scalings of the
-// transposed blocks — and returns the largest absolute entry written
-// (fused so renormalisation needs no second sweep of the operators). Row
-// tiles go through the shared pool
-// with fixed boundaries and a single writer per row, so the split is
-// bit-deterministic; the max reduction is exact under any split. The
-// serial path materialises no closure (commit stays allocation-free).
-func (q *Quantifier) maskAndScale(ft, tt, emis mat.Vector) float64 {
+// transposed blocks — and returns the largest absolute entry written and
+// whether each block came out all-zero (fused so renormalisation and the
+// zero-block skips need no second sweep of the operators). Row tiles go
+// through the shared pool with fixed boundaries and a single writer per
+// row, so the split is bit-deterministic; the max and zero reductions
+// are exact under any split. The serial path materialises no closure
+// (commit stays allocation-free).
+func (q *Quantifier) maskAndScale(ft, tt, emis mat.Vector) (scale float64, afZero, atZero bool) {
 	m := q.md.m
 	if !par.Default().Parallel(m, 4*int64(m)*int64(m), maskFlopsCutoff) {
-		return q.maskRows(ft, tt, emis, 0, m)
+		fMax, tMax := q.maskRows(ft, tt, emis, 0, m)
+		return math.Max(fMax, tMax), fMax == 0, tMax == 0
 	}
-	return par.Default().ForMax(m, func(lo, hi int) float64 {
-		return q.maskRows(ft, tt, emis, lo, hi)
+	var afNonzero, atNonzero atomic.Bool
+	scale = par.Default().ForMax(m, func(lo, hi int) float64 {
+		fMax, tMax := q.maskRows(ft, tt, emis, lo, hi)
+		if fMax != 0 {
+			afNonzero.Store(true)
+		}
+		if tMax != 0 {
+			atNonzero.Store(true)
+		}
+		return math.Max(fMax, tMax)
 	})
+	return scale, !afNonzero.Load(), !atNonzero.Load()
 }
 
 // maskRows runs the fused mask+emission+max loop over rows [lo,hi) of
-// the transposed blocks: row j carries column j's mask and emission.
-func (q *Quantifier) maskRows(ft, tt, emis mat.Vector, lo, hi int) float64 {
+// the transposed blocks — row j carries column j's mask and emission —
+// and returns the largest absolute entry written to each block.
+func (q *Quantifier) maskRows(ft, tt, emis mat.Vector, lo, hi int) (fMax, tMax float64) {
 	m := q.md.m
-	var best float64
 	for j := lo; j < hi; j++ {
 		xr := q.mx.Row(j)
 		yr := q.my.Row(j)
@@ -332,19 +381,19 @@ func (q *Quantifier) maskRows(ft, tt, emis mat.Vector, lo, hi int) float64 {
 		trw := q.at.Row(j)
 		ftj, ttj, e := ft[j], tt[j], emis[j]
 		for i := 0; i < m; i++ {
-			f := (xr[i]*(1-ftj) + yr[i]*(1-ttj)) * e
-			tr := (xr[i]*ftj + yr[i]*ttj) * e
+			f := (float64(xr[i]*(1-ftj)) + float64(yr[i]*(1-ttj))) * e
+			tr := (float64(xr[i]*ftj) + float64(yr[i]*ttj)) * e
 			fr[i] = f
 			trw[i] = tr
-			if f = math.Abs(f); f > best {
-				best = f
+			if f = math.Abs(f); f > fMax {
+				fMax = f
 			}
-			if tr = math.Abs(tr); tr > best {
-				best = tr
+			if tr = math.Abs(tr); tr > tMax {
+				tMax = tr
 			}
 		}
 	}
-	return best
+	return fMax, tMax
 }
 
 // FNV-1a parameters for the rolling history fingerprint.
@@ -448,14 +497,14 @@ func (q *Quantifier) ShadowCheck(emis mat.Vector) (qp.ReleaseCheck, bool) {
 		k := q.md.kernel(q.t - 1)
 		vF, vT := q.md.vF[q.t], q.md.vT[q.t]
 		for i := 0; i < m; i++ {
-			q.tmp1[i] = emis[i] * ((1-ft[i])*vF[i] + ft[i]*vT[i])
+			q.tmp1[i] = emis[i] * blend(ft, vF, vT, i)
 		}
 		if !k.mulVec32Into(q.uvec, q.tmp1) {
 			return qp.ReleaseCheck{}, false
 		}
 		sh.af32.VecMulInto(b, q.uvec)
 		for i := 0; i < m; i++ {
-			q.tmp1[i] = emis[i] * ((1-tt[i])*vF[i] + tt[i]*vT[i])
+			q.tmp1[i] = emis[i] * blend(tt, vF, vT, i)
 		}
 		k.mulVec32Into(q.uvec, q.tmp1)
 		sh.at32.VecMulInto(q.tmp2, q.uvec)

@@ -276,16 +276,23 @@ func (md *Model) computeSuffix() {
 		nt := mat.NewVector(md.m)
 		// vF[t] = M·((1−ft)∘vF[t+1] + ft∘vT[t+1])
 		for i := 0; i < md.m; i++ {
-			tmp[i] = (1-ft[i])*md.vF[t+1][i] + ft[i]*md.vT[t+1][i]
+			tmp[i] = blend(ft, md.vF[t+1], md.vT[t+1], i)
 		}
 		k.mulVecInto(nf, tmp)
 		// vT[t] = M·((1−tt)∘vF[t+1] + tt∘vT[t+1])
 		for i := 0; i < md.m; i++ {
-			tmp[i] = (1-tt[i])*md.vF[t+1][i] + tt[i]*md.vT[t+1][i]
+			tmp[i] = blend(tt, md.vF[t+1], md.vT[t+1], i)
 		}
 		k.mulVecInto(nt, tmp)
 		md.vF[t], md.vT[t] = nf, nt
 	}
+}
+
+// blend returns entry i of (1−mask)∘vF + mask∘vT. The explicit float64
+// conversions round each product before the add, as on amd64: without
+// them arm64 fuses one product into the add and moves releases.
+func blend(mask, vF, vT mat.Vector, i int) float64 {
+	return float64((1-mask[i])*vF[i]) + float64(mask[i]*vT[i])
 }
 
 // ATilde returns ã: ãᵢ = Pr(EVENT | u₀ = sᵢ), the per-initial-state event
@@ -294,7 +301,7 @@ func (md *Model) computeSuffix() {
 func (md *Model) ATilde() mat.Vector {
 	a := mat.NewVector(md.m)
 	for i := 0; i < md.m; i++ {
-		a[i] = (1-md.mask0[i])*md.vF[0][i] + md.mask0[i]*md.vT[0][i]
+		a[i] = blend(md.mask0, md.vF[0], md.vT[0], i)
 	}
 	return a
 }

@@ -37,11 +37,11 @@
 // per transport.
 //
 // When the run includes the kernel-comparison benchmarks (BenchmarkCommit
-// over the chain=/kernel= grid, BenchmarkShadowCheck), benchjson derives
-// a "kernels" section pairing each adaptive path against its in-run
-// reference — adaptive dense vs the naive oracle kernels, banded-dense
-// vs CSR over the truncated chain, float32 shadow vs exact check — plus
-// the shadow path's engine-level fallback rate.
+// over the chain=/kernel= grid, BenchmarkMulNaive400/BenchmarkMulBlocked400),
+// benchjson derives a "kernels" section pairing each adaptive path against
+// its in-run reference — adaptive dense vs the naive oracle kernels,
+// banded-dense vs CSR over the truncated chain, the blocked vs the naive
+// dense product.
 //
 // Sweep mode (-cpu 1,2,4,8) runs the whole spec once per listed
 // GOMAXPROCS value, each in its own `go test` subprocess with the
@@ -144,11 +144,6 @@ type KernelComparison struct {
 // KernelSection is the derived kernel-dispatch summary.
 type KernelSection struct {
 	Comparisons []KernelComparison `json:"comparisons"`
-	// ShadowFallbackRate is the fraction of shadow checks the shadow
-	// path itself could not serve during BenchmarkShadowCheck (warm
-	// operators: expected 0; the qp-margin fallback is reported by the
-	// serving layer's shadow_fallbacks counter instead).
-	ShadowFallbackRate float64 `json:"shadow_fallback_rate"`
 }
 
 // ScalingRow is one benchmark's throughput at one swept GOMAXPROCS
@@ -429,12 +424,6 @@ func kernelSection(results []Result) *KernelSection {
 		{"banded_dense_vs_csr_commit_m400",
 			"BenchmarkCommit/chain=trunc/kernel=sparse/m400",
 			"BenchmarkCommit/chain=trunc/kernel=dense/m400", "commits/sec"},
-		{"shadow_vs_exact_check_m400",
-			"BenchmarkShadowCheck/path=exact/m400",
-			"BenchmarkShadowCheck/path=shadow/m400", "ns/op"},
-		{"shadow_vs_exact_check_m900",
-			"BenchmarkShadowCheck/path=exact/m900",
-			"BenchmarkShadowCheck/path=shadow/m900", "ns/op"},
 		{"blocked_vs_naive_mul_m400",
 			"BenchmarkMulNaive400",
 			"BenchmarkMulBlocked400", "ns/op"},
@@ -454,11 +443,6 @@ func kernelSection(results []Result) *KernelSection {
 			Name: p[0], Baseline: p[1], Candidate: p[2], Unit: p[3],
 			BaselineValue: base, CandidateValue: cand, Speedup: speedup,
 		})
-	}
-	for _, r := range results {
-		if fr, ok := r.Metrics["fallback-rate"]; ok && fr > sec.ShadowFallbackRate {
-			sec.ShadowFallbackRate = fr
-		}
 	}
 	if len(sec.Comparisons) == 0 {
 		return nil

@@ -24,7 +24,7 @@
 //	export ID              write the session's migratable state to stdout
 //	import                 read an exported session from stdin and register it
 //	stats [-stages|-kernels]  service counters (-stages: per-transport stage
-//	                       table; -kernels: kernel/shadow dispatch table)
+//	                       table; -kernels: kernel dispatch and pool table)
 //	health                 liveness probe
 //	fleet status           ring membership, health and per-backend session
 //	                       counts (target must be a pristerouter)
@@ -208,7 +208,7 @@ func runCreate(ctx context.Context, client api.Client, args []string) {
 func runStats(ctx context.Context, client api.Client, args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	stages := fs.Bool("stages", false, "render the per-transport step-stage breakdown as a table instead of JSON")
-	kernels := fs.Bool("kernels", false, "render the compiled-kernel and shadow-check summary as a table instead of JSON")
+	kernels := fs.Bool("kernels", false, "render the compiled-kernel, dispatch and kernel-pool summary as a table instead of JSON")
 	_ = fs.Parse(args)
 	st, err := client.Stats(ctx)
 	if err != nil {
@@ -230,25 +230,15 @@ func runStats(ctx context.Context, client api.Client, args []string) {
 			{"kernel_density", fmt.Sprintf("%.4f", p.KernelDensity)},
 			{"blocked_products", fmt.Sprintf("%d", p.BlockedKernels)},
 			{"banded_products", fmt.Sprintf("%d", p.BandedKernels)},
-			{"shadow_checks", fmt.Sprintf("%d", p.ShadowChecks)},
-			{"shadow_fallbacks", fmt.Sprintf("%d", p.ShadowFallbacks)},
+			{"pool_parallelism", fmt.Sprintf("%d", pool.Parallelism)},
+			{"pool_workers", fmt.Sprintf("%d", pool.Workers)},
+			{"pool_busy", fmt.Sprintf("%d", pool.Busy)},
+			{"pool_occupancy", fmt.Sprintf("%.4f", pool.Occupancy)},
+			{"pool_external_load", fmt.Sprintf("%d", pool.External)},
+			{"pool_parallel_dispatch", fmt.Sprintf("%d", pool.ParallelDispatch)},
+			{"pool_serial_dispatch", fmt.Sprintf("%d", pool.SerialDispatch)},
+			{"pool_steals", fmt.Sprintf("%d", pool.Steals)},
 		}
-		if p.ShadowChecks > 0 {
-			rows = append(rows, struct{ name, value string }{
-				"shadow_decided_rate",
-				fmt.Sprintf("%.4f", 1-float64(p.ShadowFallbacks)/float64(p.ShadowChecks)),
-			})
-		}
-		rows = append(rows,
-			struct{ name, value string }{"pool_parallelism", fmt.Sprintf("%d", pool.Parallelism)},
-			struct{ name, value string }{"pool_workers", fmt.Sprintf("%d", pool.Workers)},
-			struct{ name, value string }{"pool_busy", fmt.Sprintf("%d", pool.Busy)},
-			struct{ name, value string }{"pool_occupancy", fmt.Sprintf("%.4f", pool.Occupancy)},
-			struct{ name, value string }{"pool_external_load", fmt.Sprintf("%d", pool.External)},
-			struct{ name, value string }{"pool_parallel_dispatch", fmt.Sprintf("%d", pool.ParallelDispatch)},
-			struct{ name, value string }{"pool_serial_dispatch", fmt.Sprintf("%d", pool.SerialDispatch)},
-			struct{ name, value string }{"pool_steals", fmt.Sprintf("%d", pool.Steals)},
-		)
 		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
 		fmt.Fprintln(tw, "METRIC\tVALUE")
 		for _, r := range rows {

@@ -13,7 +13,7 @@
 //
 //	pristed [-addr :8377] [-rpc-addr :8378] [-grid 10] [-cell 1.0] \
 //	    [-sigma 1.0] [-eps 0.5] [-alpha 1.0] [-delta -1] [-event "0-9@3-7"]... \
-//	    [-sparse-cutoff 0] [-kernel auto] [-shadow] \
+//	    [-sparse-cutoff 0] [-kernel auto] \
 //	    [-max-sessions 4096] [-session-ttl 15m] [-workers 0] [-queue 64] \
 //	    [-cert-cache 65536] \
 //	    [-store-dir /var/lib/pristed] [-fsync] [-snapshot-every 256] \
@@ -99,7 +99,6 @@ func main() {
 		snapEvery   = flag.Int("snapshot-every", server.DefaultSnapshotEvery, "compact a session's WAL into a snapshot every N steps; negative disables")
 		cutoff      = flag.Float64("sparse-cutoff", 0, "drop mobility transitions below cutoff*(row max) and renormalise, making the chain sparse; 0 keeps the exact Gaussian kernel")
 		kernel      = flag.String("kernel", server.KernelAuto, "transition-kernel compilation: auto, dense, sparse or oracle (naive reference, for regression comparison)")
-		shadow      = flag.Bool("shadow", false, "enable the float32 shadow check path: candidate checks run on float32 operator copies and fall back to exact float64 when the certified error margin cannot decide")
 		logFormat   = flag.String("log-format", obs.LogText, "structured log format: text or json")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		slowStep    = flag.Duration("slow-step", server.DefaultSlowStep, "log a warning (with trace ID and stage breakdown) for steps at least this slow; negative disables")
@@ -143,7 +142,6 @@ func main() {
 	cfg.QPTimeout = *qpTimeout
 	cfg.SparseCutoff = *cutoff
 	cfg.Kernel = *kernel
-	cfg.Shadow = *shadow
 	cfg.MaxSessions = *maxSessions
 	cfg.SessionTTL = *sessionTTL
 	cfg.Workers = *workers
@@ -262,7 +260,6 @@ func main() {
 		"grid", fmt.Sprintf("%dx%d", cfg.GridW, cfg.GridH),
 		"mechanism", cfg.Mechanism,
 		"kernel", effectiveKernel(cfg),
-		"shadow", cfg.Shadow,
 		"parallel", effectiveParallelism(cfg),
 		"max_sessions", cfg.MaxSessions,
 		"queue_depth", cfg.QueueDepth,

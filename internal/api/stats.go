@@ -177,12 +177,6 @@ type PlanStats struct {
 	// first field used to count).
 	BlockedKernels int64 `json:"blocked_kernels"`
 	BandedKernels  int64 `json:"banded_kernels"`
-	// ShadowChecks counts candidate checks attempted through the
-	// float32 shadow path; ShadowFallbacks the subset whose qp margins
-	// could not decide and were recomputed in exact float64. Zero when
-	// the shadow path is disabled.
-	ShadowChecks    int64 `json:"shadow_checks"`
-	ShadowFallbacks int64 `json:"shadow_fallbacks"`
 }
 
 // CertCacheStats is the /statsz certified-release cache section. HitRate

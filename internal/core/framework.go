@@ -53,15 +53,6 @@ type Config struct {
 	// paths are bit-for-bit equivalent, so this is purely a performance
 	// knob (and a regression-test hook).
 	Kernel world.KernelMode
-	// Shadow enables the float32 shadow check path: candidate checks run
-	// against float32 copies of the quantifier operators (float64
-	// accumulation) and the qp conditions are decided directly whenever
-	// the solver's margin exceeds the certified shadow error bound
-	// (world.ShadowEta); ambiguous margins fall back to the exact float64
-	// check. Commits always run exact float64 and shadow verdicts are
-	// never stored in the certified-release cache, so the released
-	// observation sequence is identical to the unshadowed one.
-	Shadow bool
 	// Parallelism, when positive, fixes the width of the process-global
 	// kernel worker pool (par.Default().SetParallelism) the plan's
 	// quantifiers fan their tile-parallel products out on; 0 leaves the
@@ -326,13 +317,6 @@ func (f *Framework) Step(trueLoc int) (StepResult, error) {
 // (materialise; charged to res.RebuildTime, not to dur) and derives the
 // candidate's emission column; later events of the same candidate reuse
 // both.
-//
-// With Config.Shadow, a cache miss first tries the float32 shadow check:
-// the quantifier's shadow forward pass plus qp.CheckReleaseShadow, which
-// accepts or rejects only when the solver margin exceeds the certified
-// error bound. A decided shadow verdict is used directly but never
-// cached (the cache stores exact verdicts only); an ambiguous one falls
-// through to the exact float64 check below.
 func (f *Framework) checkAll(res *StepResult, t int, alphaBits uint64, obs int, em *mat.Matrix, opts qp.ReleaseOptions) (ok, conservative bool, dur time.Duration, err error) {
 	start := time.Now()
 	defer func() { dur = time.Since(start) }()
@@ -366,28 +350,10 @@ func (f *Framework) checkAll(res *StepResult, t int, alphaBits uint64, obs int, 
 			start = start.Add(res.RebuildTime - before) // dur excludes the rebuild
 			col = em.ColInto(f.colBuf, obs)
 		}
-		q := f.quants[i]
-		if f.plan.cfg.Shadow {
-			if shadowChk, okS := q.ShadowCheck(col); okS {
-				f.plan.shadowChecks.Add(1)
-				shadowChk.Epsilon = f.plan.cfg.Epsilon
-				dec, decided, err := qp.CheckReleaseShadow(shadowChk, world.ShadowEta, opts)
-				if err != nil {
-					return false, false, 0, fmt.Errorf("core: shadow release check %d: %w", i, err)
-				}
-				if decided {
-					if !dec.OK {
-						return false, dec.Conservative, 0, nil
-					}
-					continue
-				}
-				f.plan.shadowFallbacks.Add(1)
-			}
-		}
 		// Emission columns come from validated sources (the mechanisms
 		// validate at matrix build; the uniform column is constructed by
 		// the plan), so the trusted sweep-free entry point applies.
-		chk := q.CheckTrusted(col)
+		chk := f.quants[i].CheckTrusted(col)
 		chk.Epsilon = f.plan.cfg.Epsilon
 		dec, err := qp.CheckRelease(chk, opts)
 		if err != nil {

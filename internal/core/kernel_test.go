@@ -13,10 +13,6 @@ import (
 // kernelPlan compiles a plan over a structurally sparse mobility chain
 // (lazy random walk) with the given kernel mode forced.
 func kernelPlan(t *testing.T, mode world.KernelMode) *Plan {
-	return kernelShadowPlan(t, mode, false)
-}
-
-func kernelShadowPlan(t *testing.T, mode world.KernelMode, shadow bool) *Plan {
 	t.Helper()
 	g := grid.MustNew(6, 6, 1)
 	chain, err := markov.LazyRandomWalk(g, 0.4)
@@ -31,7 +27,6 @@ func kernelShadowPlan(t *testing.T, mode world.KernelMode, shadow bool) *Plan {
 	cfg := DefaultConfig(0.5, 1.0)
 	cfg.QPTimeout = 0 // deterministic verdicts
 	cfg.Kernel = mode
-	cfg.Shadow = shadow
 	plan, err := NewPlan(SharedMechanism(lppm.NewPlanarLaplace(g)), world.NewHomogeneous(chain),
 		[]event.Event{ev}, cfg)
 	if err != nil {
@@ -102,14 +97,12 @@ func TestDenseSparseReleaseEquivalence(t *testing.T) {
 	}
 }
 
-// TestOracleAdaptiveShadowReleaseEquivalence extends the release-sequence
-// oracle to the PR's new paths: the naive-reference oracle kernels, the
-// adaptive dense dispatch (banded/naive/blocked), and the float32 shadow
-// check path must all release identically to each other — same
-// observations, budgets, attempt counts, fingerprints. The shadow session
-// additionally proves the shadow path actually ran (its decisions feed
-// the released sequence) without perturbing it.
-func TestOracleAdaptiveShadowReleaseEquivalence(t *testing.T) {
+// TestOracleAdaptiveReleaseEquivalence extends the release-sequence
+// oracle to every kernel path: the naive-reference oracle kernels, the
+// adaptive dense dispatch (banded/row primitive) and the sparse CSR
+// kernels must all release identically to each other — same
+// observations, budgets, attempt counts, fingerprints.
+func TestOracleAdaptiveReleaseEquivalence(t *testing.T) {
 	const seed, steps = 7, 14
 
 	type variant struct {
@@ -119,8 +112,7 @@ func TestOracleAdaptiveShadowReleaseEquivalence(t *testing.T) {
 	variants := []variant{
 		{"oracle", kernelPlan(t, world.KernelOracle)},
 		{"adaptive", kernelPlan(t, world.KernelDense)},
-		{"shadow", kernelShadowPlan(t, world.KernelDense, true)},
-		{"shadow-sparse", kernelShadowPlan(t, world.KernelSparse, true)},
+		{"sparse", kernelPlan(t, world.KernelSparse)},
 	}
 	sessions := make([]*Framework, len(variants))
 	for i, v := range variants {
@@ -150,30 +142,19 @@ func TestOracleAdaptiveShadowReleaseEquivalence(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range variants[2:] {
-		checks, fallbacks := v.plan.ShadowStats()
-		if checks == 0 {
-			t.Fatalf("%s: shadow path never ran", v.name)
-		}
-		if fallbacks > checks {
-			t.Fatalf("%s: fallbacks %d exceed checks %d", v.name, fallbacks, checks)
-		}
-		t.Logf("%s: %d shadow checks, %d fallbacks", v.name, checks, fallbacks)
-	}
-	if checks, _ := variants[0].plan.ShadowStats(); checks != 0 {
-		t.Fatalf("unshadowed plan reports %d shadow checks", checks)
-	}
 
-	// Shadow-session snapshots restore across variants too.
-	snap, err := sessions[2].Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := variants[0].plan.Restore(snap, NewSessionRNG(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Fingerprint() != sessions[2].Fingerprint() {
-		t.Fatalf("shadow→oracle restore fingerprint mismatch")
+	// Adaptive- and sparse-session snapshots restore onto the oracle too.
+	for i := 1; i < len(sessions); i++ {
+		snap, err := sessions[i].Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := variants[0].plan.Restore(snap, NewSessionRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Fingerprint() != sessions[i].Fingerprint() {
+			t.Fatalf("%s→oracle restore fingerprint mismatch", variants[i].name)
+		}
 	}
 }

@@ -24,7 +24,6 @@ type lazyWorld struct {
 	name   string
 	side   int
 	events [][4]int // lo, hi, start, end
-	shadow bool
 }
 
 var (
@@ -54,7 +53,6 @@ func (w lazyWorld) plan(t testing.TB, kernel world.KernelMode, mf func(*grid.Gri
 	cfg := DefaultConfig(0.5, 1.0)
 	cfg.QPTimeout = 0
 	cfg.Kernel = kernel
-	cfg.Shadow = w.shadow && kernel != world.KernelOracle
 	factory := SharedMechanism(lppm.NewPlanarLaplace(g))
 	if mf != nil {
 		factory = mf(g, chain)
@@ -89,11 +87,10 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 		lazyWorld
 		sessions int
 	}{
-		// 54 sessions; fewer where a step is dear (the QP at m = 100, the
+		// 46 sessions; fewer where a step is dear (the QP at m = 100, the
 		// oracle's naive 256³ products), since CI runs this under -race at
 		// two widths.
 		{lazySmall, 32},
-		{lazyWorld{name: "6x6-shadow", side: 6, events: [][4]int{{0, 5, 2, 4}}, shadow: true}, 8},
 		{lazyMid, 8},
 		{lazyWorld{name: "10x10-two-events", side: 10, events: [][4]int{{0, 9, 3, 7}, {40, 59, 5, 9}}}, 4},
 		{lazyDense, 2},
@@ -119,11 +116,7 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 
 				// Warm the cache on the chosen steps only: a session with
 				// the same seed draws the same candidates, so it hits there
-				// and misses everywhere else. The shadow path caches none
-				// of the checks it decides, and it decides nearly all of
-				// them, so the warm-up runs unshadowed — same plan, same
-				// releases, every verdict through the exact, cached path.
-				plan.cfg.Shadow = false
+				// and misses everywhere else.
 				warm, err := plan.NewSession(NewSessionRNG(seed))
 				if err != nil {
 					t.Fatal(err)
@@ -137,7 +130,7 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				plan.cache, plan.cfg.Shadow = cache, c.shadow
+				plan.cache = cache
 
 				lazy, err := plan.NewSession(NewSessionRNG(seed))
 				if err != nil {
@@ -182,7 +175,7 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 						longestRun = max(longestRun, pending)
 						pending = 1
 					}
-					if warmed[i] && !c.shadow && got.CertCacheMisses != 0 {
+					if warmed[i] && got.CertCacheMisses != 0 {
 						t.Fatalf("session %d step %d: warmed step missed the cache", s, i)
 					}
 				}

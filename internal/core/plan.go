@@ -61,13 +61,6 @@ type Plan struct {
 	id    uint64
 	cache *certcache.Cache
 
-	// shadowChecks counts candidate checks attempted through the float32
-	// shadow path; shadowFallbacks counts those whose qp margins were too
-	// tight to decide, forcing the exact float64 recompute. Atomic:
-	// sessions over one plan step concurrently.
-	shadowChecks    atomic.Int64
-	shadowFallbacks atomic.Int64
-
 	// mu guards lastMech, the duplicate-instance check for stateful
 	// factories (see NewSession).
 	mu       sync.Mutex
@@ -115,7 +108,7 @@ func NewPlan(mf MechanismFactory, tp world.TransitionProvider, events []event.Ev
 		par.Default().SetParallelism(p.cfg.Parallelism)
 	}
 	for _, ev := range events {
-		md, err := world.NewModelWithOptions(tp, ev, world.ModelOptions{Kernel: p.cfg.Kernel, Shadow: p.cfg.Shadow})
+		md, err := world.NewModelWithOptions(tp, ev, world.ModelOptions{Kernel: p.cfg.Kernel})
 		if err != nil {
 			return nil, fmt.Errorf("core: event %v: %w", ev, err)
 		}
@@ -159,15 +152,6 @@ func (p *Plan) KernelStats() world.KernelStats {
 		s = s.Add(md.KernelStats())
 	}
 	return s
-}
-
-// ShadowStats returns the lifetime float32 shadow-path counters across
-// every session of the plan: checks is the number of candidate checks
-// attempted through the shadow path, fallbacks the subset whose qp
-// margins could not decide and that were recomputed exactly. Both zero
-// when Config.Shadow is off.
-func (p *Plan) ShadowStats() (checks, fallbacks int64) {
-	return p.shadowChecks.Load(), p.shadowFallbacks.Load()
 }
 
 // EnableCache attaches a certified-release cache. It is a no-op for

@@ -94,70 +94,3 @@ func TestRowMulIntoBandedMatchesDot(t *testing.T) {
 		}
 	}
 }
-
-func TestMatrix32Shadow(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	m := 60
-	a := randomNonNeg(rng, m, m, 0.3)
-	a.Scale(1e-60) // outside float32 range: conversion must rescale
-	inv := 1 / a.MaxAbs()
-	a32 := Shadow32Scaled(a, inv)
-	x := make(Vector, m)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	want := make(Vector, m)
-	a.MulVecInto(want, x)
-	got := make(Vector, m)
-	a32.MulVecInto(got, x)
-	// got ≈ want·inv with per-component relative error ≲ a few 2⁻²⁴.
-	for i := range want {
-		w := want[i] * inv
-		if d := math.Abs(got[i] - w); d > 4*w/(1<<24)+1e-30 {
-			t.Fatalf("element %d: shadow %v want ~%v (err %g)", i, got[i], w, d)
-		}
-	}
-	// Row-vector form against the float64 scatter.
-	wantR := make(Vector, m)
-	a.VecMulInto(wantR, x)
-	gotR := make(Vector, m)
-	a32.VecMulInto(gotR, x)
-	for i := range wantR {
-		w := wantR[i] * inv
-		if d := math.Abs(gotR[i] - w); d > 4*w/(1<<24)+1e-30 {
-			t.Fatalf("row element %d: shadow %v want ~%v", i, gotR[i], w)
-		}
-	}
-}
-
-func TestConvertScaledFlushesSubnormals(t *testing.T) {
-	a := NewMatrix(1, 3)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 1e-45) // subnormal relative to scale 1
-	a.Set(0, 2, 0)
-	a32 := Shadow32Scaled(a, 1)
-	if a32.Data[0] != 1 || a32.Data[1] != 0 || a32.Data[2] != 0 {
-		t.Fatalf("converted = %v", a32.Data)
-	}
-}
-
-func TestCSR32MatchesCSR(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 14))
-	m := 50
-	d := randomNonNeg(rng, m, m, 0.8)
-	c := CSRFromDense(d)
-	c32 := c.Shadow32()
-	x := make(Vector, m)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	want := make(Vector, m)
-	c.MulVecInto(want, x)
-	got := make(Vector, m)
-	c32.MulVecInto(got, x)
-	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > 4*want[i]/(1<<24)+1e-30 {
-			t.Fatalf("element %d: shadow %v want ~%v", i, got[i], want[i])
-		}
-	}
-}

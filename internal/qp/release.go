@@ -15,8 +15,8 @@ import (
 //	Eq. 15 ⇔ max_π (π·ã)(π·w₁) + π·b̃      ≤ 0, w₁ = (e^ε−1)·b̃ − e^ε·c̃
 //	Eq. 16 ⇔ max_π (π·ã)(π·w₂) − e^ε·(π·b̃) ≤ 0, w₂ = (e^ε−1)·b̃ + c̃
 //
-// (the expansion uses π·1 = 1, and maximising over the box 0 ≤ π ≤ 1 is the
-// paper's conservative relaxation of the set of genuine distributions).
+// (the expansion uses π·1 = 1, so the maximum is taken over the simplex
+// Δ = {π ≥ 0, Σπᵢ = 1} of genuine distributions; see the package comment).
 type ReleaseCheck struct {
 	// ATilde is ã: ãᵢ = Pr(EVENT | u₀ = sᵢ).
 	ATilde mat.Vector
@@ -55,80 +55,26 @@ type ReleaseDecision struct {
 
 // CheckRelease decides whether releasing the candidate observation
 // preserves ε-spatiotemporal event privacy for every initial probability in
-// the box. Following the paper's conservative release, OK is true only when
-// both maxima are certified non-positive.
+// the simplex Δ. Following the paper's conservative release, OK is true
+// only when both maxima are certified non-positive.
 func CheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, error) {
-	dec, _, err := checkRelease(chk, 0, opt)
-	return dec, err
-}
-
-// CheckReleaseShadow is CheckRelease over *approximate* (b̃, c̃) — the
-// float32 shadow check path — with certified error margins. chk's
-// BTilde/CTilde may differ from the exact float64 vectors by a common
-// positive scale (which cancels: both conditions are homogeneous in
-// (b̃, c̃)) plus a per-component absolute error of at most eta relative
-// to the vectors' maximum (world.ShadowEta for the engine's shadow
-// pipeline). ATilde and Epsilon must be exact.
-//
-// The decision margin: after the joint rescale both |b̂ᵢ|, |ĉᵢ| ≤ 1, so
-// the shadow-vs-exact perturbation of each normalised component is at
-// most etaN = 2·eta (the normalisation scale is itself a shadow
-// quantity). Over the simplex π·v ≤ max vᵢ for the linear parts and
-// π·ã ≤ max ãᵢ for the quadratic factor, so the objective error is
-// bounded by
-//
-//	Δ₁ = maxA·(2e^ε−1)·etaN + etaN        (Eq. 15)
-//	Δ₂ = e^ε·(maxA + 1)·etaN              (Eq. 16)
-//
-// A condition is *decided satisfied* when the solver certifies
-// Upper ≤ Tol − Δ, and *decided violated* when it finds
-// Lower > Tol + Δ: in both cases the exact objective provably lands on
-// the same side of Tol, so the decision matches what CheckRelease on
-// the exact vectors would certify. decided is false when the margins
-// cannot settle both conditions — the caller must recompute with the
-// exact float64 path. Commit-side state is untouched either way, so
-// release sequences stay bit-identical to the exact path.
-func CheckReleaseShadow(chk ReleaseCheck, eta float64, opt ReleaseOptions) (ReleaseDecision, bool, error) {
-	if eta <= 0 || eta >= 1e-3 {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: implausible shadow eta %g", eta)
-	}
-	return checkRelease(chk, eta, opt)
-}
-
-// checkRelease is the one release check: exact with eta = 0, where every
-// margin below vanishes, shadow otherwise. A violation of either condition
-// rejects the release whatever the other one holds, and most rejected
-// candidates are violated at a vertex, so the conditions advance together —
-// the vertex pass of each, then the edge pass of each — and the check
-// returns at the first value past Tol + Δ. Only a release about to be
-// accepted pays for two full scans. Each scan finds what it would have
-// found alone (its passes share nothing with the other's), so OK and
-// Conservative are those of two solves run to the end.
-func checkRelease(chk ReleaseCheck, eta float64, opt ReleaseOptions) (dec ReleaseDecision, decided bool, err error) {
 	start := time.Now()
 	n := len(chk.ATilde)
 	if len(chk.BTilde) != n || len(chk.CTilde) != n {
-		return dec, false, fmt.Errorf("qp: release check length mismatch a=%d b=%d c=%d",
+		return ReleaseDecision{}, fmt.Errorf("qp: release check length mismatch a=%d b=%d c=%d",
 			n, len(chk.BTilde), len(chk.CTilde))
 	}
 	if chk.Epsilon <= 0 || math.IsNaN(chk.Epsilon) || math.IsInf(chk.Epsilon, 0) {
-		return dec, false, fmt.Errorf("qp: epsilon must be positive and finite, got %g", chk.Epsilon)
+		return ReleaseDecision{}, fmt.Errorf("qp: epsilon must be positive and finite, got %g", chk.Epsilon)
 	}
 	// Joint rescale of (b̃, c̃) for numerical health; the conditions are
 	// invariant under this scaling.
 	scale := math.Max(chk.BTilde.AbsMax(), chk.CTilde.AbsMax())
 	if scale == 0 {
 		// Observations impossible under every starting state: nothing is
-		// disclosed, release trivially safe. Collapsed shadow vectors say
-		// nothing about the exact ones, so only the exact path may certify
-		// it.
-		dec.OK = eta == 0
-		return dec, dec.OK, nil
+		// disclosed, release trivially safe.
+		return ReleaseDecision{OK: true}, nil
 	}
-
-	// Shadow margins Δ₁, Δ₂ (see CheckReleaseShadow); zero when exact.
-	maxA, eEps, etaN := chk.ATilde.AbsMax(), math.Exp(chk.Epsilon), 2*eta
-	margin := [2]float64{float64(maxA*(2*eEps-1)*etaN) + etaN, eEps * (maxA + 1) * etaN}
 
 	budget := opt.Deadline
 	if d := opt.Solver.Deadline; d > 0 && (budget <= 0 || d < budget) {
@@ -139,17 +85,24 @@ func checkRelease(chk ReleaseCheck, eta float64, opt ReleaseOptions) (dec Releas
 	if cap(*buf) < 4*n {
 		*buf = make(mat.Vector, 4*n)
 	}
-	cond := releaseConditions(chk, scale, eEps, (*buf)[:4*n])
-	dec, decided, err = decide(&cond, opt.Solver.withDefaults().Tol, margin, start, deadlineAfter(start, budget))
+	cond := releaseConditions(chk, scale, math.Exp(chk.Epsilon), (*buf)[:4*n])
+	dec, err := decide(&cond, opt.Solver.withDefaults().Tol, start, deadlineAfter(start, budget))
 	scratch.Put(buf)
-	return dec, decided, err
+	return dec, err
 }
 
-// decide runs the staged scans of both conditions.
-func decide(cond *[2]scan, tol float64, margin [2]float64, start, deadline time.Time) (dec ReleaseDecision, decided bool, err error) {
+// decide runs the staged scans of both conditions. A violation of either
+// condition rejects the release whatever the other one holds, and most
+// rejected candidates are violated at a vertex, so the conditions advance
+// together — the vertex pass of each, then the edge pass of each — and
+// decide returns at the first value past tol. Only a release about to be
+// accepted pays for two full scans. Each scan finds what it would have
+// found alone (its passes share nothing with the other's), so OK and
+// Conservative are those of two solves run to the end.
+func decide(cond *[2]scan, tol float64, start, deadline time.Time) (ReleaseDecision, error) {
 	for k, name := range [2]string{"Eq.15", "Eq.16"} {
 		if err := (Problem{A: cond[k].a, W: cond[k].w, Q: cond[k].q}).Validate(); err != nil {
-			return dec, false, fmt.Errorf("qp: %s solve: %w", name, err)
+			return ReleaseDecision{}, fmt.Errorf("qp: %s solve: %w", name, err)
 		}
 	}
 	res := [2]Result{{Verdict: Skipped}, {Verdict: Skipped}}
@@ -160,12 +113,12 @@ func decide(cond *[2]scan, tol float64, margin [2]float64, start, deadline time.
 			if pass == 0 {
 				s.vertices()
 			} else {
-				s.edges(tol+margin[k], deadline)
+				s.edges(tol, deadline)
 			}
 			now := time.Now()
 			s.elapsed += now.Sub(prev)
 			prev = now
-			violated := s.best > tol+margin[k]
+			violated := s.best > tol
 			if violated || pass == 1 {
 				res[k] = s.result(tol)
 			}
@@ -173,19 +126,17 @@ func decide(cond *[2]scan, tol float64, margin [2]float64, start, deadline time.
 				// Certified violation: the release is rejected, not
 				// conservatively, and the other condition, unless its
 				// scan has already ended, stays Skipped.
-				return ReleaseDecision{Eq15: res[0], Eq16: res[1]}, true, nil
+				return ReleaseDecision{Eq15: res[0], Eq16: res[1]}, nil
 			}
 		}
 	}
-	dec = ReleaseDecision{OK: true, Eq15: res[0], Eq16: res[1]}
-	for k, r := range res {
-		dec.OK = dec.OK && r.Verdict == Satisfied && r.Upper <= tol-margin[k]
+	dec := ReleaseDecision{OK: true, Eq15: res[0], Eq16: res[1]}
+	for _, r := range res {
+		dec.OK = dec.OK && r.Verdict == Satisfied && r.Upper <= tol
 	}
-	// Without OK: the deadline passed on the exact path, or margins too
-	// tight to certify either way on the shadow path, which must then be
-	// recomputed exactly.
+	// Without OK and without a violation, the deadline cut a scan short.
 	dec.Conservative = !dec.OK && res[0].Verdict != Violated && res[1].Verdict != Violated
-	return dec, dec.OK, nil
+	return dec, nil
 }
 
 // releaseConditions lays the normalised linear data of the two Theorem

@@ -85,16 +85,9 @@ type Config struct {
 	// KernelAuto (default, empty string), KernelDense, KernelSparse or
 	// KernelOracle (the naive reference kernels, for regression
 	// comparison). All modes are bit-for-bit equivalent; forcing one is
-	// a performance/regression knob, not a semantic one — which is why,
-	// like Kernel, it does not enter the plan-registry key.
+	// a performance/regression knob, not a semantic one — which is why
+	// it does not enter the plan-registry key.
 	Kernel string
-	// Shadow enables the float32 shadow check path on every compiled
-	// plan (core.Config.Shadow): candidate checks run against float32
-	// operator copies and are decided directly when the qp margin
-	// exceeds the certified error bound, falling back to the exact
-	// float64 check otherwise. Released sequences are identical with
-	// and without it, so it is not part of the plan key either.
-	Shadow bool
 
 	// Parallelism fixes the width of the process-global kernel worker
 	// pool the quantifier commits fan their tile-parallel products out

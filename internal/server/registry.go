@@ -300,29 +300,23 @@ func (r *PlanRegistry) exportCache() []store.CacheEntry {
 // Stats returns the registry counters (the /statsz plans section).
 func (r *PlanRegistry) Stats() api.PlanStats {
 	var ks world.KernelStats
-	var shChecks, shFallbacks int64
 	r.mu.Lock()
 	live := len(r.plans)
 	for _, e := range r.plans {
 		if e.plan != nil {
 			ks = ks.Add(e.plan.KernelStats())
-			c, fb := e.plan.ShadowStats()
-			shChecks += c
-			shFallbacks += fb
 		}
 	}
 	r.mu.Unlock()
 	return api.PlanStats{
-		Live:            int64(live),
-		Compiled:        r.compiled.Load(),
-		SharedHits:      r.shared.Load(),
-		SparseKernels:   int64(ks.Sparse),
-		DenseKernels:    int64(ks.Dense),
-		KernelDensity:   ks.Density,
-		BlockedKernels:  ks.Blocked,
-		BandedKernels:   ks.Banded,
-		ShadowChecks:    shChecks,
-		ShadowFallbacks: shFallbacks,
+		Live:           int64(live),
+		Compiled:       r.compiled.Load(),
+		SharedHits:     r.shared.Load(),
+		SparseKernels:  int64(ks.Sparse),
+		DenseKernels:   int64(ks.Dense),
+		KernelDensity:  ks.Density,
+		BlockedKernels: ks.Blocked,
+		BandedKernels:  ks.Banded,
 	}
 }
 

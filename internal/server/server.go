@@ -774,7 +774,6 @@ func (s *Server) buildPlan(eps, alpha float64, mechName string, delta float64, e
 		coreCfg.QPTimeout = s.cfg.QPTimeout
 		// Validated in New; the zero mode (auto) is the error fallback.
 		coreCfg.Kernel, _ = s.cfg.kernelMode()
-		coreCfg.Shadow = s.cfg.Shadow
 		return core.NewPlan(mf, s.tp, events, coreCfg)
 	})
 }

@@ -203,70 +203,6 @@ func BenchmarkCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkShadowCheck measures the float32 shadow candidate check
-// against the exact float64 check on identical warm mid-window state,
-// over the structurally dense Gaussian world. The shadow matvecs move
-// half the bytes, so the gap widens with m as the operators outgrow
-// cache: ~6% at m=400, ~1.4× at m=900. fallback-rate is the fraction of
-// iterations the shadow path could not serve (always 0 here — operators
-// are warm and nonzero; the qp-margin fallback is a core-layer
-// decision, reported by /statsz shadow_fallbacks).
-func BenchmarkShadowCheck(b *testing.B) {
-	for _, side := range []int{20, 30} {
-		g := grid.MustNew(side, side, 1)
-		m := g.States()
-		chain, err := markov.GaussianChain(g, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		region, err := grid.RegionRange(m, 0, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ev := event.MustNewPresence(region, 3, 7)
-		md, err := NewModelWithOptions(NewHomogeneous(chain), ev, ModelOptions{Kernel: KernelDense, Shadow: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plm := lppm.NewPlanarLaplace(g)
-		em, err := plm.Emission(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(1))
-		cols := make([]mat.Vector, 20)
-		for i := range cols {
-			cols[i] = em.Col(rng.Intn(m))
-		}
-		q := NewQuantifier(md)
-		for _, c := range cols[:5] {
-			if err := q.Commit(c); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, ok := q.ShadowCheck(cols[6]); !ok {
-			b.Fatal("shadow path unavailable")
-		}
-		b.Run(fmt.Sprintf("path=exact/m%d", m), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q.CheckTrusted(cols[6])
-			}
-		})
-		b.Run(fmt.Sprintf("path=shadow/m%d", m), func(b *testing.B) {
-			var fallbacks int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := q.ShadowCheck(cols[6]); !ok {
-					fallbacks++
-				}
-			}
-			b.ReportMetric(float64(fallbacks)/float64(b.N), "fallback-rate")
-		})
-	}
-}
-
 // BenchmarkPrior measures Lemma III.1 (suffix products at model build).
 func BenchmarkPrior(b *testing.B) {
 	for _, side := range []int{10, 20} {

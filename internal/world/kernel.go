@@ -64,13 +64,6 @@ type ModelOptions struct {
 	// SparseThreshold overrides DefaultSparseThreshold for KernelAuto;
 	// zero or negative uses the default.
 	SparseThreshold float64
-	// Shadow additionally compiles float32 copies of the step kernels,
-	// enabling the quantifier's float32 shadow check path (ShadowCheck):
-	// candidate checks run against float32 operators and are accepted or
-	// rejected directly when the qp decision margin exceeds the
-	// certified error bound, with exact float64 recompute on ambiguous
-	// margins. Commit always runs exact float64.
-	Shadow bool
 }
 
 func (o ModelOptions) threshold() float64 {
@@ -109,10 +102,6 @@ type stepKernel struct {
 	// non-oracle dispatch consumes it.
 	bw     int
 	oracle bool
-
-	// float32 shadow forms (ModelOptions.Shadow only).
-	m32 *mat.Matrix32
-	c32 *mat.CSR32
 }
 
 // compileKernel builds the complete kernel for one transition matrix.
@@ -133,14 +122,6 @@ func compileKernel(m *mat.Matrix, opts ModelOptions) *stepKernel {
 		k.csrT = k.csr.Transpose()
 	} else {
 		k.denseT = m.Transpose()
-	}
-	if opts.Shadow {
-		if k.csr != nil {
-			k.c32 = k.csr.Shadow32()
-		} else {
-			// Transition entries live in [0,1]: no rescale needed.
-			k.m32 = mat.Shadow32Scaled(m, 1)
-		}
 	}
 	return k
 }
@@ -190,20 +171,6 @@ func (k *stepKernel) mulVec2Into(dst0, dst1, x0, x1 mat.Vector) {
 		return
 	}
 	mat.RowMul2Into(dst0, dst1, x0, x1, k.denseT, k.bw)
-}
-
-// mulVec32Into stores M·x into dst through the float32 shadow kernel
-// with float64 accumulation, reporting whether a shadow form exists.
-func (k *stepKernel) mulVec32Into(dst, x mat.Vector) bool {
-	if k.c32 != nil {
-		k.c32.MulVecInto(dst, x)
-		return true
-	}
-	if k.m32 != nil {
-		k.m32.MulVecInto(dst, x)
-		return true
-	}
-	return false
 }
 
 // mulInto stores Mᵀ·op into dst — every Commit product: the forward

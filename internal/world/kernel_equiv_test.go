@@ -1,7 +1,6 @@
 package world
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -124,86 +123,6 @@ func TestCrossKernelEquivalence(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestShadowCheckAccuracy drives a shadow-enabled quantifier through a
-// full horizon and verifies, at every step and for every candidate,
-// that the max-normalised shadow b̃/c̃ agree with the exact ones within
-// the certified ShadowEta bound (the shadow result carries an unknown
-// common scale, so the comparison is on shape).
-func TestShadowCheckAccuracy(t *testing.T) {
-	g := grid.MustNew(6, 6, 1)
-	m := g.States()
-	chain, err := markov.GaussianChain(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region, err := grid.RegionRange(m, 0, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := event.MustNewPresence(region, 2, 5)
-	md, err := NewModelWithOptions(NewHomogeneous(chain), ev, ModelOptions{Kernel: KernelDense, Shadow: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := NewQuantifier(md)
-	rng := rand.New(rand.NewSource(9))
-	shadowRuns := 0
-	for step := 0; step < 10; step++ {
-		commitCol := randomEmissionColumn(rng, m)
-		if step == 3 {
-			commitCol.Scale(1e-120) // cross a renormalisation
-		}
-		for cand := 0; cand < 3; cand++ {
-			col := randomEmissionColumn(rng, m)
-			shadow, ok := q.ShadowCheck(col)
-			if step == 0 {
-				if ok {
-					t.Fatal("ShadowCheck must defer to the exact path at t=0")
-				}
-				continue
-			}
-			if !ok {
-				t.Fatalf("step %d: shadow path unavailable", step)
-			}
-			shB := shadow.BTilde.Clone()
-			shC := shadow.CTilde.Clone()
-			exact := q.CheckTrusted(col)
-			assertShadowShape(t, "b", shB, exact.BTilde)
-			assertShadowShape(t, "c", shC, exact.CTilde)
-			shadowRuns++
-		}
-		if err := q.Commit(commitCol); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if shadowRuns == 0 {
-		t.Fatal("shadow path never ran")
-	}
-}
-
-// assertShadowShape checks the certified property the margins build on:
-// shadow ≈ scale·exact for a single positive scale, with per-component
-// absolute error within ShadowEta relative to the vector's maximum
-// (2× slack for the scale estimate itself being a shadow quantity).
-func assertShadowShape(t *testing.T, label string, shadow, exact mat.Vector) {
-	t.Helper()
-	sMax, eMax := shadow.AbsMax(), exact.AbsMax()
-	if eMax == 0 {
-		return
-	}
-	if sMax == 0 {
-		t.Fatalf("%s: shadow collapsed to zero", label)
-	}
-	scale := sMax / eMax
-	for i := range exact {
-		want := exact[i] * scale
-		if diff := math.Abs(shadow[i] - want); diff > 2*ShadowEta*sMax {
-			t.Fatalf("%s[%d]: shadow %v vs scaled exact %v (err %g > %g)",
-				label, i, shadow[i], want, diff/sMax, 2*ShadowEta)
 		}
 	}
 }

@@ -56,19 +56,13 @@ type Quantifier struct {
 	// operators and the backward accumulator: each committed step widens
 	// the band by the step matrix's bandwidth (clamped at m−1 = full).
 	// The dense dispatch uses them to run banded products while they
-	// beat dense flops. fwdMax/b1Max hold the largest absolute
-	// operator entry after the latest commit (a free byproduct of the
-	// commit write passes) — the normalisation scale for the float32
-	// shadow copies. afZero/atZero record, from the same passes, that a
-	// forward block was written all-zero (A_T until the window opens):
-	// commit and check products over it are zeros and are skipped.
-	fwdBand, b1Band int
-	fwdMax, b1Max   float64
-	afZero, atZero  bool
-
-	// shadow holds the float32 operator copies for the shadow check
-	// path (nil unless ModelOptions.Shadow).
-	shadow *shadowState
+	// beat dense flops. afZero/atZero/b1Zero record, from the largest
+	// absolute entry each commit's final write pass produces for free,
+	// that a block was written all-zero (A_T until the window opens, B₁
+	// after an impossible observation): commit and check products over
+	// it are zeros and are skipped.
+	fwdBand, b1Band        int
+	afZero, atZero, b1Zero bool
 
 	// scratch. Check and Current are zero-allocation: each writes its
 	// b̃/c̃ into its own pair of reusable buffers (checkB/checkC and
@@ -81,28 +75,15 @@ type Quantifier struct {
 	mx, my               *mat.Matrix
 }
 
-// shadowState carries the float32 copies of the forward operators (in
-// the quantifier's transposed layout) and backward accumulator consumed
-// by ShadowCheck. Copies are converted lazily (dirty flags set by
-// Commit) and normalised by the operator's
-// maximum entry — the float64 operators roam a magnitude band float32
-// cannot represent. The common scale factor cancels in the Theorem IV.1
-// conditions, which are homogeneous in (b̃, c̃).
-type shadowState struct {
-	af32, at32, b132  *mat.Matrix32
-	fwdDirty, b1Dirty bool
-}
-
 // NewQuantifier returns a fresh quantifier at time 0.
 func NewQuantifier(md *Model) *Quantifier {
 	m := md.m
-	q := &Quantifier{
+	return &Quantifier{
 		md:     md,
 		fp:     fpOffset,
 		af:     mat.NewMatrix(m, m),
 		at:     mat.NewMatrix(m, m),
 		b1:     mat.Identity(m),
-		b1Max:  1,
 		atilde: md.ATilde(),
 		tmp1:   mat.NewVector(m),
 		tmp2:   mat.NewVector(m),
@@ -115,16 +96,6 @@ func NewQuantifier(md *Model) *Quantifier {
 		mx:     mat.NewMatrix(m, m),
 		my:     mat.NewMatrix(m, m),
 	}
-	if md.opts.Shadow {
-		q.shadow = &shadowState{
-			af32:     mat.NewMatrix32(m, m),
-			at32:     mat.NewMatrix32(m, m),
-			b132:     mat.NewMatrix32(m, m),
-			fwdDirty: true,
-			b1Dirty:  true,
-		}
-	}
-	return q
 }
 
 // T returns the next timestamp to be observed.
@@ -194,7 +165,7 @@ func (q *Quantifier) CheckTrusted(emis mat.Vector) qp.ReleaseCheck {
 	default: // q.t > end
 		k := q.md.kernel(q.t - 1)
 		k.mulVecInto(q.uvec, emis)
-		z := q.rowMul(q.tmp2, q.uvec, q.b1, q.b1Band, q.b1Max == 0) // (M·emis)ᵀ·B₁
+		z := q.rowMul(q.tmp2, q.uvec, q.b1, q.b1Band, q.b1Zero) // (M·emis)ᵀ·B₁
 		q.rowMul(b, z, q.at, q.fwdBand, q.atZero)
 		q.rowMul(c, z, q.af, q.fwdBand, q.afZero)
 		c.AddInto(c, b)
@@ -263,7 +234,7 @@ func (q *Quantifier) Current() qp.ReleaseCheck {
 			c.AddInto(c, q.tmp2)
 		}
 	default:
-		z := q.rowMul(q.tmp2, q.md.ones, q.b1, q.b1Band, q.b1Max == 0)
+		z := q.rowMul(q.tmp2, q.md.ones, q.b1, q.b1Band, q.b1Zero)
 		q.rowMul(b, z, q.at, q.fwdBand, q.atZero)
 		q.rowMul(c, z, q.af, q.fwdBand, q.afZero)
 		c.AddInto(c, b)
@@ -304,10 +275,6 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 		scale = math.Max(fMax, tMax)
 		q.afZero, q.atZero = fMax == 0, tMax == 0
 		q.fwdBand = 0
-		q.fwdMax = scale
-		if q.shadow != nil {
-			q.shadow.fwdDirty = true
-		}
 	case q.t <= q.md.end:
 		ft, tt := q.md.stepMasks(q.t - 1)
 		k := q.md.kernel(q.t - 1)
@@ -315,19 +282,12 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 		k.mulInto(q.my, q.at, q.fwdBand, q.atZero, &q.md.kc) // Yᵀ = Mᵀ·A_Tᵀ
 		scale, q.afZero, q.atZero = q.maskAndScale(ft, tt, emis)
 		q.fwdBand = min(q.fwdBand+k.bw, m-1)
-		q.fwdMax = scale
-		if q.shadow != nil {
-			q.shadow.fwdDirty = true
-		}
 	default: // q.t > end: B₁ ← diag(emis)·Mᵀ·B₁
 		k := q.md.kernel(q.t - 1)
-		k.mulInto(q.mx, q.b1, q.b1Band, q.b1Max == 0, &q.md.kc)
+		k.mulInto(q.mx, q.b1, q.b1Band, q.b1Zero, &q.md.kc)
 		scale = mat.ScaleRowsMaxInto(q.b1, q.mx, emis)
 		q.b1Band = min(q.b1Band+k.bw, m-1)
-		q.b1Max = scale
-		if q.shadow != nil {
-			q.shadow.b1Dirty = true
-		}
+		q.b1Zero = scale == 0
 	}
 	q.t++
 	q.renormalise(scale)
@@ -453,92 +413,6 @@ func (q *Quantifier) CommitTaggedTrusted(emis mat.Vector, alphaBits uint64, obs 
 	q.fp = FingerprintFold(q.fp, alphaBits, obs)
 }
 
-// ShadowEta bounds the per-component relative error of the float32
-// shadow check pipeline: every b̃/c̃ component computed by ShadowCheck
-// is within a factor (1 ± ShadowEta) of the exact float64 value (up to
-// the common normalisation scale). The bound holds because every matrix
-// entry on the shadow path carries exactly one float64→float32
-// conversion rounding (≤ 2⁻²⁴ relative) while accumulation runs in
-// float64, and the engine's data is non-negative — sums never cancel,
-// so per-term relative errors bound the relative error of the sum. The
-// deepest chain (post-window: kernel matvec → B₁ row-product → operator
-// row-product → add) compounds ≤ 4 such roundings plus O(m·2⁻⁵³) float64
-// accumulation noise and the ~1e-38 subnormal flush of the conversion;
-// 16·2⁻²⁴ covers all of it with 4× slack.
-const ShadowEta = 16.0 / (1 << 24)
-
-// ShadowCheck is the float32 shadow of Check: it computes the Theorem
-// IV.1 vectors for a candidate emission column against float32 copies
-// of the step kernels and operators, accumulating in float64. The
-// returned b̃/c̃ differ from CheckTrusted's by an unknown positive
-// common scale (the float32 copies are max-normalised) and a
-// per-component relative error ≤ ShadowEta; both are exactly what
-// qp.CheckReleaseShadow certifies against. The result aliases the same
-// buffers as Check and is invalidated by the next Check/ShadowCheck.
-//
-// The second return is false when the shadow path cannot run — shadow
-// copies not compiled, t == 0 (the exact branch is already O(m)), or a
-// zero operator — and the caller must use the exact path.
-func (q *Quantifier) ShadowCheck(emis mat.Vector) (qp.ReleaseCheck, bool) {
-	sh := q.shadow
-	if sh == nil || q.t == 0 || q.fwdMax == 0 {
-		return qp.ReleaseCheck{}, false
-	}
-	m := q.md.m
-	b, c := q.checkB, q.checkC
-	if q.t <= q.md.end {
-		if sh.fwdDirty {
-			inv := 1 / q.fwdMax
-			sh.af32.ConvertScaled(q.af, inv)
-			sh.at32.ConvertScaled(q.at, inv)
-			sh.fwdDirty = false
-		}
-		ft, tt := q.md.stepMasks(q.t - 1)
-		k := q.md.kernel(q.t - 1)
-		vF, vT := q.md.vF[q.t], q.md.vT[q.t]
-		for i := 0; i < m; i++ {
-			q.tmp1[i] = emis[i] * blend(ft, vF, vT, i)
-		}
-		if !k.mulVec32Into(q.uvec, q.tmp1) {
-			return qp.ReleaseCheck{}, false
-		}
-		sh.af32.VecMulInto(b, q.uvec)
-		for i := 0; i < m; i++ {
-			q.tmp1[i] = emis[i] * blend(tt, vF, vT, i)
-		}
-		k.mulVec32Into(q.uvec, q.tmp1)
-		sh.at32.VecMulInto(q.tmp2, q.uvec)
-		b.AddInto(b, q.tmp2)
-		k.mulVec32Into(q.uvec, emis)
-		sh.af32.VecMulInto(c, q.uvec)
-		sh.at32.VecMulInto(q.tmp2, q.uvec)
-		c.AddInto(c, q.tmp2)
-	} else {
-		if q.b1Max == 0 {
-			return qp.ReleaseCheck{}, false
-		}
-		if sh.fwdDirty {
-			inv := 1 / q.fwdMax
-			sh.af32.ConvertScaled(q.af, inv)
-			sh.at32.ConvertScaled(q.at, inv)
-			sh.fwdDirty = false
-		}
-		if sh.b1Dirty {
-			sh.b132.ConvertScaled(q.b1, 1/q.b1Max)
-			sh.b1Dirty = false
-		}
-		k := q.md.kernel(q.t - 1)
-		if !k.mulVec32Into(q.uvec, emis) {
-			return qp.ReleaseCheck{}, false
-		}
-		z := sh.b132.VecMulInto(q.tmp2, q.uvec)
-		sh.at32.VecMulInto(b, z)
-		sh.af32.VecMulInto(c, z)
-		c.AddInto(c, b)
-	}
-	return qp.ReleaseCheck{ATilde: q.atilde, BTilde: b, CTilde: c}, true
-}
-
 // Lazy-renormalisation band: the rescale exists only to keep the
 // operators away from floating-point under/overflow over long horizons,
 // so it fires when the largest entry leaves [1e-100, 1e100] instead of
@@ -566,10 +440,8 @@ func (q *Quantifier) renormalise(scale float64) {
 	if q.t-1 <= q.md.end {
 		q.af.Scale(1 / scale)
 		q.at.Scale(1 / scale)
-		q.fwdMax = 1
 	} else {
 		q.b1.Scale(1 / scale)
-		q.b1Max = 1
 	}
 	q.logScale += math.Log(scale)
 }

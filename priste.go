@@ -244,12 +244,6 @@ const (
 	KernelOracle = world.KernelOracle
 )
 
-// ShadowEta is the certified per-component relative error bound of the
-// float32 shadow check path (world.ShadowEta): the margin by which
-// qp.CheckReleaseShadow widens the Theorem IV.1 decision thresholds when
-// deciding from shadow vectors.
-const ShadowEta = world.ShadowEta
-
 // Homogeneous wraps a time-homogeneous chain as a TransitionProvider.
 func Homogeneous(c *Chain) TransitionProvider { return world.NewHomogeneous(c) }
 

@@ -213,8 +213,9 @@ func BenchmarkSharedPlanManySessions(b *testing.B) {
 // PRESENCE event, certified-release cache on, per-session mechanism and
 // PCG session RNG — the server's own session construction), stepped
 // directly through per-goroutine Frameworks with no transport, queue,
-// or encoding in the way. benchjson divides each ServerStep* result by
-// this ceiling to derive the serving_gap section of the artifact.
+// or encoding in the way. It reports steps/sec like the ServerStep*
+// benchmarks, so a ServerStep* result over this one is the share of the
+// engine's throughput that survives the serving path.
 func BenchmarkEngineStepCeiling(b *testing.B) {
 	g, err := priste.NewGrid(6, 6, 1.0)
 	if err != nil {
@@ -412,11 +413,11 @@ func benchServer(b *testing.B) (*priste.Server, priste.ServerConfig) {
 // benchSteps drives the serving path through any transport's client:
 // parallel goroutines each own one pristed session and step a random
 // walk; one iteration is one certified release round-trip. Shared by the
-// HTTP and RPC serving benchmarks so the benchjson document records the
-// two transports over identical work. After the run it reports the
-// server's per-stage mean latencies (decode, queue wait, engine commit,
-// WAL append, encode) next to the end-to-end served mean, so the
-// artifact names where each transport's serving overhead goes.
+// HTTP and RPC serving benchmarks so the two transports print results
+// over identical work. After the run it reports the server's per-stage
+// mean latencies (decode, queue wait, engine commit, WAL append, encode)
+// next to the end-to-end served mean, so the benchmark line names where
+// each transport's serving overhead goes.
 func benchSteps(b *testing.B, srv *priste.Server, transport string, cfg priste.ServerConfig, dial func() priste.APIClient) {
 	var nextSession atomic.Int64
 	m := cfg.GridW * cfg.GridH

@@ -53,15 +53,6 @@ type Config struct {
 	// paths are bit-for-bit equivalent, so this is purely a performance
 	// knob (and a regression-test hook).
 	Kernel world.KernelMode
-	// Parallelism, when positive, fixes the width of the process-global
-	// kernel worker pool (par.Default().SetParallelism) the plan's
-	// quantifiers fan their tile-parallel products out on; 0 leaves the
-	// pool tracking GOMAXPROCS. The pool is shared by every plan in the
-	// process, so the last nonzero value compiled wins. Parallel and
-	// serial kernels are bit-identical (fixed tile boundaries, one
-	// accumulation chain per output entry), so this is a performance
-	// knob only — releases, fingerprints and replay are unaffected.
-	Parallelism int
 }
 
 func (c Config) validate() error {
@@ -73,9 +64,6 @@ func (c Config) validate() error {
 	}
 	if c.Decay <= 0 || c.Decay >= 1 || math.IsNaN(c.Decay) {
 		return fmt.Errorf("core: decay must lie in (0,1), got %g", c.Decay)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: parallelism must be >= 0, got %d", c.Parallelism)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"priste/internal/event"
 	"priste/internal/lppm"
 	"priste/internal/mat"
-	"priste/internal/par"
 	"priste/internal/world"
 )
 
@@ -101,11 +100,6 @@ func NewPlan(mf MechanismFactory, tp world.TransitionProvider, events []event.Ev
 	if _, ok := proto.(lppm.HistoryIndependent); ok {
 		p.stateless = true
 		p.shared = proto
-	}
-	if p.cfg.Parallelism > 0 {
-		// Process-global: the kernel pool is shared by every plan (see
-		// Config.Parallelism); 0 leaves the current width untouched.
-		par.Default().SetParallelism(p.cfg.Parallelism)
 	}
 	for _, ev := range events {
 		md, err := world.NewModelWithOptions(tp, ev, world.ModelOptions{Kernel: p.cfg.Kernel})

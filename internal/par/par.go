@@ -123,8 +123,8 @@ var std = NewPool()
 // Default returns the process-global pool shared by every kernel.
 func Default() *Pool { return std }
 
-// SetParallelism fixes the pool width to n (the `-parallel` flag /
-// core.Config.Parallelism). n <= 0 restores the default: track
+// SetParallelism fixes the pool width to n (pristed's `-parallel` flag /
+// server.Config.Parallelism). n <= 0 restores the default: track
 // runtime.GOMAXPROCS dynamically. Safe to call concurrently; takes
 // effect on the next dispatch decision.
 func (p *Pool) SetParallelism(n int) {

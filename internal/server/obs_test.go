@@ -16,6 +16,7 @@ import (
 	"priste/internal/api"
 	"priste/internal/mat"
 	"priste/internal/obs"
+	"priste/internal/par"
 )
 
 // syncBuffer is a goroutine-safe log sink: pool workers emit slow-step
@@ -174,7 +175,13 @@ func TestHealthzDraining(t *testing.T) {
 // Prometheus exposition carries the series the README documents, with
 // counts that match the work done.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := newTestServer(t, testConfig())
+	// The kernel pool is process-global: put its width back for the
+	// tests that follow.
+	t.Cleanup(func() { par.Default().SetParallelism(0) })
+	cfg := testConfig()
+	cfg.Parallelism = 4
+	srv := newTestServer(t, cfg)
+	before := srv.Stats().Pool
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	client := NewClient(ts.URL, nil)
@@ -218,6 +225,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE priste_steps_served_total counter",
 		"priste_plans_live 1",
 		"priste_cert_cache_hits_total",
+		"priste_pool_parallelism 4",
 		"go_goroutines",
 	} {
 		if !strings.Contains(body, want) {
@@ -238,5 +246,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if hitMiss != steps {
 		t.Errorf("commit hit+miss count = %d, want %d\n%s", hitMiss, steps, body)
+	}
+
+	// The /statsz pool section: the configured width, no helper left
+	// busy once the steps have returned, and the rebuilt commits' kernels
+	// counted as dispatch decisions.
+	pool := srv.Stats().Pool
+	if pool.Parallelism != 4 {
+		t.Errorf("pool parallelism = %d, want 4", pool.Parallelism)
+	}
+	if pool.Busy != 0 {
+		t.Errorf("pool busy = %d after the steps returned, want 0", pool.Busy)
+	}
+	if got := pool.ParallelDispatch + pool.SerialDispatch - before.ParallelDispatch - before.SerialDispatch; got <= 0 {
+		t.Errorf("pool dispatches during the steps = %d, want > 0", got)
 	}
 }

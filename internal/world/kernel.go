@@ -28,8 +28,8 @@ const (
 	// Matrix.MulVecInto, Matrix.VecMulInto) on the same transposed
 	// layout: no CSR, no row primitive — so no assembly — and no banded
 	// dispatch. It is the bit-identical oracle the cross-kernel
-	// equivalence tests, the benchmark's verify phase and BENCH kernel
-	// comparisons measure the other paths against.
+	// equivalence tests, the benchmark's verify phase and the kernel
+	// benchmarks measure the other paths against.
 	KernelOracle
 )
 

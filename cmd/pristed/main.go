@@ -18,7 +18,7 @@
 //	    [-cert-cache 65536] \
 //	    [-store-dir /var/lib/pristed] [-fsync] [-snapshot-every 256] \
 //	    [-log-format text] [-log-level info] [-slow-step 500ms] \
-//	    [-sched-affinity 8] [-drain-batch 64] [-stream-buffer 256] \
+//	    [-drain-batch 64] [-stream-buffer 256] \
 //	    [-pprof-addr ""]
 //
 // With -store-dir set, every committed release is journaled to a
@@ -103,7 +103,6 @@ func main() {
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		slowStep    = flag.Duration("slow-step", server.DefaultSlowStep, "log a warning (with trace ID and stage breakdown) for steps at least this slow; negative disables")
 		pprofAddr   = flag.String("pprof-addr", "", "net/http/pprof listen address (e.g. localhost:6060); empty disables profiling")
-		schedAff    = flag.Int("sched-affinity", server.DefaultSchedAffinity, "max consecutive same-plan sessions a worker serves before reverting to arrival order; negative disables plan affinity")
 		drainBatch  = flag.Int("drain-batch", server.DefaultDrainBatch, "max steps one worker visit commits for a session before parking it behind its peers; negative removes the cap")
 		streamBuf   = flag.Int("stream-buffer", server.DefaultStreamBuffer, "per-subscriber buffered releases on the SSE stream; a subscriber lagging further is dropped")
 	)
@@ -162,7 +161,6 @@ func main() {
 	cfg.SnapshotEvery = *snapEvery
 	cfg.Logger = logger
 	cfg.SlowStep = *slowStep
-	cfg.SchedAffinity = *schedAff
 	cfg.DrainBatch = *drainBatch
 	cfg.StreamBuffer = *streamBuf
 	if *storeDir != "" {

@@ -96,15 +96,12 @@ type StreamStats struct {
 	PerShardWindow  []int64 `json:"per_shard_window"`
 }
 
-// SchedulerStats is the /statsz worker-pool scheduling section.
-// AffinityPicks counts dequeues that kept a worker on its previous
-// session's plan (warm plan + cert-cache), FIFOPicks arrival-order
-// dequeues, and Requeues sessions parked back on the run queue after
-// hitting the per-visit drain batch (the fairness cap).
+// SchedulerStats is the /statsz worker-pool scheduling section. The
+// run queue serves sessions in arrival order; Requeues counts sessions
+// parked back at its tail after hitting the per-visit drain batch (the
+// fairness cap).
 type SchedulerStats struct {
-	AffinityPicks int64 `json:"affinity_picks"`
-	FIFOPicks     int64 `json:"fifo_picks"`
-	Requeues      int64 `json:"requeues"`
+	Requeues int64 `json:"requeues"`
 }
 
 // RuntimeStats is the /statsz Go-runtime section (the same numbers the

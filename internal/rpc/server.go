@@ -215,7 +215,9 @@ func (s *Server) handleConn(conn net.Conn) {
 				// Without StepAsync the only way to preserve pipelined
 				// same-session FIFO order is to serve the step before
 				// reading the next frame. server.Server implements
-				// StepAsync, so the real deployment never pays this.
+				// StepAsync; router.Router does not, so behind
+				// pristerouter every unary step is served here, one at
+				// a time per connection.
 				decode := time.Since(start)
 				resp, err := s.svc.Step(rctx, id, loc)
 				if err != nil {

@@ -41,6 +41,8 @@ func (st *serverStream) kill() {
 // syncStepper adapts a Service without the StepAsync fast path for the
 // stream pump: each submission commits synchronously, degrading the
 // stream to an effective window of 1 but preserving every semantic.
+// router.Router is such a Service, so every stream opened on
+// pristerouter runs at window 1.
 type syncStepper struct{ svc api.Service }
 
 func (s syncStepper) StepAsync(ctx context.Context, id string, loc int) (<-chan api.StepOutcome, error) {

@@ -25,11 +25,6 @@ const (
 	// DefaultSlowStep is the served-step duration at which the worker
 	// pool logs a slow-step warning with the step's stage breakdown.
 	DefaultSlowStep = 500 * time.Millisecond
-	// DefaultSchedAffinity is the scheduler's plan-affinity run length:
-	// after draining a session, a worker serves up to this many more
-	// queued sessions sharing the same plan (warm plan + cert cache)
-	// before falling back to arrival order.
-	DefaultSchedAffinity = 8
 	// DefaultDrainBatch caps the steps one worker visit commits for a
 	// single session before the session is parked back at the tail of
 	// the run queue — the fairness bound that keeps one firehose stream
@@ -116,12 +111,6 @@ type Config struct {
 	// DefaultCertCacheSize; negative disables the cache (every release
 	// condition is re-solved).
 	CertCacheSize int
-	// SchedAffinity is the scheduler's plan-affinity run length: how
-	// many consecutive same-plan sessions a worker may pick off the run
-	// queue before reverting to arrival order. Zero uses
-	// DefaultSchedAffinity; negative disables affinity scheduling
-	// (pure FIFO).
-	SchedAffinity int
 	// DrainBatch caps the steps one worker visit commits for a single
 	// session before parking it back at the run-queue tail. Zero uses
 	// DefaultDrainBatch; negative removes the cap (a visit drains the
@@ -233,9 +222,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowStep == 0 {
 		c.SlowStep = DefaultSlowStep
-	}
-	if c.SchedAffinity == 0 {
-		c.SchedAffinity = DefaultSchedAffinity
 	}
 	if c.DrainBatch == 0 {
 		c.DrainBatch = DefaultDrainBatch

@@ -184,11 +184,11 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := srv.stepAsync(context.Background(), "u", 0); err != nil {
+		if _, err := srv.StepAsync(context.Background(), "u", 0); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 	}
-	if _, err := srv.stepAsync(context.Background(), "u", 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := srv.StepAsync(context.Background(), "u", 0); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("enqueue on full queue: err = %v, want ErrQueueFull", err)
 	}
 	if n := srv.metrics.Snapshot().Steps.QueueRejections; n != 1 {
@@ -312,15 +312,15 @@ func TestPendingStepsFailOnClose(t *testing.T) {
 	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u"}); err != nil {
 		t.Fatal(err)
 	}
-	done, err := srv.stepAsync(context.Background(), "u", 0)
+	done, err := srv.StepAsync(context.Background(), "u", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = srv.DeleteSession("u")
 	select {
 	case out := <-done:
-		if !errors.Is(out.err, ErrSessionClosed) {
-			t.Fatalf("pending step: err = %v, want ErrSessionClosed", out.err)
+		if !errors.Is(out.Err, ErrSessionClosed) {
+			t.Fatalf("pending step: err = %v, want ErrSessionClosed", out.Err)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("pending step never failed after close")

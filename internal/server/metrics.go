@@ -110,9 +110,7 @@ type Metrics struct {
 	sseDelivered   *obs.Counter
 	sseDropped     *obs.Counter
 
-	// Batch-aware scheduler.
-	schedAffinity *obs.Counter
-	schedFIFO     *obs.Counter
+	// Run-queue fairness cap.
 	schedRequeues *obs.Counter
 }
 
@@ -147,8 +145,6 @@ func newMetrics() *Metrics {
 	m.sseDelivered = reg.Counter("priste_sse_delivered_total", "Releases delivered to SSE subscribers.")
 	m.sseDropped = reg.Counter("priste_sse_dropped_total", "SSE subscribers dropped for lagging behind the commit stream.")
 
-	m.schedAffinity = reg.Counter("priste_sched_affinity_picks_total", "Run-queue dequeues that kept a worker on its previous plan.")
-	m.schedFIFO = reg.Counter("priste_sched_fifo_picks_total", "Run-queue dequeues in arrival order.")
 	m.schedRequeues = reg.Counter("priste_sched_requeues_total", "Sessions parked back on the run queue by the drain-batch fairness cap.")
 
 	m.walFsync = reg.Histogram("priste_wal_fsync_seconds", "WAL append fsync latency (all transports batched).")
@@ -307,9 +303,7 @@ func (m *Metrics) Snapshot() api.Stats {
 			SSEDropped:     m.sseDropped.Load(),
 		},
 		Scheduler: api.SchedulerStats{
-			AffinityPicks: m.schedAffinity.Load(),
-			FIFOPicks:     m.schedFIFO.Load(),
-			Requeues:      m.schedRequeues.Load(),
+			Requeues: m.schedRequeues.Load(),
 		},
 		Runtime: api.RuntimeStats{
 			Goroutines:     runtime.NumGoroutine(),

@@ -12,29 +12,23 @@ import (
 )
 
 // pool is the step execution layer: a fixed set of workers pulling
-// runnable sessions off a shared run queue. A session enters the run
-// queue at most once (guarded by its scheduled token) and stays
-// single-writer with per-session FIFO ordering while steps from many
-// users run concurrently.
+// runnable sessions off one shared run queue, while steps from many
+// users run concurrently. Two rules govern it:
 //
-// Scheduling is batch-aware along two axes. Plan affinity: after
-// finishing a session, a worker prefers up to `affinity` consecutive
-// queued sessions sharing the same compiled plan, so back-to-back
-// commits hit a warm plan and certified-release cache instead of
-// ping-ponging between worlds; the run queue keeps a per-plan index
-// next to the arrival-order list to make that dequeue O(1). Fairness:
-// one visit commits at most `drainBatch` steps before the session is
-// parked back at the tail of the arrival order, so a firehose stream
-// (the PR 7 streaming ingest) cannot starve interactive sessions.
+//   - Arrival order. Workers take sessions in the order they became
+//     runnable. A session is on the queue at most once: only the holder
+//     of its scheduled token (Session.enqueue hands it out when unset,
+//     pop/park clear it) may schedule it, so the session stays
+//     single-writer and commits its steps in enqueue order.
+//   - Fairness. One visit commits at most `drainBatch` steps before a
+//     session with work left is parked back at the tail, so a firehose
+//     stream cannot starve interactive sessions.
 type pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	fifo    []*Session                // arrival order
-	byPlan  map[*core.Plan][]*Session // per-plan index of the same entries
-	queued  map[*Session]struct{}     // membership truth; lists are skimmed lazily
+	runq    []*Session // runnable sessions, arrival order
 	stopped bool
 
-	affinity   int // max consecutive same-plan picks; <= 0 disables
 	drainBatch int // max steps per session visit; <= 0 unbounded
 
 	wg       sync.WaitGroup
@@ -66,11 +60,8 @@ type pool struct {
 	onRelease func(s *Session, res core.StepResult)
 }
 
-func newPool(workers, affinity, drainBatch int, metrics *Metrics, logger *slog.Logger, slowStep time.Duration) *pool {
+func newPool(workers, drainBatch int, metrics *Metrics, logger *slog.Logger, slowStep time.Duration) *pool {
 	p := &pool{
-		byPlan:     make(map[*core.Plan][]*Session),
-		queued:     make(map[*Session]struct{}),
-		affinity:   affinity,
 		drainBatch: drainBatch,
 		metrics:    metrics,
 		logger:     logger,
@@ -94,105 +85,34 @@ func (p *pool) schedule(s *Session) {
 		s.close()
 		return
 	}
-	if _, ok := p.queued[s]; ok {
-		p.mu.Unlock()
-		return
-	}
-	p.queued[s] = struct{}{}
-	p.fifo = append(p.fifo, s)
-	if p.affinity > 0 {
-		// Reading the plan pointer is safe off the worker: fw is set
-		// once at construction and Plan() returns immutable state.
-		plan := s.fw.Plan()
-		list := p.byPlan[plan]
-		// Skim entries already consumed through the arrival-order list
-		// so an active plan's index stays tight.
-		for len(list) > 0 {
-			if _, live := p.queued[list[0]]; live {
-				break
-			}
-			list = list[1:]
-		}
-		p.byPlan[plan] = append(list, s)
-	}
+	p.runq = append(p.runq, s)
 	p.cond.Signal()
 	p.mu.Unlock()
 }
 
-// next blocks until a runnable session is available and dequeues it:
-// by plan affinity while the worker's current run has picks left,
-// arrival order otherwise. ok false means the pool stopped.
-func (p *pool) next(prevPlan *core.Plan, run int) (s *Session, viaAffinity, ok bool) {
+// next blocks until a runnable session is available and dequeues the
+// oldest. ok false means the pool stopped.
+func (p *pool) next() (s *Session, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		if p.stopped {
-			return nil, false, false
-		}
-		if prevPlan != nil && p.affinity > 0 && run < p.affinity {
-			if s := p.popPlanLocked(prevPlan); s != nil {
-				p.metrics.schedAffinity.Add(1)
-				return s, true, true
-			}
-		}
-		if s := p.popFIFOLocked(); s != nil {
-			p.metrics.schedFIFO.Add(1)
-			return s, false, true
-		}
+	for len(p.runq) == 0 && !p.stopped {
 		p.cond.Wait()
 	}
-}
-
-// popFIFOLocked dequeues the oldest still-queued session, skipping
-// entries already consumed through the per-plan index.
-func (p *pool) popFIFOLocked() *Session {
-	for len(p.fifo) > 0 {
-		s := p.fifo[0]
-		p.fifo = p.fifo[1:]
-		if _, live := p.queued[s]; live {
-			delete(p.queued, s)
-			return s
-		}
+	if p.stopped {
+		return nil, false
 	}
-	p.fifo = nil
-	return nil
-}
-
-// popPlanLocked dequeues the oldest still-queued session of plan,
-// skipping entries already consumed through the arrival-order list.
-func (p *pool) popPlanLocked(plan *core.Plan) *Session {
-	list := p.byPlan[plan]
-	for len(list) > 0 {
-		s := list[0]
-		list = list[1:]
-		if _, live := p.queued[s]; live {
-			delete(p.queued, s)
-			if len(list) == 0 {
-				delete(p.byPlan, plan)
-			} else {
-				p.byPlan[plan] = list
-			}
-			return s
-		}
-	}
-	delete(p.byPlan, plan)
-	return nil
+	s = p.runq[0]
+	p.runq[0] = nil // drop the backing array's reference
+	p.runq = p.runq[1:]
+	return s, true
 }
 
 func (p *pool) worker() {
 	defer p.wg.Done()
-	var prevPlan *core.Plan
-	run := 0
 	for {
-		s, viaAffinity, ok := p.next(prevPlan, run)
+		s, ok := p.next()
 		if !ok {
 			return
-		}
-		if viaAffinity {
-			run++
-		} else {
-			prevPlan = s.fw.Plan()
-			run = 1
 		}
 		if p.drain(s) {
 			p.metrics.schedRequeues.Add(1)
@@ -225,12 +145,12 @@ func (p *pool) drain(s *Session) (requeue bool) {
 			return false
 		}
 		steps++
-		if j.export {
+		if j.export != nil {
 			// Export: a consistent point-in-time snapshot, positioned in
 			// the step stream exactly where the job sat in the FIFO. Not a
 			// step — no metrics, no journaling, no LRU touch.
 			snap, err := s.fw.Snapshot()
-			j.done <- stepOutcome{snap: snap, err: err}
+			j.export <- exportOutcome{snap: snap, err: err}
 			continue
 		}
 		start := time.Now()
@@ -248,13 +168,10 @@ func (p *pool) drain(s *Session) (requeue bool) {
 		}
 		s.touch(time.Now())
 		p.metrics.observeStep(j.transport, wait, commit, wal, res, err)
-		switch {
-		case err != nil:
+		if err != nil {
 			j.fail(err)
-		case j.apiDone != nil:
-			j.apiDone <- api.StepOutcome{Resp: toStepResponse("", res)}
-		default:
-			j.done <- stepOutcome{res: res}
+		} else {
+			j.done <- api.StepOutcome{Resp: toStepResponse(res)}
 		}
 		if err == nil && p.onRelease != nil {
 			p.onRelease(s, res)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"priste/internal/api"
 	"priste/internal/certcache"
 	"priste/internal/qp"
 	"priste/internal/store"
@@ -589,9 +590,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
-	dones := make([]chan stepOutcome, pending)
+	dones := make([]<-chan api.StepOutcome, pending)
 	for i := range dones {
-		done, err := srv.stepAsync(context.Background(), "u", i%36)
+		done, err := srv.StepAsync(context.Background(), "u", i%36)
 		if err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
@@ -605,17 +606,17 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}()
 	for i, done := range dones {
 		out := <-done
-		if out.err != nil {
-			t.Fatalf("pending step %d died during graceful shutdown: %v", i, out.err)
+		if out.Err != nil {
+			t.Fatalf("pending step %d died during graceful shutdown: %v", i, out.Err)
 		}
-		if out.res.T != i {
-			t.Fatalf("step %d served T=%d", i, out.res.T)
+		if out.Resp.T != i {
+			t.Fatalf("step %d served T=%d", i, out.Resp.T)
 		}
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if _, err := srv.stepAsync(context.Background(), "u", 0); !errors.Is(err, ErrDraining) {
+	if _, err := srv.StepAsync(context.Background(), "u", 0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("step after shutdown: %v, want ErrDraining", err)
 	}
 	if _, err := srv.CreateSession(CreateSessionRequest{ID: "v"}); !errors.Is(err, ErrDraining) {

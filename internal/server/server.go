@@ -123,8 +123,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: sparsify mobility chain: %w", err)
 		}
 	}
-	// Fail fast on an unparsable default event set.
-	if _, err := eventspec.ParseAll(cfg.Events, g.States(), 0); err != nil {
+	// Fail fast on a default event set no session could be created with.
+	if _, err := parseSessionEvents(cfg.Events, g.States()); err != nil {
 		return nil, err
 	}
 	metrics := newMetrics()
@@ -159,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 		pi:          markov.Uniform(g.States()),
 		mgr:         newManager(cfg.MaxSessions, cfg.SessionTTL, metrics),
 		registry:    newPlanRegistry(cache, worldTag),
-		pool:        newPool(workers, cfg.SchedAffinity, cfg.DrainBatch, metrics, cfg.Logger, cfg.SlowStep),
+		pool:        newPool(workers, cfg.DrainBatch, metrics, cfg.Logger, cfg.SlowStep),
 		hub:         newStreamHub(cfg.StreamBuffer, metrics),
 		metrics:     metrics,
 		logger:      cfg.Logger,
@@ -174,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 	// the session's single-writer context, so per-session publish order
 	// is exactly commit order.
 	s.pool.onRelease = func(sess *Session, res core.StepResult) {
-		s.hub.publish(sess.id, toStepResponse("", res))
+		s.hub.publish(sess.id, toStepResponse(res))
 	}
 	// Any registry exit — delete, eviction, TTL sweep, shutdown —
 	// terminates the session's release subscribers.
@@ -654,7 +654,7 @@ func (s *Server) createSession(req api.CreateSessionRequest) (*Session, error) {
 	if len(specs) == 0 {
 		specs = s.cfg.Events
 	}
-	events, err := eventspec.ParseAll(specs, s.g.States(), 0)
+	events, err := parseSessionEvents(specs, s.g.States())
 	if err != nil {
 		return nil, err
 	}
@@ -749,6 +749,28 @@ func (s *Server) register(sess *Session, imported *store.SessionState) error {
 	return nil
 }
 
+// Bounds on the protected events a session is created or imported
+// with: every event window must end before maxEventHorizon, and a
+// session carries at most maxSessionEvents events. A window ending at t
+// makes the world model precompute 2·(t+1) m-vectors, so without them
+// one request could ask for gigabytes. Journals replay unbounded
+// (restoreSession), so sessions accepted before the bounds still
+// recover.
+const (
+	maxEventHorizon  = 4096
+	maxSessionEvents = 16
+)
+
+// parseSessionEvents parses a new session's event specs over an m-state
+// map within the bounds above. Every rejection is invalid_argument.
+func parseSessionEvents(specs []string, m int) ([]event.Event, error) {
+	if len(specs) > maxSessionEvents {
+		return nil, api.Errf(api.CodeInvalidArgument,
+			fmt.Sprintf("server: %d events exceed the per-session maximum of %d", len(specs), maxSessionEvents))
+	}
+	return eventspec.ParseAll(specs, m, maxEventHorizon)
+}
+
 // buildPlan returns the shared compiled plan for the canonical engine
 // parameters, compiling it on first use. delta is only meaningful for
 // MechanismDelta and must be 0 otherwise.
@@ -778,10 +800,9 @@ func (s *Server) buildPlan(eps, alpha float64, mechName string, delta float64, e
 	})
 }
 
-// toStepResponse renders a completed step outcome as the wire type.
-func toStepResponse(id string, res core.StepResult) api.StepResponse {
+// toStepResponse renders a committed step as the wire type.
+func toStepResponse(res core.StepResult) api.StepResponse {
 	return api.StepResponse{
-		SessionID:              id,
 		T:                      res.T,
 		Obs:                    res.Obs,
 		Alpha:                  res.Alpha,
@@ -792,40 +813,37 @@ func toStepResponse(id string, res core.StepResult) api.StepResponse {
 	}
 }
 
-// Step implements api.Service: it enqueues one step on a session and
-// waits for its certified release (or ctx expiry — the step itself
-// still completes and is journaled). FIFO order among concurrent Step
-// calls on the same session is the order their enqueues linearise in;
-// the transports and the batch endpoint preserve their own arrival
-// order.
+// Step implements api.Service: StepAsync, then a wait for the certified
+// release (or ctx expiry — the step itself still completes and is
+// journaled). FIFO order among concurrent Step calls on the same
+// session is the order their enqueues linearise in; the transports and
+// the batch endpoint preserve their own arrival order.
 func (s *Server) Step(ctx context.Context, id string, loc int) (api.StepResponse, error) {
-	done, err := s.stepAsync(ctx, id, loc)
+	done, err := s.StepAsync(ctx, id, loc)
 	if err != nil {
 		return api.StepResponse{}, err
 	}
 	select {
 	case out := <-done:
-		if out.err != nil {
-			return api.StepResponse{}, out.err
-		}
-		return toStepResponse("", out.res), nil
+		return out.Resp, out.Err
 	case <-ctx.Done():
 		return api.StepResponse{}, ctx.Err()
 	}
 }
 
-// StepAsync implements api.AsyncStepper for pipelining transports: the
-// step is enqueued before StepAsync returns (fixing its FIFO position)
-// and the buffered channel delivers the wire-typed outcome straight
-// from the worker — no forwarding goroutine on the hot path. ctx
-// carries the observability tags (transport, trace ID) and is consulted
-// only at enqueue time.
+// StepAsync implements api.AsyncStepper and is the one way a step
+// enters a session's FIFO: every transport's unary, batch and stream
+// paths come through here. The step is enqueued before StepAsync
+// returns (fixing its FIFO position) and the buffered channel delivers
+// the wire-typed outcome straight from the worker. ctx carries the
+// observability tags (transport, trace ID) and is consulted only at
+// enqueue time.
 func (s *Server) StepAsync(ctx context.Context, id string, loc int) (<-chan api.StepOutcome, error) {
-	j := stepJob{loc: loc, apiDone: make(chan api.StepOutcome, 1)}
-	if err := s.enqueueStep(ctx, id, j); err != nil {
+	j := stepJob{loc: loc, done: make(chan api.StepOutcome, 1)}
+	if _, err := s.enqueueStep(ctx, id, j); err != nil {
 		return nil, err
 	}
-	return j.apiDone, nil
+	return j.done, nil
 }
 
 // stepWindowed serves one streamed micro-batch on a session: every loc
@@ -891,10 +909,10 @@ func (s *Server) stepWindowed(ctx context.Context, id string, locs []int) ([]api
 // are collected. Per-item failures are reported inline; the batch
 // itself never fails.
 func (s *Server) StepBatch(ctx context.Context, steps []api.BatchStepItem) []api.StepResponse {
-	dones := make([]chan stepOutcome, len(steps))
+	dones := make([]<-chan api.StepOutcome, len(steps))
 	results := make([]api.StepResponse, len(steps))
 	for i, item := range steps {
-		done, err := s.stepAsync(ctx, item.SessionID, item.Loc)
+		done, err := s.StepAsync(ctx, item.SessionID, item.Loc)
 		if err != nil {
 			results[i] = api.FailedStep(item.SessionID, err)
 			continue
@@ -907,10 +925,11 @@ func (s *Server) StepBatch(ctx context.Context, steps []api.BatchStepItem) []api
 		}
 		select {
 		case out := <-done:
-			if out.err != nil {
-				results[i] = api.FailedStep(steps[i].SessionID, out.err)
+			if out.Err != nil {
+				results[i] = api.FailedStep(steps[i].SessionID, out.Err)
 			} else {
-				results[i] = toStepResponse(steps[i].SessionID, out.res)
+				results[i] = out.Resp
+				results[i].SessionID = steps[i].SessionID
 			}
 		case <-ctx.Done():
 			results[i] = api.FailedStep(steps[i].SessionID, ctx.Err())
@@ -919,26 +938,18 @@ func (s *Server) StepBatch(ctx context.Context, steps []api.BatchStepItem) []api
 	return results
 }
 
-// stepAsync enqueues one step and returns the completion channel.
-func (s *Server) stepAsync(ctx context.Context, id string, loc int) (chan stepOutcome, error) {
-	j := stepJob{loc: loc, done: make(chan stepOutcome, 1)}
-	if err := s.enqueueStep(ctx, id, j); err != nil {
-		return nil, err
-	}
-	return j.done, nil
-}
-
 // enqueueStep places a job on the session's FIFO queue and wakes the
 // pool, rejecting drains, unknown ids and full queues. The job's
 // observability context — ingress transport, trace ID, enqueue instant
-// — is stamped here from ctx (see obs.WithTransport/WithTrace).
-func (s *Server) enqueueStep(ctx context.Context, id string, j stepJob) error {
+// — is stamped here from ctx (see obs.WithTransport/WithTrace). A step
+// refreshes the session's LRU clock; an export does not.
+func (s *Server) enqueueStep(ctx context.Context, id string, j stepJob) (*Session, error) {
 	if s.draining.Load() {
-		return ErrDraining
+		return nil, ErrDraining
 	}
 	sess, ok := s.mgr.Get(id)
 	if !ok {
-		return ErrNotFound
+		return nil, ErrNotFound
 	}
 	j.transport = transportIndex(obs.TransportFrom(ctx))
 	j.trace = obs.TraceFrom(ctx)
@@ -948,13 +959,15 @@ func (s *Server) enqueueStep(ctx context.Context, id string, j stepJob) error {
 		if err == ErrQueueFull {
 			s.metrics.queueRejections.Add(1)
 		}
-		return err
+		return nil, err
 	}
-	sess.touch(time.Now())
+	if j.export == nil {
+		sess.touch(time.Now())
+	}
 	if wake {
 		s.pool.schedule(sess)
 	}
-	return nil
+	return sess, nil
 }
 
 // DeleteSession implements api.Service: it removes and closes a
@@ -1126,27 +1139,14 @@ func (s *Server) MetricsHandler() http.Handler {
 // The session keeps serving afterwards: migration is export, DELETE on
 // the source, import on the target.
 func (s *Server) ExportSession(ctx context.Context, id string) (api.SessionExport, error) {
-	if s.draining.Load() {
-		return api.SessionExport{}, ErrDraining
-	}
-	sess, ok := s.mgr.Get(id)
-	if !ok {
-		return api.SessionExport{}, ErrNotFound
-	}
-	j := stepJob{export: true, done: make(chan stepOutcome, 1)}
-	wake, err := sess.enqueue(j, s.cfg.QueueDepth)
+	j := stepJob{export: make(chan exportOutcome, 1)}
+	sess, err := s.enqueueStep(ctx, id, j)
 	if err != nil {
-		if err == ErrQueueFull {
-			s.metrics.queueRejections.Add(1)
-		}
 		return api.SessionExport{}, err
 	}
-	if wake {
-		s.pool.schedule(sess)
-	}
-	var out stepOutcome
+	var out exportOutcome
 	select {
-	case out = <-j.done:
+	case out = <-j.export:
 	case <-ctx.Done():
 		return api.SessionExport{}, ctx.Err()
 	}
@@ -1196,7 +1196,7 @@ func (s *Server) ImportSession(exp api.SessionExport) (api.SessionInfo, error) {
 		return api.SessionInfo{}, fmt.Errorf("%w: export is for world %q, this server runs %q",
 			ErrWorldMismatch, exp.World, s.worldTag)
 	}
-	events, err := eventspec.ParseAll(exp.Events, s.g.States(), 0)
+	events, err := parseSessionEvents(exp.Events, s.g.States())
 	if err != nil {
 		return api.SessionInfo{}, err
 	}

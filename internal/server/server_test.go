@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"priste/internal/api"
 	"priste/internal/core"
@@ -68,9 +69,9 @@ func TestConcurrentSessions(t *testing.T) {
 			m := srv.Config().GridW * srv.Config().GridH
 			// Enqueue all steps up front, then await: completion order
 			// must equal enqueue order.
-			dones := make([]chan stepOutcome, steps)
+			dones := make([]<-chan api.StepOutcome, steps)
 			for k := range dones {
-				done, err := srv.stepAsync(context.Background(), id, rng.Intn(m))
+				done, err := srv.StepAsync(context.Background(), id, rng.Intn(m))
 				if err != nil {
 					errc <- fmt.Errorf("%s step %d: %w", id, k, err)
 					return
@@ -79,12 +80,12 @@ func TestConcurrentSessions(t *testing.T) {
 			}
 			for k, done := range dones {
 				out := <-done
-				if out.err != nil {
-					errc <- fmt.Errorf("%s step %d: %w", id, k, out.err)
+				if out.Err != nil {
+					errc <- fmt.Errorf("%s step %d: %w", id, k, out.Err)
 					return
 				}
-				if out.res.T != k {
-					errc <- fmt.Errorf("%s step %d released T=%d (out of order)", id, k, out.res.T)
+				if out.Resp.T != k {
+					errc <- fmt.Errorf("%s step %d released T=%d (out of order)", id, k, out.Resp.T)
 					return
 				}
 			}
@@ -303,6 +304,48 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestOversizeEventsRejected: a client-supplied event set with a window
+// past the horizon bound, or with too many events, is refused with
+// invalid_argument on create and on import, before any world model is
+// built for it (an unbounded window would ask for gigabytes).
+func TestOversizeEventsRejected(t *testing.T) {
+	srv := newTestServer(t, testConfig())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := NewClient(ts.URL, nil)
+	tooMany := make([]string, maxSessionEvents+1)
+	for i := range tooMany {
+		tooMany[i] = "0-0@0-1"
+	}
+	for name, events := range map[string][]string{
+		"huge window":  {"0-0@0-100000000"},
+		"past horizon": {fmt.Sprintf("0-0@0-%d", maxEventHorizon)},
+		"too many":     tooMany,
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err := client.CreateSession(ctx, CreateSessionRequest{ID: "big", Events: events})
+		if api.CodeOf(err) != api.CodeInvalidArgument {
+			t.Errorf("%s: create: %v, want invalid_argument", name, err)
+		}
+		_, err = client.ImportSession(ctx, api.SessionExport{
+			Version: api.V1, ID: "big", World: srv.worldTag, Events: events,
+		})
+		if api.CodeOf(err) != api.CodeInvalidArgument {
+			t.Errorf("%s: import: %v, want invalid_argument", name, err)
+		}
+		cancel()
+	}
+	if n := srv.mgr.Len(); n != 0 {
+		t.Fatalf("live = %d after rejected creates and imports, want 0", n)
+	}
+	// The largest window the bound admits still creates.
+	if _, err := client.CreateSession(context.Background(), CreateSessionRequest{
+		Events: []string{fmt.Sprintf("0-0@0-%d", maxEventHorizon-1)},
+	}); err != nil {
+		t.Fatalf("window ending at %d: %v", maxEventHorizon-1, err)
+	}
+}
+
 // TestDeltaMechanismSession runs a session on the δ-location-set
 // mechanism end to end.
 func TestDeltaMechanismSession(t *testing.T) {
@@ -338,14 +381,14 @@ func TestServerClose(t *testing.T) {
 	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u"}); err != nil {
 		t.Fatal(err)
 	}
-	done, err := srv.stepAsync(context.Background(), "u", 0)
+	done, err := srv.StepAsync(context.Background(), "u", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 	srv.Close()
 	out := <-done
-	if !errors.Is(out.err, ErrSessionClosed) {
-		t.Fatalf("pending step after Close: %v, want ErrSessionClosed", out.err)
+	if !errors.Is(out.Err, ErrSessionClosed) {
+		t.Fatalf("pending step after Close: %v, want ErrSessionClosed", out.Err)
 	}
 }

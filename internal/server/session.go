@@ -38,19 +38,15 @@ var (
 	ErrWorldMismatch = api.Errf(api.CodeFailedPrecondition, "server: session was certified against a different world model")
 )
 
-// stepJob is one pending queue entry — a Step call, or (export true) a
-// request for a consistent point-in-time snapshot that rides the same
-// single-writer FIFO so it never races a step on the framework. Exactly
-// one of done/apiDone is set, both buffered (cap 1) so the worker never
-// blocks on a slow or departed client: done delivers the raw engine
-// outcome (Step, StepBatch, export), apiDone delivers the wire-typed
-// outcome directly — the StepAsync fast path, which saves a forwarding
-// goroutine and channel per step on the pipelining RPC transport.
+// stepJob is one pending queue entry — a step (done set), or (export
+// set) a request for a consistent point-in-time snapshot that rides the
+// same single-writer FIFO so it never races a step on the framework.
+// Both channels are buffered (cap 1) so the worker never blocks on a
+// slow or departed client.
 type stepJob struct {
-	loc     int
-	export  bool
-	done    chan stepOutcome
-	apiDone chan api.StepOutcome
+	loc    int
+	done   chan api.StepOutcome
+	export chan exportOutcome
 
 	// Observability context, stamped at enqueue time: the ingress
 	// transport (metrics attribution for the pool-side stages), the
@@ -61,17 +57,16 @@ type stepJob struct {
 	enqueued  time.Time
 }
 
-// fail delivers err on whichever completion channel the job carries.
+// fail delivers err as the job's outcome.
 func (j stepJob) fail(err error) {
-	if j.apiDone != nil {
-		j.apiDone <- api.StepOutcome{Err: err}
+	if j.export != nil {
+		j.export <- exportOutcome{err: err}
 		return
 	}
-	j.done <- stepOutcome{err: err}
+	j.done <- api.StepOutcome{Err: err}
 }
 
-type stepOutcome struct {
-	res  core.StepResult
+type exportOutcome struct {
 	snap core.Snapshot
 	err  error
 }

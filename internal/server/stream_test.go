@@ -386,8 +386,7 @@ func TestStreamWindowOccupancyStats(t *testing.T) {
 }
 
 // TestSchedulerBatchAware: with a drain batch of 1 every visit with
-// work left re-queues the session (fairness), and a one-worker pool
-// serving two same-plan sessions takes the plan-affinity dequeue path.
+// work left re-queues the session (fairness).
 func TestSchedulerBatchAware(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
@@ -413,10 +412,40 @@ func TestSchedulerBatchAware(t *testing.T) {
 	if sched.Requeues == 0 {
 		t.Fatalf("drain-batch cap of 1 over 12 queued steps produced no requeues: %+v", sched)
 	}
-	if sched.AffinityPicks == 0 {
-		t.Fatalf("two same-plan sessions on one worker produced no affinity picks: %+v", sched)
+}
+
+// TestRunQueueIsArrivalOrder: the run queue serves sessions in the
+// order they became runnable, whatever plan they run on — a1 and a2
+// share a plan, b1 does not, and queued a1, b1, a2 they are served
+// a1, b1, a2. The server has no workers, so the test drives the queue.
+func TestRunQueueIsArrivalOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = -1
+	srv := newTestServer(t, cfg)
+	var queued []*Session
+	for _, c := range []struct {
+		id  string
+		eps float64
+	}{{"a1", 0.5}, {"b1", 2}, {"a2", 0.5}} {
+		if _, err := srv.CreateSession(CreateSessionRequest{ID: c.id, Epsilon: c.eps}); err != nil {
+			t.Fatal(err)
+		}
+		sess, _ := srv.mgr.Get(c.id)
+		queued = append(queued, sess)
 	}
-	if sched.FIFOPicks == 0 {
-		t.Fatalf("scheduler reported no FIFO picks at all: %+v", sched)
+	if a1, b1, a2 := queued[0], queued[1], queued[2]; a1.fw.Plan() != a2.fw.Plan() || a1.fw.Plan() == b1.fw.Plan() {
+		t.Fatal("want a1 and a2 on one plan and b1 on another")
+	}
+	for _, sess := range queued {
+		srv.pool.schedule(sess)
+	}
+	for i, want := range queued {
+		got, ok := srv.pool.next()
+		if !ok {
+			t.Fatalf("pick %d: pool stopped", i)
+		}
+		if got != want {
+			t.Fatalf("pick %d = %s, want %s (arrival order a1, b1, a2)", i, got.id, want.id)
+		}
 	}
 }

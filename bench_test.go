@@ -480,12 +480,12 @@ func reportStages(b *testing.B, srv *priste.Server, transport string) {
 	b.ReportMetric(ts.StepMeanMicros, "e2e_us")
 }
 
-// benchStreamSteps drives the streaming ingest path: parallel
+// benchStreamSteps drives the RPC streaming ingest path: parallel
 // goroutines each own one session and one StepStream, a receiver
 // goroutine drains releases while the benchmark loop fire-and-forgets
 // locations, and the tail is drained through CloseSend before the
 // goroutine reports. One iteration is one streamed certified release.
-func benchStreamSteps(b *testing.B, srv *priste.Server, transport string, cfg priste.ServerConfig, dial func() priste.APIClient) {
+func benchStreamSteps(b *testing.B, srv *priste.Server, cfg priste.ServerConfig, dial func() priste.APIClient) {
 	var nextSession atomic.Int64
 	m := cfg.GridW * cfg.GridH
 	b.ReportAllocs()
@@ -537,7 +537,7 @@ func benchStreamSteps(b *testing.B, srv *priste.Server, transport string, cfg pr
 		_ = st.Close()
 	})
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "steps/sec")
-	reportStages(b, srv, transport)
+	reportStages(b, srv, "rpc")
 }
 
 // BenchmarkServerStep measures HTTP/JSON serving-path throughput over
@@ -564,24 +564,13 @@ func BenchmarkServerStepStream(b *testing.B) {
 	rpcSrv := priste.NewRPCServer(srv)
 	go func() { _ = rpcSrv.Serve(lis) }()
 	defer rpcSrv.Close()
-	benchStreamSteps(b, srv, "rpc", cfg, func() priste.APIClient {
+	benchStreamSteps(b, srv, cfg, func() priste.APIClient {
 		client, err := priste.DialRPC(lis.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { client.Close() })
 		return client
-	})
-}
-
-// BenchmarkServerStepStreamHTTP measures the HTTP stream client's
-// pipelined micro-batches over POST /v1/sessions/{id}/stream.
-func BenchmarkServerStepStreamHTTP(b *testing.B) {
-	srv, cfg := benchServer(b)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	benchStreamSteps(b, srv, "http", cfg, func() priste.APIClient {
-		return priste.NewServerClient(ts.URL, nil)
 	})
 }
 

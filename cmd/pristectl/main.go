@@ -18,6 +18,7 @@
 //	                       pump a step stream: locations from stdin
 //	                       (whitespace-separated), or -n random-walk steps;
 //	                       certified releases print as JSON lines in order
+//	                       (RPC only)
 //	watch [-n N] ID        follow the session's SSE release stream (HTTP only)
 //	delete ID              close a session
 //	list [-limit N] [-cursor C]

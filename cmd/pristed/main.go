@@ -29,13 +29,12 @@
 // stable storage. On SIGTERM the daemon drains pending steps, flushes
 // final snapshots and only then exits.
 //
-// HTTP API (the RPC transport carries the same surface; see
-// internal/rpc for the framing):
+// HTTP API (the RPC transport carries the same surface plus windowed
+// step streams, which are RPC-only; see internal/rpc for the framing):
 //
 //	POST   /v1/sessions             {"seed":1,"events":["0-9@3-7"]}
 //	GET    /v1/sessions             list sessions (limit/cursor)
 //	POST   /v1/sessions/{id}/step   {"loc":42}
-//	POST   /v1/sessions/{id}/stream {"locs":[42,43,...]} windowed stream ingest
 //	GET    /v1/sessions/{id}/stream SSE push stream of certified releases
 //	POST   /v1/step                 {"steps":[{"session_id":"..","loc":42},...]}
 //	GET    /v1/sessions/{id}        session state

@@ -83,7 +83,8 @@ type PoolStats struct {
 // unary queue gauges do not cover. WindowOccupancy is the number of
 // streamed steps currently in flight (submitted, not yet acked) across
 // all streams; PerShardWindow breaks it down by session-manager shard
-// so hot shards are visible next to their queue gauges.
+// so hot shards are visible next to their queue gauges. StepsStreamed
+// counts steps acked on RPC step streams; step streams are RPC-only.
 type StreamStats struct {
 	RPCOpened       int64   `json:"rpc_opened"`
 	RPCActive       int64   `json:"rpc_active"`

@@ -13,11 +13,11 @@ import "context"
 // order the locations were sent; a stream is the session's FIFO queue
 // made visible end to end.
 //
-// Both transports satisfy the interface: the RPC client multiplexes
-// stream frames over its persistent connection, the HTTP client
-// pipelines windowed micro-batches through POST
-// /v1/sessions/{id}/stream. Push-style observation (releases without
-// driving steps) is the SSE endpoint GET /v1/sessions/{id}/stream.
+// Streams are RPC-only: the RPC client multiplexes stream frames over
+// its persistent connection. HTTP callers send many steps per request
+// through the batch endpoint POST /v1/step instead. Push-style
+// observation (releases without driving steps) is the SSE endpoint GET
+// /v1/sessions/{id}/stream.
 
 const (
 	// DefaultStreamWindow is the in-flight step window used when a
@@ -27,9 +27,6 @@ const (
 	// reject larger advertisements rather than silently clamping,
 	// since the client relies on its window for flow control.
 	MaxStreamWindow = 4096
-	// MaxStreamBatch bounds the locs accepted by one windowed
-	// micro-batch request on the HTTP stream ingest path.
-	MaxStreamBatch = MaxStreamWindow
 )
 
 // StepStream pumps steps into one session and yields its certified
@@ -54,35 +51,7 @@ type StepStream interface {
 }
 
 // StreamClient is the optional Client extension for streaming ingest.
-// Both shipped clients implement it.
+// The RPC client implements it; the HTTP client does not.
 type StreamClient interface {
 	StreamSteps(ctx context.Context, sessionID string, window int) (StepStream, error)
-}
-
-// StreamStepRequest is the body of POST /v1/sessions/{id}/stream: one
-// windowed micro-batch of true locations, applied in order.
-type StreamStepRequest struct {
-	Locs []int `json:"locs"`
-}
-
-// StreamStepResponse answers a windowed micro-batch. Results holds
-// the certified releases, in order, for the locs that committed. If
-// the batch died early, Code/Error report the terminal failure and
-// Results covers only the prefix that committed before it.
-type StreamStepResponse struct {
-	Results []StepResponse `json:"results"`
-	Code    Code           `json:"code,omitempty"`
-	Error   string         `json:"error,omitempty"`
-}
-
-// Err returns the terminal failure carried by the response, if any.
-func (r *StreamStepResponse) Err() error {
-	if r.Code == "" && r.Error == "" {
-		return nil
-	}
-	code := r.Code
-	if code == "" {
-		code = CodeInternal
-	}
-	return &Error{Code: code, Message: r.Error}
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 
 	"priste/internal/api"
 	"priste/internal/obs"
@@ -23,10 +22,7 @@ type Client struct {
 	http *http.Client
 }
 
-var (
-	_ api.Client       = (*Client)(nil)
-	_ api.StreamClient = (*Client)(nil)
-)
+var _ api.Client = (*Client)(nil)
 
 // defaultHTTPClient backs NewClient when the caller passes no client.
 // Two departures from http.DefaultTransport matter on the step path:
@@ -180,227 +176,6 @@ func (c *Client) ImportSession(ctx context.Context, exp api.SessionExport) (api.
 	var info api.SessionInfo
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/import", exp, &info)
 	return info, err
-}
-
-// StreamSteps implements api.StreamClient over HTTP: the returned
-// stream pipelines windowed micro-batches through POST
-// /v1/sessions/{id}/stream. The window caps in-flight (sent, not yet
-// consumed) steps exactly like the RPC stream — Send blocks when it is
-// exhausted — and each micro-batch carries whatever Send has queued at
-// the moment the previous round-trip completes, so throughput adapts
-// to the caller's production rate without a fixed batch delay.
-func (c *Client) StreamSteps(ctx context.Context, id string, window int) (api.StepStream, error) {
-	if window <= 0 {
-		window = api.DefaultStreamWindow
-	}
-	if window > api.MaxStreamWindow {
-		window = api.MaxStreamWindow
-	}
-	// Probe the session first so an unknown id fails the open, not the
-	// first Send — matching the RPC stream's open handshake.
-	if _, err := c.Session(ctx, id); err != nil {
-		return nil, err
-	}
-	st := &httpStream{
-		c:      c,
-		ctx:    ctx,
-		id:     id,
-		window: window,
-		tokens: make(chan struct{}, window),
-		locs:   make(chan int, window),
-		recv:   make(chan api.StepResponse, window+2),
-		done:   make(chan struct{}),
-	}
-	for i := 0; i < window; i++ {
-		st.tokens <- struct{}{}
-	}
-	go st.pump()
-	return st, nil
-}
-
-// httpStream is the HTTP api.StepStream: a pump goroutine turns the
-// queued locations into windowed micro-batch requests and fans the
-// returned releases into recv. The token bucket mirrors the RPC
-// stream's: Send takes a token, Recv returns it on consumption, so at
-// most `window` steps are in flight end to end.
-type httpStream struct {
-	c      *Client
-	ctx    context.Context
-	id     string
-	window int
-
-	tokens chan struct{}
-	locs   chan int
-	recv   chan api.StepResponse
-	done   chan struct{}
-
-	mu         sync.Mutex
-	termErr    error
-	sendClosed bool
-}
-
-// pump drives the micro-batch pipeline: block for one location, drain
-// whatever else Send has queued (up to the window), round-trip the
-// batch, deliver its releases, repeat until the input side closes or a
-// terminal error ends the stream.
-func (st *httpStream) pump() {
-	for {
-		var batch []int
-		select {
-		case loc, ok := <-st.locs:
-			if !ok {
-				st.terminate(io.EOF)
-				return
-			}
-			batch = append(batch, loc)
-		case <-st.done:
-			return
-		case <-st.ctx.Done():
-			st.terminate(st.ctx.Err())
-			return
-		}
-		closed := false
-	fill:
-		for len(batch) < st.window {
-			select {
-			case loc, ok := <-st.locs:
-				if !ok {
-					closed = true
-					break fill
-				}
-				batch = append(batch, loc)
-			default:
-				break fill
-			}
-		}
-		var out api.StreamStepResponse
-		err := st.c.do(st.ctx, http.MethodPost,
-			"/v1/sessions/"+url.PathEscape(st.id)+"/stream", api.StreamStepRequest{Locs: batch}, &out)
-		if err != nil {
-			st.terminate(err)
-			return
-		}
-		for _, r := range out.Results {
-			select {
-			case st.recv <- r:
-			case <-st.done:
-				return
-			}
-		}
-		if berr := out.Err(); berr != nil {
-			st.terminate(berr)
-			return
-		}
-		if closed {
-			st.terminate(io.EOF)
-			return
-		}
-	}
-}
-
-// terminate records the stream's terminal state; the first caller wins.
-func (st *httpStream) terminate(err error) {
-	st.mu.Lock()
-	if st.termErr == nil {
-		st.termErr = err
-		close(st.done)
-	}
-	st.mu.Unlock()
-}
-
-// terminal returns the recorded terminal error.
-func (st *httpStream) terminal() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.termErr != nil {
-		return st.termErr
-	}
-	return api.Errf(api.CodeUnavailable, "server: stream closed")
-}
-
-// Send implements api.StepStream.
-func (st *httpStream) Send(loc int) error {
-	st.mu.Lock()
-	if st.sendClosed {
-		st.mu.Unlock()
-		return api.Errf(api.CodeInvalidArgument, "server: send on closed stream")
-	}
-	if st.termErr != nil {
-		err := st.termErr
-		st.mu.Unlock()
-		return err
-	}
-	st.mu.Unlock()
-	select {
-	case <-st.tokens:
-	case <-st.done:
-		return st.terminal()
-	case <-st.ctx.Done():
-		return st.ctx.Err()
-	}
-	select {
-	case st.locs <- loc:
-		return nil
-	case <-st.done:
-		return st.terminal()
-	case <-st.ctx.Done():
-		return st.ctx.Err()
-	}
-}
-
-// Recv implements api.StepStream. Buffered releases outrank the
-// terminal state so a graceful close always drains cleanly.
-func (st *httpStream) Recv() (api.StepResponse, error) {
-	select {
-	case r := <-st.recv:
-		st.releaseToken()
-		return r, nil
-	default:
-	}
-	select {
-	case r := <-st.recv:
-		st.releaseToken()
-		return r, nil
-	case <-st.done:
-		select {
-		case r := <-st.recv:
-			st.releaseToken()
-			return r, nil
-		default:
-		}
-		return api.StepResponse{}, st.terminal()
-	case <-st.ctx.Done():
-		return api.StepResponse{}, st.ctx.Err()
-	}
-}
-
-func (st *httpStream) releaseToken() {
-	select {
-	case st.tokens <- struct{}{}:
-	default:
-	}
-}
-
-// CloseSend implements api.StepStream: it ends the input side; the pump
-// flushes what was already sent, and Recv drains to io.EOF.
-func (st *httpStream) CloseSend() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.sendClosed {
-		return nil
-	}
-	st.sendClosed = true
-	close(st.locs)
-	return nil
-}
-
-// Close implements api.StepStream: it aborts the stream. It does not
-// close the locs channel — CloseSend owns that, and Close may race a
-// concurrent Send — it just marks the stream terminal, which stops the
-// pump and unblocks both sides.
-func (st *httpStream) Close() error {
-	st.terminate(api.Errf(api.CodeUnavailable, "server: stream closed"))
-	return nil
 }
 
 // Stats returns the service counters.

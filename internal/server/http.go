@@ -64,7 +64,6 @@ const (
 //	GET    /v1/sessions/{id}        session state
 //	DELETE /v1/sessions/{id}        close a session
 //	POST   /v1/sessions/{id}/step   release one location
-//	POST   /v1/sessions/{id}/stream windowed micro-batch stream ingest
 //	GET    /v1/sessions/{id}/stream SSE push stream of certified releases
 //	GET    /v1/sessions/{id}/export export a session for migration
 //	POST   /v1/sessions/import      import a migrated session
@@ -84,7 +83,6 @@ func (s *Server) Handler() http.Handler {
 	RegisterAPIRoutes(mux, s, func(total, decode, encode time.Duration) {
 		s.metrics.observeServedStep(transportHTTP, total, decode, encode)
 	})
-	mux.HandleFunc("POST /v1/sessions/{id}/stream", s.handleStreamStep)
 	mux.HandleFunc("GET /v1/sessions/{id}/stream", s.handleSessionStream)
 	mux.Handle("GET /metricsz", s.metrics.Handler())
 	return TraceHandler(mux, func(d time.Duration) {
@@ -159,8 +157,7 @@ func WriteError(w http.ResponseWriter, err error) {
 	WriteJSON(w, e.Code.HTTPStatus(), errorBody{Error: e.Message, Code: e.Code})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) { WriteJSON(w, status, v) }
-func writeError(w http.ResponseWriter, err error)        { WriteError(w, err) }
+func writeError(w http.ResponseWriter, err error) { WriteError(w, err) }
 
 func decodeJSON(r *http.Request, v any, limit int64) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))

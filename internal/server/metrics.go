@@ -139,7 +139,7 @@ func newMetrics() *Metrics {
 
 	m.streamsOpened = reg.Counter("priste_stream_opened_total", "RPC step streams opened.")
 	m.streamsActive = reg.Gauge("priste_stream_active", "RPC step streams currently open.")
-	m.streamSteps = reg.Counter("priste_stream_steps_total", "Steps submitted through step streams.")
+	m.streamSteps = reg.Counter("priste_stream_steps_total", "Steps acked on RPC step streams.")
 	m.streamAcks = reg.Counter("priste_stream_ack_batches_total", "Ack batches flushed on step streams.")
 	m.sseSubscribers = reg.Gauge("priste_sse_subscribers", "Live SSE release-stream subscribers.")
 	m.sseDelivered = reg.Counter("priste_sse_delivered_total", "Releases delivered to SSE subscribers.")

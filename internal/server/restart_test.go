@@ -396,6 +396,83 @@ func TestWorldMismatchRefusesReplay(t *testing.T) {
 	}
 }
 
+// TestOverBoundJournalIsNotReplayed: a journal whose events exceed the
+// bounds create and import enforce must not replay either — its world
+// model would cost a window-sized allocation at every startup. The
+// daemon starts, counts the failure, keeps serving every other session,
+// and leaves the journal on disk.
+func TestOverBoundJournalIsNotReplayed(t *testing.T) {
+	dir := t.TempDir()
+	srvA, err := New(durableConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(4)
+	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "good", Seed: &seed}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srvA.Step(bg, "good", 0); err != nil {
+		t.Fatal(err)
+	}
+	world := srvA.worldTag
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srvA.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	tooMany := make([]string, maxSessionEvents+1)
+	for i := range tooMany {
+		tooMany[i] = "0-0@0-1"
+	}
+	st, err := store.Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, events := range map[string][]string{
+		"wide": {"0-0@0-5000"},
+		"many": tooMany,
+	} {
+		meta := store.SessionMeta{ID: id, World: world, Seed: 1, Epsilon: 0.5, Alpha: 1,
+			Mechanism: MechanismLaplace, Events: events}
+		if _, err := st.CreateSession(meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, err := New(durableConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := srvB.Stats().Store; s.Replayed != 1 || s.ReplayFailures != 2 {
+		t.Fatalf("restart: %d replayed / %d failures, want 1 / 2", s.Replayed, s.ReplayFailures)
+	}
+	if res, err := srvB.Step(bg, "good", 1); err != nil || res.T != 1 {
+		t.Fatalf("good session after restart: %+v, %v; want T=1", res, err)
+	}
+	srvB.Close()
+
+	st, err = store.Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	states, err := st.LoadSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[string]bool{}
+	for _, s := range states {
+		kept[s.Meta.ID] = true
+	}
+	if !kept["wide"] || !kept["many"] {
+		t.Fatalf("journals on disk after restart: %v; want wide and many kept", kept)
+	}
+}
+
 // TestDuplicateCreateKeepsJournal: a duplicate create against a durable
 // server must be rejected without touching the live session's WAL.
 func TestDuplicateCreateKeepsJournal(t *testing.T) {

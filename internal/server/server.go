@@ -363,7 +363,7 @@ func (s *Server) restoreSession(st store.SessionState) (*Session, error) {
 		return nil, fmt.Errorf("server: session %q was journaled for world %q, this server runs %q",
 			st.Meta.ID, st.Meta.World, s.worldTag)
 	}
-	events, err := eventspec.ParseAll(st.Meta.Events, s.g.States(), 0)
+	events, err := parseSessionEvents(st.Meta.Events, s.g.States())
 	if err != nil {
 		return nil, err
 	}
@@ -749,20 +749,22 @@ func (s *Server) register(sess *Session, imported *store.SessionState) error {
 	return nil
 }
 
-// Bounds on the protected events a session is created or imported
-// with: every event window must end before maxEventHorizon, and a
-// session carries at most maxSessionEvents events. A window ending at t
-// makes the world model precompute 2·(t+1) m-vectors, so without them
-// one request could ask for gigabytes. Journals replay unbounded
-// (restoreSession), so sessions accepted before the bounds still
-// recover.
+// Bounds on the protected events of every session, whether created,
+// imported or rehydrated from its journal: every event window must end
+// before maxEventHorizon, and a session carries at most
+// maxSessionEvents events. A window ending at t makes the world model
+// precompute 2·(t+1) m-vectors, so without them one request, or one
+// journal replayed at every startup, could ask for gigabytes. A journal
+// over the bounds fails replay (rehydrate): it is counted and logged,
+// its files are kept for a build with wider bounds, and every other
+// session still starts.
 const (
 	maxEventHorizon  = 4096
 	maxSessionEvents = 16
 )
 
-// parseSessionEvents parses a new session's event specs over an m-state
-// map within the bounds above. Every rejection is invalid_argument.
+// parseSessionEvents parses a session's event specs over an m-state map
+// within the bounds above. Every rejection is invalid_argument.
 func parseSessionEvents(specs []string, m int) ([]event.Event, error) {
 	if len(specs) > maxSessionEvents {
 		return nil, api.Errf(api.CodeInvalidArgument,
@@ -844,63 +846,6 @@ func (s *Server) StepAsync(ctx context.Context, id string, loc int) (<-chan api.
 		return nil, err
 	}
 	return j.done, nil
-}
-
-// stepWindowed serves one streamed micro-batch on a session: every loc
-// is enqueued in order, with pump-style backpressure — a full queue
-// settles this batch's own head-of-line release (freeing its queue
-// slot) instead of surfacing a 429 — and the certified releases are
-// collected in commit order. On a terminal error the releases committed
-// before it are returned alongside it and the remaining locs are never
-// submitted, so the caller can report exactly how far the stream got.
-func (s *Server) stepWindowed(ctx context.Context, id string, locs []int) ([]api.StepResponse, error) {
-	results := make([]api.StepResponse, 0, len(locs))
-	var pending []<-chan api.StepOutcome
-	settle := func(ch <-chan api.StepOutcome) error {
-		select {
-		case out := <-ch:
-			if out.Err != nil {
-				return out.Err
-			}
-			results = append(results, out.Resp)
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	for _, loc := range locs {
-		for {
-			ch, err := s.StepAsync(ctx, id, loc)
-			if err == nil {
-				pending = append(pending, ch)
-				break
-			}
-			if api.CodeOf(err) != api.CodeResourceExhausted {
-				return results, err
-			}
-			if len(pending) > 0 {
-				if err := settle(pending[0]); err != nil {
-					return results, err
-				}
-				pending = pending[1:]
-				continue
-			}
-			// Queue full with nothing of ours in flight: another writer
-			// owns the slots. Yield briefly rather than spin.
-			select {
-			case <-ctx.Done():
-				return results, ctx.Err()
-			case <-time.After(200 * time.Microsecond):
-			}
-		}
-	}
-	for len(pending) > 0 {
-		if err := settle(pending[0]); err != nil {
-			return results, err
-		}
-		pending = pending[1:]
-	}
-	return results, nil
 }
 
 // StepBatch implements api.Service: every item is enqueued in slice

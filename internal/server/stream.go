@@ -232,39 +232,3 @@ func writeSSE(w http.ResponseWriter, id, event string, data any) {
 	}
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
 }
-
-// handleStreamStep serves POST /v1/sessions/{id}/stream: one windowed
-// micro-batch of the HTTP step stream. Unlike the batch endpoint it is
-// session-scoped and never surfaces per-item 429s — a full queue is
-// absorbed by settling the batch's own head-of-line release — so a
-// client pipelining micro-batches gets strict FIFO submission with
-// backpressure instead of drops. Releases committed before a terminal
-// error are returned alongside it.
-func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req api.StreamStepRequest
-	if err := decodeJSON(r, &req, maxBodyBytes); err != nil {
-		writeError(w, err)
-		return
-	}
-	if len(req.Locs) > api.MaxStreamBatch {
-		writeError(w, api.Errf(api.CodeInvalidArgument,
-			fmt.Sprintf("server: stream batch of %d exceeds the %d cap", len(req.Locs), api.MaxStreamBatch)))
-		return
-	}
-	results, err := s.stepWindowed(r.Context(), id, req.Locs)
-	if err != nil && len(results) == 0 {
-		if r.Context().Err() != nil {
-			return
-		}
-		writeError(w, err)
-		return
-	}
-	s.metrics.streamSteps.Add(int64(len(results)))
-	resp := api.StreamStepResponse{Results: results}
-	if err != nil {
-		e := api.ErrorOf(err)
-		resp.Code, resp.Error = e.Code, e.Message
-	}
-	writeJSON(w, http.StatusOK, resp)
-}

@@ -16,8 +16,20 @@ import (
 	"priste/internal/api"
 )
 
-// streamClient asserts the transport's client implements the streaming
-// extension and opens a stream.
+// onRPC runs fn as an "rpc" subtest against a fresh server and an RPC
+// client connected to it. Step streams are RPC-only, so the stream
+// conformance tests run here rather than through forEachTransport.
+func onRPC(t *testing.T, mkcfg func(t *testing.T) Config, fn func(t *testing.T, srv *Server, client api.Client)) {
+	t.Helper()
+	t.Run("rpc", func(t *testing.T) {
+		srv := newTestServer(t, mkcfg(t))
+		_, client := serveRPC(t, srv)
+		fn(t, srv, client)
+	})
+}
+
+// openStream asserts the client implements the streaming extension and
+// opens a stream.
 func openStream(t *testing.T, client api.Client, id string, window int) api.StepStream {
 	t.Helper()
 	sc, ok := client.(api.StreamClient)
@@ -32,18 +44,18 @@ func openStream(t *testing.T, client api.Client, id string, window int) api.Step
 	return st
 }
 
-// TestStreamFIFOAndBackpressure is the core stream conformance test on
-// both transports: a window far larger than the session queue pumps
-// more steps than the queue can hold, and every release must still
-// arrive — in exact FIFO order, with no 429 surfacing — because window
-// exhaustion and queue pressure both resolve as backpressure, not drops.
+// TestStreamFIFOAndBackpressure is the core stream conformance test: a
+// window far larger than the session queue pumps more steps than the
+// queue can hold, and every release must still arrive — in exact FIFO
+// order, with no 429 surfacing — because window exhaustion and queue
+// pressure both resolve as backpressure, not drops.
 func TestStreamFIFOAndBackpressure(t *testing.T) {
 	mkcfg := func(t *testing.T) Config {
 		cfg := testConfig()
 		cfg.QueueDepth = 2 // force the server-side pump into its backpressure path
 		return cfg
 	}
-	forEachTransport(t, mkcfg, func(t *testing.T, srv *Server, client api.Client) {
+	onRPC(t, mkcfg, func(t *testing.T, srv *Server, client api.Client) {
 		ctx := context.Background()
 		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "s"}); err != nil {
 			t.Fatal(err)
@@ -79,9 +91,9 @@ func TestStreamFIFOAndBackpressure(t *testing.T) {
 }
 
 // TestStreamUnknownSession: opening a stream on an id that does not
-// exist fails the open, not the first Send, on both transports.
+// exist fails the open, not the first Send.
 func TestStreamUnknownSession(t *testing.T) {
-	forEachTransport(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
+	onRPC(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
 		sc := client.(api.StreamClient)
 		_, err := sc.StreamSteps(context.Background(), "ghost", 0)
 		wantCode(t, err, api.CodeNotFound, "stream open on unknown session")
@@ -93,7 +105,7 @@ func TestStreamUnknownSession(t *testing.T) {
 // not_found depending on where the next step catches the removal),
 // never a hang or a silent drop.
 func TestStreamMidStreamDelete(t *testing.T) {
-	forEachTransport(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
+	onRPC(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
 		ctx := context.Background()
 		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "doomed"}); err != nil {
 			t.Fatal(err)
@@ -142,7 +154,7 @@ func TestStreamMidStreamDelete(t *testing.T) {
 // step by step through the unary endpoint. Streaming changes the
 // transport, never the certified output.
 func TestStreamUnaryEquivalence(t *testing.T) {
-	forEachTransport(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
+	onRPC(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
 		ctx := context.Background()
 		seed := int64(42)
 		const n = 40
@@ -321,6 +333,32 @@ func TestSSEStream(t *testing.T) {
 	var e sseEnd
 	if err := json.Unmarshal([]byte(end.data), &e); err != nil || e.Code != api.CodeSessionClosed {
 		t.Fatalf("end = %s (err %v), want code session_closed", end.data, err)
+	}
+}
+
+// TestHTTPStreamIngestRemoved: step streams are RPC-only. A POST to the
+// SSE route is refused by method without stepping the session, and the
+// HTTP client does not offer the streaming extension.
+func TestHTTPStreamIngestRemoved(t *testing.T) {
+	srv := newTestServer(t, testConfig())
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	if _, err := srv.CreateSession(CreateSessionRequest{ID: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sessions/s/stream", "application/json", strings.NewReader(`{"locs":[1]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/sessions/s/stream = %d, want 405", resp.StatusCode)
+	}
+	if info, err := srv.GetSession("s"); err != nil || info.T != 0 {
+		t.Fatalf("after the refused POST: %+v, %v; want T=0", info, err)
+	}
+	if _, ok := any(NewClient(ts.URL, nil)).(api.StreamClient); ok {
+		t.Fatal("the HTTP client implements api.StreamClient")
 	}
 }
 

@@ -403,8 +403,8 @@ type (
 	// session: fire-and-forget Send, FIFO Recv of certified releases,
 	// backpressure when the in-flight window is exhausted.
 	StepStream = api.StepStream
-	// StreamClient is the client extension for streaming ingest; both
-	// the HTTP ServerClient and the binary RPCClient implement it.
+	// StreamClient is the client extension for streaming ingest; the
+	// binary RPCClient implements it, the HTTP ServerClient does not.
 	StreamClient = api.StreamClient
 )
 

@@ -248,7 +248,7 @@ func main() {
 		if st := srv.Stats().Store; st.Replayed > 0 || st.ReplayFailures > 0 {
 			logger.Info("pristed: rehydrated sessions",
 				"replayed", st.Replayed, "failed", st.ReplayFailures,
-				"replay_ms", st.ReplayMicros/1e3, "warm_cache_entries", st.WarmLoaded)
+				"replay_ms", st.ReplayMicros/1e3)
 		}
 	}
 	health := srv.Health()
@@ -274,7 +274,7 @@ func main() {
 		os.Exit(1)
 	}
 	// Both listeners down, in-flight handlers returned; drain the queued
-	// steps, flush snapshots and the warm cache, then exit.
+	// steps, flush final snapshots, then exit.
 	if rpcSrv != nil {
 		_ = rpcSrv.Close()
 	}

@@ -29,7 +29,8 @@ func main() {
 	m := g.States()
 
 	// Train a mobility model from synthetic commute traces (the paper
-	// trains on Geolife; see DESIGN.md for the substitution).
+	// trains on Geolife; see the internal/geolife package doc for the
+	// substitution).
 	ds, err := priste.GenerateMobility(priste.MobilityConfig{Grid: g, Days: 40, StepsPerDay: 48, Seed: 7})
 	if err != nil {
 		log.Fatal(err)

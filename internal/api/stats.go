@@ -192,7 +192,7 @@ type CertCacheStats struct {
 // StoreStats is the /statsz durability section: the store's own
 // counters (appends, fsyncs, snapshots, ...) plus the serving layer's
 // view of it — append failures, startup session replays and their total
-// latency, and warm-loaded certified-release cache entries. A replay
+// latency. A replay
 // validates a journal (tag ranges, fingerprint chain, RNG state) and
 // re-registers the session; the operator rebuild it used to include now
 // happens at the session's first cache miss and is reported as the
@@ -209,10 +209,6 @@ type StoreStats struct {
 	Replayed        int64   `json:"replayed"`
 	ReplayFailures  int64   `json:"replay_failures"`
 	ReplayMicros    float64 `json:"replay_us"`
-	WarmLoaded      int64   `json:"warm_loaded"`
-	// WarmLoadFailed is 1 when the persisted cert-cache existed but
-	// could not be read at startup (the server started cold).
-	WarmLoadFailed int64 `json:"warm_load_failed"`
 }
 
 // TransportsStats breaks request counts, latency and the per-step stage

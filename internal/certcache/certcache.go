@@ -167,25 +167,6 @@ func (c *Cache) Put(k Key, dec qp.ReleaseDecision) {
 	}
 }
 
-// Range calls f for every cached (key, decision) pair until f returns
-// false. Iteration holds one shard lock at a time and visits shards in
-// order; entries inserted or evicted concurrently may or may not be
-// seen. Used by the persistence layer to warm-save the cache.
-func (c *Cache) Range(f func(Key, qp.ReleaseDecision) bool) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if !f(e.key, e.v.decision()) {
-				sh.mu.Unlock()
-				return
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // Len returns the number of cached decisions.
 func (c *Cache) Len() int {
 	n := 0

@@ -77,21 +77,6 @@ func TestSkippedRejectionStored(t *testing.T) {
 			t.Fatalf("entry kept solver diagnostics: %+v", got.Eq15)
 		}
 	}
-	// Range hands out the same rebuilt decisions (it holds the shard lock,
-	// so compare after it returns).
-	ranged := map[Key]qp.ReleaseDecision{}
-	c.Range(func(k Key, dec qp.ReleaseDecision) bool {
-		ranged[k] = dec
-		return true
-	})
-	if len(ranged) != 3 {
-		t.Fatalf("Range visited %d of 3 entries", len(ranged))
-	}
-	for k, dec := range ranged {
-		if want, _ := c.Get(k); dec.OK != want.OK || dec.Eq15.Verdict != want.Eq15.Verdict || dec.Eq16.Verdict != want.Eq16.Verdict {
-			t.Fatalf("Range and Get disagree on %+v", k)
-		}
-	}
 }
 
 func TestUnknownRejected(t *testing.T) {

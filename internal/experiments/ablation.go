@@ -13,8 +13,7 @@ import (
 	"priste/internal/world"
 )
 
-// Ablations beyond the paper's figures, for the design choices DESIGN.md
-// calls out:
+// Ablations beyond the paper's figures, for the design choices below:
 //
 //   - AblationDecay sweeps the budget-decay factor of Algorithm 2 (the
 //     paper fixes 1/2 and notes it trades efficiency against utility).

@@ -15,8 +15,8 @@ import (
 
 // This file parses the *real* Geolife trajectory format so the pipeline
 // runs on the actual dataset when a user has it locally (the repository
-// itself ships only the synthetic substitute; see DESIGN.md). A Geolife
-// .plt file is six header lines followed by records
+// itself ships only the synthetic substitute; see the package doc). A
+// Geolife .plt file is six header lines followed by records
 //
 //	lat,lng,0,altitude_ft,days_since_1899,date,time
 //

@@ -93,7 +93,6 @@ type Metrics struct {
 	storeReplayed        *obs.Counter
 	storeReplayFailures  *obs.Counter
 	storeReplayNanos     *obs.Counter
-	storeWarmLoadFailed  *obs.Counter
 
 	// walFsync times WAL append fsyncs. It is not per-transport: one
 	// sync persists appends from every transport, so attribution would
@@ -135,7 +134,6 @@ func newMetrics() *Metrics {
 	m.storeReplayed = reg.Counter("priste_store_sessions_replayed_total", "Sessions whose journal was validated and re-registered at startup (operators are rebuilt at the session's first cache miss).")
 	m.storeReplayFailures = reg.Counter("priste_store_replay_failures_total", "Persisted sessions that failed replay and were skipped.")
 	m.storeReplayNanos = &obs.Counter{} // internal: total replay time, reported via /statsz only
-	m.storeWarmLoadFailed = reg.Counter("priste_store_warm_load_failures_total", "Persisted cert-cache files that could not be read at startup.")
 
 	m.streamsOpened = reg.Counter("priste_stream_opened_total", "RPC step streams opened.")
 	m.streamsActive = reg.Gauge("priste_stream_active", "RPC step streams currently open.")

@@ -12,8 +12,6 @@ import (
 	"priste/internal/core"
 	"priste/internal/event"
 	"priste/internal/grid"
-	"priste/internal/qp"
-	"priste/internal/store"
 	"priste/internal/world"
 )
 
@@ -35,15 +33,6 @@ type planKey struct {
 	mechanism string
 	delta     float64
 	events    string
-}
-
-// String renders the key canonically. Unlike core.Plan ids — which are
-// process-unique counters — the rendering is stable across restarts;
-// prefixed with the registry's world tag (keyString) it keys persisted
-// certified-release cache entries.
-func (k planKey) String() string {
-	return fmt.Sprintf("eps=%g;alpha=%g;mech=%s;delta=%g;events=%s",
-		k.epsilon, k.alpha, k.mechanism, k.delta, k.events)
 }
 
 // canonicalEvents renders a parsed event set into a canonical,
@@ -93,19 +82,8 @@ type PlanRegistry struct {
 	plans map[planKey]*planEntry
 	cache *certcache.Cache // shared across plans; nil disables
 
-	// world is the canonical world-model tag prefixed to persisted cache
-	// keys (see newPlanRegistry).
-	world string
-
-	// warm holds persisted certified-release cache entries, keyed by the
-	// canonical (world + plan key) string, waiting for their plan to be
-	// compiled: plan ids are process-unique, so entries can only enter
-	// the cache once the restarted process has minted the key's new id.
-	warm map[string][]store.CacheEntry
-
-	compiled   atomic.Int64 // plans built (including unretained overflow)
-	shared     atomic.Int64 // lookups served by an already-compiled plan
-	warmLoaded atomic.Int64 // persisted cache entries injected
+	compiled atomic.Int64 // plans built (including unretained overflow)
+	shared   atomic.Int64 // lookups served by an already-compiled plan
 }
 
 // planEntry is one registered key. once serialises compilation per key —
@@ -118,22 +96,12 @@ type planEntry struct {
 	err  error
 }
 
-// newPlanRegistry builds a registry. world canonically identifies the
-// server's world model (grid dimensions, cell size, mobility sigma) —
-// certified verdicts are only valid for the world they were computed
-// against, so it prefixes every persisted cache key.
-func newPlanRegistry(cache *certcache.Cache, world string) *PlanRegistry {
+// newPlanRegistry builds a registry whose retained plans share cache.
+func newPlanRegistry(cache *certcache.Cache) *PlanRegistry {
 	return &PlanRegistry{
 		plans: make(map[planKey]*planEntry),
 		cache: cache,
-		world: world,
 	}
-}
-
-// keyString renders a plan's restart-stable persisted identity: the
-// world tag plus the canonical plan parameters.
-func (r *PlanRegistry) keyString(k planKey) string {
-	return r.world + ";" + k.String()
 }
 
 // lookup returns the shared plan for key, compiling and registering it
@@ -163,8 +131,8 @@ func (r *PlanRegistry) lookup(key planKey, build func() (*core.Plan, error)) (*c
 	}
 	e.once.Do(func() {
 		p, err := build()
-		// Publish under the registry lock: exportCache iterates entries
-		// under r.mu and reads e.plan, so the once alone is not a
+		// Publish under the registry lock: Stats iterates entries under
+		// r.mu and reads e.plan, so the once alone is not a
 		// happens-before edge for it.
 		r.mu.Lock()
 		e.plan, e.err = p, err
@@ -175,7 +143,6 @@ func (r *PlanRegistry) lookup(key planKey, build func() (*core.Plan, error)) (*c
 		r.compiled.Add(1)
 		if r.cache != nil {
 			p.EnableCache(r.cache)
-			r.injectWarm(key, p)
 		}
 	})
 	if e.err != nil {
@@ -201,102 +168,6 @@ func (r *PlanRegistry) Len() int {
 // Cache returns the shared certified-release cache, or nil when disabled.
 func (r *PlanRegistry) Cache() *certcache.Cache { return r.cache }
 
-// setWarm parks persisted cache entries until their plans compile.
-// Called once at startup, before any session is created.
-func (r *PlanRegistry) setWarm(entries []store.CacheEntry) {
-	if len(entries) == 0 || r.cache == nil {
-		return
-	}
-	warm := make(map[string][]store.CacheEntry)
-	for _, e := range entries {
-		warm[e.PlanKey] = append(warm[e.PlanKey], e)
-	}
-	r.mu.Lock()
-	r.warm = warm
-	r.mu.Unlock()
-}
-
-// injectWarm moves the key's parked entries into the live cache under
-// the freshly-minted plan id. Only history-independent plans carry a
-// cache; entries for a plan that compiled stateful are dropped.
-func (r *PlanRegistry) injectWarm(key planKey, plan *core.Plan) {
-	ks := r.keyString(key)
-	r.mu.Lock()
-	entries := r.warm[ks]
-	delete(r.warm, ks)
-	r.mu.Unlock()
-	if len(entries) == 0 || plan.Cache() == nil {
-		return
-	}
-	verdict := func(ok bool) qp.Result {
-		if ok {
-			return qp.Result{Verdict: qp.Satisfied}
-		}
-		return qp.Result{Verdict: qp.Violated}
-	}
-	for _, e := range entries {
-		k := certcache.Key{
-			Plan:      plan.ID(),
-			Event:     e.Event,
-			T:         e.T,
-			History:   e.History,
-			AlphaBits: e.AlphaBits,
-			Obs:       e.Obs,
-		}
-		r.cache.Put(k, qp.ReleaseDecision{
-			OK:   e.Eq15OK && e.Eq16OK,
-			Eq15: verdict(e.Eq15OK),
-			Eq16: verdict(e.Eq16OK),
-		})
-		r.warmLoaded.Add(1)
-	}
-}
-
-// exportCache renders the live cache as persistable entries: each cached
-// decision whose plan id is still registered is keyed by the canonical
-// plan-key string (stable across restarts). The format records, per
-// condition, whether it was certified to hold; a violated condition and
-// one the solver skipped because the other was violated are both written
-// as not-OK, and injectWarm reads either back as a certified rejection.
-func (r *PlanRegistry) exportCache() []store.CacheEntry {
-	if r.cache == nil {
-		return nil
-	}
-	byID := make(map[uint64]string)
-	r.mu.Lock()
-	for key, e := range r.plans {
-		if e.plan != nil {
-			byID[e.plan.ID()] = r.keyString(key)
-		}
-	}
-	// Persisted entries still parked (their plan never recompiled this
-	// life) carry over verbatim — a restart must not erode warmth for
-	// plans it happened not to touch.
-	var out []store.CacheEntry
-	for _, parked := range r.warm {
-		out = append(out, parked...)
-	}
-	r.mu.Unlock()
-	r.cache.Range(func(k certcache.Key, dec qp.ReleaseDecision) bool {
-		ks, ok := byID[k.Plan]
-		if !ok {
-			return true // unretained overflow plan: no stable identity
-		}
-		out = append(out, store.CacheEntry{
-			PlanKey:   ks,
-			Event:     k.Event,
-			T:         k.T,
-			History:   k.History,
-			AlphaBits: k.AlphaBits,
-			Obs:       k.Obs,
-			Eq15OK:    dec.Eq15.Verdict == qp.Satisfied,
-			Eq16OK:    dec.Eq16.Verdict == qp.Satisfied,
-		})
-		return true
-	})
-	return out
-}
-
 // Stats returns the registry counters (the /statsz plans section).
 func (r *PlanRegistry) Stats() api.PlanStats {
 	var ks world.KernelStats
@@ -319,7 +190,3 @@ func (r *PlanRegistry) Stats() api.PlanStats {
 		BandedKernels:  ks.Banded,
 	}
 }
-
-// WarmLoaded returns the number of persisted certified-release cache
-// entries injected into the live cache so far.
-func (r *PlanRegistry) WarmLoaded() int64 { return r.warmLoaded.Load() }

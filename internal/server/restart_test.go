@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"priste/internal/api"
-	"priste/internal/certcache"
-	"priste/internal/qp"
 	"priste/internal/store"
 )
 
@@ -146,8 +146,8 @@ func TestRestartEquivalence(t *testing.T) {
 }
 
 // TestCrashRecovery checks WAL-only rehydration: the first server is
-// abandoned without Shutdown (no final snapshot, no cache save — the
-// in-process equivalent of a crash; the CI smoke test covers a real
+// abandoned without Shutdown (no final snapshot — the in-process
+// equivalent of a crash; the CI smoke test covers a real
 // kill -9), so recovery replays the write-ahead log alone.
 func TestCrashRecovery(t *testing.T) {
 	const pre, post = 5, 5
@@ -217,10 +217,10 @@ func TestTombstonedSessionsStayDead(t *testing.T) {
 	}
 }
 
-// TestWarmCacheRestart: the certified-release cache saved at shutdown is
-// injected into the restarted server's cache when the matching plan
-// compiles, surfacing as warm_loaded in /statsz.
-func TestWarmCacheRestart(t *testing.T) {
+// TestRestartStartsCold: a graceful shutdown persists no certified-release
+// cache, so the restarted server's cache starts empty and refills from
+// misses — with the same releases as an uninterrupted run.
+func TestRestartStartsCold(t *testing.T) {
 	dir := t.TempDir()
 	srvA, err := New(durableConfig(t, dir))
 	if err != nil {
@@ -243,18 +243,17 @@ func TestWarmCacheRestart(t *testing.T) {
 	if err := srvA.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "certcache.snap")); !os.IsNotExist(err) {
+		t.Fatalf("shutdown left a cert-cache file behind (stat err %v)", err)
+	}
 
-	// Rehydration recompiles the plan, which pulls the persisted entries
-	// into the fresh cache.
+	// Rehydration recompiles the plan and re-commits the tag log; it
+	// certifies nothing, so the fresh cache is empty until the first step.
 	srvB := newTestServer(t, durableConfig(t, dir))
-	st := srvB.Stats()
-	if st.Store.WarmLoaded == 0 {
-		t.Fatalf("warm_loaded = 0 after restart; stats = %+v", st.Store)
+	if got := srvB.Plans().Cache().Len(); got != 0 {
+		t.Fatalf("restarted cache holds %d entries, want 0", got)
 	}
-	if got := srvB.Plans().Cache().Len(); got == 0 {
-		t.Fatal("restarted cache is cold")
-	}
-	// Warm verdicts must not change behaviour: the restarted session's
+	// The cold cache must not change behaviour: the restarted session's
 	// next steps still match a cold uninterrupted run.
 	ref := newTestServer(t, testConfig())
 	if _, err := ref.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
@@ -278,74 +277,6 @@ func TestWarmCacheRestart(t *testing.T) {
 			t.Fatalf("warm step %d: got %+v, want %+v", k, got, wantRes)
 		}
 	}
-}
-
-// TestWarmLoadKeepsSkippedRejections: a rejection the solver settled on one
-// violated condition leaves the other Skipped. Every cached decision must
-// persist with the OK it was certified with — a Skipped condition written
-// as satisfied would put "Eq16OK" beside a rejection — and come back from
-// a warm load as the same hit: rejected stays rejected, never
-// conservative, so replays keep skipping the solver.
-func TestWarmLoadKeepsSkippedRejections(t *testing.T) {
-	dir := t.TempDir()
-	srvA, err := New(durableConfig(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := int64(5)
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 8; k++ {
-		if _, err := srvA.Step(bg, "u", k%36); err != nil {
-			t.Fatal(err)
-		}
-	}
-	type verdictKey struct {
-		event, t, obs      int
-		history, alphaBits uint64
-	}
-	want := map[verdictKey]bool{}         // the decision's OK
-	certified := map[verdictKey][2]bool{} // which conditions were certified to hold
-	skipped := 0
-	srvA.Plans().Cache().Range(func(k certcache.Key, dec qp.ReleaseDecision) bool {
-		vk := verdictKey{k.Event, k.T, k.Obs, k.History, k.AlphaBits}
-		want[vk] = dec.OK
-		certified[vk] = [2]bool{dec.Eq15.Verdict == qp.Satisfied, dec.Eq16.Verdict == qp.Satisfied}
-		if dec.Eq15.Verdict == qp.Skipped || dec.Eq16.Verdict == qp.Skipped {
-			skipped++
-			if dec.OK {
-				t.Errorf("accepted with a skipped condition: %+v", dec)
-			}
-		}
-		return true
-	})
-	if skipped == 0 {
-		t.Fatal("no rejection with a skipped condition was cached — test premise broken")
-	}
-	for _, e := range srvA.Plans().exportCache() {
-		vk := verdictKey{e.Event, e.T, e.Obs, e.History, e.AlphaBits}
-		if got := [2]bool{e.Eq15OK, e.Eq16OK}; got != certified[vk] || (e.Eq15OK && e.Eq16OK) != want[vk] {
-			t.Fatalf("decision with OK = %v, certified %v persisted as %v", want[vk], certified[vk], got)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srvA.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	srvB := newTestServer(t, durableConfig(t, dir))
-	if got := srvB.Plans().WarmLoaded(); got != int64(len(want)) {
-		t.Fatalf("warm-loaded %d of %d entries", got, len(want))
-	}
-	srvB.Plans().Cache().Range(func(k certcache.Key, dec qp.ReleaseDecision) bool {
-		ok, found := want[verdictKey{k.Event, k.T, k.Obs, k.History, k.AlphaBits}]
-		if !found || dec.OK != ok || dec.Conservative {
-			t.Errorf("warm entry %+v reads (OK %v, conservative %v); cached as OK %v (found %v)", k, dec.OK, dec.Conservative, ok, found)
-		}
-		return true
-	})
 }
 
 // TestWorldMismatchRefusesReplay: sessions journaled under one world
@@ -383,9 +314,6 @@ func TestWorldMismatchRefusesReplay(t *testing.T) {
 	st := srvB.Stats()
 	if st.Store.Replayed != 0 || st.Store.ReplayFailures != 1 {
 		t.Fatalf("cross-world replay: %+v, want 0 replayed / 1 failure", st.Store)
-	}
-	if st.Store.WarmLoaded != 0 {
-		t.Fatal("cross-world warm cache entries injected")
 	}
 	srvB.Close()
 
@@ -594,60 +522,6 @@ func TestRehydrateOverCapacityKeepsJournals(t *testing.T) {
 	}
 	if info, err := srvC.GetSession(orphans[1]); err != nil || info.T != 1 {
 		t.Fatalf("re-created orphan: %+v, %v; want T=1", info, err)
-	}
-}
-
-// TestWarmEntriesSurviveUntouchedRestart: persisted cache entries for a
-// plan that a whole server life never recompiles must carry over to the
-// next save instead of eroding away.
-func TestWarmEntriesSurviveUntouchedRestart(t *testing.T) {
-	dir := t.TempDir()
-	srvA, err := New(durableConfig(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := int64(3)
-	// Two distinct plans: the default-ε session survives; the ε=0.9
-	// session is deleted so its plan never recompiles in life B.
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "keep", Seed: &seed}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "drop", Seed: &seed, Epsilon: 0.9}); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 5; k++ {
-		if _, err := srvA.Step(bg, "keep", k); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srvA.Step(bg, "drop", k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = srvA.DeleteSession("drop")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srvA.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Life B rehydrates only "keep": the ε=0.9 entries stay parked and
-	// must survive B's own shutdown save.
-	srvB, err := New(durableConfig(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srvB.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Life C: compiling the ε=0.9 plan must inject the carried entries.
-	srvC := newTestServer(t, durableConfig(t, dir))
-	base := srvC.Plans().WarmLoaded()
-	if _, err := srvC.CreateSession(CreateSessionRequest{ID: "fresh", Epsilon: 0.9}); err != nil {
-		t.Fatal(err)
-	}
-	if got := srvC.Plans().WarmLoaded(); got <= base {
-		t.Fatalf("warm entries for the untouched plan eroded: warm_loaded %d -> %d", base, got)
 	}
 }
 

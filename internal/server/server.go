@@ -71,9 +71,9 @@ type Server struct {
 	// per-shard breakdown lines up with where the sessions live.
 	streamWindows [numShards]atomic.Int64
 
-	// worldTag canonically identifies the world model; it scopes every
-	// persisted identity (session journals, warm cache keys) so state
-	// certified against one world is never replayed into another.
+	// worldTag canonically identifies the world model; it is stamped on
+	// every session journal so history certified against one world is
+	// never replayed into another.
 	worldTag string
 
 	// durable is false for the Null store; it gates the per-step
@@ -85,12 +85,6 @@ type Server struct {
 	// concurrent create of the same id. Plan compilation stays outside
 	// the lock.
 	createMu sync.Mutex
-	// saveCacheMu serialises warm-cache persistence: the periodic
-	// cacheSaver tick and the final Shutdown save must not write the
-	// same file concurrently. lastCacheSig (guarded by it) is the cache
-	// counter signature at the last successful save; unchanged → skip.
-	saveCacheMu  sync.Mutex
-	lastCacheSig [4]int64
 	// draining is set by Shutdown: new sessions and steps are rejected
 	// with ErrDraining while pending work completes and state flushes.
 	draining atomic.Bool
@@ -158,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 		tp:          world.NewHomogeneous(chain),
 		pi:          markov.Uniform(g.States()),
 		mgr:         newManager(cfg.MaxSessions, cfg.SessionTTL, metrics),
-		registry:    newPlanRegistry(cache, worldTag),
+		registry:    newPlanRegistry(cache),
 		pool:        newPool(workers, cfg.DrainBatch, metrics, cfg.Logger, cfg.SlowStep),
 		hub:         newStreamHub(cfg.StreamBuffer, metrics),
 		metrics:     metrics,
@@ -192,12 +186,6 @@ func New(cfg Config) (*Server, error) {
 		if sl, ok := cfg.Store.(interface{ SetLogger(*slog.Logger) }); ok {
 			sl.SetLogger(cfg.Logger)
 		}
-		if entries, err := cfg.Store.LoadCache(); err == nil {
-			s.registry.setWarm(entries)
-		} else {
-			s.metrics.storeWarmLoadFailed.Add(1)
-			s.logger.Warn("server: warm cert-cache load failed; starting cold", "err", err)
-		}
 		if err := s.rehydrate(); err != nil {
 			s.pool.stop()
 			return nil, err
@@ -222,11 +210,6 @@ func New(cfg Config) (*Server, error) {
 				s.metrics.storeTombstoneErrors.Add(1)
 			}
 		}
-		// Persist the certified-release cache periodically so a crash
-		// loses at most one interval of warmth (Shutdown writes the final
-		// copy).
-		s.janitorWG.Add(1)
-		go s.cacheSaver()
 	}
 	if cfg.SessionTTL > 0 {
 		s.janitorWG.Add(1)
@@ -271,47 +254,6 @@ func (s *Server) registerExternalMetrics() {
 		func() float64 { return float64(par.Default().Stats().SerialDispatch) })
 	reg.CounterFunc("priste_pool_steals_total", "Kernel tiles executed by pool helpers rather than the submitter.",
 		func() float64 { return float64(par.Default().Stats().Steals) })
-}
-
-// cacheSaveInterval paces the periodic warm-cache persistence.
-const cacheSaveInterval = time.Minute
-
-// cacheSaver periodically persists the certified-release cache.
-func (s *Server) cacheSaver() {
-	defer s.janitorWG.Done()
-	tick := time.NewTicker(cacheSaveInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			s.saveCache()
-		case <-s.janitorQuit:
-			return
-		}
-	}
-}
-
-// saveCache persists the certified-release cache when it has content
-// and has changed since the last save: an idle deployment must not
-// rewrite and fsync a multi-MB file every tick for zero new
-// information. Misses approximate insertions (every insert follows a
-// miss) and evictions/entries catch churn.
-func (s *Server) saveCache() {
-	s.saveCacheMu.Lock()
-	defer s.saveCacheMu.Unlock()
-	var sig [4]int64
-	if c := s.registry.Cache(); c != nil {
-		cs := c.Stats()
-		sig = [4]int64{cs.Misses, cs.Evictions, cs.Entries, s.registry.WarmLoaded()}
-	}
-	if sig == s.lastCacheSig {
-		return
-	}
-	if entries := s.registry.exportCache(); len(entries) > 0 {
-		if s.cfg.Store.SaveCache(entries) == nil {
-			s.lastCacheSig = sig
-		}
-	}
 }
 
 // rehydrate rebuilds every surviving journaled session: the plan is
@@ -536,8 +478,6 @@ func (s *Server) Stats() api.Stats {
 		Replayed:        s.metrics.storeReplayed.Load(),
 		ReplayFailures:  s.metrics.storeReplayFailures.Load(),
 		ReplayMicros:    float64(s.metrics.storeReplayNanos.Load()) / 1e3,
-		WarmLoaded:      s.registry.WarmLoaded(),
-		WarmLoadFailed:  s.metrics.storeWarmLoadFailed.Load(),
 	}
 	return st
 }
@@ -555,7 +495,7 @@ func (s *Server) Close() {
 	})
 }
 
-// stopBackground stops the janitor and cache-saver goroutines; it is
+// stopBackground stops the janitor goroutine; it is
 // idempotent and called by both Close and (earlier) Shutdown — a TTL
 // sweep firing mid-shutdown would tombstone journals that graceful
 // shutdown promises survive.
@@ -569,8 +509,7 @@ func (s *Server) stopBackground() {
 // Shutdown gracefully stops the server: it stops accepting new sessions
 // and steps (ErrDraining, HTTP 503), waits for every session's pending
 // queue to drain (bounded by ctx), compacts each drained session into a
-// final snapshot, persists the certified-release cache, and only then
-// closes the sessions, pool and store. Steps accepted before Shutdown
+// final snapshot, and only then closes the sessions, pool and store. Steps accepted before Shutdown
 // are served and journaled, not failed. Returns ctx.Err() when the
 // deadline cut the drain short; the WAL still covers whatever the
 // snapshots missed.
@@ -587,7 +526,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.pool.stop()
 	if s.durable {
 		s.mgr.forEach(s.snapshotSession)
-		s.saveCache()
 	}
 	s.Close()
 	return err

@@ -13,12 +13,11 @@ import (
 //	[type:1][len:uvarint][payload:len][crc32(type‖payload):4]
 //
 // so a torn tail (crash mid-append) is detected by length or checksum
-// and the valid prefix survives. Snapshot and cache files hold a single
-// framed blob and are only ever replaced atomically (tmp + rename).
+// and the valid prefix survives. Snapshot files hold a single framed
+// blob and are only ever replaced atomically (tmp + rename).
 var (
-	walMagic   = []byte("PRWAL001")
-	snapMagic  = []byte("PRSNAP01")
-	cacheMagic = []byte("PRCCH001")
+	walMagic  = []byte("PRWAL001")
+	snapMagic = []byte("PRSNAP01")
 )
 
 // WAL record types.
@@ -30,9 +29,8 @@ const (
 
 // maxRecordLen bounds a single record so a corrupt length prefix cannot
 // drive a giant allocation on load. Step records are tens of bytes;
-// snapshot and cache blobs are one framed record each and grow with
-// session age / cache size, so the bound is generous (256 MiB ≈ a
-// 16M-step session). Writers enforce the same bound (see checkFrameLen)
+// a snapshot blob is one framed record and grows with session age, so
+// the bound is generous (256 MiB ≈ a 16M-step session). Writers enforce the same bound (see checkFrameLen)
 // so a file that was written can always be read back.
 const maxRecordLen = 1 << 28
 
@@ -207,105 +205,4 @@ func decodeSnapshot(data []byte) (SessionState, error) {
 		state.RNG = append([]byte(nil), p[n:]...)
 	}
 	return state, nil
-}
-
-func encodeCache(entries []CacheEntry) ([]byte, error) {
-	buf := make([]byte, 0, 64*len(entries)+16)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(len(e.PlanKey)))
-		buf = append(buf, e.PlanKey...)
-		buf = binary.AppendUvarint(buf, uint64(e.Event))
-		buf = binary.AppendUvarint(buf, uint64(e.T))
-		buf = binary.LittleEndian.AppendUint64(buf, e.History)
-		buf = binary.LittleEndian.AppendUint64(buf, e.AlphaBits)
-		buf = binary.AppendUvarint(buf, uint64(e.Obs))
-		var flags byte
-		if e.Eq15OK {
-			flags |= 1
-		}
-		if e.Eq16OK {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-	}
-	if err := checkFrameLen("cache", len(buf)); err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, len(cacheMagic)+len(buf)+16)
-	out = append(out, cacheMagic...)
-	return appendFrame(out, recMeta, buf), nil
-}
-
-func decodeCache(data []byte) ([]CacheEntry, error) {
-	if len(data) < len(cacheMagic) || string(data[:len(cacheMagic)]) != string(cacheMagic) {
-		return nil, fmt.Errorf("store: bad cache magic")
-	}
-	_, p, _, err := readFrame(data, len(cacheMagic))
-	if err != nil {
-		return nil, err
-	}
-	count, n := binary.Uvarint(p)
-	// An entry occupies at least 21 bytes (two u64s, four uvarints, one
-	// flag byte); reject counts the payload cannot hold before allocating.
-	if n <= 0 || count > uint64(len(p)-n)/21 {
-		return nil, fmt.Errorf("store: cache: bad count")
-	}
-	p = p[n:]
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, fmt.Errorf("store: cache: truncated")
-		}
-		p = p[n:]
-		return v, nil
-	}
-	u64 := func() (uint64, error) {
-		if len(p) < 8 {
-			return 0, fmt.Errorf("store: cache: truncated")
-		}
-		v := binary.LittleEndian.Uint64(p)
-		p = p[8:]
-		return v, nil
-	}
-	entries := make([]CacheEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var e CacheEntry
-		keyLen, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if keyLen > uint64(len(p)) {
-			return nil, fmt.Errorf("store: cache: truncated key")
-		}
-		e.PlanKey = string(p[:keyLen])
-		p = p[keyLen:]
-		ev, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		t, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if e.History, err = u64(); err != nil {
-			return nil, err
-		}
-		if e.AlphaBits, err = u64(); err != nil {
-			return nil, err
-		}
-		obs, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if len(p) < 1 {
-			return nil, fmt.Errorf("store: cache: truncated flags")
-		}
-		e.Event, e.T, e.Obs = int(ev), int(t), int(obs)
-		e.Eq15OK = p[0]&1 != 0
-		e.Eq16OK = p[0]&2 != 0
-		p = p[1:]
-		entries = append(entries, e)
-	}
-	return entries, nil
 }

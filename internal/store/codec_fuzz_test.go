@@ -6,16 +6,15 @@ import (
 )
 
 // Decoder selectors: the first byte of a FuzzDecodeRecords input, modulo
-// 3, picks the record kind the rest of the input is decoded as.
+// 2, picks the record kind the rest of the input is decoded as.
 const (
 	fuzzStep byte = iota
 	fuzzSnapshot
-	fuzzCache
 )
 
 // FuzzDecodeRecords feeds the journal decoders arbitrary payloads. The
 // payload is framed with appendFrame first (behind the file magic, for
-// snapshots and cache files), so the fuzzer reaches the decoders instead
+// snapshots), so the fuzzer reaches the decoders instead
 // of stopping at the CRC. No decoder may panic, and whatever decodes
 // must re-encode and decode to an equal value. The seed corpus is
 // testdata/fuzz/FuzzDecodeRecords.
@@ -25,7 +24,7 @@ func FuzzDecodeRecords(f *testing.F) {
 			return
 		}
 		payload := data[1:]
-		switch data[0] % 3 {
+		switch data[0] % 2 {
 		case fuzzStep:
 			_, p, _, err := readFrame(appendFrame(nil, recStep, payload), 0)
 			if err != nil {
@@ -51,19 +50,6 @@ func FuzzDecodeRecords(f *testing.F) {
 			again, err := decodeSnapshot(enc)
 			if err != nil || !reflect.DeepEqual(again, state) {
 				t.Fatalf("snapshot %+v re-decoded as %+v (err %v)", state, again, err)
-			}
-		case fuzzCache:
-			entries, err := decodeCache(appendFrame(append([]byte(nil), cacheMagic...), recMeta, payload))
-			if err != nil {
-				return
-			}
-			enc, err := encodeCache(entries)
-			if err != nil {
-				t.Fatalf("decoded cache does not re-encode: %v", err)
-			}
-			again, err := decodeCache(enc)
-			if err != nil || !reflect.DeepEqual(again, entries) {
-				t.Fatalf("cache %+v re-decoded as %+v (err %v)", entries, again, err)
 			}
 		}
 	})

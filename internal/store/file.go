@@ -17,8 +17,7 @@ import (
 
 // FileStore is the default durable Store: one append-only WAL plus one
 // snapshot file per session under dir/sessions (filenames are the hex of
-// the session id, so arbitrary ids are safe), and a single
-// certified-release cache file. WriteSnapshot compacts a session's WAL
+// the session id, so arbitrary ids are safe). WriteSnapshot compacts a session's WAL
 // to empty after atomically replacing its snapshot, so recovery reads
 // snapshot + WAL suffix. With fsync enabled every append is synced
 // before the step is acknowledged (durable to power loss); without it,
@@ -142,8 +141,6 @@ func (s *FileStore) walPath(id string) string {
 func (s *FileStore) snapPath(id string) string {
 	return filepath.Join(s.dir, "sessions", hex.EncodeToString([]byte(id))+".snap")
 }
-
-func (s *FileStore) cachePath() string { return filepath.Join(s.dir, "certcache.snap") }
 
 func (s *FileStore) maybeSync(f *os.File) error {
 	if !s.fsync {
@@ -617,41 +614,6 @@ func (s *FileStore) finishLoad(id string, state SessionState, hasMeta bool, vali
 	}
 	f.Close()
 	return register()
-}
-
-// SaveCache implements Store.
-func (s *FileStore) SaveCache(entries []CacheEntry) error {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	data, err := encodeCache(entries)
-	if err != nil {
-		return err
-	}
-	if err := s.replaceFile(s.cachePath(), data); err != nil {
-		return fmt.Errorf("store: save cache: %w", err)
-	}
-	return nil
-}
-
-// LoadCache implements Store.
-func (s *FileStore) LoadCache() ([]CacheEntry, error) {
-	data, err := os.ReadFile(s.cachePath())
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: load cache: %w", err)
-	}
-	entries, err := decodeCache(data)
-	if err != nil {
-		// A corrupt warm-start file only costs recomputation.
-		return nil, nil
-	}
-	return entries, nil
 }
 
 // Stats implements Store.

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"priste/internal/world"
@@ -286,44 +285,6 @@ func TestFileStoreBrokenChain(t *testing.T) {
 	}
 	if _, err := os.Stat(s2.walPath("chain") + ".corrupt"); err != nil {
 		t.Fatalf("corrupt sidecar missing: %v", err)
-	}
-}
-
-func TestFileStoreCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got, err := s.LoadCache(); err != nil || got != nil {
-		t.Fatalf("LoadCache on empty store = %v, %v", got, err)
-	}
-	entries := []CacheEntry{
-		{PlanKey: "eps=0.5;alpha=1", Event: 0, T: 3, History: 12345, AlphaBits: 77, Obs: 4, Eq15OK: true, Eq16OK: true},
-		{PlanKey: "eps=0.5;alpha=1", Event: 1, T: 0, History: 99, AlphaBits: 0, Obs: 0, Eq15OK: false, Eq16OK: true},
-	}
-	if err := s.SaveCache(entries); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.LoadCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("loaded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], entries[i])
-		}
-	}
-	// Corrupt cache file is ignored, not fatal.
-	if err := os.WriteFile(filepath.Join(dir, "certcache.snap"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.LoadCache(); err != nil || got != nil {
-		t.Fatalf("corrupt cache: %v, %v; want nil, nil", got, err)
 	}
 }
 

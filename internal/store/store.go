@@ -11,8 +11,7 @@
 // Two implementations ship: FileStore (one WAL + snapshot file per
 // session under a directory, with optional per-append fsync) and Null
 // (in-memory no-op for deployments that accept losing sessions on
-// restart). The same store also persists the certified-release cache so
-// a restarted server starts warm.
+// restart).
 package store
 
 import "errors"
@@ -82,23 +81,6 @@ type SessionState struct {
 // Steps returns the number of committed releases.
 func (s SessionState) Steps() int { return len(s.Tags) }
 
-// CacheEntry is one persisted certified-release verdict. Plan ids are
-// process-unique, so entries are keyed by the serving layer's canonical
-// plan-key string and remapped onto fresh plan ids on load. Only the
-// verdicts survive persistence — solver diagnostics (bounds, witness,
-// node counts) are dropped; a warm-loaded entry is verdict-for-verdict
-// identical to the entry that produced it.
-type CacheEntry struct {
-	PlanKey   string
-	Event     int
-	T         int
-	History   uint64
-	AlphaBits uint64
-	Obs       int
-	Eq15OK    bool
-	Eq16OK    bool
-}
-
 // Stats counts store activity for /statsz.
 type Stats struct {
 	// Enabled is false for the Null store.
@@ -126,8 +108,7 @@ type Stats struct {
 	CorruptSuffixes int64 `json:"corrupt_suffixes"`
 }
 
-// Store persists session release histories and the certified-release
-// cache. Implementations must be safe for concurrent use; appends for
+// Store persists session release histories. Implementations must be safe for concurrent use; appends for
 // one session are always issued by a single writer at a time (the
 // session's step worker).
 type Store interface {
@@ -161,10 +142,6 @@ type Store interface {
 	// re-opens their logs for appending. Call once, before any
 	// CreateSession/AppendStep.
 	LoadSessions() ([]SessionState, error)
-	// SaveCache atomically replaces the persisted certified-release
-	// cache; LoadCache returns it (nil when none was saved).
-	SaveCache(entries []CacheEntry) error
-	LoadCache() ([]CacheEntry, error)
 	Stats() Stats
 	Close() error
 }
@@ -190,12 +167,6 @@ func (Null) DeleteSession(string) error { return nil }
 
 // LoadSessions implements Store.
 func (Null) LoadSessions() ([]SessionState, error) { return nil, nil }
-
-// SaveCache implements Store.
-func (Null) SaveCache([]CacheEntry) error { return nil }
-
-// LoadCache implements Store.
-func (Null) LoadCache() ([]CacheEntry, error) { return nil, nil }
 
 // Stats implements Store.
 func (Null) Stats() Stats { return Stats{} }

@@ -545,7 +545,7 @@ type (
 )
 
 // GenerateMobility synthesises Geolife-like commute traces (the paper's
-// real-data substitute; see DESIGN.md).
+// real-data substitute; see the internal/geolife package doc).
 func GenerateMobility(cfg MobilityConfig) (*MobilityDataset, error) { return geolife.Generate(cfg) }
 
 // Discretize maps a raw trajectory onto grid states.

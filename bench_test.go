@@ -16,7 +16,10 @@ import (
 	"time"
 
 	"priste"
+	"priste/internal/api"
 	"priste/internal/experiments"
+	"priste/internal/rpc"
+	"priste/internal/server"
 )
 
 // benchSynth is the benchmark-scale synthetic workload: 6×6 map, horizon
@@ -396,13 +399,13 @@ func BenchmarkRestoreThenFirstMiss(b *testing.B) {
 }
 
 // benchServer starts a benchmark-scale pristed server.
-func benchServer(b *testing.B) (*priste.Server, priste.ServerConfig) {
+func benchServer(b *testing.B) (*server.Server, server.Config) {
 	b.Helper()
-	cfg := priste.DefaultServerConfig()
+	cfg := server.DefaultConfig()
 	cfg.GridW, cfg.GridH = 6, 6
 	cfg.Events = []string{"0-5@2-4"}
 	cfg.QPTimeout = 0
-	srv, err := priste.NewServer(cfg)
+	srv, err := server.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -418,7 +421,7 @@ func benchServer(b *testing.B) (*priste.Server, priste.ServerConfig) {
 // mean latencies (decode, queue wait, engine commit, WAL append, encode)
 // next to the end-to-end served mean, so the benchmark line names where
 // each transport's serving overhead goes.
-func benchSteps(b *testing.B, srv *priste.Server, transport string, cfg priste.ServerConfig, dial func() priste.APIClient) {
+func benchSteps(b *testing.B, srv *server.Server, transport string, cfg server.Config, dial func() api.Client) {
 	var nextSession atomic.Int64
 	m := cfg.GridW * cfg.GridH
 	b.ReportAllocs()
@@ -428,7 +431,7 @@ func benchSteps(b *testing.B, srv *priste.Server, transport string, cfg priste.S
 		client := dial()
 		ctx := context.Background()
 		seed := nextSession.Add(1)
-		info, err := client.CreateSession(ctx, priste.CreateSessionRequest{Seed: &seed})
+		info, err := client.CreateSession(ctx, api.CreateSessionRequest{Seed: &seed})
 		if err != nil {
 			b.Error(err)
 			return
@@ -448,10 +451,10 @@ func benchSteps(b *testing.B, srv *priste.Server, transport string, cfg priste.S
 // reportStages attaches the per-transport stage breakdown of the run to
 // the benchmark line: mean microseconds per stage, the stage sum, and
 // the measured end-to-end served mean the sum should approximate.
-func reportStages(b *testing.B, srv *priste.Server, transport string) {
+func reportStages(b *testing.B, srv *server.Server, transport string) {
 	b.Helper()
 	st := srv.Stats()
-	var ts priste.TransportStats
+	var ts api.TransportStats
 	switch transport {
 	case "http":
 		ts = st.Transports.HTTP
@@ -485,7 +488,7 @@ func reportStages(b *testing.B, srv *priste.Server, transport string) {
 // goroutine drains releases while the benchmark loop fire-and-forgets
 // locations, and the tail is drained through CloseSend before the
 // goroutine reports. One iteration is one streamed certified release.
-func benchStreamSteps(b *testing.B, srv *priste.Server, cfg priste.ServerConfig, dial func() priste.APIClient) {
+func benchStreamSteps(b *testing.B, srv *server.Server, cfg server.Config, dial func() api.Client) {
 	var nextSession atomic.Int64
 	m := cfg.GridW * cfg.GridH
 	b.ReportAllocs()
@@ -493,14 +496,14 @@ func benchStreamSteps(b *testing.B, srv *priste.Server, cfg priste.ServerConfig,
 	start := time.Now()
 	b.RunParallel(func(pb *testing.PB) {
 		client := dial()
-		sc, ok := client.(priste.StreamClient)
+		sc, ok := client.(api.StreamClient)
 		if !ok {
 			b.Error("client does not implement StreamClient")
 			return
 		}
 		ctx := context.Background()
 		seed := nextSession.Add(1)
-		info, err := client.CreateSession(ctx, priste.CreateSessionRequest{Seed: &seed})
+		info, err := client.CreateSession(ctx, api.CreateSessionRequest{Seed: &seed})
 		if err != nil {
 			b.Error(err)
 			return
@@ -540,6 +543,20 @@ func benchStreamSteps(b *testing.B, srv *priste.Server, cfg priste.ServerConfig,
 	reportStages(b, srv, "rpc")
 }
 
+// benchRPCServer returns a binary RPC front-end over srv with the
+// per-transport request and step-stage observers wired into its stats,
+// as pristed wires them.
+func benchRPCServer(srv *server.Server) *rpc.Server {
+	rs := rpc.NewServer(srv)
+	rs.Observe = srv.ObserveRPC
+	rs.ObserveStep = srv.ObserveRPCStep
+	rs.OnStreamOpen = srv.ObserveStreamOpen
+	rs.OnStreamClose = srv.ObserveStreamClose
+	rs.ObserveStreamWindow = srv.ObserveStreamWindow
+	rs.ObserveStreamAcks = srv.ObserveStreamAcks
+	return rs
+}
+
 // BenchmarkServerStep measures HTTP/JSON serving-path throughput over
 // the tuned default client transport (connection reuse sized to the
 // benchmark's parallelism, compression off on the step path).
@@ -547,8 +564,8 @@ func BenchmarkServerStep(b *testing.B) {
 	srv, cfg := benchServer(b)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	benchSteps(b, srv, "http", cfg, func() priste.APIClient {
-		return priste.NewServerClient(ts.URL, nil)
+	benchSteps(b, srv, "http", cfg, func() api.Client {
+		return server.NewClient(ts.URL, nil)
 	})
 }
 
@@ -561,11 +578,11 @@ func BenchmarkServerStepStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rpcSrv := priste.NewRPCServer(srv)
+	rpcSrv := benchRPCServer(srv)
 	go func() { _ = rpcSrv.Serve(lis) }()
 	defer rpcSrv.Close()
-	benchStreamSteps(b, srv, cfg, func() priste.APIClient {
-		client, err := priste.DialRPC(lis.Addr().String())
+	benchStreamSteps(b, srv, cfg, func() api.Client {
+		client, err := rpc.Dial(lis.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -583,11 +600,11 @@ func BenchmarkServerStepRPC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rpcSrv := priste.NewRPCServer(srv)
+	rpcSrv := benchRPCServer(srv)
 	go func() { _ = rpcSrv.Serve(lis) }()
 	defer rpcSrv.Close()
-	benchSteps(b, srv, "rpc", cfg, func() priste.APIClient {
-		client, err := priste.DialRPC(lis.Addr().String())
+	benchSteps(b, srv, "rpc", cfg, func() api.Client {
+		client, err := rpc.Dial(lis.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}

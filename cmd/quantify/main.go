@@ -58,7 +58,7 @@ func main() {
 		check(fmt.Errorf("no releases parsed"))
 	}
 
-	ev, err := parseEvent(*spec, m, len(releases))
+	ev, err := priste.ParseEventSpec(*spec, m, len(releases))
 	check(err)
 	md, err := priste.NewQuantModel(priste.Homogeneous(chain), ev)
 	check(err)
@@ -70,11 +70,7 @@ func main() {
 	cols := make([]priste.Vector, len(releases))
 	for t, r := range releases {
 		if r.uniform || r.budget <= 0 {
-			u := priste.NewVector(m)
-			for i := range u {
-				u[i] = 1 / float64(m)
-			}
-			cols[t] = u
+			cols[t] = priste.UniformDistribution(m)
 			continue
 		}
 		em, err := plm.Emission(r.budget)
@@ -88,30 +84,11 @@ func main() {
 	fmt.Printf("prior Pr(EVENT) under uniform belief: %.6f\n", prior)
 	fmt.Printf("realised privacy loss: %.6f (odds shift x%.3f)\n", loss, math.Exp(loss))
 	fmt.Println("\nt,posterior")
-	post, err := eventPosterior(md, pi, cols)
+	post, err := priste.EventPosterior(md, pi, cols)
 	check(err)
 	for t, p := range post {
 		fmt.Printf("%d,%.6f\n", t, p)
 	}
-}
-
-// eventPosterior replays the quantifier and reports Pr(EVENT | o_0..o_t).
-func eventPosterior(md *priste.QuantModel, pi priste.Vector, cols []priste.Vector) ([]float64, error) {
-	q := priste.NewQuantifier(md)
-	out := make([]float64, len(cols))
-	for t, c := range cols {
-		if err := q.Commit(c); err != nil {
-			return nil, err
-		}
-		chk := q.Current()
-		joint := pi.Dot(chk.BTilde)
-		marg := pi.Dot(chk.CTilde)
-		if marg <= 0 {
-			return nil, fmt.Errorf("observations impossible under the model at t=%d", t)
-		}
-		out[t] = joint / marg
-	}
-	return out, nil
 }
 
 type release struct {
@@ -152,44 +129,6 @@ func parseReleases(f *os.File, m int) ([]release, error) {
 		out = append(out, release{obs: obs, budget: budget, uniform: uniform})
 	}
 	return out, sc.Err()
-}
-
-func parseEvent(spec string, m, horizon int) (priste.Event, error) {
-	parts := strings.Split(spec, "@")
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("event %q: want LO-HI@START-END", spec)
-	}
-	rg := func(s string) (int, int, error) {
-		p := strings.Split(s, "-")
-		if len(p) != 2 {
-			return 0, 0, fmt.Errorf("want LO-HI, got %q", s)
-		}
-		lo, err := strconv.Atoi(p[0])
-		if err != nil {
-			return 0, 0, err
-		}
-		hi, err := strconv.Atoi(p[1])
-		if err != nil {
-			return 0, 0, err
-		}
-		return lo, hi, nil
-	}
-	lo, hi, err := rg(parts[0])
-	if err != nil {
-		return nil, err
-	}
-	start, end, err := rg(parts[1])
-	if err != nil {
-		return nil, err
-	}
-	if hi >= m || end >= horizon {
-		return nil, fmt.Errorf("event %q outside map/horizon", spec)
-	}
-	region := priste.NewRegion(m)
-	for s := lo; s <= hi; s++ {
-		region.Add(s)
-	}
-	return priste.NewPresence(region, start, end)
 }
 
 func check(err error) {

@@ -77,11 +77,7 @@ func main() {
 	pcols := make([]priste.Vector, len(results))
 	for t, r := range results {
 		if r.Uniform {
-			u := priste.NewVector(m)
-			for i := range u {
-				u[i] = 1 / float64(m)
-			}
-			pcols[t] = u
+			pcols[t] = priste.UniformDistribution(m)
 			continue
 		}
 		e, err := plm.Emission(r.Alpha)

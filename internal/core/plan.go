@@ -158,9 +158,6 @@ func (p *Plan) EnableCache(c *certcache.Cache) {
 	}
 }
 
-// Cache returns the attached certified-release cache, or nil.
-func (p *Plan) Cache() *certcache.Cache { return p.cache }
-
 // NewSession mints a lightweight per-session Framework over the plan: an
 // empty release-tag log, the session's RNG, and — for stateful mechanisms —
 // a fresh mechanism instance from the factory. No quantifier is allocated

@@ -186,7 +186,7 @@ func TestPlanSharesMechanismWhenStateless(t *testing.T) {
 	}
 	// EnableCache is a no-op for stateful plans.
 	dplan.EnableCache(certcache.New(64))
-	if dplan.Cache() != nil {
+	if dplan.cache != nil {
 		t.Fatal("cache attached to a stateful plan")
 	}
 

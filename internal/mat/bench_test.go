@@ -112,21 +112,6 @@ func BenchmarkCSRMulMat(b *testing.B) {
 	})
 }
 
-// BenchmarkSymEigen measures the Jacobi eigensolver (QP diagnostics only;
-// not on the release hot path).
-func BenchmarkSymEigen(b *testing.B) {
-	n := 60
-	m := benchMatrix(n)
-	t := m.Transpose()
-	AddInto(m, m, t)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := SymEigen(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func sizeName(n int) string {
 	if n >= 400 {
 		return "m400"

@@ -3,7 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"priste/internal/par"
 )
@@ -78,14 +77,6 @@ func (m *Matrix) Clone() *Matrix {
 	n := NewMatrix(m.Rows, m.Cols)
 	copy(n.Data, m.Data)
 	return n
-}
-
-// CopyFrom copies src into m; shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("mat: CopyFrom shape %d×%d vs %d×%d", m.Rows, m.Cols, src.Rows, src.Cols))
-	}
-	copy(m.Data, src.Data)
 }
 
 // Zero sets every element to 0 and returns m.
@@ -164,13 +155,6 @@ func (m *Matrix) VecMulInto(dst, x Vector) Vector {
 	return dst
 }
 
-// Mul returns m·n as a new matrix using the blocked kernel.
-func (m *Matrix) Mul(n *Matrix) *Matrix {
-	out := NewMatrix(m.Rows, n.Cols)
-	MulInto(out, m, n)
-	return out
-}
-
 // parallelFlops is the dense multiply-add count above which the matrix
 // kernels fan tiles out through the shared worker pool; ~2·10⁷
 // multiply-adds amortise the fork-join dispatch comfortably.
@@ -225,37 +209,9 @@ func sameBacking(a, b []float64) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-// ParallelRows runs body over [0,rows) through the shared par.Default()
-// pool when the multiply-add count reaches cutoff (and the pool has CPU
-// budget left), serially otherwise. Tile boundaries are a fixed function
-// of rows — independent of worker count — and each row is produced by
-// exactly one goroutine, so row-wise kernels stay bit-deterministic at
-// any parallelism. The body closure escapes; kernels that must keep an
-// allocation-free serial path branch on par.Default().Parallel
-// themselves before materialising one (see MulInto).
-func ParallelRows(rows int, flops, cutoff int64, body func(lo, hi int)) {
-	if !par.Default().Parallel(rows, flops, cutoff) {
-		body(0, rows)
-		return
-	}
-	par.Default().For(rows, body)
-}
-
-// ParallelRowsMax is ParallelRows for row-chunk bodies that also reduce
-// a maximum (e.g. the largest absolute entry written): it returns the max
-// of the per-chunk results. The reduction is exact, so the result does
-// not depend on the split.
-func ParallelRowsMax(rows int, flops, cutoff int64, body func(lo, hi int) float64) float64 {
-	if !par.Default().Parallel(rows, flops, cutoff) {
-		return body(0, rows)
-	}
-	return par.Default().ForMax(rows, body)
-}
-
-// ScaleRowsMaxInto is ScaleRowsInto fused with a MaxAbs reduction over
-// the result: it stores diag(d)·a into dst and returns the largest
-// absolute element written, saving the hot loop a second full pass.
-// dst may alias a.
+// ScaleRowsMaxInto stores diag(d)·a into dst (row i scaled by d[i]) and
+// returns the largest absolute element written, saving the hot loop a
+// second full pass. dst may alias a.
 func ScaleRowsMaxInto(dst, a *Matrix, d Vector) float64 {
 	if len(d) != a.Rows {
 		panic(fmt.Sprintf("mat: ScaleRowsMax len(d)=%d want %d", len(d), a.Rows))
@@ -274,93 +230,6 @@ func ScaleRowsMaxInto(dst, a *Matrix, d Vector) float64 {
 			if s := math.Abs(s); s > best {
 				best = s
 			}
-		}
-	}
-	return best
-}
-
-// ScaleColsInto stores a·diag(d) into dst (column j scaled by d[j]) and
-// returns dst. dst may alias a.
-func ScaleColsInto(dst, a *Matrix, d Vector) *Matrix {
-	if len(d) != a.Cols {
-		panic(fmt.Sprintf("mat: ScaleCols len(d)=%d want %d", len(d), a.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic("mat: ScaleCols dst shape mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		src := a.Data[i*a.Cols : (i+1)*a.Cols]
-		out := dst.Data[i*a.Cols : (i+1)*a.Cols]
-		for j, v := range src {
-			out[j] = v * d[j]
-		}
-	}
-	return dst
-}
-
-// ScaleRowsInto stores diag(d)·a into dst (row i scaled by d[i]) and returns
-// dst. dst may alias a.
-func ScaleRowsInto(dst, a *Matrix, d Vector) *Matrix {
-	if len(d) != a.Rows {
-		panic(fmt.Sprintf("mat: ScaleRows len(d)=%d want %d", len(d), a.Rows))
-	}
-	if dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic("mat: ScaleRows dst shape mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		src := a.Data[i*a.Cols : (i+1)*a.Cols]
-		out := dst.Data[i*a.Cols : (i+1)*a.Cols]
-		di := d[i]
-		for j, v := range src {
-			out[j] = v * di
-		}
-	}
-	return dst
-}
-
-// AddInto stores a+b into dst and returns dst; dst may alias a or b.
-func AddInto(dst, a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic("mat: AddInto shape mismatch")
-	}
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return dst
-}
-
-// SubInto stores a-b into dst and returns dst; dst may alias a or b.
-func SubInto(dst, a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic("mat: SubInto shape mismatch")
-	}
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return dst
-}
-
-// Outer returns the outer product a·bᵀ as a len(a)×len(b) matrix.
-func Outer(a, b Vector) *Matrix {
-	m := NewMatrix(len(a), len(b))
-	for i, ai := range a {
-		if ai == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, bj := range b {
-			row[j] = ai * bj
-		}
-	}
-	return m
-}
-
-// MaxAbs returns the largest absolute element of m (0 for empty).
-func (m *Matrix) MaxAbs() float64 {
-	var best float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > best {
-			best = a
 		}
 	}
 	return best
@@ -389,20 +258,4 @@ func (m *Matrix) IsRowStochastic(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// String renders the matrix for debugging and test failure messages.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		b.WriteString("[")
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%.6g", m.At(i, j))
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
 }

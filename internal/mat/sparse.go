@@ -55,12 +55,6 @@ func CSRFromDense(m *Matrix) *CSR {
 	return s
 }
 
-// Rows returns the row count.
-func (s *CSR) Rows() int { return s.rows }
-
-// Cols returns the column count.
-func (s *CSR) Cols() int { return s.cols }
-
 // NNZ returns the number of stored nonzeros.
 func (s *CSR) NNZ() int { return len(s.val) }
 
@@ -70,18 +64,6 @@ func (s *CSR) Density() float64 {
 		return 0
 	}
 	return float64(len(s.val)) / (float64(s.rows) * float64(s.cols))
-}
-
-// Dense expands the matrix back to dense row-major form.
-func (s *CSR) Dense() *Matrix {
-	m := NewMatrix(s.rows, s.cols)
-	for i := 0; i < s.rows; i++ {
-		row := m.Row(i)
-		for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
-			row[s.colIdx[p]] = s.val[p]
-		}
-	}
-	return m
 }
 
 // Transpose returns the CSR form of sᵀ (a column-major walk of s, so the
@@ -129,29 +111,6 @@ func (s *CSR) MulVecInto(dst, x Vector) Vector {
 			acc += float64(s.val[p] * x[s.colIdx[p]])
 		}
 		dst[i] = acc
-	}
-	return dst
-}
-
-// VecMulInto stores xᵀ·s into dst and returns dst. dst must not alias x.
-func (s *CSR) VecMulInto(dst, x Vector) Vector {
-	if len(x) != s.rows {
-		panic(fmt.Sprintf("mat: CSR VecMul len(x)=%d want %d", len(x), s.rows))
-	}
-	if len(dst) != s.cols {
-		panic(fmt.Sprintf("mat: CSR VecMul len(dst)=%d want %d", len(dst), s.cols))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < s.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
-			dst[s.colIdx[p]] += float64(xi * s.val[p])
-		}
 	}
 	return dst
 }

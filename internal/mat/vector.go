@@ -1,10 +1,13 @@
-// Package mat provides the dense linear-algebra substrate used by the
-// PriSTE quantifier: row-major matrices, vectors, blocked multiplication,
-// Hadamard products, diagonal scaling and a symmetric eigensolver.
+// Package mat provides the linear-algebra substrate used by the PriSTE
+// quantifier: row-major matrices and vectors, the row primitive behind
+// every dense product (rowmul.go), banded and compressed-sparse-row
+// kernels, Hadamard products and diagonal scaling.
 //
 // The package is deliberately small and allocation-conscious: the PriSTE
-// release loop multiplies m×m and m×2m matrices at every timestamp, so all
-// hot operations offer an "into destination" form that reuses storage.
+// release loop multiplies m×m matrices at every committed timestamp, so
+// all hot operations offer an "into destination" form that reuses
+// storage. It holds only what the engine, its tests and the benchmark
+// harness call.
 //
 // Every product that feeds an add is written float64(x*y). The explicit
 // conversion is how the Go spec forbids fusing it into one multiply-add,
@@ -13,7 +16,6 @@
 package mat
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -112,15 +114,6 @@ func (v Vector) AddInto(dst, w Vector) Vector {
 	return dst
 }
 
-// SubInto stores v-w into dst and returns dst. dst may alias v or w.
-func (v Vector) SubInto(dst, w Vector) Vector {
-	checkLen3(len(dst), len(v), len(w))
-	for i := range v {
-		dst[i] = v[i] - w[i]
-	}
-	return dst
-}
-
 // HadamardInto stores the elementwise product v∘w into dst and returns dst.
 func (v Vector) HadamardInto(dst, w Vector) Vector {
 	checkLen3(len(dst), len(v), len(w))
@@ -181,9 +174,6 @@ func (v Vector) ArgMax() int {
 	}
 	return bi
 }
-
-// ErrDimension is returned by checked constructors on shape mismatches.
-var ErrDimension = errors.New("mat: dimension mismatch")
 
 func checkLen3(a, b, c int) {
 	if a != b || b != c {

@@ -97,7 +97,7 @@ func main() {
 		fsync       = flag.Bool("fsync", false, "fsync every WAL append before acknowledging the step (requires -store-dir)")
 		snapEvery   = flag.Int("snapshot-every", server.DefaultSnapshotEvery, "compact a session's WAL into a snapshot every N steps; negative disables")
 		cutoff      = flag.Float64("sparse-cutoff", 0, "drop mobility transitions below cutoff*(row max) and renormalise, making the chain sparse; 0 keeps the exact Gaussian kernel")
-		kernel      = flag.String("kernel", server.KernelAuto, "transition-kernel compilation: auto, dense, sparse or oracle (naive reference, for regression comparison)")
+		kernel      = flag.String("kernel", server.KernelAuto, "transition-kernel compilation: auto, dense, sparse or oracle (naive reference, for regression comparison); auto commits the Gaussian chain through its Kronecker factors, which a -sparse-cutoff drops")
 		logFormat   = flag.String("log-format", obs.LogText, "structured log format: text or json")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		slowStep    = flag.Duration("slow-step", server.DefaultSlowStep, "log a warning (with trace ID and stage breakdown) for steps at least this slow; negative disables")

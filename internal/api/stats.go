@@ -175,6 +175,10 @@ type PlanStats struct {
 	// first field used to count).
 	BlockedKernels int64 `json:"blocked_kernels"`
 	BandedKernels  int64 `json:"banded_kernels"`
+	// FactoredKernels counts the operator products run as two passes
+	// over a mobility chain's Kronecker factors (auto on a Gaussian
+	// chain; dispatch events too).
+	FactoredKernels int64 `json:"factored_kernels"`
 }
 
 // CertCacheStats is the /statsz certified-release cache section. HitRate

@@ -14,6 +14,7 @@ import (
 	"priste/internal/lppm"
 	"priste/internal/markov"
 	"priste/internal/mat"
+	"priste/internal/qp"
 	"priste/internal/world"
 )
 
@@ -76,11 +77,15 @@ func walk(seed int64, m, steps int) []int {
 // TestDeferredCommitEquivalence is the contract of the lazily built
 // operators: a session that defers every commit to the next cache miss
 // releases exactly what a session that folds every commit into its
-// operators at once does — the latter on the naive oracle kernels, so the
-// reference shares neither the deferral nor the products. The cache is
-// warmed for a random subset of each session's steps, so runs of hits of
-// every length from 0 to the horizon are followed by a miss that must
-// rebuild the whole run.
+// operators at once does. There are two eager references. One runs the
+// same kernels (auto, which commits the Gaussian chain through its
+// Kronecker factors) and must match bit for bit, realised loss included.
+// The other runs the naive oracle kernels, so it shares neither the
+// deferral nor the products: releases, tags and fingerprints must match
+// exactly and the realised loss to lossBound. The cache is warmed for a
+// random subset of each session's steps, so runs of hits of every length
+// from 0 to the horizon are followed by a miss that must rebuild the
+// whole run.
 func TestDeferredCommitEquivalence(t *testing.T) {
 	const horizon = 12
 	cases := []struct {
@@ -101,10 +106,12 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 				t.Skip("m = 256 oracle products")
 			}
 			plan := c.plan(t, world.KernelAuto, nil)
+			eagerAuto := c.plan(t, world.KernelAuto, nil)
 			eager := c.plan(t, world.KernelOracle, nil)
 			cache := certcache.New(1 << 16)
 			m := plan.States()
 			var hitSteps, longestRun int
+			var lossGap float64
 			for s := 0; s < c.sessions; s++ {
 				seed := int64(7000 + s)
 				traj := walk(seed, m, horizon)
@@ -136,29 +143,34 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := eager.NewSession(NewSessionRNG(seed))
-				if err != nil {
-					t.Fatal(err)
+				refs := make([]*Framework, 2) // eager auto, eager oracle
+				for r, p := range []*Plan{eagerAuto, eager} {
+					if refs[r], err = p.NewSession(NewSessionRNG(seed)); err != nil {
+						t.Fatal(err)
+					}
 				}
+				refAuto, ref := refs[0], refs[1]
 				pending := 0
 				for i, loc := range traj {
 					got, err := lazy.Step(loc)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := ref.Step(loc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.materialise(nil); err != nil {
-						t.Fatal(err)
-					}
-					if got.Obs != want.Obs || got.Alpha != want.Alpha || got.Attempts != want.Attempts ||
-						got.ConservativeRejections != want.ConservativeRejections || got.Uniform != want.Uniform {
-						t.Fatalf("session %d step %d: deferred %+v, eager %+v", s, i, got, want)
-					}
-					if lazy.Fingerprint() != ref.Fingerprint() {
-						t.Fatalf("session %d step %d: fingerprint %#x, eager %#x", s, i, lazy.Fingerprint(), ref.Fingerprint())
+					for _, r := range refs {
+						want, err := r.Step(loc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := r.materialise(nil); err != nil {
+							t.Fatal(err)
+						}
+						if got.Obs != want.Obs || got.Alpha != want.Alpha || got.Attempts != want.Attempts ||
+							got.ConservativeRejections != want.ConservativeRejections || got.Uniform != want.Uniform {
+							t.Fatalf("session %d step %d: deferred %+v, eager %+v", s, i, got, want)
+						}
+						if lazy.Fingerprint() != r.Fingerprint() {
+							t.Fatalf("session %d step %d: fingerprint %#x, eager %#x", s, i, lazy.Fingerprint(), r.Fingerprint())
+						}
 					}
 					switch {
 					case got.CertCacheMisses == 0 && got.CertCacheHits > 0:
@@ -179,16 +191,30 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 						t.Fatalf("session %d step %d: warmed step missed the cache", s, i)
 					}
 				}
-				if got, want := lazy.Tags(), ref.Tags(); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("session %d: tags %v, eager %v", s, got, want)
+				for _, r := range refs {
+					if got, want := lazy.Tags(), r.Tags(); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("session %d: tags %v, eager %v", s, got, want)
+					}
 				}
 				for e := range c.events {
 					for _, pi := range []mat.Vector{markov.Uniform(m), vertex(m, int(seed)%m)} {
 						got, gerr := lazy.RealizedLoss(e, pi)
-						want, werr := ref.RealizedLoss(e, pi)
+						want, werr := refAuto.RealizedLoss(e, pi)
 						if (gerr == nil) != (werr == nil) || math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("session %d event %d: realised loss %v (%v), eager %v (%v)", s, e, got, gerr, want, werr)
+							t.Fatalf("session %d event %d: realised loss %v (%v), eager auto %v (%v)", s, e, got, gerr, want, werr)
 						}
+						oracle, oerr := ref.RealizedLoss(e, pi)
+						if (gerr == nil) != (oerr == nil) || math.IsInf(got, 1) != math.IsInf(oracle, 1) {
+							t.Fatalf("session %d event %d: realised loss %v (%v), oracle %v (%v)", s, e, got, gerr, oracle, oerr)
+						}
+						if gerr != nil || math.IsInf(got, 1) {
+							continue
+						}
+						bound := lossBound(t, ref.quants[e], pi, horizon)
+						if d := math.Abs(got - oracle); d > bound {
+							t.Fatalf("session %d event %d: realised loss %v, oracle %v: gap %.3g over the bound %.3g", s, e, got, oracle, d, bound)
+						}
+						lossGap = max(lossGap, math.Abs(got-oracle)/bound)
 					}
 				}
 				if lazy.applied != horizon {
@@ -198,9 +224,36 @@ func TestDeferredCommitEquivalence(t *testing.T) {
 			if hitSteps == 0 || longestRun < 2 {
 				t.Fatalf("no run of hits was followed by a miss: %d hit steps, longest rebuilt run %d", hitSteps, longestRun)
 			}
-			t.Logf("%d hit steps, longest run rebuilt by one miss: %d", hitSteps, longestRun)
+			t.Logf("%d hit steps, longest run rebuilt by one miss: %d; largest realised-loss gap to the oracle %.2g of the bound", hitSteps, longestRun, lossGap)
 		})
 	}
+}
+
+// lossBound is how far the realised loss of a session may sit from the
+// oracle's after steps commits, given the oracle's quantifier q. Per
+// world's TestFactoredMatchesOracle, every b̃ and c̃ entry of the two
+// paths lies within γ(N) of one exact reference, N = D+3m+4 with D =
+// 2+(steps−1)(m+5) when nothing renormalised; the dot with π adds m
+// roundings, so pj = π·b̃ and pob = π·c̃ differ by g = γ(2(N+m))
+// relative. log(pj/pe) then moves by ≤ 2g, log((pob−pj)/(1−pe)) by ≤
+// 2g·(pob+pj)/(pob−pj) — the one cancellation in the loss — and the
+// final divisions, subtraction and log add a few roundings more.
+func lossBound(t *testing.T, q *world.Quantifier, pi mat.Vector, steps int) float64 {
+	t.Helper()
+	if q.LogScale() != 0 {
+		t.Fatal("the session renormalised: lossBound assumes it did not")
+	}
+	const u = 0x1p-53
+	m := len(pi)
+	n := 2 * (2 + (steps-1)*(m+5) + 3*m + 4 + m)
+	g := float64(n) * u / (1 - float64(n)*u)
+	cur := q.Current()
+	pj, pob := pi.Dot(cur.BTilde), pi.Dot(cur.CTilde)
+	loss, err := qp.FixedPiLoss(cur, pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 2*g + 2*g*(1+g)*(pob+pj)/(pob-pj) + 16*u*(1+loss)
 }
 
 func vertex(m, i int) mat.Vector {
@@ -415,7 +468,7 @@ func TestHitPathTouchesNoOperator(t *testing.T) {
 	plan := lazyDense.plan(t, world.KernelAuto, nil)
 	plan.EnableCache(certcache.New(1 << 14))
 	traj := walk(seed, plan.States(), horizon)
-	products := func() int64 { ks := plan.KernelStats(); return ks.Blocked + ks.Banded }
+	products := func() int64 { ks := plan.KernelStats(); return ks.Blocked + ks.Banded + ks.Factored }
 
 	if got := allocatedBytes(func() { _, _ = plan.NewSession(NewSessionRNG(seed)) }); got >= 8<<10 {
 		t.Errorf("NewSession on m=256 allocated %d bytes, want < 8 KB (no quantifier)", got)

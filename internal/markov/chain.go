@@ -18,6 +18,11 @@ import (
 type Chain struct {
 	m int
 	t *mat.Matrix
+
+	// outer and inner are the Kronecker factors GaussianChain records:
+	// t[y·w+x][y'·w+x'] = outer[y][y']·inner[x][x'] bit for bit, with w
+	// = inner.Rows. Nil for every other chain.
+	outer, inner *mat.Matrix
 }
 
 // StochasticTol is the tolerance used when validating row sums.
@@ -60,6 +65,12 @@ func (c *Chain) States() int { return c.m }
 
 // Matrix returns the transition matrix. Callers must not mutate it.
 func (c *Chain) Matrix() *mat.Matrix { return c.t }
+
+// Kronecker returns the factors of a chain whose matrix is outer ⊗ inner
+// entry for entry — each entry the one rounded product of its two
+// factors — or nil, nil. Only GaussianChain records factors. Callers
+// must not mutate them.
+func (c *Chain) Kronecker() (outer, inner *mat.Matrix) { return c.outer, c.inner }
 
 // Prob returns Pr(u_{t+1}=s_j | u_t=s_i).
 func (c *Chain) Prob(i, j int) float64 { return c.t.At(i, j) }

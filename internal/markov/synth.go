@@ -18,22 +18,50 @@ import (
 // A small sigma concentrates mass on adjacent cells — a "significant"
 // mobility pattern — while a large sigma approaches the uniform chain.
 // Distances are in the grid's user units.
+//
+// The kernel is separable: exp(−(dx²+dy²)/2σ²) is the product of one
+// factor per axis, and so is each row sum. The chain is therefore built
+// as K_y ⊗ K_x from the two row-normalised axis kernels — each entry the
+// one rounded product of its factors — and carries them (Kronecker), so
+// the quantifier can apply it as two √m×√m passes instead of one m×m.
 func GaussianChain(g *grid.Grid, sigma float64) (*Chain, error) {
 	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
 		return nil, fmt.Errorf("markov: sigma must be positive and finite, got %g", sigma)
 	}
+	inv := 1 / (2 * sigma * sigma)
+	kx := gaussianAxis(g.W, g.CellSize, inv)
+	ky := gaussianAxis(g.H, g.CellSize, inv)
 	m := g.States()
 	t := mat.NewMatrix(m, m)
-	inv := 1 / (2 * sigma * sigma)
 	for i := 0; i < m; i++ {
+		x, y := g.XY(i)
 		row := t.Row(i)
-		for j := 0; j < m; j++ {
-			d := g.Dist(i, j)
-			row[j] = math.Exp(-d * d * inv)
+		for j := range row {
+			xj, yj := g.XY(j)
+			row[j] = ky.At(y, yj) * kx.At(x, xj)
+		}
+	}
+	c, err := NewChain(t)
+	if err != nil {
+		return nil, err
+	}
+	c.outer, c.inner = ky, kx
+	return c, nil
+}
+
+// gaussianAxis returns the n×n row-normalised kernel exp(−d²·inv) over
+// the distances between the centres of n cells of edge cell in a row.
+func gaussianAxis(n int, cell, inv float64) *mat.Matrix {
+	k := mat.NewMatrix(n, n)
+	for a := 0; a < n; a++ {
+		row := k.Row(a)
+		for b := range row {
+			d := float64(a-b) * cell
+			row[b] = math.Exp(-d * d * inv)
 		}
 		row.Normalize()
 	}
-	return NewChain(t)
+	return k
 }
 
 // LazyRandomWalk returns a chain that stays put with probability stay and

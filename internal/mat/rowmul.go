@@ -6,7 +6,8 @@ import "priste/internal/par"
 //
 // Every dense product the quantifier performs is a row vector times a
 // row-major matrix, dst[0:n] = Σₖ a[k]·B[k, 0:n]: a check is one such
-// row (uᵀ·Op), a commit is m of them (the rows of Mᵀ·Op). The primitive
+// row (uᵀ·Op), a commit is m of them (the rows of Mᵀ·Op), or two
+// passes of them when M is a Kronecker product (KronMulInto). The primitive
 // has two bodies — rowMulGo below and, on amd64 with AVX2, the assembly
 // in rowmul_amd64.s — chosen once at init from what the CPU reports. The
 // assembly covers every column and comes in a 1-row and a 2-row form;
@@ -158,4 +159,39 @@ func mulRowsRange(dst, a, b *Matrix, lo, hi int) {
 	if i < hi {
 		rowMul(dst.Row(i), a.Row(i), b.Data, b.Cols)
 	}
+}
+
+// KronMulInto stores (a ⊗ b)·op into dst as two passes of the row
+// primitive, with tmp holding the intermediate. a is h×h, b is w×w, and
+// op, dst and tmp are (h·w)×n; row y·w+x of the result is
+//
+//	Σ_{y'} a[y][y'] · (Σ_{x'} b[x][x'] · op[y'·w+x', :]).
+//
+// Pass 1 stores the inner sums in tmp, one block of w rows at a time:
+// block y' of tmp is b times block y' of op. Pass 2 reads tmp and dst
+// as h rows of w·n and stores a times tmp. That is n·h·w·(h+w)
+// multiply-adds, against (h·w)²·n for the assembled Kronecker product.
+// Each entry is a different chain from the assembled product's, so the
+// two agree to rounding, not bit for bit. Both passes are serial and
+// allocate nothing. dst, tmp and op must be three distinct matrices.
+func KronMulInto(dst, tmp, a, b, op *Matrix) {
+	h, w, n := a.Rows, b.Rows, op.Cols
+	if a.Cols != h || b.Cols != w || op.Rows != h*w {
+		panic("mat: KronMul operand shapes mismatch")
+	}
+	if dst.Rows != op.Rows || dst.Cols != n || tmp.Rows != op.Rows || tmp.Cols != n {
+		panic("mat: KronMul dst or tmp shape mismatch")
+	}
+	if sameBacking(dst.Data, tmp.Data) || sameBacking(dst.Data, op.Data) || sameBacking(tmp.Data, op.Data) {
+		panic("mat: KronMulInto dst, tmp and op must not share storage")
+	}
+	blk := w * n
+	for y := 0; y < h; y++ {
+		out := Matrix{Rows: w, Cols: n, Data: tmp.Data[y*blk:][:blk]}
+		in := Matrix{Rows: w, Cols: n, Data: op.Data[y*blk:][:blk]}
+		mulRowsRange(&out, b, &in, 0, w)
+	}
+	out := Matrix{Rows: h, Cols: blk, Data: dst.Data}
+	in := Matrix{Rows: h, Cols: blk, Data: tmp.Data}
+	mulRowsRange(&out, a, &in, 0, h)
 }

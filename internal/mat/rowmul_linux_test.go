@@ -60,3 +60,26 @@ func TestRowMulStaysInBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestKronMulStaysInBounds runs KronMulInto with dst, tmp, op and both
+// factors each ending at an unmapped page. Pass 2 reads tmp with stride
+// w·n and writes dst rows of w·n, so a tile that ran past the last row
+// of either would fault the test binary.
+func TestKronMulStaysInBounds(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 30))
+	for _, hw := range [][2]int{{1, 3}, {3, 1}, {2, 5}, {5, 2}, {3, 3}, {4, 7}} {
+		h, w := hw[0], hw[1]
+		m := h * w
+		guardedMatrix := func(rows, cols int) *Matrix {
+			g := &Matrix{Rows: rows, Cols: cols, Data: guarded(t, rows*cols)}
+			for i := range g.Data {
+				g.Data[i] = rng.Float64()
+			}
+			return g
+		}
+		a, b, op := guardedMatrix(h, h), guardedMatrix(w, w), guardedMatrix(m, m)
+		dst, tmp := guardedMatrix(m, m), guardedMatrix(m, m)
+		KronMulInto(dst, tmp, a, b, op)
+		sameBitsRow(t, fmt.Sprintf("h=%d w=%d", h, w), dst.Data, kronRef(a, b, op).Data)
+	}
+}

@@ -148,6 +148,69 @@ func TestRowEntryPointsMatchNaive(t *testing.T) {
 	}
 }
 
+// kronRef is KronMulInto's result from plain loops: MulInto over the
+// same blocks — each w-row block of op times b, then a times the
+// intermediate read as h rows of w·n — which takes every chain in the
+// same order.
+func kronRef(a, b, op *Matrix) *Matrix {
+	h, w, n := a.Rows, b.Rows, op.Cols
+	tmp := NewMatrix(h*w, n)
+	for y := 0; y < h; y++ {
+		blk := w * n
+		MulInto(&Matrix{Rows: w, Cols: n, Data: tmp.Data[y*blk:][:blk]}, b, &Matrix{Rows: w, Cols: n, Data: op.Data[y*blk:][:blk]})
+	}
+	dst := NewMatrix(h*w, n)
+	MulInto(&Matrix{Rows: h, Cols: w * n, Data: dst.Data}, a, &Matrix{Rows: h, Cols: w * n, Data: tmp.Data})
+	return dst
+}
+
+// kronAssembled returns a ⊗ b.
+func kronAssembled(a, b *Matrix) *Matrix {
+	h, w := a.Rows, b.Rows
+	k := NewMatrix(h*w, h*w)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			for y2 := 0; y2 < h; y2++ {
+				for x2 := 0; x2 < w; x2++ {
+					k.Set(y*w+x, y2*w+x2, a.At(y, y2)*b.At(x, x2))
+				}
+			}
+		}
+	}
+	return k
+}
+
+// TestKronMulIntoMatchesNaive: the two passes agree bit for bit with
+// MulInto over the same blocks, into a dirty dst and tmp, on square and
+// non-square factors — odd and even h and w, so each pass ends on a
+// register-tile pair or a single row — and a column count n that is or
+// is not h·w; and to rounding with the assembled product (a⊗b)·op, which
+// catches a swapped or misread factor.
+func TestKronMulIntoMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 28))
+	for _, hw := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {2, 3}, {3, 2}, {5, 5}, {7, 4}, {4, 7}, {10, 10}} {
+		h, w := hw[0], hw[1]
+		for _, n := range []int{h * w, 3} {
+			a := randomNonNeg(rng, h, h, 0.2)
+			b := randomNonNeg(rng, w, w, 0.2)
+			op := randomNonNeg(rng, h*w, n, 0.2)
+			label := fmt.Sprintf("h=%d w=%d n=%d", h, w, n)
+			got := &Matrix{Rows: h * w, Cols: n, Data: dirty(h * w * n)}
+			tmp := &Matrix{Rows: h * w, Cols: n, Data: dirty(h * w * n)}
+			KronMulInto(got, tmp, a, b, op)
+			sameBitsRow(t, label, got.Data, kronRef(a, b, op).Data)
+
+			want := NewMatrix(h*w, n)
+			MulInto(want, kronAssembled(a, b), op)
+			for i, v := range want.Data {
+				if d := math.Abs(got.Data[i] - v); d > 1e-13*math.Max(v, 1e-300) {
+					t.Fatalf("%s: [%d] = %v, assembled product %v", label, i, got.Data[i], v)
+				}
+			}
+		}
+	}
+}
+
 // TestRowKernelMatchesCPUInfo checks the init-time CPUID/XGETBV verdict
 // against the kernel's own: /proc/cpuinfo lists avx2 only when the CPU
 // has it and the OS saves YMM state. Elsewhere the assembly must be off.

@@ -34,6 +34,14 @@ func TestSerialKernelsZeroAlloc(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
+	// A Kronecker commit at m = 7·5: both passes end on a single row.
+	kh, kw := NewMatrix(7, 7), NewMatrix(5, 5)
+	kop, kdst, ktmp := NewMatrix(35, 35), NewMatrix(35, 35), NewMatrix(35, 35)
+	for _, k := range []*Matrix{kh, kw, kop} {
+		for i := range k.Data {
+			k.Data[i] = rng.Float64()
+		}
+	}
 
 	cases := []struct {
 		name string
@@ -49,6 +57,7 @@ func TestSerialKernelsZeroAlloc(t *testing.T) {
 		{"RowMul2Into", func() { RowMul2Into(y, y2, x, a.Row(1), b, n-1) }},
 		{"RowMul2Into/banded", func() { RowMul2Into(y, y2, x, a.Row(1), b, 3) }},
 		{"CSR.MulMatInto", func() { csr.MulMatInto(dst, b, n-1) }},
+		{"KronMulInto", func() { KronMulInto(kdst, ktmp, kh, kw, kop) }},
 	}
 	for _, tc := range cases {
 		tc.op() // warm up (one-time lazy state, if any)

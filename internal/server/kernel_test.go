@@ -79,6 +79,31 @@ func TestServerKernelEquivalence(t *testing.T) {
 	if sts.Plans.KernelDensity <= 0 || sts.Plans.KernelDensity >= 1 {
 		t.Fatalf("sparse kernel density %v", sts.Plans.KernelDensity)
 	}
+	// A sparsified chain carries no Kronecker factors.
+	if std.Plans.FactoredKernels != 0 || sts.Plans.FactoredKernels != 0 {
+		t.Fatalf("factored products on a sparsified chain: dense %d, sparse %d",
+			std.Plans.FactoredKernels, sts.Plans.FactoredKernels)
+	}
+}
+
+// TestStatszCountsFactoredProducts: on the default world (the exact
+// Gaussian chain under auto) every commit product runs over the chain's
+// Kronecker factors, and /statsz counts them there — not as blocked or
+// banded products.
+func TestStatszCountsFactoredProducts(t *testing.T) {
+	srv := newTestServer(t, testConfig())
+	u := restartUsers[0]
+	createRestartUser(t, srv, u)
+	m := srv.Config().GridW * srv.Config().GridH
+	for k := 0; k < 8; k++ {
+		if _, err := srv.Step(bg, u.id, (k*7)%m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := srv.Stats().Plans
+	if p.FactoredKernels == 0 || p.BlockedKernels+p.BandedKernels != 0 {
+		t.Fatalf("plans %+v: want factored products only", p)
+	}
 }
 
 // StepResponseLite is the comparable subset of a step result.

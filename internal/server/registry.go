@@ -180,13 +180,14 @@ func (r *PlanRegistry) Stats() api.PlanStats {
 	}
 	r.mu.Unlock()
 	return api.PlanStats{
-		Live:           int64(live),
-		Compiled:       r.compiled.Load(),
-		SharedHits:     r.shared.Load(),
-		SparseKernels:  int64(ks.Sparse),
-		DenseKernels:   int64(ks.Dense),
-		KernelDensity:  ks.Density,
-		BlockedKernels: ks.Blocked,
-		BandedKernels:  ks.Banded,
+		Live:            int64(live),
+		Compiled:        r.compiled.Load(),
+		SharedHits:      r.shared.Load(),
+		SparseKernels:   int64(ks.Sparse),
+		DenseKernels:    int64(ks.Dense),
+		KernelDensity:   ks.Density,
+		BlockedKernels:  ks.Blocked,
+		BandedKernels:   ks.Banded,
+		FactoredKernels: ks.Factored,
 	}
 }

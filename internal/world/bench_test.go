@@ -88,7 +88,8 @@ func BenchmarkQuantifierCheck(b *testing.B) {
 }
 
 // kernelBenchCase is one mobility-chain/kernel combination at m=400.
-// "gauss/dense" is the structurally dense worst case on the adaptive
+// "gauss/auto" is the daemon's default: commits run as two passes over
+// the chain's 20×20 Kronecker factors. "gauss/dense" is the structurally dense worst case on the adaptive
 // dense dispatch (banded early, naive-skip on masked operators, blocked
 // register-tiled on full ones); "gauss/oracle" is the same world on the
 // naive reference kernels — their ratio is the adaptive speedup.
@@ -115,6 +116,7 @@ func kernelBenchCases() []kernelBenchCase {
 	}
 	walk := func(g *grid.Grid) (*markov.Chain, error) { return markov.LazyRandomWalk(g, 0.4) }
 	return []kernelBenchCase{
+		{"chain=gauss/kernel=auto", gauss, KernelAuto},
 		{"chain=gauss/kernel=dense", gauss, KernelDense},
 		{"chain=gauss/kernel=oracle", gauss, KernelOracle},
 		{"chain=trunc/kernel=sparse", trunc, KernelSparse},

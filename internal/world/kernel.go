@@ -1,6 +1,7 @@
 package world
 
 import (
+	"math"
 	"sync/atomic"
 
 	"priste/internal/mat"
@@ -14,7 +15,11 @@ const (
 	// KernelAuto compiles a matrix to CSR when its density is at or
 	// below the sparse threshold and keeps it dense otherwise. The two
 	// paths are bit-for-bit equivalent (see mat.CSR), so the choice is
-	// purely a performance decision.
+	// purely a performance decision. A homogeneous chain that carries
+	// Kronecker factors (markov.GaussianChain on a grid) commits through
+	// them instead: two √m×√m passes of the row primitive per product
+	// (mat.KronMulInto), equal to the other paths to rounding — see the
+	// package doc for what that keeps bit for bit.
 	KernelAuto KernelMode = iota
 	// KernelDense forces the dense kernels: every product is the row
 	// primitive (mat.MulRowsInto, mat.RowMulInto), band-limited while
@@ -102,11 +107,26 @@ type stepKernel struct {
 	// non-oracle dispatch consumes it.
 	bw     int
 	oracle bool
+
+	// outerT and innerT are the transposed Kronecker factors of M, set
+	// under KernelAuto when M = outer ⊗ inner bit for bit: the commit
+	// product Mᵀ·op is then (outerᵀ ⊗ innerᵀ)·op, two passes of the row
+	// primitive. Checks still use the kernel's M or CSR form.
+	outerT, innerT *mat.Matrix
 }
 
 // compileKernel builds the complete kernel for one transition matrix.
-func compileKernel(m *mat.Matrix, opts ModelOptions) *stepKernel {
+// outer and inner are the Kronecker factors its chain carries, or nil;
+// KernelAuto keeps them only if they reproduce m exactly.
+func compileKernel(m *mat.Matrix, opts ModelOptions, outer, inner *mat.Matrix) *stepKernel {
 	k := &stepKernel{dense: m, bw: mat.Bandwidth(m)}
+	if opts.Kernel == KernelAuto && isKronecker(m, outer, inner) {
+		k.outerT, k.innerT = outer.Transpose(), inner.Transpose()
+		// A factor product can underflow to 0 in M while the passes
+		// keep that path nonzero, so widen the band to the factors'.
+		w := inner.Rows
+		k.bw = min(mat.Bandwidth(outer)*w+mat.Bandwidth(inner), m.Rows-1)
+	}
 	switch opts.Kernel {
 	case KernelDense:
 	case KernelOracle:
@@ -126,11 +146,40 @@ func compileKernel(m *mat.Matrix, opts ModelOptions) *stepKernel {
 	return k
 }
 
+// isKronecker reports whether m[y·w+x][y'·w+x'] is the rounded product
+// outer[y][y']·inner[x][x'] for every entry, bit for bit, with w =
+// inner.Rows: an O(m²) scan, run once per compiled kernel. Any mismatch
+// — a perturbed, sparsified or retrained matrix — keeps m unfactored.
+func isKronecker(m, outer, inner *mat.Matrix) bool {
+	if outer == nil || inner == nil {
+		return false
+	}
+	h, w := outer.Rows, inner.Rows
+	if outer.Cols != h || inner.Cols != w || m.Rows != h*w || m.Cols != h*w {
+		return false
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			row := m.Row(y*w + x)
+			for y2 := 0; y2 < h; y2++ {
+				o := outer.At(y, y2)
+				for x2 := 0; x2 < w; x2++ {
+					if math.Float64bits(row[y2*w+x2]) != math.Float64bits(o*inner.At(x, x2)) {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
 // kernelCounters tallies dense dispatch decisions. A Model is shared
 // across sessions, so the counters are atomic.
 type kernelCounters struct {
-	blocked atomic.Int64
-	banded  atomic.Int64
+	blocked  atomic.Int64
+	banded   atomic.Int64
+	factored atomic.Int64
 }
 
 // bandedWins reports whether a banded product over bands (aBand, bBand)
@@ -179,14 +228,19 @@ func (k *stepKernel) mulVec2Into(dst0, dst1, x0, x1 mat.Vector) {
 // full), and opZero reports that op is all-zero — A_T before the window
 // opens, or any block after an impossible observation history — whose
 // product is all-zero too and is not computed (not counted either).
-// dst must not alias op. All paths are bit-identical.
-func (k *stepKernel) mulInto(dst, op *mat.Matrix, opBand int, opZero bool, kc *kernelCounters) {
+// scratch is an m×m matrix whose contents are dead: the factored
+// product keeps its intermediate there. dst, op and scratch must be
+// distinct. All paths but the factored one are bit-identical.
+func (k *stepKernel) mulInto(dst, op, scratch *mat.Matrix, opBand int, opZero bool, kc *kernelCounters) {
 	m := op.Rows
 	switch {
 	case k.oracle:
 		mat.MulInto(dst, k.denseT, op)
 	case opZero:
 		dst.Zero()
+	case k.outerT != nil:
+		mat.KronMulInto(dst, scratch, k.outerT, k.innerT, op)
+		kc.factored.Add(1)
 	case k.csrT != nil:
 		k.csrT.MulMatInto(dst, op, opBand)
 	case bandedWins(m, k.bw, opBand):
@@ -211,10 +265,13 @@ type KernelStats struct {
 	Density float64 `json:"density"`
 	// Blocked and Banded count the dense operator products executed
 	// full-band through the row primitive and band-limited through the
-	// banded kernel (CSR and oracle products are not counted). Blocked
-	// keeps the name of the register-tiled kernel it used to count.
-	Blocked int64 `json:"blocked"`
-	Banded  int64 `json:"banded"`
+	// banded kernel, and Factored those run as two passes over a
+	// chain's Kronecker factors (CSR and oracle products are not
+	// counted). Blocked keeps the name of the register-tiled kernel it
+	// used to count.
+	Blocked  int64 `json:"blocked"`
+	Banded   int64 `json:"banded"`
+	Factored int64 `json:"factored"`
 }
 
 // Add merges o into s (entries-weighted density) and returns the result.
@@ -226,6 +283,7 @@ func (s KernelStats) Add(o KernelStats) KernelStats {
 	s.NNZ += o.NNZ
 	s.Blocked += o.Blocked
 	s.Banded += o.Banded
+	s.Factored += o.Factored
 	if se+oe > 0 {
 		s.Density = (float64(s.Density*se) + float64(o.Density*oe)) / (se + oe)
 	}

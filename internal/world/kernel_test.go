@@ -367,25 +367,37 @@ func TestKernelMissPastProbeWindowConcurrent(t *testing.T) {
 
 // TestZeroBlockProductsSkipped: on unique-mid's plan (window 3–7, so
 // A_T ≡ 0 until the commit at t = 3 opens the window) 11 commits run 17
-// operator products, of which the three over the empty A_T — one banded
-// at t = 1, two full-band at t = 2, 3 — are skipped: 12 full-band + 2
-// banded are dispatched. The goldens hold the releases to the parent's.
+// operator products, of which the three over the empty A_T are skipped
+// and 14 dispatched: under auto all 14 through the chain's Kronecker
+// factors, under dense 12 full-band + 2 banded (the skipped ones are one
+// banded at t = 1 and two full-band at t = 2, 3). The goldens hold the
+// releases to their traces.
 func TestZeroBlockProductsSkipped(t *testing.T) {
-	tp, ev := goldenPlans[0].build(t)
-	md, err := NewModel(tp, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := NewQuantifier(md)
-	rng := rand.New(rand.NewSource(17))
-	for step := 0; step < 11; step++ {
-		if want := step < 4; q.t > 0 && q.atZero != want {
-			t.Fatalf("t=%d: atZero = %v, want %v", q.t, q.atZero, want)
+	for _, tc := range []struct {
+		mode KernelMode
+		want KernelStats
+	}{
+		{KernelAuto, KernelStats{Factored: 14}},
+		{KernelDense, KernelStats{Blocked: 12, Banded: 2}},
+	} {
+		tp, ev := goldenPlans[0].build(t)
+		md, err := NewModelWithOptions(tp, ev, ModelOptions{Kernel: tc.mode})
+		if err != nil {
+			t.Fatal(err)
 		}
-		q.commitTrusted(randomEmissionColumn(rng, md.States()))
-	}
-	if ks := md.KernelStats(); ks.Blocked != 12 || ks.Banded != 2 {
-		t.Fatalf("dispatched blocked/banded = %d/%d, want 12/2", ks.Blocked, ks.Banded)
+		q := NewQuantifier(md)
+		rng := rand.New(rand.NewSource(17))
+		for step := 0; step < 11; step++ {
+			if want := step < 4; q.t > 0 && q.atZero != want {
+				t.Fatalf("%v t=%d: atZero = %v, want %v", tc.mode, q.t, q.atZero, want)
+			}
+			q.commitTrusted(randomEmissionColumn(rng, md.States()))
+		}
+		ks := md.KernelStats()
+		if ks.Blocked != tc.want.Blocked || ks.Banded != tc.want.Banded || ks.Factored != tc.want.Factored {
+			t.Fatalf("%v dispatched blocked/banded/factored = %d/%d/%d, want %d/%d/%d", tc.mode,
+				ks.Blocked, ks.Banded, ks.Factored, tc.want.Blocked, tc.want.Banded, tc.want.Factored)
+		}
 	}
 }
 

@@ -278,13 +278,16 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 	case q.t <= q.md.end:
 		ft, tt := q.md.stepMasks(q.t - 1)
 		k := q.md.kernel(q.t - 1)
-		k.mulInto(q.mx, q.af, q.fwdBand, q.afZero, &q.md.kc) // Xᵀ = Mᵀ·A_Fᵀ
-		k.mulInto(q.my, q.at, q.fwdBand, q.atZero, &q.md.kc) // Yᵀ = Mᵀ·A_Tᵀ
+		// Scratch for a factored product is storage dead at that
+		// moment: my before Y is written, then A_F, which X has
+		// consumed and maskAndScale overwrites.
+		k.mulInto(q.mx, q.af, q.my, q.fwdBand, q.afZero, &q.md.kc) // Xᵀ = Mᵀ·A_Fᵀ
+		k.mulInto(q.my, q.at, q.af, q.fwdBand, q.atZero, &q.md.kc) // Yᵀ = Mᵀ·A_Tᵀ
 		scale, q.afZero, q.atZero = q.maskAndScale(ft, tt, emis)
 		q.fwdBand = min(q.fwdBand+k.bw, m-1)
 	default: // q.t > end: B₁ ← diag(emis)·Mᵀ·B₁
 		k := q.md.kernel(q.t - 1)
-		k.mulInto(q.mx, q.b1, q.b1Band, q.b1Zero, &q.md.kc)
+		k.mulInto(q.mx, q.b1, q.my, q.b1Band, q.b1Zero, &q.md.kc)
 		scale = mat.ScaleRowsMaxInto(q.b1, q.mx, emis)
 		q.b1Band = min(q.b1Band+k.bw, m-1)
 		q.b1Zero = scale == 0

@@ -22,6 +22,18 @@
 //	PATTERN,  inside window:   ft = 0,        tt = regionₜ (Eq. 7)
 //
 // Timestamps are 0-based; step t is the transition from time t to t+1.
+//
+// Kernel invariant. Within a build, releases are bit-identical across
+// replay, restart, migration, deferred vs eager commit and pool width 1
+// vs 4: every kernel path is deterministic, and a parallel one splits at
+// fixed row boundaries with one writer per row. The dense, sparse and
+// oracle modes are also bit-identical to each other. Auto on a chain that
+// carries Kronecker factors commits through them in a different
+// summation order; against the oracle it is held to a relative error
+// bound derived from the chain lengths, with identical release verdicts,
+// tags and fingerprints (factored_test.go). A kernel change that moves
+// bits regenerates the goldens once, and reports the bound and the
+// largest observed difference (golden_test.go).
 package world
 
 import (
@@ -190,12 +202,16 @@ func (md *Model) compileKernels() {
 			}
 		}
 	}
+	var outer, inner *mat.Matrix
+	if h, ok := md.tp.(*Homogeneous); ok {
+		outer, inner = h.chain.Kronecker()
+	}
 	md.kernels = make(map[*mat.Matrix]*stepKernel, len(distinct))
 	for _, m := range distinct {
 		if _, ok := md.kernels[m]; ok {
 			continue
 		}
-		k := compileKernel(m, md.opts)
+		k := compileKernel(m, md.opts, outer, inner)
 		md.kernels[m] = k
 		md.foldKernelStats(k)
 	}
@@ -216,6 +232,7 @@ func (md *Model) KernelStats() KernelStats {
 	ks := md.kstats
 	ks.Blocked = md.kc.blocked.Load()
 	ks.Banded = md.kc.banded.Load()
+	ks.Factored = md.kc.factored.Load()
 	return ks
 }
 
@@ -229,7 +246,7 @@ func (md *Model) kernel(t int) *stepKernel {
 	if k, ok := md.kernels[m]; ok {
 		return k
 	}
-	return compileKernel(m, md.opts)
+	return compileKernel(m, md.opts, nil, nil)
 }
 
 // States returns m.

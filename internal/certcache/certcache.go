@@ -4,9 +4,10 @@
 //
 // An entry keeps what a hit is read for — OK and the two verdicts, one
 // byte — and Get rebuilds the decision around them. The solver's
-// diagnostics (bounds, node counts, two BestPi vectors of m floats each)
-// are dropped at Put: nothing reads them back, and at 65 536 entries they
-// were most of a serving process's heap.
+// diagnostics (bounds, timings, the maximisers' supports) are dropped at
+// Put: nothing reads them back, and when a result still carried two
+// m-float BestPi vectors they were, at 65 536 entries, most of a serving
+// process's heap.
 //
 // The planar Laplace mechanism (and every other history-independent LPPM)
 // emits the same column for a given budget at every timestamp, so the

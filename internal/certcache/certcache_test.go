@@ -61,8 +61,13 @@ func TestGetPut(t *testing.T) {
 // read back as the same rejection, without the solver's diagnostics.
 func TestSkippedRejectionStored(t *testing.T) {
 	c := New(64)
+	// g(e₀) = 1: violated at a vertex, with the point that attains it.
+	viol, err := qp.Solve(qp.Problem{A: []float64{1, 0}, W: []float64{1, 0}, Q: []float64{0, 0}}, qp.Options{})
+	if err != nil || viol.Verdict != qp.Violated || viol.BestPi() == nil {
+		t.Fatalf("Solve = %+v, %v", viol, err)
+	}
 	for i, dec := range []qp.ReleaseDecision{
-		{Eq15: qp.Result{Verdict: qp.Violated, Lower: 0.3, BestPi: []float64{1, 0}}, Eq16: qp.Result{Verdict: qp.Skipped}},
+		{Eq15: viol, Eq16: qp.Result{Verdict: qp.Skipped}},
 		{Eq15: qp.Result{Verdict: qp.Skipped}, Eq16: qp.Result{Verdict: qp.Violated}},
 		okDecision(),
 	} {
@@ -73,7 +78,7 @@ func TestSkippedRejectionStored(t *testing.T) {
 			got.Eq15.Verdict != dec.Eq15.Verdict || got.Eq16.Verdict != dec.Eq16.Verdict {
 			t.Fatalf("stored %+v, read back %+v (hit %v)", dec, got, ok)
 		}
-		if got.Eq15.BestPi != nil || got.Eq15.Lower != 0 {
+		if got.Eq15.BestPi() != nil || got.Eq15.Lower != 0 {
 			t.Fatalf("entry kept solver diagnostics: %+v", got.Eq15)
 		}
 	}

@@ -9,6 +9,7 @@ package core
 
 import (
 	"encoding"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -154,15 +155,22 @@ type Framework struct {
 	fp   uint64
 
 	// quants holds one quantifier per protected event with tags[:applied]
-	// committed; nil until materialise first runs. colBuf is the candidate
-	// column of the miss path and replayBuf the column materialise
-	// re-derives per pending tag — two buffers, because tags are replayed
-	// while a live candidate sits in colBuf. Both are allocated with the
-	// quantifiers; no callee retains a column (see lppm.Perturber.Observe).
-	quants            []*world.Quantifier
-	applied           int
-	colBuf, replayBuf mat.Vector
+	// committed; nil until materialise first runs and after Release. cols
+	// holds the candidate column of the miss path and the column
+	// materialise re-derives per pending tag — two buffers, because tags
+	// are replayed while a live candidate sits in the first. They come
+	// and go with the quantifiers; no callee retains a column (see
+	// lppm.Perturber.Observe).
+	quants  []*world.Quantifier
+	applied int
+	cols    *columns
+
+	// ended is set by Release on a stateful session (see Release).
+	ended bool
 }
+
+// columns is a session's two column buffers (Framework.cols).
+type columns struct{ cand, replay mat.Vector }
 
 // ReleaseTag is one committed release: math.Float64bits of the budget the
 // release was certified at (0 for the uniform fallback, which no genuine
@@ -231,6 +239,9 @@ func (f *Framework) Events() []event.Event { return f.plan.events }
 // remain certified.
 func (f *Framework) Step(trueLoc int) (StepResult, error) {
 	cfg := f.plan.cfg
+	if f.ended {
+		return StepResult{}, errEnded
+	}
 	if trueLoc < 0 || trueLoc >= f.plan.m {
 		return StepResult{}, fmt.Errorf("core: true location %d outside [0,%d)", trueLoc, f.plan.m)
 	}
@@ -336,7 +347,7 @@ func (f *Framework) checkAll(res *StepResult, t int, alphaBits uint64, obs int, 
 				return false, false, 0, err
 			}
 			start = start.Add(res.RebuildTime - before) // dur excludes the rebuild
-			col = em.ColInto(f.colBuf, obs)
+			col = em.ColInto(f.cols.cand, obs)
 		}
 		// Emission columns come from validated sources (the mechanisms
 		// validate at matrix build; the uniform column is constructed by
@@ -374,8 +385,9 @@ func (f *Framework) commit(res *StepResult, obs int, alphaBits uint64) error {
 	return f.materialise(res)
 }
 
-// materialise brings the quantifier view up to the tag log: it allocates
-// the quantifiers on first use and replays tags[applied:] through the eager
+// materialise brings the quantifier view up to the tag log: it takes the
+// quantifiers when the session holds none (the models' pools first, see
+// world.NewQuantifier) and replays tags[applied:] through the eager
 // world.Quantifier commit and the mechanism's Observe, re-deriving each
 // committed column from its tag — the budget's column for the released
 // observation, or the uniform column for a fallback tag. It is the only
@@ -391,12 +403,18 @@ func (f *Framework) materialise(res *StepResult) error {
 	if f.quants != nil && f.applied == len(f.tags) {
 		return nil
 	}
+	if f.ended {
+		return errEnded
+	}
 	start := time.Now()
 	if f.quants == nil {
 		for _, md := range f.plan.models {
 			f.quants = append(f.quants, world.NewQuantifier(md))
 		}
-		f.colBuf, f.replayBuf = mat.NewVector(f.plan.m), mat.NewVector(f.plan.m)
+		f.cols, _ = f.plan.cols.Get().(*columns)
+		if f.cols == nil {
+			f.cols = &columns{mat.NewVector(f.plan.m), mat.NewVector(f.plan.m)}
+		}
 	}
 	from := f.applied
 	for ; f.applied < len(f.tags); f.applied++ {
@@ -408,7 +426,7 @@ func (f *Framework) materialise(res *StepResult) error {
 			if err != nil {
 				return fmt.Errorf("core: replay t=%d: emission at alpha=%g: %w", t, alpha, err)
 			}
-			col = em.ColInto(f.replayBuf, tag.Obs)
+			col = em.ColInto(f.cols.replay, tag.Obs)
 		}
 		// Observe first: it can fail, the operator commits cannot, so a
 		// failed tag is committed nowhere.
@@ -428,6 +446,30 @@ func (f *Framework) materialise(res *StepResult) error {
 	}
 	return nil
 }
+
+// Release hands the session's view — its quantifiers and column buffers
+// — back to the plan's pools for the next session to reuse, leaving the
+// session as Restore builds it: the tag log, the fingerprint and the RNG.
+// A history-independent session rebuilds the view from the log at its
+// next miss, so Release moves no later release. A stateful session's
+// mechanism state has consumed the log and a replay cannot rebuild it, so
+// Release ends such a session: its later Step and RealizedLoss fail.
+//
+// Release belongs to the session's single writer, like Step: it must not
+// run concurrently with any other method.
+func (f *Framework) Release() {
+	for _, q := range f.quants {
+		q.Release()
+	}
+	if f.cols != nil {
+		f.plan.cols.Put(f.cols)
+	}
+	f.quants, f.applied, f.cols = nil, 0, nil
+	f.ended = !f.plan.stateless
+}
+
+// errEnded reports a stateful session used after Release.
+var errEnded = errors.New("core: stateful session used after Release")
 
 // Fingerprint returns the rolling history fingerprint of the committed
 // release tags (world.FingerprintSeed before the first commit). The

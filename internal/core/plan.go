@@ -60,6 +60,10 @@ type Plan struct {
 	id    uint64
 	cache *certcache.Cache
 
+	// cols holds the column buffers of released sessions
+	// (Framework.Release) for the next materialise to take first.
+	cols sync.Pool
+
 	// mu guards lastMech, the duplicate-instance check for stateful
 	// factories (see NewSession).
 	mu       sync.Mutex

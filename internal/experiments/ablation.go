@@ -158,6 +158,7 @@ func AblationModelMismatch(synth SyntheticConfig, modelSigma float64, trueSigmas
 					maxLoss = loss
 				}
 			}
+			q.Release() // chk aliases q's buffers: last use above
 		}
 		mean := 0.0
 		if lossCount > 0 {

@@ -56,8 +56,8 @@ func TestSolveMatchesReferenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Upper != got.Lower || p.Eval(got.BestPi) != got.Lower {
-			t.Fatalf("seed %d: Solve ended in [%v, %v] with g(BestPi) = %v", seed, got.Lower, got.Upper, p.Eval(got.BestPi))
+		if got.Upper != got.Lower || p.Eval(got.BestPi()) != got.Lower {
+			t.Fatalf("seed %d: Solve ended in [%v, %v] with g(BestPi) = %v", seed, got.Lower, got.Upper, p.Eval(got.BestPi()))
 		}
 		if !inBracket(got, want.Result) {
 			t.Fatalf("seed %d: maximum %v outside the reference's [%v, %v]", seed, got.Lower, want.Lower, want.Upper)
@@ -129,7 +129,7 @@ func FuzzCheckRelease(f *testing.F) {
 			t.Fatal(err)
 		}
 		for k, pair := range [2][2]Result{{got.Eq15, want.Eq15}, {got.Eq16, want.Eq16}} {
-			if pair[0].BestPi != nil && !inBracket(pair[0], pair[1]) { // nil: Skipped, or a zero-scale check
+			if pair[0].BestPi() != nil && !inBracket(pair[0], pair[1]) { // nil: Skipped, or a zero-scale check
 				t.Fatalf("Eq.%d: [%v, %v] outside the reference's [%v, %v] on %+v",
 					15+k, pair[0].Lower, pair[0].Upper, pair[1].Lower, pair[1].Upper, chk)
 			}

@@ -51,10 +51,13 @@
 // that is accepted — both conditions scanned to the end — costs n(n−1)
 // edge tests: about n² multiply-adds, next to the 7n² of the seven
 // matrix–vector products world.Quantifier.CheckTrusted spends on b̃ and c̃
-// and the 2n³ of a commit. CheckRelease screens before it certifies: a
-// violation of either condition rejects the release, so it runs the vertex
-// pass of both conditions (O(n)), then the edge pass of each, and returns
-// at the first value past Tol, leaving the other condition Skipped.
+// and the two operator products of a commit: 2n³ on a dense chain,
+// 2n²(W+H) through the Kronecker factors of a Gaussian chain on a W×H
+// grid. A check allocates nothing. CheckRelease screens before it
+// certifies: a violation of either condition rejects the release, so it
+// runs the vertex pass of both conditions (O(n)), then the edge pass of
+// each, and returns at the first value past Tol, leaving the other
+// condition Skipped.
 //
 // The paper's conservative release (§IV-C) — release only when the solver
 // is sure before a time threshold — survives as Options.Deadline: the edge
@@ -164,14 +167,33 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	Verdict Verdict
 	// Lower is the best objective value found (a certified lower bound on
-	// the maximum); BestPi attains it: Problem.Eval(BestPi) == Lower.
-	Lower  float64
-	BestPi mat.Vector
+	// the maximum); BestPi attains it: Problem.Eval(r.BestPi()) == Lower.
+	Lower float64
 	// Upper is a certified upper bound on the maximum: Lower when the
 	// search ran to its end, +Inf when it stopped early.
 	Upper float64
 	// Elapsed is the wall time spent.
 	Elapsed time.Duration
+
+	// The point attaining Lower is (1−lam)·eᵢ + lam·eⱼ in R^n, the vertex
+	// eᵢ when j == i; n is 0 when the result carries no point.
+	n, i, j int
+	lam     float64
+}
+
+// BestPi returns the point that attains Lower as a dense distribution, or
+// nil when the result carries none (a Skipped condition, a check whose
+// observations are impossible, a cached decision). The maximiser has at
+// most two non-zero coordinates, so the result keeps only those and
+// builds the vector here, on each call.
+func (r Result) BestPi() mat.Vector {
+	if r.n == 0 {
+		return nil
+	}
+	pi := make(mat.Vector, r.n)
+	pi[r.i] = 1 - r.lam
+	pi[r.j] += r.lam // a vertex has j == i and lam == 0
+	return pi
 }
 
 // pollRows is how many rows of the edge pass run between two looks at the
@@ -258,9 +280,8 @@ func (s *scan) at(i, j int, lam float64) float64 {
 // result reports where the scan stands. Until the edge pass has run to its
 // end nothing bounds the maximum from above.
 func (s *scan) result(tol float64) Result {
-	r := Result{Lower: s.best, Upper: math.Inf(1), BestPi: make(mat.Vector, len(s.a)), Elapsed: s.elapsed}
-	r.BestPi[s.i] = 1 - s.lam
-	r.BestPi[s.j] += s.lam // a vertex has j == i and lam == 0
+	r := Result{Lower: s.best, Upper: math.Inf(1), Elapsed: s.elapsed,
+		n: len(s.a), i: s.i, j: s.j, lam: s.lam}
 	if s.complete {
 		r.Upper = s.best
 	}
@@ -301,5 +322,5 @@ func deadlineAfter(start time.Time, budget time.Duration) time.Time {
 }
 
 // scratch pools the 4n floats a release check lays w₁, q₁, w₂, q₂ out in,
-// so a check allocates only the BestPi vectors it returns.
+// so a check allocates nothing.
 var scratch = sync.Pool{New: func() any { return new(mat.Vector) }}

@@ -1,6 +1,7 @@
 package qp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,7 +91,7 @@ func TestSolvePositiveLinearIsViolated(t *testing.T) {
 	if r.Lower < 1-1e-9 {
 		t.Fatalf("lower = %v, want ≥ 1", r.Lower)
 	}
-	if p.Eval(r.BestPi) != r.Lower {
+	if p.Eval(r.BestPi()) != r.Lower {
 		t.Fatalf("BestPi does not reproduce Lower")
 	}
 }
@@ -168,7 +169,7 @@ func TestSolveBoundsSandwichBruteForceProperty(t *testing.T) {
 		if r.Upper < grid-1e-7 {
 			return false
 		}
-		if r.BestPi != nil && math.Abs(p.Eval(r.BestPi)-r.Lower) > 1e-9 {
+		if r.BestPi() != nil && math.Abs(p.Eval(r.BestPi())-r.Lower) > 1e-9 {
 			return false
 		}
 		return r.Lower <= r.Upper+1e-12
@@ -198,7 +199,7 @@ func TestSolveDeadlineReturnsQuickly(t *testing.T) {
 	// A deadline that has passed before the edge pass starts leaves the
 	// best vertex and certifies nothing.
 	r = solveOK(t, p, Options{Deadline: time.Nanosecond})
-	if r.Verdict != Unknown || !math.IsInf(r.Upper, 1) || p.Eval(r.BestPi) != r.Lower {
+	if r.Verdict != Unknown || !math.IsInf(r.Upper, 1) || p.Eval(r.BestPi()) != r.Lower {
 		t.Fatalf("expired deadline: %v in [%v, %v]", r.Verdict, r.Lower, r.Upper)
 	}
 }
@@ -250,8 +251,8 @@ func TestSolveDominatesSimplexGrid(t *testing.T) {
 			p.Q[i] = rng.NormFloat64() * 0.3 * scale
 		}
 		r := solveOK(t, p, Options{})
-		if r.Upper != r.Lower || p.Eval(r.BestPi) != r.Lower || !onSimplex(r.BestPi) {
-			t.Fatalf("seed %d: [%v, %v] at %v, g = %v", seed, r.Lower, r.Upper, r.BestPi, p.Eval(r.BestPi))
+		if r.Upper != r.Lower || p.Eval(r.BestPi()) != r.Lower || !onSimplex(r.BestPi()) {
+			t.Fatalf("seed %d: [%v, %v] at %v, g = %v", seed, r.Lower, r.Upper, r.BestPi(), p.Eval(r.BestPi()))
 		}
 		if grid := bruteMax(p, steps[n]); grid > r.Upper+1e-12*scale {
 			t.Fatalf("seed %d: a grid point reaches %v, the scan stopped at %v", seed, grid, r.Upper)
@@ -279,8 +280,8 @@ func TestSolveEdgeCases(t *testing.T) {
 		"interior peak": {Problem{A: mat.Vector{0, 1}, W: mat.Vector{1, 0}, Q: mat.Vector{0, 0}}, 0.25},
 	} {
 		r := solveOK(t, c.p, Options{})
-		if r.Lower != c.want || r.Upper != c.want || c.p.Eval(r.BestPi) != c.want || !onSimplex(r.BestPi) {
-			t.Errorf("%s: [%v, %v] at %v, want %v", name, r.Lower, r.Upper, r.BestPi, c.want)
+		if r.Lower != c.want || r.Upper != c.want || c.p.Eval(r.BestPi()) != c.want || !onSimplex(r.BestPi()) {
+			t.Errorf("%s: [%v, %v] at %v, want %v", name, r.Lower, r.Upper, r.BestPi(), c.want)
 		}
 	}
 }
@@ -310,8 +311,8 @@ func TestCheckReleaseExtremeMagnitudes(t *testing.T) {
 		if want.Conservative {
 			continue // the reference ran out of nodes
 		}
-		if got.OK != want.OK || got.Conservative || (got.Eq15.BestPi != nil && !inBracket(got.Eq15, want.Eq15)) ||
-			(got.Eq16.BestPi != nil && !inBracket(got.Eq16, want.Eq16)) {
+		if got.OK != want.OK || got.Conservative || (got.Eq15.BestPi() != nil && !inBracket(got.Eq15, want.Eq15)) ||
+			(got.Eq16.BestPi() != nil && !inBracket(got.Eq16, want.Eq16)) {
 			t.Fatalf("seed %d: %+v, reference %+v", seed, got, want)
 		}
 		if got.OK {
@@ -352,10 +353,10 @@ func TestCheckReleaseViolationIsAttained(t *testing.T) {
 				continue
 			}
 			p := []Problem{p15, p16}[k]
-			if v := p.Eval(r.BestPi); v != r.Lower || !(v > 1e-9) || !onSimplex(r.BestPi) || !math.IsInf(r.Upper, 1) {
-				t.Fatalf("seed %d Eq.%d: violation %v in [%v, %v] at %v", seed, 15+k, v, r.Lower, r.Upper, r.BestPi)
+			if v := p.Eval(r.BestPi()); v != r.Lower || !(v > 1e-9) || !onSimplex(r.BestPi()) || !math.IsInf(r.Upper, 1) {
+				t.Fatalf("seed %d Eq.%d: violation %v in [%v, %v] at %v", seed, 15+k, v, r.Lower, r.Upper, r.BestPi())
 			}
-			if r.BestPi.Max() == 1 {
+			if r.BestPi().Max() == 1 {
 				atVertex++
 			} else {
 				onEdge++
@@ -497,6 +498,63 @@ func TestCheckReleaseValidation(t *testing.T) {
 	}
 }
 
+// TestCheckReleaseValidatesInOnePass: the single pass that lays out the
+// conditions rejects exactly the inputs that validating both derived
+// problems separately (Problem.Validate, as decide once did) rejects, with
+// the same error. An impossible observation (b̃ = c̃ = 0) is accepted
+// before anything is validated, as it always was.
+func TestCheckReleaseValidatesInOnePass(t *testing.T) {
+	separately := func(chk ReleaseCheck) error {
+		scale := math.Max(chk.BTilde.AbsMax(), chk.CTilde.AbsMax())
+		if scale == 0 {
+			return nil
+		}
+		cond, _ := releaseConditions(chk, scale, math.Exp(chk.Epsilon), make(mat.Vector, 4*len(chk.ATilde)))
+		for k, name := range [2]string{"Eq.15", "Eq.16"} {
+			if err := (Problem{A: cond[k].a, W: cond[k].w, Q: cond[k].q}).Validate(); err != nil {
+				return fmt.Errorf("qp: %s solve: %w", name, err)
+			}
+		}
+		return nil
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	a, b, c := mat.Vector{0.1, 0.2, 0.3}, mat.Vector{0.05, 0.1, 0.2}, mat.Vector{0.5, 0.6, 0.7}
+	with := func(v mat.Vector, i int, x float64) mat.Vector {
+		v = v.Clone()
+		v[i] = x
+		return v
+	}
+	for _, tc := range []struct {
+		name    string
+		chk     ReleaseCheck
+		rejects bool
+	}{
+		{"valid", ReleaseCheck{a, b, c, 1}, false},
+		{"ã has -0", ReleaseCheck{with(a, 1, math.Copysign(0, -1)), b, c, 1}, false},
+		{"ã negative", ReleaseCheck{with(a, 1, -0.1), b, c, 1}, true},
+		{"ã NaN", ReleaseCheck{with(a, 2, nan), b, c, 1}, true},
+		{"ã +Inf", ReleaseCheck{with(a, 0, inf), b, c, 1}, true},
+		{"ã -Inf", ReleaseCheck{with(a, 0, -inf), b, c, 1}, true},
+		{"b̃ NaN", ReleaseCheck{a, with(b, 1, nan), c, 1}, true},
+		{"b̃ +Inf", ReleaseCheck{a, with(b, 2, inf), c, 1}, true},
+		{"c̃ -Inf", ReleaseCheck{a, b, with(c, 0, -inf), 1}, true},
+		{"c̃ NaN", ReleaseCheck{a, b, with(c, 1, nan), 1}, true},
+		{"e^ε overflows", ReleaseCheck{a, b, c, 800}, true},
+		{"e^ε finite, w overflows", ReleaseCheck{a, with(b, 0, -1), with(c, 0, 1), 709.7}, true},
+		{"large finite ε", ReleaseCheck{a, b, c, 700}, false},
+		{"impossible observation, ã NaN", ReleaseCheck{with(a, 0, nan), mat.Vector{0, 0, 0}, mat.Vector{0, 0, 0}, 1}, false},
+	} {
+		want := separately(tc.chk)
+		if (want != nil) != tc.rejects {
+			t.Fatalf("%s: separate validation gave %v, the table says rejects=%v", tc.name, want, tc.rejects)
+		}
+		_, err := CheckRelease(tc.chk, ReleaseOptions{})
+		if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+			t.Errorf("%s: CheckRelease error %v, separate validation %v", tc.name, err, want)
+		}
+	}
+}
+
 func TestCheckReleaseUninformativeObservationPasses(t *testing.T) {
 	// b̃ = Pr(E|u0=i)·k, c̃ = k: observation independent of state ⇒ no
 	// information disclosed ⇒ any ε certifiable.
@@ -563,7 +621,7 @@ func TestCheckReleaseSkipsTheOtherCondition(t *testing.T) {
 			t.Errorf("%s: OK %v conservative %v eq15 %v eq16 %v", name, dec.OK, dec.Conservative, dec.Eq15.Verdict, dec.Eq16.Verdict)
 		}
 		for _, r := range []Result{dec.Eq15, dec.Eq16} {
-			if r.Verdict == Violated && (r.BestPi == nil || !(r.Lower > 1e-9) || r.Lower > r.Upper) {
+			if r.Verdict == Violated && (r.BestPi() == nil || !(r.Lower > 1e-9) || r.Lower > r.Upper) {
 				t.Errorf("%s: violation without its witness: %+v", name, r)
 			}
 		}

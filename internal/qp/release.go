@@ -85,10 +85,19 @@ func CheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, error)
 	if cap(*buf) < 4*n {
 		*buf = make(mat.Vector, 4*n)
 	}
-	cond := releaseConditions(chk, scale, math.Exp(chk.Epsilon), (*buf)[:4*n])
-	dec, err := decide(&cond, opt.Solver.withDefaults().Tol, start, deadlineAfter(start, budget))
+	cond, ok := releaseConditions(chk, scale, math.Exp(chk.Epsilon), (*buf)[:4*n])
+	if !ok {
+		// Rare: name the offending entry as Problem.Validate does.
+		for k, name := range [2]string{"Eq.15", "Eq.16"} {
+			if err := (Problem{A: cond[k].a, W: cond[k].w, Q: cond[k].q}).Validate(); err != nil {
+				scratch.Put(buf)
+				return ReleaseDecision{}, fmt.Errorf("qp: %s solve: %w", name, err)
+			}
+		}
+	}
+	dec := decide(&cond, opt.Solver.withDefaults().Tol, start, deadlineAfter(start, budget))
 	scratch.Put(buf)
-	return dec, err
+	return dec, nil
 }
 
 // decide runs the staged scans of both conditions. A violation of either
@@ -98,13 +107,9 @@ func CheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, error)
 // decide returns at the first value past tol. Only a release about to be
 // accepted pays for two full scans. Each scan finds what it would have
 // found alone (its passes share nothing with the other's), so OK and
-// Conservative are those of two solves run to the end.
-func decide(cond *[2]scan, tol float64, start, deadline time.Time) (ReleaseDecision, error) {
-	for k, name := range [2]string{"Eq.15", "Eq.16"} {
-		if err := (Problem{A: cond[k].a, W: cond[k].w, Q: cond[k].q}).Validate(); err != nil {
-			return ReleaseDecision{}, fmt.Errorf("qp: %s solve: %w", name, err)
-		}
-	}
+// Conservative are those of two solves run to the end. The conditions
+// must be valid problems (releaseConditions checks them).
+func decide(cond *[2]scan, tol float64, start, deadline time.Time) ReleaseDecision {
 	res := [2]Result{{Verdict: Skipped}, {Verdict: Skipped}}
 	prev := start
 	for pass := 0; pass < 2; pass++ {
@@ -126,7 +131,7 @@ func decide(cond *[2]scan, tol float64, start, deadline time.Time) (ReleaseDecis
 				// Certified violation: the release is rejected, not
 				// conservatively, and the other condition, unless its
 				// scan has already ended, stays Skipped.
-				return ReleaseDecision{Eq15: res[0], Eq16: res[1]}, nil
+				return ReleaseDecision{Eq15: res[0], Eq16: res[1]}
 			}
 		}
 	}
@@ -136,7 +141,7 @@ func decide(cond *[2]scan, tol float64, start, deadline time.Time) (ReleaseDecis
 	}
 	// Without OK and without a violation, the deadline cut a scan short.
 	dec.Conservative = !dec.OK && res[0].Verdict != Violated && res[1].Verdict != Violated
-	return dec, nil
+	return dec
 }
 
 // releaseConditions lays the normalised linear data of the two Theorem
@@ -145,18 +150,31 @@ func decide(cond *[2]scan, tol float64, start, deadline time.Time) (ReleaseDecis
 //
 //	Eq. 15: w₁ = (e^ε−1)·b̂ − e^ε·ĉ, q₁ = b̂
 //	Eq. 16: w₂ = (e^ε−1)·b̂ + ĉ,    q₂ = −e^ε·b̂
-func releaseConditions(chk ReleaseCheck, scale, eEps float64, lin mat.Vector) [2]scan {
+//
+// ok reports, from the same pass, what Problem.Validate would of both:
+// ã non-negative and finite, w and q finite — which also catches an e^ε
+// that overflows. x−x is 0 for a finite x and NaN otherwise, so one sum
+// of them tells whether any entry was not finite.
+func releaseConditions(chk ReleaseCheck, scale, eEps float64, lin mat.Vector) (cond [2]scan, ok bool) {
 	n := len(chk.ATilde)
 	w1, q1, w2, q2 := lin[:n:n], lin[n:2*n:2*n], lin[2*n:3*n:3*n], lin[3*n:]
 	inv := 1 / scale
+	ok = true
+	var nonFinite float64
 	for i := 0; i < n; i++ {
+		a := chk.ATilde[i]
+		if !(a >= 0) {
+			ok = false
+		}
 		b, c := float64(chk.BTilde[i]*inv), float64(chk.CTilde[i]*inv)
 		w1[i] = float64((eEps-1)*b) - float64(eEps*c)
 		q1[i] = b
 		w2[i] = float64((eEps-1)*b) + c
-		q2[i] = -eEps * b
+		q2[i] = float64(-eEps * b) // rounded before the sum below: no fused x·y−z
+		nonFinite += (a - a) + (w1[i] - w1[i]) + (q1[i] - q1[i]) + (w2[i] - w2[i]) + (q2[i] - q2[i])
 	}
-	return [2]scan{{a: chk.ATilde, w: w1, q: q1}, {a: chk.ATilde, w: w2, q: q2}}
+	cond = [2]scan{{a: chk.ATilde, w: w1, q: q1}, {a: chk.ATilde, w: w2, q: q2}}
+	return cond, ok && nonFinite == 0
 }
 
 // FixedPiLoss returns the realised privacy loss for a *known* initial

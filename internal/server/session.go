@@ -165,7 +165,7 @@ func (s *Session) pop() (stepJob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.queue) == 0 || s.closed {
-		s.scheduled = false
+		s.unschedule()
 		return stepJob{}, false
 	}
 	j := s.queue[0]
@@ -182,23 +182,49 @@ func (s *Session) park() (requeue bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.queue) == 0 || s.closed {
-		s.scheduled = false
+		s.unschedule()
 		return false
 	}
 	return true
 }
 
+// unschedule clears the scheduled token; mu is held. The holder of a
+// closed session's token is its framework's last writer, so the view
+// goes back to the plan's pools here.
+func (s *Session) unschedule() {
+	s.scheduled = false
+	if s.closed {
+		s.releaseView()
+	}
+}
+
 // close marks the session dead and fails every pending job. Queue
 // ownership is serialised by mu, so each job receives exactly one
 // outcome: either here or from the worker that popped it earlier.
+//
+// The framework's view goes back to the plan's pools exactly once, from
+// its last writer: here when no worker holds the scheduled token —
+// closed stops enqueue from handing one out again — otherwise from the
+// holder's pop or park once its step is done.
 func (s *Session) close() {
 	s.mu.Lock()
+	if !s.closed && !s.scheduled {
+		s.releaseView()
+	}
 	s.closed = true
 	pending := s.queue
 	s.queue = nil
 	s.mu.Unlock()
 	for _, j := range pending {
 		j.fail(ErrSessionClosed)
+	}
+}
+
+// releaseView hands the framework's view back (see close). A session
+// built without a framework has none.
+func (s *Session) releaseView() {
+	if s.fw != nil {
+		s.fw.Release()
 	}
 }
 

@@ -79,9 +79,9 @@ func TestQPVerdictMatchesRealizedLoss(t *testing.T) {
 			// reports as an error).
 			var bad mat.Vector
 			if dec.Eq15.Verdict == qp.Violated {
-				bad = dec.Eq15.BestPi
+				bad = dec.Eq15.BestPi()
 			} else {
-				bad = dec.Eq16.BestPi
+				bad = dec.Eq16.BestPi()
 			}
 			loss, err := qp.FixedPiLoss(chk, bad)
 			if err != nil {

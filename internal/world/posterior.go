@@ -17,6 +17,7 @@ func EventPosterior(md *Model, pi mat.Vector, emissions []mat.Vector) ([]float64
 		return nil, fmt.Errorf("world: pi length %d want %d", len(pi), md.m)
 	}
 	q := NewQuantifier(md)
+	defer q.Release()
 	out := make([]float64, len(emissions))
 	for t, e := range emissions {
 		if err := q.Commit(e); err != nil {

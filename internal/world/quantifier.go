@@ -68,15 +68,21 @@ type Quantifier struct {
 	// b̃/c̃ into its own pair of reusable buffers (checkB/checkC and
 	// curB/curC), which the returned ReleaseCheck aliases — see the
 	// ownership contract on Check. tmp1/tmp2/uvec/uF hold row-product
-	// intermediates; mx/my the Commit matrix products.
+	// intermediates. The Commit matrix products are not the view's: a
+	// commit borrows them from the model (commitScratch).
 	tmp1, tmp2, uvec, uF mat.Vector
 	checkB, checkC       mat.Vector
 	curB, curC           mat.Vector
-	mx, my               *mat.Matrix
 }
 
-// NewQuantifier returns a fresh quantifier at time 0.
+// NewQuantifier returns a quantifier at time 0: one a Release handed back
+// to md's pool if there is one, else a fresh one. Either way it starts
+// from the same state, so what it computes is the same to the bit.
 func NewQuantifier(md *Model) *Quantifier {
+	if q, ok := md.views.Get().(*Quantifier); ok {
+		q.reset()
+		return q
+	}
 	m := md.m
 	return &Quantifier{
 		md:     md,
@@ -93,10 +99,29 @@ func NewQuantifier(md *Model) *Quantifier {
 		checkC: mat.NewVector(m),
 		curB:   mat.NewVector(m),
 		curC:   mat.NewVector(m),
-		mx:     mat.NewMatrix(m, m),
-		my:     mat.NewMatrix(m, m),
 	}
 }
+
+// reset puts a released quantifier back in the state NewQuantifier builds
+// a fresh one in. A_F and A_T need no reset: the t = 0 commit overwrites
+// both before anything reads them. B₁ is first read after the window, as
+// the identity it starts as.
+func (q *Quantifier) reset() {
+	q.t, q.logScale, q.fp = 0, 0, fpOffset
+	q.fwdBand, q.b1Band = 0, 0
+	q.afZero, q.atZero, q.b1Zero = false, false, false
+	q.b1.Zero()
+	for i := 0; i < q.md.m; i++ {
+		q.b1.Set(i, i, 1)
+	}
+}
+
+// Release hands the quantifier's storage back to its model for the next
+// NewQuantifier over it. Only the quantifier's single writer may call it,
+// once, and nothing may use the quantifier — or a ReleaseCheck it
+// returned — afterwards: a second Release would give the storage to two
+// owners.
+func (q *Quantifier) Release() { q.md.views.Put(q) }
 
 // T returns the next timestamp to be observed.
 func (q *Quantifier) T() int { return q.t }
@@ -278,17 +303,21 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 	case q.t <= q.md.end:
 		ft, tt := q.md.stepMasks(q.t - 1)
 		k := q.md.kernel(q.t - 1)
+		sc := q.md.getScratch()
 		// Scratch for a factored product is storage dead at that
-		// moment: my before Y is written, then A_F, which X has
+		// moment: y before Y is written, then A_F, which X has
 		// consumed and maskAndScale overwrites.
-		k.mulInto(q.mx, q.af, q.my, q.fwdBand, q.afZero, &q.md.kc) // Xᵀ = Mᵀ·A_Fᵀ
-		k.mulInto(q.my, q.at, q.af, q.fwdBand, q.atZero, &q.md.kc) // Yᵀ = Mᵀ·A_Tᵀ
-		scale, q.afZero, q.atZero = q.maskAndScale(ft, tt, emis)
+		k.mulInto(sc.x, q.af, sc.y, q.fwdBand, q.afZero, &q.md.kc) // Xᵀ = Mᵀ·A_Fᵀ
+		k.mulInto(sc.y, q.at, q.af, q.fwdBand, q.atZero, &q.md.kc) // Yᵀ = Mᵀ·A_Tᵀ
+		scale, q.afZero, q.atZero = q.maskAndScale(ft, tt, emis, sc)
+		q.md.putScratch(sc)
 		q.fwdBand = min(q.fwdBand+k.bw, m-1)
 	default: // q.t > end: B₁ ← diag(emis)·Mᵀ·B₁
 		k := q.md.kernel(q.t - 1)
-		k.mulInto(q.mx, q.b1, q.my, q.b1Band, q.b1Zero, &q.md.kc)
-		scale = mat.ScaleRowsMaxInto(q.b1, q.mx, emis)
+		sc := q.md.getScratch()
+		k.mulInto(sc.x, q.b1, sc.y, q.b1Band, q.b1Zero, &q.md.kc)
+		scale = mat.ScaleRowsMaxInto(q.b1, sc.x, emis)
+		q.md.putScratch(sc)
 		q.b1Band = min(q.b1Band+k.bw, m-1)
 		q.b1Zero = scale == 0
 	}
@@ -304,23 +333,24 @@ const maskFlopsCutoff = 1 << 17
 
 // maskAndScale folds the step masks and the emission column into the
 // forward blocks: A_F' = X·diag(1−ft) + Y·diag(1−tt), A_T' = X·diag(ft)
-// + Y·diag(tt), both column-scaled by the emission — row scalings of the
-// transposed blocks — and returns the largest absolute entry written and
-// whether each block came out all-zero (fused so renormalisation and the
-// zero-block skips need no second sweep of the operators). Row tiles go
+// + Y·diag(tt), with Xᵀ and Yᵀ in sc, both column-scaled by the
+// emission — row scalings of the transposed blocks — and returns the
+// largest absolute entry written and whether each block came out
+// all-zero (fused so renormalisation and the zero-block skips need no
+// second sweep of the operators). Row tiles go
 // through the shared pool with fixed boundaries and a single writer per
 // row, so the split is bit-deterministic; the max and zero reductions
 // are exact under any split. The serial path materialises no closure
 // (commit stays allocation-free).
-func (q *Quantifier) maskAndScale(ft, tt, emis mat.Vector) (scale float64, afZero, atZero bool) {
+func (q *Quantifier) maskAndScale(ft, tt, emis mat.Vector, sc *commitScratch) (scale float64, afZero, atZero bool) {
 	m := q.md.m
 	if !par.Default().Parallel(m, 4*int64(m)*int64(m), maskFlopsCutoff) {
-		fMax, tMax := q.maskRows(ft, tt, emis, 0, m)
+		fMax, tMax := q.maskRows(ft, tt, emis, sc, 0, m)
 		return math.Max(fMax, tMax), fMax == 0, tMax == 0
 	}
 	var afNonzero, atNonzero atomic.Bool
 	scale = par.Default().ForMax(m, func(lo, hi int) float64 {
-		fMax, tMax := q.maskRows(ft, tt, emis, lo, hi)
+		fMax, tMax := q.maskRows(ft, tt, emis, sc, lo, hi)
 		if fMax != 0 {
 			afNonzero.Store(true)
 		}
@@ -335,11 +365,11 @@ func (q *Quantifier) maskAndScale(ft, tt, emis mat.Vector) (scale float64, afZer
 // maskRows runs the fused mask+emission+max loop over rows [lo,hi) of
 // the transposed blocks — row j carries column j's mask and emission —
 // and returns the largest absolute entry written to each block.
-func (q *Quantifier) maskRows(ft, tt, emis mat.Vector, lo, hi int) (fMax, tMax float64) {
+func (q *Quantifier) maskRows(ft, tt, emis mat.Vector, sc *commitScratch, lo, hi int) (fMax, tMax float64) {
 	m := q.md.m
 	for j := lo; j < hi; j++ {
-		xr := q.mx.Row(j)
-		yr := q.my.Row(j)
+		xr := sc.x.Row(j)
+		yr := sc.y.Row(j)
 		fr := q.af.Row(j)
 		trw := q.at.Row(j)
 		ftj, ttj, e := ft[j], tt[j], emis[j]
@@ -471,6 +501,7 @@ func JointAndMarginal(md *Model, pi mat.Vector, emissions []mat.Vector) (joint, 
 		return 0, 0, fmt.Errorf("world: pi length %d want %d", len(pi), md.m)
 	}
 	q := NewQuantifier(md)
+	defer q.Release()
 	for _, e := range emissions {
 		if err := q.Commit(e); err != nil {
 			return 0, 0, err
@@ -489,6 +520,7 @@ func PrivacyLoss(md *Model, pi mat.Vector, emissions []mat.Vector) (float64, err
 		return 0, fmt.Errorf("world: pi length %d want %d", len(pi), md.m)
 	}
 	q := NewQuantifier(md)
+	defer q.Release()
 	for _, e := range emissions {
 		if err := q.Commit(e); err != nil {
 			return 0, err

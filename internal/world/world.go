@@ -34,10 +34,22 @@
 // tags and fingerprints (factored_test.go). A kernel change that moves
 // bits regenerates the goldens once, and reports the bound and the
 // largest observed difference (golden_test.go).
+//
+// View lifetime. A Quantifier is a view of a committed release history,
+// rebuilt by replaying it, and its storage is recycled: three m×m
+// operators, A_F, A_T and B₁. Release hands that storage back to the
+// model, and NewQuantifier takes it first, reset to time 0 so that it
+// computes what fresh storage would, to the bit
+// (TestPooledQuantifierMatchesFresh). Only the quantifier's single writer
+// calls Release, and only once; nothing uses the quantifier, or a
+// ReleaseCheck it returned, afterwards. A commit's two m×m scratch
+// matrices are not part of the view: each commit borrows them from the
+// model and returns them before it ends.
 package world
 
 import (
 	"fmt"
+	"sync"
 
 	"priste/internal/event"
 	"priste/internal/markov"
@@ -146,6 +158,44 @@ type Model struct {
 	// quantifier over this model (atomic: models are shared across
 	// sessions).
 	kc kernelCounters
+
+	// views holds the storage of released quantifiers (Quantifier.Release)
+	// for NewQuantifier to take first. It is a sync.Pool, so the GC
+	// empties it and it needs no cap.
+	views sync.Pool
+
+	// scratch is the free list of commit scratch (getScratch). A commit
+	// holds one pair only while it runs, so the list never grows past the
+	// most commits that ever ran at once over this model.
+	scratchMu sync.Mutex
+	scratch   []*commitScratch
+}
+
+// commitScratch is the two m×m matrices one commit works in: Xᵀ = Mᵀ·A_Fᵀ
+// and Yᵀ = Mᵀ·A_Tᵀ inside the window, Mᵀ·B₁ after it, and a factored
+// product's intermediate in whichever storage is dead at that moment
+// (see commitTrusted). Nothing in them outlives the commit.
+type commitScratch struct{ x, y *mat.Matrix }
+
+// getScratch lends a commit its scratch, allocating a pair only when
+// every pair is lent out.
+func (md *Model) getScratch() *commitScratch {
+	md.scratchMu.Lock()
+	if n := len(md.scratch); n > 0 {
+		sc := md.scratch[n-1]
+		md.scratch = md.scratch[:n-1]
+		md.scratchMu.Unlock()
+		return sc
+	}
+	md.scratchMu.Unlock()
+	return &commitScratch{x: mat.NewMatrix(md.m, md.m), y: mat.NewMatrix(md.m, md.m)}
+}
+
+// putScratch returns a pair getScratch lent.
+func (md *Model) putScratch(sc *commitScratch) {
+	md.scratchMu.Lock()
+	md.scratch = append(md.scratch, sc)
+	md.scratchMu.Unlock()
 }
 
 // NewModel validates the combination and precomputes suffix vectors with

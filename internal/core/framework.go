@@ -227,9 +227,6 @@ func (f *Framework) T() int { return f.t }
 // Plan returns the shared immutable plan backing this session.
 func (f *Framework) Plan() *Plan { return f.plan }
 
-// Events returns the protected events.
-func (f *Framework) Events() []event.Event { return f.plan.events }
-
 // Step perturbs and releases one true location (the body of Algorithm 1):
 // draw a candidate from the LPPM, certify the Theorem IV.1 conditions for
 // every protected event, decay the budget and redraw on failure, and fall

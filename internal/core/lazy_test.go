@@ -344,7 +344,7 @@ func TestMaterialiseErrorSurfacesAndResumes(t *testing.T) {
 		mech.PlanarLaplace = lppm.NewPlanarLaplace(g)
 		return SharedMechanism(mech)
 	})
-	if !plan.Stateless() {
+	if !plan.stateless {
 		t.Fatal("wrapper lost history independence")
 	}
 	cache := certcache.New(1 << 12)
@@ -552,7 +552,7 @@ func TestStatefulCommitStaysEager(t *testing.T) {
 			return lppm.NewDeltaLocationSet(g, chain, markov.Uniform(g.States()), 0.05)
 		}
 	})
-	if plan.Stateless() {
+	if plan.stateless {
 		t.Fatal("δ-location-set reported history-independent")
 	}
 	fw, err := plan.NewSession(NewSessionRNG(5))

@@ -124,22 +124,8 @@ func NewPlan(mf MechanismFactory, tp world.TransitionProvider, events []event.Ev
 	return p, nil
 }
 
-// ID returns the plan's process-unique id (certified-release cache keys
-// embed it).
-func (p *Plan) ID() uint64 { return p.id }
-
-// Config returns the effective (defaulted) release-loop configuration.
-func (p *Plan) Config() Config { return p.cfg }
-
-// Events returns the protected events. Callers must not mutate the slice.
-func (p *Plan) Events() []event.Event { return p.events }
-
 // States returns the size of the location domain.
 func (p *Plan) States() int { return p.m }
-
-// Stateless reports whether the plan's mechanism is history-independent
-// (one shared instance, certified verdicts cacheable across sessions).
-func (p *Plan) Stateless() bool { return p.stateless }
 
 // KernelStats aggregates the compiled step kernels across the plan's
 // world models: how many transition matrices took the sparse (CSR) path

@@ -147,7 +147,7 @@ func TestPlanSharesMechanismWhenStateless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Stateless() {
+	if !plan.stateless {
 		t.Fatal("planar Laplace plan not detected as stateless")
 	}
 	a, err := plan.NewSession(rand.New(rand.NewSource(1)))
@@ -170,7 +170,7 @@ func TestPlanSharesMechanismWhenStateless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dplan.Stateless() {
+	if dplan.stateless {
 		t.Fatal("delta-location-set plan must not be stateless")
 	}
 	da, err := dplan.NewSession(rand.New(rand.NewSource(1)))
@@ -226,7 +226,7 @@ func TestPlanValidation(t *testing.T) {
 	if _, err := plan.NewSession(nil); err == nil {
 		t.Error("nil rng accepted")
 	}
-	if plan.ID() == 0 {
+	if plan.id == 0 {
 		t.Error("plan id not assigned")
 	}
 	if plan.States() != 9 {

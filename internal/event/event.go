@@ -12,7 +12,6 @@ package event
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -54,10 +53,12 @@ func And(kids ...*Expr) *Expr { return nary(OpAnd, kids) }
 // Or returns the disjunction of the given expressions.
 func Or(kids ...*Expr) *Expr { return nary(OpOr, kids) }
 
-// Not returns the negation of x.
-func Not(x *Expr) *Expr {
+// not returns the negation of x. The served event classes have no
+// negation (Compile rejects it); tests use it to build complement events
+// for the naive evaluators.
+func not(x *Expr) *Expr {
 	if x == nil {
-		panic("event: Not(nil)")
+		panic("event: not(nil)")
 	}
 	return &Expr{Op: OpNot, Kids: []*Expr{x}}
 }
@@ -117,38 +118,6 @@ func (e *Expr) MaxTime() int {
 		}
 	})
 	return max
-}
-
-// MinTime returns the smallest timestamp referenced by any predicate.
-func (e *Expr) MinTime() int {
-	min := int(^uint(0) >> 1)
-	e.walk(func(p Predicate) {
-		if p.T < min {
-			min = p.T
-		}
-	})
-	return min
-}
-
-// Predicates returns all leaf predicates in deterministic order.
-func (e *Expr) Predicates() []Predicate {
-	var out []Predicate
-	e.walk(func(p Predicate) { out = append(out, p) })
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
-		}
-		return out[i].State < out[j].State
-	})
-	return out
-}
-
-// NumPredicates returns the number of leaf predicates (with multiplicity) —
-// the complexity parameter of §I's discussion.
-func (e *Expr) NumPredicates() int {
-	n := 0
-	e.walk(func(Predicate) { n++ })
-	return n
 }
 
 func (e *Expr) walk(f func(Predicate)) {

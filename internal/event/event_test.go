@@ -55,7 +55,7 @@ func TestExprEvalFig1Cases(t *testing.T) {
 }
 
 func TestExprNot(t *testing.T) {
-	e := Not(Pred(0, 1))
+	e := not(Pred(0, 1))
 	if !e.Eval([]int{0}) || e.Eval([]int{1}) {
 		t.Fatal("Not evaluation wrong")
 	}
@@ -74,7 +74,7 @@ func TestExprConstructorsPanic(t *testing.T) {
 	for name, f := range map[string]func(){
 		"And-empty": func() { And() },
 		"Or-nil":    func() { Or(nil) },
-		"Not-nil":   func() { Not(nil) },
+		"Not-nil":   func() { not(nil) },
 	} {
 		func() {
 			defer func() {
@@ -99,21 +99,11 @@ func TestExprMetadata(t *testing.T) {
 	if e.MaxTime() != 5 {
 		t.Errorf("MaxTime = %d", e.MaxTime())
 	}
-	if e.MinTime() != 2 {
-		t.Errorf("MinTime = %d", e.MinTime())
-	}
-	if e.NumPredicates() != 3 {
-		t.Errorf("NumPredicates = %d", e.NumPredicates())
-	}
-	ps := e.Predicates()
-	if len(ps) != 3 || ps[0].T != 2 || ps[2].T != 5 {
-		t.Errorf("Predicates = %v", ps)
-	}
 	s := e.String()
 	if !strings.Contains(s, "∧") || !strings.Contains(s, "∨") || !strings.Contains(s, "(u2=s1)") {
 		t.Errorf("String = %q", s)
 	}
-	if !strings.Contains(Not(Pred(0, 0)).String(), "¬") {
+	if !strings.Contains(not(Pred(0, 0)).String(), "¬") {
 		t.Error("Not rendering missing ¬")
 	}
 }
@@ -121,8 +111,8 @@ func TestExprMetadata(t *testing.T) {
 func TestPresenceBasics(t *testing.T) {
 	r := grid.MustRegionOf(5, 1, 2)
 	p := MustNewPresence(r, 2, 4)
-	if p.States() != 5 || p.Width() != 2 || p.Length() != 3 {
-		t.Fatalf("metadata wrong: %v %v %v", p.States(), p.Width(), p.Length())
+	if p.States() != 5 || p.Width() != 2 {
+		t.Fatalf("metadata wrong: %v %v", p.States(), p.Width())
 	}
 	if s, e := p.Window(); s != 2 || e != 4 {
 		t.Fatalf("Window = %d,%d", s, e)
@@ -201,8 +191,8 @@ func TestPatternBasics(t *testing.T) {
 	if p.Truth([]int{2, 0, 0}) {
 		t.Error("missing second region should fail")
 	}
-	if p.TrajectoryCount() != 4 {
-		t.Errorf("TrajectoryCount = %d", p.TrajectoryCount())
+	if p.trajectoryCount() != 4 {
+		t.Errorf("TrajectoryCount = %d", p.trajectoryCount())
 	}
 	if !strings.Contains(p.String(), "PATTERN") {
 		t.Errorf("String = %q", p.String())
@@ -239,29 +229,6 @@ func TestPatternExprMatchesTruthProperty(t *testing.T) {
 	}
 }
 
-func TestSingleLocationAndTrajectory(t *testing.T) {
-	sl, err := SingleLocation(4, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sl.Truth([]int{0, 0, 3}) || sl.Truth([]int{0, 0, 2}) {
-		t.Error("single location truth wrong")
-	}
-	st, err := SingleTrajectory(4, 1, []int{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Truth([]int{0, 2, 3}) || st.Truth([]int{0, 2, 2}) {
-		t.Error("single trajectory truth wrong")
-	}
-	if _, err := SingleTrajectory(4, 0, nil); err == nil {
-		t.Error("empty path accepted")
-	}
-	if _, err := SingleLocation(4, 0, 9); err == nil {
-		t.Error("out-of-range state accepted")
-	}
-}
-
 func chain3() *markov.Chain {
 	return markov.MustNewChain(mat.FromRows([][]float64{
 		{0.1, 0.2, 0.7},
@@ -292,7 +259,7 @@ func TestNaivePriorComplementProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	np, err := NaivePrior(c, pi, Not(e), 3)
+	np, err := NaivePrior(c, pi, not(e), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +321,7 @@ func TestNaivePatternPriorMatchesGeneralEnumeration(t *testing.T) {
 	r1 := grid.MustRegionOf(3, 0, 1)
 	r2 := grid.MustRegionOf(3, 1, 2)
 	p := MustNewPattern([]*grid.Region{r1, r2}, 1)
-	fast, err := NaivePatternPrior(c, pi, p)
+	fast, err := naivePatternPrior(c, pi, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +412,7 @@ func TestNaivePriorComplementRandomProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := randomExpr(rng, 3, 3, 2)
 		p1, err1 := NaivePrior(c, pi, e, 3)
-		p2, err2 := NaivePrior(c, pi, Not(e), 3)
+		p2, err2 := NaivePrior(c, pi, not(e), 3)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -473,6 +440,6 @@ func randomExpr(rng *rand.Rand, m, horizon, depth int) *Expr {
 	case 1:
 		return Or(kids...)
 	default:
-		return Not(kids[0])
+		return not(kids[0])
 	}
 }

@@ -124,11 +124,11 @@ func TestCompilePatternShapes(t *testing.T) {
 func TestCompileRejections(t *testing.T) {
 	cases := map[string]*Expr{
 		"nil":                      nil,
-		"negation":                 Not(Pred(0, 0)),
+		"negation":                 not(Pred(0, 0)),
 		"mixed conjunct":           And(Or(Pred(0, 0), Pred(1, 0)), Pred(2, 0)),
 		"duplicate timestamp":      And(Pred(1, 0), Pred(1, 2)),
 		"or-of-and":                Or(And(Pred(0, 0), Pred(1, 0)), Pred(2, 0)),
-		"negation inside conjunct": And(Pred(0, 0), Not(Pred(1, 0))),
+		"negation inside conjunct": And(Pred(0, 0), not(Pred(1, 0))),
 	}
 	for name, e := range cases {
 		if _, err := Compile(e); err == nil {

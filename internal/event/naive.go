@@ -125,19 +125,18 @@ func NaivePatternJoint(c *markov.Chain, pBefore mat.Vector, p *Pattern,
 	return total, nil
 }
 
-// NaivePatternPrior sums Pr over all region trajectories of the pattern
+// naivePatternPrior sums Pr over all region trajectories of the pattern
 // (Example B.1), given the state distribution just before the window.
-func NaivePatternPrior(c *markov.Chain, pBefore mat.Vector, p *Pattern) (float64, error) {
+func naivePatternPrior(c *markov.Chain, pBefore mat.Vector, p *Pattern) (float64, error) {
 	one := func(int, int, int) float64 { return 1 }
 	start, end := p.Window()
 	obs := make([]int, end-start+1)
 	return NaivePatternJoint(c, pBefore, p, obs, one)
 }
 
-// TrajectoryCount returns the number of region trajectories Algorithm 4
-// enumerates: ∏ |Regions[i]|. Used by the Fig. 14 harness to report the
-// baseline's exponential blow-up.
-func (p *Pattern) TrajectoryCount() int {
+// trajectoryCount returns the number of region trajectories Algorithm 4
+// enumerates: ∏ |Regions[i]|, the baseline's exponential blow-up.
+func (p *Pattern) trajectoryCount() int {
 	n := 1
 	for _, r := range p.Regions {
 		n *= r.Count()

@@ -139,30 +139,3 @@ var (
 	_ Event = (*Presence)(nil)
 	_ Event = (*Pattern)(nil)
 )
-
-// SingleLocation returns the event "u_t = s" as a PRESENCE with a singleton
-// region (Table II, row 1).
-func SingleLocation(m, t, s int) (*Presence, error) {
-	r, err := grid.RegionOf(m, s)
-	if err != nil {
-		return nil, err
-	}
-	return NewPresence(r, t, t)
-}
-
-// SingleTrajectory returns the event "u_start = path[0] ∧ u_{start+1} =
-// path[1] ∧ …" as a PATTERN of singleton regions (Table II, row 4).
-func SingleTrajectory(m, start int, path []int) (*Pattern, error) {
-	if len(path) == 0 {
-		return nil, fmt.Errorf("event: empty trajectory")
-	}
-	regions := make([]*grid.Region, len(path))
-	for i, s := range path {
-		r, err := grid.RegionOf(m, s)
-		if err != nil {
-			return nil, err
-		}
-		regions[i] = r
-	}
-	return NewPattern(regions, start)
-}

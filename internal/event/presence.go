@@ -82,10 +82,6 @@ func (p *Presence) Expr() *Expr {
 // width" runtime parameter).
 func (p *Presence) Width() int { return p.Region.Count() }
 
-// Length returns the number of timestamps in the window (the paper's
-// "event length").
-func (p *Presence) Length() int { return p.End - p.Start + 1 }
-
 // String renders the event in the paper's notation.
 func (p *Presence) String() string {
 	return fmt.Sprintf("PRESENCE(|S|=%d, T={%d:%d})", p.Region.Count(), p.Start, p.End)

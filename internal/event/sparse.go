@@ -46,9 +46,6 @@ func (p *SparsePresence) Window() (start, end int) {
 	return p.times[0], p.times[len(p.times)-1]
 }
 
-// Times returns the sorted timestamps (shared storage; do not mutate).
-func (p *SparsePresence) Times() []int { return p.times }
-
 // RegionAt returns the region at listed timestamps and the empty region at
 // in-window gaps (which the quantifier's PRESENCE dynamics treat as "no
 // entry possible here").
@@ -150,9 +147,6 @@ func (p *SparsePattern) States() int { return p.m }
 func (p *SparsePattern) Window() (start, end int) {
 	return p.times[0], p.times[len(p.times)-1]
 }
-
-// Times returns the sorted constrained timestamps.
-func (p *SparsePattern) Times() []int { return p.times }
 
 // RegionAt returns the constraining region, or the full map at
 // unconstrained in-window timestamps (the quantifier's PATTERN dynamics

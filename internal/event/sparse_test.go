@@ -26,7 +26,7 @@ func TestSparsePresenceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Times(); len(got) != 2 || got[0] != 1 || got[1] != 4 {
+	if got := p.times; len(got) != 2 || got[0] != 1 || got[1] != 4 {
 		t.Fatalf("times = %v", got)
 	}
 }

@@ -44,12 +44,6 @@ type SyntheticConfig struct {
 	Seed  int64
 }
 
-// PaperSynthetic returns the full-scale synthetic parameters of §V-A
-// (20×20 cells, 50 timestamps, 100 runs).
-func PaperSynthetic() SyntheticConfig {
-	return SyntheticConfig{W: 20, H: 20, Cell: 1, Sigma: 1, T: 50, Runs: 100, Seed: 1}
-}
-
 // Synthetic builds the workload.
 func Synthetic(cfg SyntheticConfig) (*Workload, error) {
 	g, err := grid.New(cfg.W, cfg.H, cfg.Cell)
@@ -82,12 +76,6 @@ type GeolifeConfig struct {
 	T      int
 	Runs   int
 	Seed   int64
-}
-
-// PaperGeolife returns the full-scale Geolife-substitute parameters
-// (20×20 km map, 50-step trajectories, 100 runs).
-func PaperGeolife() GeolifeConfig {
-	return GeolifeConfig{W: 20, H: 20, CellKm: 1, Days: 120, T: 50, Runs: 100, Seed: 2}
 }
 
 // Geolife builds the workload: generate, train, then slice evaluation

@@ -194,16 +194,6 @@ func (ds *Dataset) Train(smoothing float64) (*markov.Chain, mat.Vector, error) {
 	return chain, pi, nil
 }
 
-// Concat joins all day trajectories into one long state sequence (the
-// paper uses "the user's entire trajectory" for training and evaluation).
-func (ds *Dataset) Concat() []int {
-	var out []int
-	for _, tr := range ds.States {
-		out = append(out, tr...)
-	}
-	return out
-}
-
 func repeat(s, n int) []int {
 	out := make([]int, n)
 	for i := range out {

@@ -164,17 +164,6 @@ func TestTrainProducesPatternedChain(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	ds, err := Generate(smallConfig(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := ds.Concat()
-	if len(all) != 20*40 {
-		t.Fatalf("concat length %d", len(all))
-	}
-}
-
 // TestJitterStaysNearCell: raw points must lie within their cell's
 // neighbourhood (jitter < one cell).
 func TestJitterStaysNearCell(t *testing.T) {

@@ -77,13 +77,6 @@ func (g *Grid) Dist(a, b int) float64 {
 	return math.Hypot(ax-bx, ay-by)
 }
 
-// DistXY returns the Euclidean distance between a cell center and an
-// arbitrary point in user units.
-func (g *Grid) DistXY(state int, px, py float64) float64 {
-	cx, cy := g.Center(state)
-	return math.Hypot(cx-px, cy-py)
-}
-
 // Snap returns the state whose cell contains (px,py), clamping coordinates
 // that fall outside the map onto the boundary. Used to discretise continuous
 // planar-Laplace samples.
@@ -231,57 +224,5 @@ func (r *Region) States() []int {
 // Mask returns the indicator vector; callers must not mutate it.
 func (r *Region) Mask() mat.Vector { return r.mask }
 
-// Complement returns the region of all states not in r.
-func (r *Region) Complement() *Region {
-	c := NewRegion(len(r.mask))
-	for s, v := range r.mask {
-		if v == 0 {
-			c.mask[s] = 1
-		}
-	}
-	return c
-}
-
-// Union returns r ∪ o.
-func (r *Region) Union(o *Region) *Region {
-	if len(r.mask) != len(o.mask) {
-		panic("grid: region size mismatch")
-	}
-	u := NewRegion(len(r.mask))
-	for s := range r.mask {
-		if r.mask[s] != 0 || o.mask[s] != 0 {
-			u.mask[s] = 1
-		}
-	}
-	return u
-}
-
-// Intersect returns r ∩ o.
-func (r *Region) Intersect(o *Region) *Region {
-	if len(r.mask) != len(o.mask) {
-		panic("grid: region size mismatch")
-	}
-	u := NewRegion(len(r.mask))
-	for s := range r.mask {
-		if r.mask[s] != 0 && o.mask[s] != 0 {
-			u.mask[s] = 1
-		}
-	}
-	return u
-}
-
 // IsEmpty reports whether the region has no states.
 func (r *Region) IsEmpty() bool { return r.Count() == 0 }
-
-// Equal reports whether two regions mark exactly the same states.
-func (r *Region) Equal(o *Region) bool {
-	if len(r.mask) != len(o.mask) {
-		return false
-	}
-	for s := range r.mask {
-		if (r.mask[s] != 0) != (o.mask[s] != 0) {
-			return false
-		}
-	}
-	return true
-}

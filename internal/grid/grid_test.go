@@ -155,42 +155,3 @@ func TestRegionRect(t *testing.T) {
 		t.Error("expected error for inverted rect")
 	}
 }
-
-func TestRegionSetOps(t *testing.T) {
-	a := MustRegionOf(4, 0, 1)
-	b := MustRegionOf(4, 1, 2)
-	if u := a.Union(b); u.Count() != 3 || !u.Contains(0) || !u.Contains(2) {
-		t.Fatalf("Union = %v", u.States())
-	}
-	if i := a.Intersect(b); i.Count() != 1 || !i.Contains(1) {
-		t.Fatalf("Intersect = %v", i.States())
-	}
-	c := a.Complement()
-	if c.Count() != 2 || !c.Contains(2) || !c.Contains(3) {
-		t.Fatalf("Complement = %v", c.States())
-	}
-	if !a.Equal(MustRegionOf(4, 1, 0)) {
-		t.Error("Equal order-independent failed")
-	}
-	if a.Equal(b) {
-		t.Error("distinct regions reported equal")
-	}
-}
-
-func TestRegionComplementProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(20)
-		r := NewRegion(m)
-		for s := 0; s < m; s++ {
-			if rng.Intn(2) == 0 {
-				r.Add(s)
-			}
-		}
-		c := r.Complement()
-		return r.Count()+c.Count() == m && r.Intersect(c).IsEmpty() && r.Union(c).Count() == m
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -78,9 +78,6 @@ func (m *MatrixEmission) EmissionColumn(_, obs int) mat.Vector {
 // States implements EmissionModel.
 func (m *MatrixEmission) States() int { return m.e.Rows }
 
-// Matrix returns the wrapped emission matrix (not to be mutated).
-func (m *MatrixEmission) Matrix() *mat.Matrix { return m.e }
-
 // Model bundles a mobility chain, an initial distribution and an emission
 // model.
 type Model struct {
@@ -194,20 +191,6 @@ func (m *Model) Smooth(obs []int) ([]mat.Vector, error) {
 func (m *Model) LogLikelihood(obs []int) (float64, error) {
 	_, ll, err := m.Forward(obs)
 	return ll, err
-}
-
-// Filter performs the single-step Bayesian update of Eq. 21: given the
-// predictive prior p⁻ and an observation, it returns the posterior
-// p⁺[i] ∝ Pr(o|u=s_i)·p⁻[i]. Used by the δ-location-set mechanism.
-func Filter(prior mat.Vector, emission mat.Vector) (mat.Vector, error) {
-	if len(prior) != len(emission) {
-		return nil, fmt.Errorf("hmm: filter length mismatch %d vs %d", len(prior), len(emission))
-	}
-	post := prior.Hadamard(emission)
-	if post.Normalize() == 0 {
-		return nil, fmt.Errorf("hmm: observation has zero probability under prior")
-	}
-	return post, nil
 }
 
 // Viterbi returns a most-likely hidden state sequence for the observations

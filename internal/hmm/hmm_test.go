@@ -187,26 +187,25 @@ func TestSmoothMatchesBruteForcePosterior(t *testing.T) {
 	}
 }
 
+// TestFilterEq21: the forward pass's first step is the single-step
+// Bayesian update of Eq. 21, p⁺[i] ∝ Pr(o|u=s_i)·p⁻[i].
 func TestFilterEq21(t *testing.T) {
 	prior := mat.Vector{0.5, 0.3, 0.2}
-	em := mat.Vector{0.1, 0.8, 0.1}
-	post, err := Filter(prior, em)
+	m, err := NewModel(chain3(), prior, MustNewMatrixEmission(mat.FromRows([][]float64{
+		{0.1, 0.9}, {0.8, 0.2}, {0.1, 0.9},
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
+	alphas, _, err := m.Forward([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := alphas[0]
 	z := 0.5*0.1 + 0.3*0.8 + 0.2*0.1
 	want := mat.Vector{0.05 / z, 0.24 / z, 0.02 / z}
 	if !post.EqualApprox(want, 1e-12) {
 		t.Fatalf("posterior = %v want %v", post, want)
-	}
-}
-
-func TestFilterErrors(t *testing.T) {
-	if _, err := Filter(mat.Vector{1}, mat.Vector{1, 0}); err == nil {
-		t.Error("expected length mismatch error")
-	}
-	if _, err := Filter(mat.Vector{1, 0}, mat.Vector{0, 1}); err == nil {
-		t.Error("expected zero-probability error")
 	}
 }
 

@@ -66,13 +66,6 @@ func NewDeltaLocationSet(g *grid.Grid, chain *markov.Chain, pi mat.Vector, delta
 // States implements Perturber.
 func (d *DeltaLocationSet) States() int { return d.g.States() }
 
-// Delta returns δ.
-func (d *DeltaLocationSet) Delta() float64 { return d.delta }
-
-// Set returns the current δ-location set ΔXₜ (valid after Begin). Callers
-// must not mutate the returned slice.
-func (d *DeltaLocationSet) Set() []int { return d.set }
-
 // Begin implements Perturber: advances the Markov prior and rebuilds ΔXₜ.
 func (d *DeltaLocationSet) Begin(t int) error {
 	if t != d.cur+1 {

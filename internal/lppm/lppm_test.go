@@ -117,7 +117,7 @@ func TestPlanarLaplaceGeoInd(t *testing.T) {
 	p := NewPlanarLaplace(g)
 	for _, alpha := range []float64{0.2, 1, 3} {
 		e, _ := p.Emission(alpha)
-		lvl := p.GeoIndistinguishabilityLevel(alpha)
+		lvl := 2 * alpha
 		m := g.States()
 		for i := 0; i < m; i++ {
 			for i2 := 0; i2 < m; i2++ {
@@ -145,62 +145,6 @@ func TestPlanarLaplaceBudgetMonotonicity(t *testing.T) {
 			t.Fatalf("self-probability not increasing at alpha=%v: %v <= %v", alpha, self, prev)
 		}
 		prev = self
-	}
-}
-
-func TestLambertWm1(t *testing.T) {
-	// w·e^w = x must hold on the branch w ≤ -1.
-	for _, x := range []float64{-1 / math.E, -0.367, -0.2, -0.05, -1e-3, -1e-8} {
-		w := lambertWm1(x)
-		if w > -1+1e-9 {
-			t.Fatalf("x=%v: w=%v not on W₋₁ branch", x, w)
-		}
-		if got := w * math.Exp(w); math.Abs(got-x) > 1e-10*(1+math.Abs(x)) {
-			t.Fatalf("x=%v: w·e^w = %v", x, got)
-		}
-	}
-	if !math.IsNaN(lambertWm1(0.1)) || !math.IsNaN(lambertWm1(-1)) {
-		t.Error("out-of-domain inputs should be NaN")
-	}
-}
-
-// TestSampleContinuousRadius: the mean radius of the planar Laplace is 2/α.
-func TestSampleContinuousRadius(t *testing.T) {
-	g := grid.MustNew(9, 9, 1)
-	p := NewPlanarLaplace(g)
-	rng := rand.New(rand.NewSource(11))
-	const alpha = 2.0
-	const n = 60000
-	cx, cy := g.Center(40)
-	var sum float64
-	for i := 0; i < n; i++ {
-		x, y, err := p.SampleContinuous(rng, 40, alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += math.Hypot(x-cx, y-cy)
-	}
-	mean := sum / n
-	if math.Abs(mean-2/alpha) > 0.02 {
-		t.Fatalf("mean radius = %v, want %v", mean, 2/alpha)
-	}
-}
-
-func TestSampleSnappedInRange(t *testing.T) {
-	g := grid.MustNew(4, 4, 1)
-	p := NewPlanarLaplace(g)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		o, err := p.SampleSnapped(rng, 0, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o < 0 || o >= 16 {
-			t.Fatalf("snapped out of range: %d", o)
-		}
-	}
-	if _, err := p.SampleSnapped(rng, 99, 1); err == nil {
-		t.Error("out-of-range state accepted")
 	}
 }
 
@@ -252,7 +196,7 @@ func TestDeltaLocationSetLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With uniform prior and delta=0.2, the set holds ~80% of states.
-	if n := len(d.Set()); n < 7 || n > 9 {
+	if n := len(d.set); n < 7 || n > 9 {
 		t.Fatalf("set size %d", n)
 	}
 	e, err := d.Emission(1)
@@ -264,7 +208,7 @@ func TestDeltaLocationSetLifecycle(t *testing.T) {
 	}
 	// Out-of-set columns must be zero.
 	in := make(map[int]bool)
-	for _, s := range d.Set() {
+	for _, s := range d.set {
 		in[s] = true
 	}
 	for j := 0; j < 9; j++ {
@@ -278,7 +222,7 @@ func TestDeltaLocationSetLifecycle(t *testing.T) {
 	if err := d.Observe(0, 99, nil); err == nil {
 		t.Error("out-of-range observation accepted")
 	}
-	obs := d.Set()[0]
+	obs := d.set[0]
 	if err := d.Observe(0, obs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +251,7 @@ func TestDeltaLocationSetShrinksWithDelta(t *testing.T) {
 		if err := d.Begin(0); err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, len(d.Set()))
+		sizes = append(sizes, len(d.set))
 	}
 	if !(sizes[0] >= sizes[1] && sizes[1] >= sizes[2]) {
 		t.Fatalf("set sizes not decreasing with delta: %v", sizes)
@@ -339,7 +283,7 @@ func TestDeltaLocationSetMinimalCoverProperty(t *testing.T) {
 		}
 		var mass, minMass float64
 		minMass = math.Inf(1)
-		for _, s := range d.Set() {
+		for _, s := range d.set {
 			mass += pi[s]
 			if pi[s] < minMass {
 				minMass = pi[s]
@@ -374,8 +318,8 @@ func TestDeltaLocationSetSurrogate(t *testing.T) {
 	if err := d.Begin(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Set()) != 1 || d.Set()[0] != 0 {
-		t.Fatalf("set = %v", d.Set())
+	if len(d.set) != 1 || d.set[0] != 0 {
+		t.Fatalf("set = %v", d.set)
 	}
 	e, err := d.Emission(1)
 	if err != nil {

@@ -23,10 +23,10 @@ func TestEmissionTableBounded(t *testing.T) {
 			t.Fatalf("emission at alpha=%g not row-stochastic", alpha)
 		}
 	}
-	if n := p.Table().Len(); n > maxPLMCache {
+	if n := p.table.Len(); n > maxPLMCache {
 		t.Fatalf("table holds %d matrices, bound %d", n, maxPLMCache)
 	}
-	if _, _, evictions := p.Table().Stats(); evictions == 0 {
+	if _, _, evictions := p.table.Stats(); evictions == 0 {
 		t.Fatal("no evictions after overflow")
 	}
 }
@@ -48,7 +48,7 @@ func TestEmissionTableSharedHits(t *testing.T) {
 	if a != b {
 		t.Fatal("same budget recomputed")
 	}
-	hits, misses, _ := p.Table().Stats()
+	hits, misses, _ := p.table.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d after two identical gets", hits, misses)
 	}
@@ -74,7 +74,7 @@ func TestEmissionTableConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := p.Table().Len(); n != 5 {
+	if n := p.table.Len(); n != 5 {
 		t.Fatalf("table holds %d matrices, want 5 distinct budgets", n)
 	}
 }

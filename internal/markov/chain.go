@@ -85,17 +85,6 @@ func (c *Chain) StepInto(dst, p mat.Vector) mat.Vector {
 	return c.t.VecMulInto(dst, p)
 }
 
-// StepN returns p·Mⁿ.
-func (c *Chain) StepN(p mat.Vector, n int) mat.Vector {
-	cur := p.Clone()
-	next := mat.NewVector(c.m)
-	for k := 0; k < n; k++ {
-		c.StepInto(next, cur)
-		cur, next = next, cur
-	}
-	return cur
-}
-
 // Sample draws the next state given the current state using rng.
 func (c *Chain) Sample(rng *rand.Rand, cur int) int {
 	return sampleIndex(rng, c.t.Row(cur))
@@ -113,29 +102,6 @@ func (c *Chain) SamplePath(rng *rand.Rand, pi mat.Vector, n int) []int {
 		path[t] = c.Sample(rng, path[t-1])
 	}
 	return path
-}
-
-// Stationary returns an approximate stationary distribution by power
-// iteration from the uniform distribution. For periodic chains the result
-// is the Cesàro-style late iterate rather than a true fixed point; the
-// returned residual lets callers judge convergence.
-func (c *Chain) Stationary(maxIter int, tol float64) (pi mat.Vector, residual float64) {
-	pi = Uniform(c.m)
-	next := mat.NewVector(c.m)
-	for k := 0; k < maxIter; k++ {
-		c.StepInto(next, pi)
-		residual = 0
-		for i := range pi {
-			if d := math.Abs(next[i] - pi[i]); d > residual {
-				residual = d
-			}
-		}
-		pi, next = next, pi
-		if residual <= tol {
-			break
-		}
-	}
-	return pi, residual
 }
 
 // Uniform returns the uniform distribution over m states.

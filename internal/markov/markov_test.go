@@ -62,33 +62,6 @@ func TestStepMatchesPaperExample(t *testing.T) {
 	}
 }
 
-func TestStepNMatchesIteratedStep(t *testing.T) {
-	c := MustNewChain(paperM())
-	p := Delta(3, 0)
-	got := c.StepN(p, 4)
-	want := p.Clone()
-	for i := 0; i < 4; i++ {
-		want = c.Step(want)
-	}
-	if !got.EqualApprox(want, 1e-12) {
-		t.Fatalf("StepN = %v want %v", got, want)
-	}
-}
-
-func TestStationary(t *testing.T) {
-	c := MustNewChain(paperM())
-	pi, res := c.Stationary(1000, 1e-12)
-	if res > 1e-10 {
-		t.Fatalf("did not converge, residual %v", res)
-	}
-	if !c.Step(pi).EqualApprox(pi, 1e-9) {
-		t.Fatalf("pi not stationary: %v", pi)
-	}
-	if !pi.IsDistribution(1e-9) {
-		t.Fatalf("pi not a distribution: %v", pi)
-	}
-}
-
 func TestSamplePathRespectsSupport(t *testing.T) {
 	// Deterministic cycle 0->1->2->0.
 	c := MustNewChain(mat.FromRows([][]float64{
@@ -240,7 +213,11 @@ func TestGaussianChainSigmaOrdersPatternStrength(t *testing.T) {
 		t.Fatalf("sigma=0.1 strength %v should exceed sigma=10 strength %v",
 			small.PatternStrength(), large.PatternStrength())
 	}
-	u, _ := UniformChain(36)
+	ut := mat.NewMatrix(36, 36)
+	for i := 0; i < 36; i++ {
+		copy(ut.Row(i), Uniform(36))
+	}
+	u := MustNewChain(ut)
 	if math.Abs(u.PatternStrength()-1.0/36) > 1e-12 {
 		t.Fatalf("uniform strength = %v", u.PatternStrength())
 	}
@@ -317,12 +294,6 @@ func TestLazyRandomWalk(t *testing.T) {
 	}
 	if _, err := LazyRandomWalk(g, 1.5); err == nil {
 		t.Error("expected error for stay > 1")
-	}
-}
-
-func TestUniformChainErrors(t *testing.T) {
-	if _, err := UniformChain(0); err == nil {
-		t.Error("expected error for m=0")
 	}
 }
 

@@ -122,19 +122,3 @@ func (c *Chain) Sparsified(cutoff float64) (*Chain, error) {
 	}
 	return NewChain(t)
 }
-
-// UniformChain returns the chain whose every row is uniform; the weakest
-// possible mobility pattern.
-func UniformChain(m int) (*Chain, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("markov: m must be positive")
-	}
-	t := mat.NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		row := t.Row(i)
-		for j := range row {
-			row[j] = 1 / float64(m)
-		}
-	}
-	return NewChain(t)
-}

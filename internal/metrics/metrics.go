@@ -135,11 +135,3 @@ func ConservativeCount(run []core.StepResult) int {
 	}
 	return n
 }
-
-// TotalCheckTime sums the QP check time across a run.
-func TotalCheckTime(run []core.StepResult) (total float64) {
-	for _, s := range run {
-		total += s.CheckTime.Seconds()
-	}
-	return total
-}

@@ -69,9 +69,6 @@ func (h *Histogram) ObserveNanos(v int64) {
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the sum of all observations in nanoseconds.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Mean returns the mean observation in nanoseconds (0 when empty).
 func (h *Histogram) Mean() float64 {
 	n := h.count.Load()

@@ -141,12 +141,3 @@ func ParseLevel(s string) (slog.Level, error) {
 	}
 	return l, nil
 }
-
-// Trace is a slog attr helper: a "trace" field in FormatTrace form, or a
-// no-op attr when id is 0.
-func Trace(id uint64) slog.Attr {
-	if id == 0 {
-		return slog.Attr{}
-	}
-	return slog.String("trace", FormatTrace(id))
-}

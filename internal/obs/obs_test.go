@@ -65,8 +65,8 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	for _, v := range vals {
 		sum += v
 	}
-	if h.Sum() != sum {
-		t.Fatalf("sum=%d, want %d", h.Sum(), sum)
+	if h.sum.Load() != sum {
+		t.Fatalf("sum=%d, want %d", h.sum.Load(), sum)
 	}
 	if mean := h.Mean(); math.Abs(mean-float64(sum)/float64(len(vals))) > 1e-6 {
 		t.Fatalf("mean=%g, want %g", mean, float64(sum)/float64(len(vals)))
@@ -81,8 +81,8 @@ func TestHistogramEdgeValues(t *testing.T) {
 	if h.Count() != 3 {
 		t.Fatalf("count=%d, want 3", h.Count())
 	}
-	if h.Sum() != int64(3*time.Millisecond) {
-		t.Fatalf("sum=%d, want %d", h.Sum(), int64(3*time.Millisecond))
+	if h.sum.Load() != int64(3*time.Millisecond) {
+		t.Fatalf("sum=%d, want %d", h.sum.Load(), int64(3*time.Millisecond))
 	}
 	var empty Histogram
 	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
@@ -115,8 +115,8 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	a.Merge(&b)
 	a.Merge(nil)
-	if a.Count() != both.Count() || a.Sum() != both.Sum() {
-		t.Fatalf("merge: count/sum %d/%d, want %d/%d", a.Count(), a.Sum(), both.Count(), both.Sum())
+	if a.Count() != both.Count() || a.sum.Load() != both.sum.Load() {
+		t.Fatalf("merge: count/sum %d/%d, want %d/%d", a.Count(), a.sum.Load(), both.Count(), both.sum.Load())
 	}
 	for _, q := range []float64{0.1, 0.5, 0.99} {
 		if a.Quantile(q) != both.Quantile(q) {
@@ -179,7 +179,7 @@ func TestRegistryExpositionGolden(t *testing.T) {
 	c := r.Counter("priste_steps_served_total", "Steps served.", Label{"transport", "http"})
 	c.Add(7)
 	g := r.Gauge("priste_sessions_live", "Live sessions.")
-	g.Set(3)
+	g.Add(3)
 	r.GaugeFunc("priste_cert_cache_entries", "Certified-release cache entries.", func() float64 { return 12 })
 	h := r.Histogram("priste_step_seconds", "Served step latency.", Label{"transport", "rpc"})
 	h.ObserveNanos(2000)    // ≤ 2048    (le=0.000002048)

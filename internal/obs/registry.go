@@ -26,9 +26,6 @@ type Gauge struct{ v atomic.Int64 }
 // Add moves the gauge by n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

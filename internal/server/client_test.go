@@ -97,10 +97,10 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 			name: "duplicate create", code: api.CodeAlreadyExists, httpStatus: 409, sentinel: ErrSessionExists,
 			trigger: func(t *testing.T, srv *Server, client api.Client) error {
 				ctx := context.Background()
-				if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "dup"}); err != nil {
+				if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "dup"}); err != nil {
 					t.Fatal(err)
 				}
-				_, err := client.CreateSession(ctx, CreateSessionRequest{ID: "dup"})
+				_, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "dup"})
 				return err
 			},
 		},
@@ -108,7 +108,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 			name: "deleted mid-flight", code: api.CodeSessionClosed, httpStatus: 410, sentinel: ErrSessionClosed,
 			trigger: func(t *testing.T, srv *Server, client api.Client) error {
 				ctx := context.Background()
-				if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "gone"}); err != nil {
+				if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "gone"}); err != nil {
 					t.Fatal(err)
 				}
 				// No workers drain the queue, so the step hangs until the
@@ -136,7 +136,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 			name: "queue full", code: api.CodeResourceExhausted, httpStatus: 429, sentinel: ErrQueueFull,
 			trigger: func(t *testing.T, srv *Server, client api.Client) error {
 				ctx := context.Background()
-				if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "busy"}); err != nil {
+				if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "busy"}); err != nil {
 					t.Fatal(err)
 				}
 				// Fill the 1-deep queue with a hanging step, then overflow.
@@ -170,7 +170,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 				if err := srv.Shutdown(sctx); err != nil {
 					t.Fatal(err)
 				}
-				_, err := client.CreateSession(context.Background(), CreateSessionRequest{ID: "late"})
+				_, err := client.CreateSession(context.Background(), api.CreateSessionRequest{ID: "late"})
 				return err
 			},
 		},
@@ -216,15 +216,15 @@ func TestClientBatchStepping(t *testing.T) {
 	forEachTransport(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
 		ctx := context.Background()
 		seedA, seedB := int64(7), int64(8)
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "a", Seed: &seedA}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "a", Seed: &seedA}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "b", Seed: &seedB}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "b", Seed: &seedB}); err != nil {
 			t.Fatal(err)
 		}
 
 		// Two steps per session in one batch, plus a poisoned item.
-		results, err := client.StepBatch(ctx, []BatchStepItem{
+		results, err := client.StepBatch(ctx, []api.BatchStepItem{
 			{SessionID: "a", Loc: 1},
 			{SessionID: "b", Loc: 2},
 			{SessionID: "ghost", Loc: 3},
@@ -284,7 +284,7 @@ func TestClientBatchStepping(t *testing.T) {
 func TestClientDrainingStatus(t *testing.T) {
 	forEachTransport(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
 		ctx := context.Background()
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "u"}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "u"}); err != nil {
 			t.Fatal(err)
 		}
 		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
@@ -292,7 +292,7 @@ func TestClientDrainingStatus(t *testing.T) {
 		if err := srv.Shutdown(sctx); err != nil {
 			t.Fatal(err)
 		}
-		_, err := client.CreateSession(ctx, CreateSessionRequest{ID: "v"})
+		_, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "v"})
 		wantCode(t, err, api.CodeUnavailable, "create while draining")
 		if !errors.Is(err, ErrDraining) {
 			t.Fatalf("create while draining: %v, want ErrDraining", err)
@@ -310,7 +310,7 @@ func TestClientListSessions(t *testing.T) {
 		ctx := context.Background()
 		want := []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6"}
 		for _, id := range want {
-			if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: id}); err != nil {
+			if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: id}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -363,10 +363,10 @@ func TestClientMigration(t *testing.T) {
 
 	// Unmigrated reference run.
 	ref := newTestServer(t, testConfig())
-	if _, err := ref.CreateSession(CreateSessionRequest{ID: "mig", Seed: &seed}); err != nil {
+	if _, err := ref.CreateSession(api.CreateSessionRequest{ID: "mig", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
-	var want []StepResponse
+	var want []api.StepResponse
 	for k := 0; k < pre+post; k++ {
 		res, err := ref.Step(bg, "mig", traj(k))
 		if err != nil {
@@ -377,7 +377,7 @@ func TestClientMigration(t *testing.T) {
 
 	forEachTransport(t, plainConfig, func(t *testing.T, srvA *Server, clientA api.Client) {
 		ctx := context.Background()
-		if _, err := clientA.CreateSession(ctx, CreateSessionRequest{ID: "mig", Seed: &seed}); err != nil {
+		if _, err := clientA.CreateSession(ctx, api.CreateSessionRequest{ID: "mig", Seed: &seed}); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k < pre; k++ {
@@ -450,7 +450,7 @@ func TestTransportStats(t *testing.T) {
 	_, rpcClient := serveRPC(t, srv)
 	ctx := context.Background()
 
-	if _, err := httpClient.CreateSession(ctx, CreateSessionRequest{ID: "u"}); err != nil {
+	if _, err := httpClient.CreateSession(ctx, api.CreateSessionRequest{ID: "u"}); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"priste/internal/api"
 )
 
 // TestShippedDeadlineChangesNoRelease describes the daemon as shipped:
@@ -19,13 +21,13 @@ func TestShippedDeadlineChangesNoRelease(t *testing.T) {
 	const sessions, steps = 32, 12
 	unlimited := DefaultConfig()
 	unlimited.QPTimeout = 0
-	var exports [2][]SessionExport
+	var exports [2][]api.SessionExport
 	for k, cfg := range []Config{DefaultConfig(), unlimited} {
 		srv := newTestServer(t, cfg)
 		m := cfg.GridW * cfg.GridH
 		for s := 0; s < sessions; s++ {
 			id, seed := fmt.Sprintf("u%d", s), int64(9000+s)
-			if _, err := srv.CreateSession(CreateSessionRequest{ID: id, Seed: &seed}); err != nil {
+			if _, err := srv.CreateSession(api.CreateSessionRequest{ID: id, Seed: &seed}); err != nil {
 				t.Fatal(err)
 			}
 			traj := rand.New(rand.NewSource(seed))

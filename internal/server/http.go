@@ -11,37 +11,6 @@ import (
 	"priste/internal/obs"
 )
 
-// Wire types and error codes live in the transport-neutral api package;
-// the aliases keep the historical server-qualified names working.
-type (
-	// CreateSessionRequest is the body of POST /v1/sessions.
-	CreateSessionRequest = api.CreateSessionRequest
-	// SessionInfo is a session's public state.
-	SessionInfo = api.SessionInfo
-	// StepRequest is the body of POST /v1/sessions/{id}/step.
-	StepRequest = api.StepRequest
-	// StepResponse is one certified release.
-	StepResponse = api.StepResponse
-	// BatchStepItem is one entry of POST /v1/step.
-	BatchStepItem = api.BatchStepItem
-	// BatchStepRequest is the body of POST /v1/step.
-	BatchStepRequest = api.BatchStepRequest
-	// BatchStepResponse is the body of the batch response.
-	BatchStepResponse = api.BatchStepResponse
-	// SessionExport is a session's complete migratable state.
-	SessionExport = api.SessionExport
-	// SessionPage is one page of GET /v1/sessions.
-	SessionPage = api.SessionPage
-	// Stats is the /statsz document.
-	Stats = api.Stats
-	// StoreStats is the /statsz durability section.
-	StoreStats = api.StoreStats
-	// CertCacheStats is the /statsz certified-release cache section.
-	CertCacheStats = api.CertCacheStats
-	// PlanStats is the /statsz plan-registry section.
-	PlanStats = api.PlanStats
-)
-
 // errorBody is the JSON error envelope: the canonical code plus a
 // human-readable message.
 type errorBody struct {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"priste/internal/api"
 )
 
 // sparseTestConfig is testConfig over a sparsified mobility chain: the
@@ -33,7 +35,7 @@ func TestServerKernelEquivalence(t *testing.T) {
 			createRestartUser(t, srv, u)
 		}
 		out := make(map[string][]StepResponseLite)
-		m := srv.Config().GridW * srv.Config().GridH
+		m := srv.cfg.GridW * srv.cfg.GridH
 		for k := 0; k < steps; k++ {
 			for ui, u := range restartUsers {
 				res, err := srv.Step(bg, u.id, (k*7+ui*3)%m)
@@ -94,7 +96,7 @@ func TestStatszCountsFactoredProducts(t *testing.T) {
 	srv := newTestServer(t, testConfig())
 	u := restartUsers[0]
 	createRestartUser(t, srv, u)
-	m := srv.Config().GridW * srv.Config().GridH
+	m := srv.cfg.GridW * srv.cfg.GridH
 	for k := 0; k < 8; k++ {
 		if _, err := srv.Step(bg, u.id, (k*7)%m); err != nil {
 			t.Fatal(err)
@@ -172,7 +174,7 @@ func TestSparseCutoffScopesWorldTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := int64(4)
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srvA.Step(bg, "u", 1); err != nil {

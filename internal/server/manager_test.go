@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"priste/internal/api"
 )
 
 // bg is the context of test calls with no cancellation story.
@@ -35,14 +37,14 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 func TestSessionLifecycle(t *testing.T) {
 	srv := newTestServer(t, testConfig())
 	seed := int64(7)
-	sess, err := srv.CreateSession(CreateSessionRequest{ID: "alice", Seed: &seed})
+	sess, err := srv.CreateSession(api.CreateSessionRequest{ID: "alice", Seed: &seed})
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
 	if sess.ID != "alice" {
 		t.Fatalf("id = %q, want alice", sess.ID)
 	}
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "alice"}); !errors.Is(err, ErrSessionExists) {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "alice"}); !errors.Is(err, ErrSessionExists) {
 		t.Fatalf("duplicate create: err = %v, want ErrSessionExists", err)
 	}
 	res, err := srv.Step(bg, "alice", 3)
@@ -69,7 +71,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 func TestStepValidation(t *testing.T) {
 	srv := newTestServer(t, testConfig())
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u"}); err != nil {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "u"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Step(bg, "u", 99); err == nil {
@@ -128,13 +130,13 @@ func TestLRUEviction(t *testing.T) {
 	offsets := map[string]time.Duration{"u0": -2 * time.Minute, "u1": -3 * time.Minute, "u2": -time.Minute}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("u%d", i)
-		if _, err := srv.CreateSession(CreateSessionRequest{ID: id}); err != nil {
+		if _, err := srv.CreateSession(api.CreateSessionRequest{ID: id}); err != nil {
 			t.Fatal(err)
 		}
 		s, _ := srv.mgr.Get(id)
 		s.touch(base.Add(offsets[id]))
 	}
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u3"}); err != nil {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "u3"}); err != nil {
 		t.Fatal(err)
 	}
 	if srv.mgr.Len() != 3 {
@@ -160,11 +162,11 @@ func TestDuplicateCreateAtCapacity(t *testing.T) {
 	cfg.MaxSessions = 2
 	srv := newTestServer(t, cfg)
 	for _, id := range []string{"a", "b"} {
-		if _, err := srv.CreateSession(CreateSessionRequest{ID: id}); err != nil {
+		if _, err := srv.CreateSession(api.CreateSessionRequest{ID: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "a"}); !errors.Is(err, ErrSessionExists) {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "a"}); !errors.Is(err, ErrSessionExists) {
 		t.Fatalf("duplicate create: %v, want ErrSessionExists", err)
 	}
 	if srv.mgr.Len() != 2 {
@@ -180,7 +182,7 @@ func TestQueueBackpressure(t *testing.T) {
 	cfg.Workers = -1 // nothing drains: queues only fill
 	cfg.QueueDepth = 2
 	srv := newTestServer(t, cfg)
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u"}); err != nil {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "u"}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -309,7 +311,7 @@ func TestPendingStepsFailOnClose(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = -1
 	srv := newTestServer(t, cfg)
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u"}); err != nil {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "u"}); err != nil {
 		t.Fatal(err)
 	}
 	done, err := srv.StepAsync(context.Background(), "u", 0)

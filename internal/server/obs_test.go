@@ -58,7 +58,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	forEachTransport(t, mkcfg, func(t *testing.T, srv *Server, client api.Client) {
 		trace := obs.NewTraceID()
 		ctx := obs.WithTrace(context.Background(), trace)
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "traced"}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "traced"}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := client.Step(ctx, "traced", 3); err != nil {
@@ -187,7 +187,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	client := NewClient(ts.URL, nil)
 
 	ctx := context.Background()
-	if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "m"}); err != nil {
+	if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "m"}); err != nil {
 		t.Fatal(err)
 	}
 	const steps = 5

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"priste/internal/api"
 )
 
 // TestRebuildDeferredToFirstMiss: the engine folds a committed release
@@ -21,9 +23,9 @@ func TestRebuildDeferredToFirstMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := int64(5)
-	run := func(srv *Server, id string, from, to int) []StepResponse {
+	run := func(srv *Server, id string, from, to int) []api.StepResponse {
 		t.Helper()
-		var out []StepResponse
+		var out []api.StepResponse
 		for k := from; k < to; k++ {
 			res, err := srv.Step(bg, id, (k*5)%36)
 			if err != nil {
@@ -40,7 +42,7 @@ func TestRebuildDeferredToFirstMiss(t *testing.T) {
 
 	// A fresh user misses on every step, and each miss folds in exactly
 	// the one commit before it.
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "first", Seed: &seed}); err != nil {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "first", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	first := run(srvA, "first", 0, pre)
@@ -49,7 +51,7 @@ func TestRebuildDeferredToFirstMiss(t *testing.T) {
 	}
 	// Its twin replays the same seed and trajectory from the cache: no
 	// operator is ever built for it.
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "twin", Seed: &seed}); err != nil {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "twin", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	sameSteps(t, "twin", run(srvA, "twin", 0, pre), first)

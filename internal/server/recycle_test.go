@@ -73,7 +73,7 @@ func TestViewRecyclingUnderRaces(t *testing.T) {
 					i := (r*goroutines+g)*perRound + p
 					s := live{i: i, id: fmt.Sprintf("recycle-%d", i)}
 					seed := int64(i + 1)
-					if _, err := srv.CreateSession(CreateSessionRequest{ID: s.id, Seed: &seed}); err != nil {
+					if _, err := srv.CreateSession(api.CreateSessionRequest{ID: s.id, Seed: &seed}); err != nil {
 						errc <- fmt.Errorf("create %s: %w", s.id, err)
 						return
 					}

@@ -3,6 +3,8 @@ package server
 import (
 	"sync"
 	"testing"
+
+	"priste/internal/api"
 )
 
 func registryTestServer(t *testing.T, certCache int) *Server {
@@ -24,8 +26,8 @@ func registryTestServer(t *testing.T, certCache int) *Server {
 // defaultTestWorkers: most registry tests never step, so skip the pool.
 const defaultTestWorkers = -1
 
-func seedReq(seed int64, mutate func(*CreateSessionRequest)) CreateSessionRequest {
-	req := CreateSessionRequest{Seed: &seed}
+func seedReq(seed int64, mutate func(*api.CreateSessionRequest)) api.CreateSessionRequest {
+	req := api.CreateSessionRequest{Seed: &seed}
 	if mutate != nil {
 		mutate(&req)
 	}
@@ -37,7 +39,7 @@ func seedReq(seed int64, mutate func(*CreateSessionRequest)) CreateSessionReques
 // events, mechanism, or δ get their own.
 func TestPlanRegistryCanonicalisation(t *testing.T) {
 	s := registryTestServer(t, -1)
-	mustCreate := func(req CreateSessionRequest) {
+	mustCreate := func(req api.CreateSessionRequest) {
 		t.Helper()
 		if _, err := s.CreateSession(req); err != nil {
 			t.Fatal(err)
@@ -48,45 +50,45 @@ func TestPlanRegistryCanonicalisation(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		mustCreate(seedReq(seed, nil))
 	}
-	if got := s.Plans().Len(); got != 1 {
+	if got := s.registry.Len(); got != 1 {
 		t.Fatalf("%d plans after seed-only variation, want 1", got)
 	}
 
 	// Same events spelled in a different order: still the same plan.
-	mustCreate(seedReq(10, func(r *CreateSessionRequest) {
+	mustCreate(seedReq(10, func(r *api.CreateSessionRequest) {
 		r.Events = []string{"4-7@1-2", "0-3@2-4"}
 	}))
-	mustCreate(seedReq(11, func(r *CreateSessionRequest) {
+	mustCreate(seedReq(11, func(r *api.CreateSessionRequest) {
 		r.Events = []string{"0-3@2-4", "4-7@1-2"}
 	}))
-	if got := s.Plans().Len(); got != 2 {
+	if got := s.registry.Len(); got != 2 {
 		t.Fatalf("%d plans after reordered events, want 2 (order must not matter)", got)
 	}
 
 	// Each semantic difference mints a new plan.
-	for i, mutate := range []func(*CreateSessionRequest){
-		func(r *CreateSessionRequest) { r.Epsilon = 0.9 },
-		func(r *CreateSessionRequest) { r.Alpha = 2.0 },
-		func(r *CreateSessionRequest) { r.Events = []string{"0-3@1-3"} },
-		func(r *CreateSessionRequest) { r.Mechanism = MechanismDelta },
-		func(r *CreateSessionRequest) {
+	for i, mutate := range []func(*api.CreateSessionRequest){
+		func(r *api.CreateSessionRequest) { r.Epsilon = 0.9 },
+		func(r *api.CreateSessionRequest) { r.Alpha = 2.0 },
+		func(r *api.CreateSessionRequest) { r.Events = []string{"0-3@1-3"} },
+		func(r *api.CreateSessionRequest) { r.Mechanism = MechanismDelta },
+		func(r *api.CreateSessionRequest) {
 			r.Mechanism = MechanismDelta
 			d := 0.2
 			r.Delta = &d
 		},
 	} {
 		mustCreate(seedReq(int64(100+i), mutate))
-		if got, want := s.Plans().Len(), 3+i; got != want {
+		if got, want := s.registry.Len(), 3+i; got != want {
 			t.Fatalf("variant %d: %d plans, want %d", i, got, want)
 		}
 	}
 
 	// Repeating the delta variant shares its existing plan.
-	mustCreate(seedReq(200, func(r *CreateSessionRequest) { r.Mechanism = MechanismDelta }))
-	if got := s.Plans().Len(); got != 7 {
+	mustCreate(seedReq(200, func(r *api.CreateSessionRequest) { r.Mechanism = MechanismDelta }))
+	if got := s.registry.Len(); got != 7 {
 		t.Fatalf("%d plans after repeating a variant, want 7", got)
 	}
-	st := s.Plans().Stats()
+	st := s.registry.Stats()
 	if st.Compiled != 7 || st.SharedHits == 0 {
 		t.Fatalf("registry stats %+v", st)
 	}
@@ -107,7 +109,7 @@ func TestPlanRegistryConcurrentCreate(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	if got := s.Plans().Len(); got != 1 {
+	if got := s.registry.Len(); got != 1 {
 		t.Fatalf("%d plans after concurrent identical creates, want 1", got)
 	}
 }
@@ -132,13 +134,13 @@ func TestSharedPlanConcurrentSteps(t *testing.T) {
 	ids := make([]string, sessions)
 	for i := range ids {
 		seed := int64(i + 1)
-		sess, err := s.CreateSession(CreateSessionRequest{Seed: &seed})
+		sess, err := s.CreateSession(api.CreateSessionRequest{Seed: &seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = sess.ID
 	}
-	if got := s.Plans().Len(); got != 1 {
+	if got := s.registry.Len(); got != 1 {
 		t.Fatalf("%d plans, want 1", got)
 	}
 	var wg sync.WaitGroup

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +29,59 @@ func durableConfig(t *testing.T, dir string) Config {
 	return cfg
 }
 
+// TestStoreCapabilitiesWired: the server reaches FileStore's optional
+// capabilities only through anonymous interface assertions, so nothing
+// fails to compile when one goes missing. With fsync on, one step must
+// time at least one WAL fsync into priste_wal_fsync_seconds, and a
+// corrupt WAL suffix found at rehydration must be logged through
+// Config.Logger.
+func TestStoreCapabilitiesWired(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Store = st
+	srvA := newTestServer(t, cfg)
+	seed := int64(5)
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srvA.Step(bg, "u", 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := srvA.metrics.walFsync.Count(); n < 1 {
+		t.Fatalf("priste_wal_fsync_seconds count = %d after a durable step, want >= 1", n)
+	}
+	srvA.Close()
+
+	// Extend the journal with a well-formed step whose fingerprint breaks
+	// the chain: a corrupt suffix, not a torn tail.
+	raw, err := store.Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, err := raw.LoadSessions()
+	if err != nil || len(states) != 1 {
+		t.Fatalf("LoadSessions = %d states, %v", len(states), err)
+	}
+	s0 := states[0]
+	bad := store.StepRecord{T: len(s0.Tags), Tag: store.Tag{AlphaBits: 1, Obs: 2}, Fingerprint: s0.Fingerprint ^ 0xdead}
+	if err := raw.AppendStep(s0.Meta.ID, s0.Gen, bad); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+
+	var logBuf syncBuffer
+	cfgB := durableConfig(t, dir)
+	cfgB.Logger = slog.New(slog.NewTextHandler(&logBuf, nil))
+	newTestServer(t, cfgB)
+	if !strings.Contains(logBuf.String(), "wal suffix corrupt") {
+		t.Fatalf("no corrupt-suffix warning in the server log:\n%s", logBuf.String())
+	}
+}
+
 type restartUser struct {
 	id    string
 	seed  int64
@@ -42,7 +97,7 @@ var restartUsers = []restartUser{
 
 func createRestartUser(t *testing.T, srv *Server, u restartUser) {
 	t.Helper()
-	req := CreateSessionRequest{ID: u.id, Seed: &u.seed, Mechanism: u.mech}
+	req := api.CreateSessionRequest{ID: u.id, Seed: &u.seed, Mechanism: u.mech}
 	if u.mech == MechanismDelta {
 		d := u.delta
 		req.Delta = &d
@@ -54,10 +109,10 @@ func createRestartUser(t *testing.T, srv *Server, u restartUser) {
 
 // stepAll steps every user once per timestamp in [from, to) and returns
 // the results keyed by user then timestamp offset.
-func stepAll(t *testing.T, srv *Server, from, to int) map[string][]StepResponse {
+func stepAll(t *testing.T, srv *Server, from, to int) map[string][]api.StepResponse {
 	t.Helper()
-	m := srv.Config().GridW * srv.Config().GridH
-	out := make(map[string][]StepResponse)
+	m := srv.cfg.GridW * srv.cfg.GridH
+	out := make(map[string][]api.StepResponse)
 	for k := from; k < to; k++ {
 		for ui, u := range restartUsers {
 			loc := (k*7 + ui*3) % m // deterministic trajectory per user
@@ -71,7 +126,7 @@ func stepAll(t *testing.T, srv *Server, from, to int) map[string][]StepResponse 
 	return out
 }
 
-func sameSteps(t *testing.T, label string, got, want []StepResponse) {
+func sameSteps(t *testing.T, label string, got, want []api.StepResponse) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d steps, want %d", label, len(got), len(want))
@@ -227,7 +282,7 @@ func TestRestartStartsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := int64(5)
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 6; k++ {
@@ -235,7 +290,7 @@ func TestRestartStartsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := srvA.Plans().Cache().Len(); n == 0 {
+	if n := srvA.registry.Cache().Len(); n == 0 {
 		t.Fatal("no certified decisions cached — test premise broken")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -250,13 +305,13 @@ func TestRestartStartsCold(t *testing.T) {
 	// Rehydration recompiles the plan and re-commits the tag log; it
 	// certifies nothing, so the fresh cache is empty until the first step.
 	srvB := newTestServer(t, durableConfig(t, dir))
-	if got := srvB.Plans().Cache().Len(); got != 0 {
+	if got := srvB.registry.Cache().Len(); got != 0 {
 		t.Fatalf("restarted cache holds %d entries, want 0", got)
 	}
 	// The cold cache must not change behaviour: the restarted session's
 	// next steps still match a cold uninterrupted run.
 	ref := newTestServer(t, testConfig())
-	if _, err := ref.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+	if _, err := ref.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 6; k++ {
@@ -290,7 +345,7 @@ func TestWorldMismatchRefusesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := int64(4)
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {
@@ -336,7 +391,7 @@ func TestOverBoundJournalIsNotReplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := int64(4)
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "good", Seed: &seed}); err != nil {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "good", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srvA.Step(bg, "good", 0); err != nil {
@@ -410,7 +465,7 @@ func TestDuplicateCreateKeepsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := int64(9)
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {
@@ -418,7 +473,7 @@ func TestDuplicateCreateKeepsJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "u"}); !errors.Is(err, ErrSessionExists) {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "u"}); !errors.Is(err, ErrSessionExists) {
 		t.Fatalf("duplicate create: %v, want ErrSessionExists", err)
 	}
 	// The journal survived the rejected duplicate: the session still
@@ -450,7 +505,7 @@ func TestRehydrateOverCapacityKeepsJournals(t *testing.T) {
 	for i := 0; i < total; i++ {
 		seed := int64(i + 1)
 		id := fmt.Sprintf("u%d", i)
-		if _, err := srvA.CreateSession(CreateSessionRequest{ID: id, Seed: &seed}); err != nil {
+		if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: id, Seed: &seed}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := srvA.Step(bg, id, i); err != nil {
@@ -470,7 +525,7 @@ func TestRehydrateOverCapacityKeepsJournals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := srvB.Sessions().Len(); n != 2 {
+	if n := srvB.mgr.Len(); n != 2 {
 		t.Fatalf("squeezed server holds %d sessions, want 2", n)
 	}
 	if tombs := srvB.Stats().Store.Tombstones; tombs != 0 {
@@ -494,13 +549,13 @@ func TestRehydrateOverCapacityKeepsJournals(t *testing.T) {
 		t.Fatalf("delete of orphan %s failed: %v", orphans[0], err)
 	}
 	seed := int64(99)
-	if _, err := srvB.CreateSession(CreateSessionRequest{ID: orphans[1], Seed: &seed}); !errors.Is(err, ErrSessionExists) {
+	if _, err := srvB.CreateSession(api.CreateSessionRequest{ID: orphans[1], Seed: &seed}); !errors.Is(err, ErrSessionExists) {
 		t.Fatalf("re-create over a surviving journal: %v, want ErrSessionExists", err)
 	}
 	if err := srvB.DeleteSession(orphans[1]); err != nil {
 		t.Fatalf("delete of orphan %s failed: %v", orphans[1], err)
 	}
-	if _, err := srvB.CreateSession(CreateSessionRequest{ID: orphans[1], Seed: &seed}); err != nil {
+	if _, err := srvB.CreateSession(api.CreateSessionRequest{ID: orphans[1], Seed: &seed}); err != nil {
 		t.Fatalf("re-create after explicit delete: %v", err)
 	}
 	if _, err := srvB.Step(bg, orphans[1], 0); err != nil {
@@ -538,7 +593,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := int64(1)
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	dones := make([]<-chan api.StepOutcome, pending)
@@ -570,7 +625,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := srv.StepAsync(context.Background(), "u", 0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("step after shutdown: %v, want ErrDraining", err)
 	}
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "v"}); !errors.Is(err, ErrDraining) {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "v"}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("create after shutdown: %v, want ErrDraining", err)
 	}
 
@@ -594,10 +649,10 @@ func TestDurableImportSurvivesRestart(t *testing.T) {
 
 	// Unmigrated reference.
 	ref := newTestServer(t, testConfig())
-	if _, err := ref.CreateSession(CreateSessionRequest{ID: "mig", Seed: &seed}); err != nil {
+	if _, err := ref.CreateSession(api.CreateSessionRequest{ID: "mig", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
-	var want []StepResponse
+	var want []api.StepResponse
 	for k := 0; k < pre+post; k++ {
 		res, err := ref.Step(bg, "mig", traj(k))
 		if err != nil {
@@ -608,7 +663,7 @@ func TestDurableImportSurvivesRestart(t *testing.T) {
 
 	// Source instance: in-memory is fine, the export carries everything.
 	srvA := newTestServer(t, testConfig())
-	if _, err := srvA.CreateSession(CreateSessionRequest{ID: "mig", Seed: &seed}); err != nil {
+	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "mig", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < pre; k++ {

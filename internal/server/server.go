@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"net/http"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -418,18 +417,6 @@ func (s *Server) janitor() {
 		}
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (s *Server) Config() Config { return s.cfg }
-
-// Metrics returns the live service counters.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Sessions returns the session registry.
-func (s *Server) Sessions() *Manager { return s.mgr }
-
-// Plans returns the plan registry.
-func (s *Server) Plans() *PlanRegistry { return s.registry }
 
 // Stats implements api.Service: the full /statsz document — service
 // counters plus the plan-registry, certified-release cache, durability
@@ -1007,11 +994,6 @@ func (s *Server) ObserveStreamWindow(id string, delta int) {
 func (s *Server) ObserveStreamAcks(n int) {
 	s.metrics.streamSteps.Add(int64(n))
 	s.metrics.streamAcks.Add(1)
-}
-
-// MetricsHandler returns the Prometheus-text /metricsz endpoint.
-func (s *Server) MetricsHandler() http.Handler {
-	return s.metrics.Handler()
 }
 
 // ExportSession implements api.Service: it captures a session's

@@ -59,14 +59,14 @@ func TestConcurrentSessions(t *testing.T) {
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("user-%d", i)
 		seed := int64(i + 1)
-		if _, err := srv.CreateSession(CreateSessionRequest{ID: id, Seed: &seed}); err != nil {
+		if _, err := srv.CreateSession(api.CreateSessionRequest{ID: id, Seed: &seed}); err != nil {
 			t.Fatalf("create %s: %v", id, err)
 		}
 		wg.Add(1)
 		go func(id string, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			m := srv.Config().GridW * srv.Config().GridH
+			m := srv.cfg.GridW * srv.cfg.GridH
 			// Enqueue all steps up front, then await: completion order
 			// must equal enqueue order.
 			dones := make([]<-chan api.StepOutcome, steps)
@@ -126,7 +126,7 @@ func TestBatchSemantics(t *testing.T) {
 	trajs := make(map[string][]int)
 	for i, u := range users {
 		seed := int64(100 + i)
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: u, Seed: &seed}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: u, Seed: &seed}); err != nil {
 			t.Fatalf("create %s: %v", u, err)
 		}
 		pathRNG := rand.New(rand.NewSource(seed * 7))
@@ -139,13 +139,13 @@ func TestBatchSemantics(t *testing.T) {
 
 	// Interleave both users' trajectories into batches of 4: two
 	// consecutive steps per user per batch.
-	var all []StepResponse
+	var all []api.StepResponse
 	for k := 0; k < T; k += 2 {
-		var batch []BatchStepItem
+		var batch []api.BatchStepItem
 		for _, u := range users {
 			batch = append(batch,
-				BatchStepItem{SessionID: u, Loc: trajs[u][k]},
-				BatchStepItem{SessionID: u, Loc: trajs[u][k+1]})
+				api.BatchStepItem{SessionID: u, Loc: trajs[u][k]},
+				api.BatchStepItem{SessionID: u, Loc: trajs[u][k+1]})
 		}
 		results, err := client.StepBatch(ctx, batch)
 		if err != nil {
@@ -159,7 +159,7 @@ func TestBatchSemantics(t *testing.T) {
 
 	// Split the responses back per user; order within a user must be
 	// FIFO (T = 0,1,2,...).
-	perUser := make(map[string][]StepResponse)
+	perUser := make(map[string][]api.StepResponse)
 	for _, r := range all {
 		if r.Error != "" {
 			t.Fatalf("batch item failed: %+v", r)
@@ -201,7 +201,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 
 	seed := int64(5)
-	info, err := client.CreateSession(ctx, CreateSessionRequest{
+	info, err := client.CreateSession(ctx, api.CreateSessionRequest{
 		Seed:    &seed,
 		Epsilon: 0.8,
 		Events:  []string{"0-3@1-2"},
@@ -267,18 +267,18 @@ func TestHTTPErrors(t *testing.T) {
 	ctx := context.Background()
 
 	// Bad event spec.
-	if _, err := client.CreateSession(ctx, CreateSessionRequest{Events: []string{"nope"}}); api.CodeOf(err) != api.CodeInvalidArgument {
+	if _, err := client.CreateSession(ctx, api.CreateSessionRequest{Events: []string{"nope"}}); api.CodeOf(err) != api.CodeInvalidArgument {
 		t.Fatalf("bad event spec: %v, want invalid_argument", err)
 	}
 	// Bad mechanism.
-	if _, err := client.CreateSession(ctx, CreateSessionRequest{Mechanism: "rot13"}); api.CodeOf(err) != api.CodeInvalidArgument {
+	if _, err := client.CreateSession(ctx, api.CreateSessionRequest{Mechanism: "rot13"}); api.CodeOf(err) != api.CodeInvalidArgument {
 		t.Fatalf("bad mechanism: %v, want invalid_argument", err)
 	}
 	// Duplicate id.
-	if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "dup"}); err != nil {
+	if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "dup"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "dup"}); !errors.Is(err, ErrSessionExists) {
+	if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "dup"}); !errors.Is(err, ErrSessionExists) {
 		t.Fatalf("duplicate id: %v, want ErrSessionExists", err)
 	}
 	// Out-of-range location is a per-request 400; the session survives.
@@ -289,7 +289,7 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("step after bad loc: %v", err)
 	}
 	// Batch reports unknown sessions inline.
-	results, err := client.StepBatch(ctx, []BatchStepItem{
+	results, err := client.StepBatch(ctx, []api.BatchStepItem{
 		{SessionID: "dup", Loc: 1},
 		{SessionID: "ghost", Loc: 1},
 	})
@@ -323,7 +323,7 @@ func TestOversizeEventsRejected(t *testing.T) {
 		"too many":     tooMany,
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_, err := client.CreateSession(ctx, CreateSessionRequest{ID: "big", Events: events})
+		_, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "big", Events: events})
 		if api.CodeOf(err) != api.CodeInvalidArgument {
 			t.Errorf("%s: create: %v, want invalid_argument", name, err)
 		}
@@ -339,7 +339,7 @@ func TestOversizeEventsRejected(t *testing.T) {
 		t.Fatalf("live = %d after rejected creates and imports, want 0", n)
 	}
 	// The largest window the bound admits still creates.
-	if _, err := client.CreateSession(context.Background(), CreateSessionRequest{
+	if _, err := client.CreateSession(context.Background(), api.CreateSessionRequest{
 		Events: []string{fmt.Sprintf("0-0@0-%d", maxEventHorizon-1)},
 	}); err != nil {
 		t.Fatalf("window ending at %d: %v", maxEventHorizon-1, err)
@@ -353,7 +353,7 @@ func TestDeltaMechanismSession(t *testing.T) {
 	srv := newTestServer(t, cfg)
 	seed := int64(3)
 	delta := 0.05
-	sess, err := srv.CreateSession(CreateSessionRequest{
+	sess, err := srv.CreateSession(api.CreateSessionRequest{
 		ID: "d", Seed: &seed, Mechanism: MechanismDelta, Delta: &delta,
 	})
 	if err != nil {
@@ -378,7 +378,7 @@ func TestServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "u"}); err != nil {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "u"}); err != nil {
 		t.Fatal(err)
 	}
 	done, err := srv.StepAsync(context.Background(), "u", 0)

@@ -115,10 +115,6 @@ type Session struct {
 	needSnap bool
 }
 
-// maxSessionIDLen caps client-supplied session ids (see
-// api.MaxSessionIDLen for the rationale).
-const maxSessionIDLen = api.MaxSessionIDLen
-
 // newSessionID returns a 128-bit random hex id.
 func newSessionID() string {
 	var b [16]byte

@@ -57,7 +57,7 @@ func TestStreamFIFOAndBackpressure(t *testing.T) {
 	}
 	onRPC(t, mkcfg, func(t *testing.T, srv *Server, client api.Client) {
 		ctx := context.Background()
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "s"}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "s"}); err != nil {
 			t.Fatal(err)
 		}
 		const n = 40
@@ -107,7 +107,7 @@ func TestStreamUnknownSession(t *testing.T) {
 func TestStreamMidStreamDelete(t *testing.T) {
 	onRPC(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
 		ctx := context.Background()
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "doomed"}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "doomed"}); err != nil {
 			t.Fatal(err)
 		}
 		st := openStream(t, client, "doomed", 8)
@@ -163,7 +163,7 @@ func TestStreamUnaryEquivalence(t *testing.T) {
 			locs[i] = (i * 7) % 36
 		}
 
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "unary", Seed: &seed}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "unary", Seed: &seed}); err != nil {
 			t.Fatal(err)
 		}
 		unary := make([]api.StepResponse, n)
@@ -175,7 +175,7 @@ func TestStreamUnaryEquivalence(t *testing.T) {
 			unary[i] = resp
 		}
 
-		if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "streamed", Seed: &seed}); err != nil {
+		if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "streamed", Seed: &seed}); err != nil {
 			t.Fatal(err)
 		}
 		st := openStream(t, client, "streamed", 8)
@@ -245,7 +245,7 @@ func TestSSEStream(t *testing.T) {
 	ctx := context.Background()
 	client := NewClient(ts.URL, nil)
 	seed := int64(5)
-	if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "watched", Seed: &seed}); err != nil {
+	if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "watched", Seed: &seed}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -343,7 +343,7 @@ func TestHTTPStreamIngestRemoved(t *testing.T) {
 	srv := newTestServer(t, testConfig())
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	if _, err := srv.CreateSession(CreateSessionRequest{ID: "s"}); err != nil {
+	if _, err := srv.CreateSession(api.CreateSessionRequest{ID: "s"}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(ts.URL+"/v1/sessions/s/stream", "application/json", strings.NewReader(`{"locs":[1]}`))
@@ -400,7 +400,7 @@ func TestStreamWindowOccupancyStats(t *testing.T) {
 	srv := newTestServer(t, cfg)
 	_, client := serveRPC(t, srv)
 	ctx := context.Background()
-	if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "windowed"}); err != nil {
+	if _, err := client.CreateSession(ctx, api.CreateSessionRequest{ID: "windowed"}); err != nil {
 		t.Fatal(err)
 	}
 	st := openStream(t, client, "windowed", 4)
@@ -432,7 +432,7 @@ func TestSchedulerBatchAware(t *testing.T) {
 	srv := newTestServer(t, cfg)
 	ctx := context.Background()
 	for _, id := range []string{"a", "b"} {
-		if _, err := srv.CreateSession(CreateSessionRequest{ID: id}); err != nil {
+		if _, err := srv.CreateSession(api.CreateSessionRequest{ID: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -465,7 +465,7 @@ func TestRunQueueIsArrivalOrder(t *testing.T) {
 		id  string
 		eps float64
 	}{{"a1", 0.5}, {"b1", 2}, {"a2", 0.5}} {
-		if _, err := srv.CreateSession(CreateSessionRequest{ID: c.id, Epsilon: c.eps}); err != nil {
+		if _, err := srv.CreateSession(api.CreateSessionRequest{ID: c.id, Epsilon: c.eps}); err != nil {
 			t.Fatal(err)
 		}
 		sess, _ := srv.mgr.Get(c.id)

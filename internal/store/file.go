@@ -131,9 +131,6 @@ func Open(dir string, fsync bool) (*FileStore, error) {
 	return &FileStore{dir: dir, fsync: fsync, lock: lock, handles: make(map[string]*walHandle)}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 func (s *FileStore) walPath(id string) string {
 	return filepath.Join(s.dir, "sessions", hex.EncodeToString([]byte(id))+".wal")
 }

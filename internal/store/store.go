@@ -78,9 +78,6 @@ type SessionState struct {
 	Gen uint64
 }
 
-// Steps returns the number of committed releases.
-func (s SessionState) Steps() int { return len(s.Tags) }
-
 // Stats counts store activity for /statsz.
 type Stats struct {
 	// Enabled is false for the Null store.

@@ -1,7 +1,7 @@
 // Package trace provides trajectory types, discretisation and CSV I/O for
-// mobility data: the glue between raw (x, y, t) traces — such as the
-// Geolife-style records of §V-A — and the discrete state sequences the
-// Markov trainer and the PriSTE release loop consume.
+// mobility data: the glue between continuous (x, y, t) traces, such as
+// the synthetic Geolife substitute of §V-A, and the discrete state
+// sequences the Markov trainer and the PriSTE release loop consume.
 package trace
 
 import (
@@ -85,72 +85,5 @@ func ReadStates(r io.Reader) ([][]int, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// WriteRaw writes raw trajectories as CSV records "t,x,y", trajectories
-// separated by blank lines (a simplified .plt-style format).
-func WriteRaw(w io.Writer, trajs []Raw) error {
-	bw := bufio.NewWriter(w)
-	for k, traj := range trajs {
-		if k > 0 {
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-		for _, p := range traj {
-			if _, err := fmt.Fprintf(bw, "%d,%g,%g\n", p.T, p.X, p.Y); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadRaw parses the format written by WriteRaw.
-func ReadRaw(r io.Reader) ([]Raw, error) {
-	var out []Raw
-	var cur Raw
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, cur)
-			cur = nil
-		}
-	}
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			flush()
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("trace: line %d: want t,x,y", line)
-		}
-		t, err := strconv.Atoi(strings.TrimSpace(fields[0]))
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		y, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		cur = append(cur, Point{X: x, Y: y, T: t})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	flush()
 	return out, nil
 }

@@ -61,47 +61,3 @@ func TestReadStatesErrors(t *testing.T) {
 		t.Error("negative state accepted")
 	}
 }
-
-func TestRawRoundTrip(t *testing.T) {
-	trajs := []Raw{
-		{{X: 0.5, Y: 1.25, T: 0}, {X: 2, Y: 3, T: 1}},
-		{{X: -1, Y: 0, T: 5}},
-	}
-	var buf bytes.Buffer
-	if err := WriteRaw(&buf, trajs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRaw(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, trajs) {
-		t.Fatalf("round trip = %v want %v", got, trajs)
-	}
-}
-
-func TestReadRawErrors(t *testing.T) {
-	if _, err := ReadRaw(strings.NewReader("1,2\n")); err == nil {
-		t.Error("short record accepted")
-	}
-	if _, err := ReadRaw(strings.NewReader("x,2,3\n")); err == nil {
-		t.Error("bad timestamp accepted")
-	}
-	if _, err := ReadRaw(strings.NewReader("1,x,3\n")); err == nil {
-		t.Error("bad x accepted")
-	}
-	if _, err := ReadRaw(strings.NewReader("1,2,y\n")); err == nil {
-		t.Error("bad y accepted")
-	}
-}
-
-func TestReadRawComments(t *testing.T) {
-	in := "# geolife-like\n0,1,1\n1,2,2\n\n0,5,5\n"
-	got, err := ReadRaw(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || len(got[0]) != 2 || len(got[1]) != 1 {
-		t.Fatalf("structure = %v", got)
-	}
-}

@@ -47,10 +47,10 @@ func TestHistoryFingerprint(t *testing.T) {
 		alpha float64
 		obs   int
 	}{{1.0, 3}, {0.5, 7}, {0, 1}} {
-		if err := a.CommitTagged(col, tag(step.alpha), step.obs); err != nil {
+		if err := a.commitTagged(col, tag(step.alpha), step.obs); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.CommitTagged(col, tag(step.alpha), step.obs); err != nil {
+		if err := b.commitTagged(col, tag(step.alpha), step.obs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestHistoryFingerprint(t *testing.T) {
 	}
 
 	c := NewQuantifier(md)
-	if err := c.CommitTagged(col, tag(1.0), 4); err != nil { // different obs
+	if err := c.commitTagged(col, tag(1.0), 4); err != nil { // different obs
 		t.Fatal(err)
 	}
 	if c.HistoryFingerprint() == a.HistoryFingerprint() {
@@ -67,11 +67,11 @@ func TestHistoryFingerprint(t *testing.T) {
 	}
 
 	d := NewQuantifier(md)
-	if err := d.CommitTagged(col, tag(0.25), 3); err != nil { // different alpha
+	if err := d.commitTagged(col, tag(0.25), 3); err != nil { // different alpha
 		t.Fatal(err)
 	}
 	e := NewQuantifier(md)
-	if err := e.CommitTagged(col, tag(1.0), 3); err != nil {
+	if err := e.commitTagged(col, tag(1.0), 3); err != nil {
 		t.Fatal(err)
 	}
 	if d.HistoryFingerprint() == e.HistoryFingerprint() {

@@ -129,7 +129,7 @@ func TestCrossKernelEquivalence(t *testing.T) {
 					}
 					before := quants[0].LogScale()
 					for _, q := range quants {
-						if err := q.CommitTagged(col, uint64(step)+1, step%m); err != nil {
+						if err := q.commitTagged(col, uint64(step)+1, step%m); err != nil {
 							t.Fatal(err)
 						}
 					}

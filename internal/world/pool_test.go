@@ -23,7 +23,7 @@ func TestPooledQuantifierMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, end := md.Window()
+				end := md.end
 				if p.steps <= end+2 {
 					t.Fatalf("%d steps never reach B₁ (window ends at %d)", p.steps, end)
 				}

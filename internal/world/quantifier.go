@@ -46,8 +46,8 @@ type Quantifier struct {
 	logScale float64
 
 	// fp is the rolling FNV-1a fingerprint of the committed release tags
-	// (see CommitTagged); it identifies the committed-column history for
-	// the certified-release cache.
+	// (see CommitTaggedTrusted); it identifies the committed-column
+	// history for the certified-release cache.
 	fp uint64
 
 	atilde mat.Vector
@@ -129,9 +129,6 @@ func (q *Quantifier) T() int { return q.t }
 // LogScale returns the accumulated log of the normalisation factors; the
 // true joint probabilities are the reported b̃/c̃ times exp(LogScale).
 func (q *Quantifier) LogScale() float64 { return q.logScale }
-
-// ATilde returns ã (shared storage; do not mutate).
-func (q *Quantifier) ATilde() mat.Vector { return q.atilde }
 
 // Check computes the Theorem IV.1 vectors for observing a candidate with
 // emission column emis (emis[i] = Pr(o | u_t = s_i)) at the quantifier's
@@ -410,28 +407,28 @@ func fpFold(fp, word uint64) uint64 {
 }
 
 // FingerprintFold folds one (alphaBits, obs) release tag into a rolling
-// history fingerprint, exactly as CommitTagged does. It lets persistence
-// layers verify a tag log's fingerprint chain without instantiating a
-// quantifier: folding a session's tags in order from FingerprintSeed must
-// reproduce the fingerprint its quantifiers report.
+// history fingerprint, exactly as CommitTaggedTrusted does. It lets
+// persistence layers verify a tag log's fingerprint chain without
+// instantiating a quantifier: folding a session's tags in order from
+// FingerprintSeed must reproduce the fingerprint its quantifiers report.
 func FingerprintFold(fp, alphaBits uint64, obs int) uint64 {
 	return fpFold(fpFold(fp, alphaBits), uint64(obs))
 }
 
 // HistoryFingerprint returns the rolling fingerprint of the release tags
-// committed via CommitTagged. For a history-independent mechanism the tag
-// sequence — (alphaBits, obs) per timestamp, alphaBits 0 for the uniform
-// fallback — fully determines every committed emission column, so two
-// quantifiers over the same model with equal fingerprints are (modulo a
-// negligible 64-bit collision probability) in identical states. Commits
-// made with plain Commit leave the fingerprint unchanged and make it
-// meaningless; cache users must commit exclusively through CommitTagged.
+// committed via CommitTaggedTrusted. For a history-independent mechanism
+// the tag sequence — (alphaBits, obs) per timestamp, alphaBits 0 for the
+// uniform fallback — fully determines every committed emission column,
+// so two quantifiers over the same model with equal fingerprints are
+// (modulo a negligible 64-bit collision probability) in identical
+// states. Commits made with plain Commit leave the fingerprint unchanged
+// and make it meaningless; cache users must commit exclusively through
+// CommitTaggedTrusted.
 func (q *Quantifier) HistoryFingerprint() uint64 { return q.fp }
 
-// CommitTagged commits the released observation's emission column (as
-// Commit) and folds its (alphaBits, obs) release tag into the rolling
-// history fingerprint consumed by the certified-release cache.
-func (q *Quantifier) CommitTagged(emis mat.Vector, alphaBits uint64, obs int) error {
+// commitTagged is CommitTaggedTrusted behind Commit's emission
+// validation.
+func (q *Quantifier) commitTagged(emis mat.Vector, alphaBits uint64, obs int) error {
 	if err := q.Commit(emis); err != nil {
 		return err
 	}
@@ -439,8 +436,10 @@ func (q *Quantifier) CommitTagged(emis mat.Vector, alphaBits uint64, obs int) er
 	return nil
 }
 
-// CommitTaggedTrusted is CommitTagged without the emission validation
-// sweep (see CheckTrusted for the trust contract).
+// CommitTaggedTrusted commits the released observation's emission column
+// (as Commit, without the emission validation sweep; see CheckTrusted for
+// the trust contract) and folds its (alphaBits, obs) release tag into the
+// rolling history fingerprint consumed by the certified-release cache.
 func (q *Quantifier) CommitTaggedTrusted(emis mat.Vector, alphaBits uint64, obs int) {
 	q.commitTrusted(emis)
 	q.fp = FingerprintFold(q.fp, alphaBits, obs)

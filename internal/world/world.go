@@ -302,12 +302,6 @@ func (md *Model) kernel(t int) *stepKernel {
 // States returns m.
 func (md *Model) States() int { return md.m }
 
-// Event returns the bound event.
-func (md *Model) Event() event.Event { return md.ev }
-
-// Window returns the event window.
-func (md *Model) Window() (start, end int) { return md.start, md.end }
-
 // stepMasks returns the destination masks (ft, tt) for the transition from
 // time t to time t+1.
 func (md *Model) stepMasks(t int) (ft, tt mat.Vector) {

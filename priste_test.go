@@ -2,16 +2,8 @@ package priste_test
 
 import (
 	"bytes"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"regexp"
-	"strings"
 	"testing"
 
 	"priste"
@@ -189,75 +181,5 @@ func TestHMMAdversary(t *testing.T) {
 	}
 	if inf.MAP[1] != 0 {
 		t.Fatalf("adversary posterior mode = %d", inf.MAP[1])
-	}
-}
-
-// TestFacadeExportsHaveCallers holds priste.go to the API its importers
-// use: every exported name must be spelled priste.Name by an example, a
-// command or a benchmark outside this package's own tests, or be named
-// in the signature of an exported function.
-func TestFacadeExportsHaveCallers(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "priste.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exported := map[string]bool{}
-	inSignature := map[string]bool{}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil && d.Name.IsExported() {
-				exported[d.Name.Name] = true
-				ast.Inspect(d.Type, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						inSignature[id.Name] = true
-					}
-					return true
-				})
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					exported[spec.Name.Name] = spec.Name.IsExported()
-				case *ast.ValueSpec:
-					for _, id := range spec.Names {
-						exported[id.Name] = id.IsExported()
-					}
-				}
-			}
-		}
-	}
-	use := regexp.MustCompile(`\bpriste\.([A-Z]\w*)`)
-	used := map[string]bool{}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (path == "internal" || path == "benchmark" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || path == "priste.go" || path == "priste_test.go" {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range use.FindAllStringSubmatch(string(src), -1) {
-			used[m[1]] = true
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, isExported := range exported {
-		if isExported && !used[name] && !inSignature[name] {
-			t.Errorf("priste.%s: no example, command or benchmark uses it", name)
-		}
 	}
 }

@@ -14,6 +14,9 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"priste/internal/core"
+	"priste/internal/store"
 )
 
 // V1 is the current API version. It prefixes every HTTP route ("/v1/...")
@@ -174,46 +177,25 @@ type SessionPage struct {
 
 // ReleaseTag is one committed release on the wire: math.Float64bits of
 // the certified budget (0 for the uniform fallback) and the released
-// observation. It mirrors core.ReleaseTag without importing the engine.
-type ReleaseTag struct {
-	AlphaBits uint64 `json:"alpha_bits"`
-	Obs       int    `json:"obs"`
-}
+// observation.
+type ReleaseTag = core.ReleaseTag
 
 // SessionExport is a session's complete migratable state — the payload
-// of GET /v1/sessions/{id}/export and POST /v1/sessions/import. It is
-// exactly the durable store's model: the immutable session identity
-// plus the committed release-tag history, its rolling fingerprint and
-// the serialised session RNG. An importing instance replays the tags
-// through its own compiled plan, verifying the world tag and the
-// fingerprint chain, so a migrated session continues seed-for-seed
-// identically to an unmigrated one.
+// of GET /v1/sessions/{id}/export and POST /v1/sessions/import. It is the
+// durable store's ledger with a version stamp: the session identity
+// (whose World names the world model the history was certified against;
+// the importing instance must run the same one) and the committed
+// release-tag history with its rolling fingerprint and the serialised
+// session RNG. Both parts are embedded, so their fields are the export's
+// top-level JSON keys. An importing instance replays the tags through
+// its own compiled plan, verifying the world tag and the fingerprint
+// chain, so a migrated session continues seed-for-seed identically to
+// an unmigrated one.
 type SessionExport struct {
 	// Version is the export format version (V1).
 	Version int `json:"version"`
-	// World canonically identifies the world model the history was
-	// certified against; the importing instance must run the same one.
-	World string `json:"world"`
-	ID    string `json:"id"`
-	Seed  int64  `json:"seed"`
-
-	Epsilon         float64  `json:"epsilon"`
-	Alpha           float64  `json:"alpha"`
-	Mechanism       string   `json:"mechanism"`
-	Delta           float64  `json:"delta,omitempty"`
-	Events          []string `json:"events"`
-	CreatedUnixNano int64    `json:"created_unix_nano"`
-
-	// T is the next timestamp to be released; equals len(Tags).
-	T int `json:"t"`
-	// Tags is the committed release history in timestamp order.
-	Tags []ReleaseTag `json:"tags"`
-	// Fingerprint is the rolling history fingerprint over Tags, verified
-	// by replay on import.
-	Fingerprint uint64 `json:"fingerprint"`
-	// RNG is the marshaled session RNG state (base64 in JSON); the
-	// imported session resumes the exact candidate draw sequence.
-	RNG []byte `json:"rng,omitempty"`
+	store.SessionMeta
+	core.Snapshot
 }
 
 // Validate checks the structural invariants of an export before the

@@ -7,6 +7,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"priste/internal/core"
+	"priste/internal/store"
 )
 
 // TestCodeMappingsRoundTrip: every canonical code survives both wire
@@ -146,30 +149,33 @@ func TestListNormalize(t *testing.T) {
 func TestSessionExportValidate(t *testing.T) {
 	// Validate gates every import — including every migration the fleet
 	// router performs — so the edge cases matter beyond the happy path.
-	ok := SessionExport{Version: V1, World: "w", ID: "u", T: 1, Tags: []ReleaseTag{{Obs: 3}}}
+	mk := func(version int, world, id string, t int, tags ...ReleaseTag) SessionExport {
+		return SessionExport{Version: version, SessionMeta: store.SessionMeta{World: world, ID: id}, Snapshot: core.Snapshot{T: t, Tags: tags}}
+	}
+	ok := mk(V1, "w", "u", 1, ReleaseTag{Obs: 3})
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid export rejected: %v", err)
 	}
 	// Boundary acceptances: an id exactly at the cap, and a fresh
 	// zero-step session (T=0, no tags).
-	atCap := SessionExport{Version: V1, World: "w", ID: strings.Repeat("x", MaxSessionIDLen)}
+	atCap := mk(V1, "w", strings.Repeat("x", MaxSessionIDLen), 0)
 	if err := atCap.Validate(); err != nil {
 		t.Fatalf("id at MaxSessionIDLen rejected: %v", err)
 	}
-	fresh := SessionExport{Version: V1, World: "w", ID: "u"}
+	fresh := mk(V1, "w", "u", 0)
 	if err := fresh.Validate(); err != nil {
 		t.Fatalf("zero-step export rejected: %v", err)
 	}
 	for name, exp := range map[string]SessionExport{
-		"bad version":    {Version: 2, World: "w", ID: "u"},
-		"zero version":   {World: "w", ID: "u"},
-		"no id":          {Version: V1, World: "w"},
-		"oversized id":   {Version: V1, World: "w", ID: strings.Repeat("x", MaxSessionIDLen+1)},
-		"no world":       {Version: V1, ID: "u"},
-		"tag mismatch":   {Version: V1, World: "w", ID: "u", T: 2, Tags: []ReleaseTag{{}}},
-		"tags without t": {Version: V1, World: "w", ID: "u", T: 0, Tags: []ReleaseTag{{Obs: 1}}},
-		"t without tags": {Version: V1, World: "w", ID: "u", T: 3},
-		"negative t":     {Version: V1, World: "w", ID: "u", T: -1},
+		"bad version":    mk(2, "w", "u", 0),
+		"zero version":   mk(0, "w", "u", 0),
+		"no id":          mk(V1, "w", "", 0),
+		"oversized id":   mk(V1, "w", strings.Repeat("x", MaxSessionIDLen+1), 0),
+		"no world":       mk(V1, "", "u", 0),
+		"tag mismatch":   mk(V1, "w", "u", 2, ReleaseTag{}),
+		"tags without t": mk(V1, "w", "u", 0, ReleaseTag{Obs: 1}),
+		"t without tags": mk(V1, "w", "u", 3),
+		"negative t":     mk(V1, "w", "u", -1),
 	} {
 		if err := exp.Validate(); CodeOf(err) != CodeInvalidArgument {
 			t.Errorf("%s: err = %v, want invalid_argument", name, err)

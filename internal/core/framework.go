@@ -179,27 +179,29 @@ type columns struct{ cand, replay mat.Vector }
 // through the session's Plan deterministically rebuilds all mutable
 // engine state — the property the durable-session WAL relies on.
 type ReleaseTag struct {
-	AlphaBits uint64
-	Obs       int
+	AlphaBits uint64 `json:"alpha_bits"`
+	Obs       int    `json:"obs"`
 }
 
 // Snapshot is a complete, serialisable image of a session's mutable
 // state: the committed release-tag history, the rolling history
 // fingerprint over it, and (when the session RNG supports
 // encoding.BinaryMarshaler, as SessionRNG does) the marshaled RNG state.
-// Plan.Restore turns it back into a live Framework.
+// Plan.Restore turns it back into a live Framework. It is the history
+// half of the session ledger: store.SessionState and api.SessionExport
+// embed it, so its JSON tags are the export's wire names.
 type Snapshot struct {
 	// T is the next timestamp to be released; equals len(Tags).
-	T int
+	T int `json:"t"`
 	// Tags is the committed release history in timestamp order.
-	Tags []ReleaseTag
+	Tags []ReleaseTag `json:"tags"`
 	// Fingerprint is the rolling history fingerprint the quantifiers
 	// report after committing Tags (world.FingerprintSeed when empty).
-	Fingerprint uint64
+	Fingerprint uint64 `json:"fingerprint"`
 	// RNG is the marshaled session RNG state, or nil when the RNG is not
 	// marshalable (such a snapshot restores state but not the draw
 	// sequence).
-	RNG []byte
+	RNG []byte `json:"rng,omitempty"`
 }
 
 // New builds a single-session framework protecting the given events under
@@ -502,9 +504,10 @@ func (f *Framework) Snapshot() (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
+	// Tags is never nil, so a fresh session exports "tags":[].
 	return Snapshot{
 		T:           f.t,
-		Tags:        append([]ReleaseTag(nil), f.tags...),
+		Tags:        append(make([]ReleaseTag, 0, len(f.tags)), f.tags...),
 		Fingerprint: f.fp,
 		RNG:         rng,
 	}, nil

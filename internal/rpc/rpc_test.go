@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"priste/internal/api"
+	"priste/internal/store"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -140,7 +141,7 @@ func (f *fakeService) ListSessions(api.ListSessionsRequest) (api.SessionPage, er
 }
 
 func (f *fakeService) ExportSession(_ context.Context, id string) (api.SessionExport, error) {
-	return api.SessionExport{Version: api.V1, ID: id, World: "fake"}, nil
+	return api.SessionExport{Version: api.V1, SessionMeta: store.SessionMeta{ID: id, World: "fake"}}, nil
 }
 
 func (f *fakeService) ImportSession(exp api.SessionExport) (api.SessionInfo, error) {

@@ -10,6 +10,7 @@ import (
 
 	"priste/internal/api"
 	"priste/internal/rpc"
+	"priste/internal/store"
 )
 
 // forEachTransport runs fn once per transport, each time against a
@@ -156,8 +157,8 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 			name: "cross-world import", code: api.CodeFailedPrecondition, httpStatus: 412, sentinel: ErrWorldMismatch,
 			trigger: func(t *testing.T, srv *Server, client api.Client) error {
 				_, err := client.ImportSession(context.Background(), api.SessionExport{
-					Version: api.V1, ID: "alien", World: "grid=99x99;cell=1;sigma=1",
-					Events: []string{"0-5@2-4"},
+					Version:     api.V1,
+					SessionMeta: store.SessionMeta{ID: "alien", World: "grid=99x99;cell=1;sigma=1", Events: []string{"0-5@2-4"}},
 				})
 				return err
 			},

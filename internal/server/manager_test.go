@@ -91,7 +91,7 @@ func TestTTLEviction(t *testing.T) {
 	mgr := newManager(10, ttl, metrics)
 	now := time.Now()
 	for _, id := range []string{"a", "b"} {
-		s := &Session{id: id, created: now}
+		s := &Session{id: id}
 		s.touch(now)
 		if err := mgr.Put(s); err != nil {
 			t.Fatal(err)
@@ -217,7 +217,7 @@ func TestSampledEviction(t *testing.T) {
 	var last string
 	for i := 0; i < total; i++ {
 		id := fmt.Sprintf("s%04d", i)
-		s := &Session{id: id, created: base}
+		s := &Session{id: id}
 		s.touch(base.Add(time.Duration(i) * time.Second)) // strictly increasing
 		if err := mgr.Put(s); err != nil {
 			t.Fatalf("Put %s: %v", id, err)
@@ -249,7 +249,7 @@ func TestTombstoneHookFiresOnRemoveNotCloseAll(t *testing.T) {
 	mgr.onRemove = func(id string) { tombs[id]++ }
 	now := time.Now()
 	for _, id := range []string{"a", "b"} {
-		s := &Session{id: id, created: now}
+		s := &Session{id: id}
 		s.touch(now)
 		if err := mgr.Put(s); err != nil {
 			t.Fatal(err)
@@ -257,13 +257,13 @@ func TestTombstoneHookFiresOnRemoveNotCloseAll(t *testing.T) {
 	}
 	mgr.Remove("a")
 	// "c" pushes past capacity: the LRU ("b") is evicted via Remove.
-	s := &Session{id: "c", created: now}
+	s := &Session{id: "c"}
 	s.touch(now.Add(time.Minute))
 	if err := mgr.Put(s); err != nil {
 		t.Fatal(err)
 	}
 	mgr.enforceCap()
-	d := &Session{id: "d", created: now}
+	d := &Session{id: "d"}
 	d.touch(now.Add(2 * time.Minute))
 	if err := mgr.Put(d); err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func BenchmarkPutChurnOverCapacity(b *testing.B) {
 			mgr := newManager(max, time.Minute, metrics)
 			base := time.Now()
 			for i := 0; i < max; i++ {
-				s := &Session{id: fmt.Sprintf("fill%06d", i), created: base}
+				s := &Session{id: fmt.Sprintf("fill%06d", i)}
 				s.touch(base.Add(time.Duration(i)))
 				if err := mgr.Put(s); err != nil {
 					b.Fatal(err)
@@ -296,7 +296,7 @@ func BenchmarkPutChurnOverCapacity(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := &Session{id: fmt.Sprintf("churn%09d", i), created: base}
+				s := &Session{id: fmt.Sprintf("churn%09d", i)}
 				s.touch(base.Add(time.Duration(max + i)))
 				if err := mgr.Put(s); err != nil {
 					b.Fatal(err)

@@ -12,12 +12,13 @@ import (
 	"time"
 
 	"priste/internal/api"
+	"priste/internal/core"
 	"priste/internal/store"
 )
 
 // durableConfig is testConfig over a file store in dir. SnapshotEvery 4
 // exercises mid-run WAL compaction.
-func durableConfig(t *testing.T, dir string) Config {
+func durableConfig(t testing.TB, dir string) Config {
 	t.Helper()
 	st, err := store.Open(dir, false)
 	if err != nil {
@@ -67,7 +68,7 @@ func TestStoreCapabilitiesWired(t *testing.T) {
 		t.Fatalf("LoadSessions = %d states, %v", len(states), err)
 	}
 	s0 := states[0]
-	bad := store.StepRecord{T: len(s0.Tags), Tag: store.Tag{AlphaBits: 1, Obs: 2}, Fingerprint: s0.Fingerprint ^ 0xdead}
+	bad := store.StepRecord{T: len(s0.Tags), Tag: core.ReleaseTag{AlphaBits: 1, Obs: 2}, Fingerprint: s0.Fingerprint ^ 0xdead}
 	if err := raw.AppendStep(s0.Meta.ID, s0.Gen, bad); err != nil {
 		t.Fatal(err)
 	}

@@ -255,10 +255,10 @@ func (s *Server) registerExternalMetrics() {
 		func() float64 { return float64(par.Default().Stats().Steals) })
 }
 
-// rehydrate rebuilds every surviving journaled session: the plan is
-// recompiled (or shared) from the persisted metadata and the committed
-// release-tag history is validated against it and re-committed to the
-// session's tag log, verifying the rolling history fingerprint; the
+// rehydrate rebuilds every surviving journaled session through restore,
+// the path an import takes too: the committed release-tag history is
+// validated against the recompiled (or shared) plan and re-committed to
+// the session's tag log, verifying the rolling history fingerprint; the
 // session RNG resumes from the persisted PCG state. That is integer work
 // per tag: a history-independent session's quantifier operators are
 // rebuilt from the log by whichever worker serves its first cache-missing
@@ -274,7 +274,7 @@ func (s *Server) rehydrate() error {
 	}
 	for _, st := range states {
 		start := time.Now()
-		sess, err := s.restoreSession(st)
+		sess, err := s.restore(st.Meta, st.Snapshot)
 		if err != nil {
 			// Keep the journal: a replay failure may be an operator
 			// mistake (e.g. restarting under a different world model)
@@ -285,6 +285,7 @@ func (s *Server) rehydrate() error {
 				"session", st.Meta.ID, "steps", len(st.Tags), "err", err)
 			continue
 		}
+		sess.storeGen = st.Gen
 		if err := s.mgr.Put(sess); err != nil {
 			// Duplicate persisted id: keep the first.
 			s.metrics.storeReplayFailures.Add(1)
@@ -299,49 +300,35 @@ func (s *Server) rehydrate() error {
 	return nil
 }
 
-func (s *Server) restoreSession(st store.SessionState) (*Session, error) {
-	if st.Meta.World != s.worldTag {
-		return nil, fmt.Errorf("server: session %q was journaled for world %q, this server runs %q",
-			st.Meta.ID, st.Meta.World, s.worldTag)
+// restore rebuilds a session from its ledger — a journal at start-up or
+// an import: the world tag must be this server's, the plan is compiled
+// (or shared) from the identity, and the history is replayed through it
+// with the fingerprint chain verified. Either world check failing is
+// ErrWorldMismatch. With no RNG state in snap (a session that never
+// stepped), the seed-fresh RNG is exactly the original starting state.
+func (s *Server) restore(meta store.SessionMeta, snap core.Snapshot) (*Session, error) {
+	if meta.World != s.worldTag {
+		return nil, fmt.Errorf("%w: session %q is for world %q, this server runs %q",
+			ErrWorldMismatch, meta.ID, meta.World, s.worldTag)
 	}
-	events, err := parseSessionEvents(st.Meta.Events, s.g.States())
+	events, err := parseSessionEvents(meta.Events, s.g.States())
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.buildPlan(st.Meta.Epsilon, st.Meta.Alpha, st.Meta.Mechanism, st.Meta.Delta, events)
+	plan, err := s.buildPlan(meta.Epsilon, meta.Alpha, meta.Mechanism, meta.Delta, events)
 	if err != nil {
 		return nil, err
 	}
-	snap := core.Snapshot{
-		T:           len(st.Tags),
-		Tags:        make([]core.ReleaseTag, len(st.Tags)),
-		Fingerprint: st.Fingerprint,
-		RNG:         st.RNG,
-	}
-	for i, tag := range st.Tags {
-		snap.Tags[i] = core.ReleaseTag{AlphaBits: tag.AlphaBits, Obs: tag.Obs}
-	}
-	// With no persisted RNG state (a session that never stepped), the
-	// seed-fresh RNG below is exactly the original starting state.
-	fw, err := plan.Restore(snap, core.NewSessionRNG(st.Meta.Seed))
+	fw, err := plan.Restore(snap, core.NewSessionRNG(meta.Seed))
 	if err != nil {
+		if errors.Is(err, core.ErrFingerprintMismatch) {
+			return nil, fmt.Errorf("%w: %v", ErrWorldMismatch, err)
+		}
 		return nil, err
 	}
-	now := time.Now()
-	sess := &Session{
-		id:        st.Meta.ID,
-		created:   time.Unix(0, st.Meta.CreatedUnixNano),
-		fw:        fw,
-		epsilon:   st.Meta.Epsilon,
-		alpha:     st.Meta.Alpha,
-		mechanism: st.Meta.Mechanism,
-		delta:     st.Meta.Delta,
-		events:    st.Meta.Events,
-		seed:      st.Meta.Seed,
-		storeGen:  st.Gen,
-	}
+	sess := &Session{id: meta.ID, meta: meta, fw: fw}
 	sess.steps.Store(int64(fw.T()))
-	sess.touch(now)
+	sess.touch(time.Now())
 	return sess, nil
 }
 
@@ -360,7 +347,7 @@ func (s *Server) persistStep(sess *Session, res core.StepResult) {
 	}
 	rec := store.StepRecord{
 		T:           res.T,
-		Tag:         store.Tag{AlphaBits: math.Float64bits(res.Alpha), Obs: res.Obs},
+		Tag:         core.ReleaseTag{AlphaBits: math.Float64bits(res.Alpha), Obs: res.Obs},
 		Fingerprint: sess.fw.Fingerprint(),
 		RNG:         rng,
 	}
@@ -385,15 +372,7 @@ func (s *Server) snapshotSession(sess *Session) {
 		s.metrics.storeSnapshotErrors.Add(1)
 		return
 	}
-	state := store.SessionState{
-		Meta:        sess.meta(s.worldTag),
-		Tags:        make([]store.Tag, len(snap.Tags)),
-		Fingerprint: snap.Fingerprint,
-		RNG:         snap.RNG,
-	}
-	for i, tag := range snap.Tags {
-		state.Tags[i] = store.Tag{AlphaBits: tag.AlphaBits, Obs: tag.Obs}
-	}
+	state := store.SessionState{Meta: sess.meta, Snapshot: snap}
 	if err := s.cfg.Store.WriteSnapshot(state, sess.storeGen); err != nil {
 		s.metrics.storeSnapshotErrors.Add(1)
 	}
@@ -611,17 +590,17 @@ func (s *Server) createSession(req api.CreateSessionRequest) (*Session, error) {
 		id = newSessionID()
 	}
 	now := time.Now()
-	sess := &Session{
-		id:        id,
-		created:   now,
-		fw:        fw,
-		epsilon:   eps,
-		alpha:     alpha,
-		mechanism: mechName,
-		delta:     delta,
-		events:    specs,
-		seed:      seed,
-	}
+	sess := &Session{id: id, fw: fw, meta: store.SessionMeta{
+		World:           s.worldTag,
+		ID:              id,
+		Seed:            seed,
+		Epsilon:         eps,
+		Alpha:           alpha,
+		Mechanism:       mechName,
+		Delta:           delta,
+		Events:          specs,
+		CreatedUnixNano: now.UnixNano(),
+	}}
 	sess.touch(now)
 	if err := s.register(sess, nil); err != nil {
 		return nil, err
@@ -633,7 +612,7 @@ func (s *Server) createSession(req api.CreateSessionRequest) (*Session, error) {
 }
 
 // register journals (durable stores) and registers a new session; a
-// non-nil imported state journals the migrated history atomically
+// non-nil imported history journals with the session's identity atomically
 // (store.ImportSession) instead of opening an empty WAL. Journal before
 // registering: once the session is steppable, a concurrent step
 // (clients may know the id ahead of the create response) must find its
@@ -644,7 +623,7 @@ func (s *Server) createSession(req api.CreateSessionRequest) (*Session, error) {
 // refused replay) is reported ErrSessionExists — its certified history
 // must never be silently truncated by a create; the owner reclaims it
 // with an explicit DELETE first.
-func (s *Server) register(sess *Session, imported *store.SessionState) error {
+func (s *Server) register(sess *Session, imported *core.Snapshot) error {
 	if !s.durable {
 		return s.mgr.Put(sess)
 	}
@@ -656,9 +635,9 @@ func (s *Server) register(sess *Session, imported *store.SessionState) error {
 	var gen uint64
 	var err error
 	if imported != nil {
-		gen, err = s.cfg.Store.ImportSession(*imported)
+		gen, err = s.cfg.Store.ImportSession(store.SessionState{Meta: sess.meta, Snapshot: *imported})
 	} else {
-		gen, err = s.cfg.Store.CreateSession(sess.meta(s.worldTag))
+		gen, err = s.cfg.Store.CreateSession(sess.meta)
 	}
 	if err != nil {
 		if errors.Is(err, store.ErrAlreadyJournaled) {
@@ -944,11 +923,11 @@ func sessionInfo(s *Session) api.SessionInfo {
 	return api.SessionInfo{
 		ID:        s.id,
 		T:         int(s.steps.Load()),
-		Epsilon:   s.epsilon,
-		Alpha:     s.alpha,
-		Mechanism: s.mechanism,
-		Events:    s.events,
-		Created:   s.created,
+		Epsilon:   s.meta.Epsilon,
+		Alpha:     s.meta.Alpha,
+		Mechanism: s.meta.Mechanism,
+		Events:    s.meta.Events,
+		Created:   time.Unix(0, s.meta.CreatedUnixNano),
 		LastUsed:  time.Unix(0, s.lastUsed.Load()),
 		Queued:    s.queued(),
 	}
@@ -1018,38 +997,20 @@ func (s *Server) ExportSession(ctx context.Context, id string) (api.SessionExpor
 	if out.err != nil {
 		return api.SessionExport{}, out.err
 	}
-	exp := api.SessionExport{
-		Version:         api.V1,
-		World:           s.worldTag,
-		ID:              sess.id,
-		Seed:            sess.seed,
-		Epsilon:         sess.epsilon,
-		Alpha:           sess.alpha,
-		Mechanism:       sess.mechanism,
-		Delta:           sess.delta,
-		Events:          sess.events,
-		CreatedUnixNano: sess.created.UnixNano(),
-		T:               out.snap.T,
-		Tags:            make([]api.ReleaseTag, len(out.snap.Tags)),
-		Fingerprint:     out.snap.Fingerprint,
-		RNG:             out.snap.RNG,
-	}
-	for i, tag := range out.snap.Tags {
-		exp.Tags[i] = api.ReleaseTag{AlphaBits: tag.AlphaBits, Obs: tag.Obs}
-	}
 	s.metrics.sessionsExported.Add(1)
-	return exp, nil
+	return api.SessionExport{Version: api.V1, SessionMeta: sess.meta, Snapshot: out.snap}, nil
 }
 
 // ImportSession implements api.Service: it registers a migrated session
-// from another instance's export. The world tag must match this
-// server's (ErrWorldMismatch otherwise), the release-tag history is
-// validated and re-committed through the shared compiled plan with the
-// rolling fingerprint verified end-to-end (operators are rebuilt at the
-// session's first cache miss here), and on durable deployments the full
-// history is journaled atomically (snapshot + fresh WAL, a new journal
-// generation) before the session goes live — a crash straight after the
-// import recovers the complete migrated state.
+// from another instance's export. restore rebuilds it exactly as it
+// rebuilds a journal at start-up: the world tag must match this server's
+// (ErrWorldMismatch otherwise), and the release-tag history is validated
+// and re-committed through the shared compiled plan with the rolling
+// fingerprint verified end-to-end (operators are rebuilt at the
+// session's first cache miss here). On durable deployments the ledger is
+// journaled atomically (snapshot + fresh WAL, a new journal generation)
+// before the session goes live — a crash straight after the import
+// recovers the complete migrated state.
 func (s *Server) ImportSession(exp api.SessionExport) (api.SessionInfo, error) {
 	if s.draining.Load() {
 		return api.SessionInfo{}, ErrDraining
@@ -1057,62 +1018,11 @@ func (s *Server) ImportSession(exp api.SessionExport) (api.SessionInfo, error) {
 	if err := exp.Validate(); err != nil {
 		return api.SessionInfo{}, err
 	}
-	if exp.World != s.worldTag {
-		return api.SessionInfo{}, fmt.Errorf("%w: export is for world %q, this server runs %q",
-			ErrWorldMismatch, exp.World, s.worldTag)
-	}
-	events, err := parseSessionEvents(exp.Events, s.g.States())
+	sess, err := s.restore(exp.SessionMeta, exp.Snapshot)
 	if err != nil {
 		return api.SessionInfo{}, err
 	}
-	plan, err := s.buildPlan(exp.Epsilon, exp.Alpha, exp.Mechanism, exp.Delta, events)
-	if err != nil {
-		return api.SessionInfo{}, err
-	}
-	snap := core.Snapshot{
-		T:           exp.T,
-		Tags:        make([]core.ReleaseTag, len(exp.Tags)),
-		Fingerprint: exp.Fingerprint,
-		RNG:         exp.RNG,
-	}
-	for i, tag := range exp.Tags {
-		snap.Tags[i] = core.ReleaseTag{AlphaBits: tag.AlphaBits, Obs: tag.Obs}
-	}
-	fw, err := plan.Restore(snap, core.NewSessionRNG(exp.Seed))
-	if err != nil {
-		if errors.Is(err, core.ErrFingerprintMismatch) {
-			return api.SessionInfo{}, fmt.Errorf("%w: %v", ErrWorldMismatch, err)
-		}
-		return api.SessionInfo{}, err
-	}
-	now := time.Now()
-	sess := &Session{
-		id:        exp.ID,
-		created:   time.Unix(0, exp.CreatedUnixNano),
-		fw:        fw,
-		epsilon:   exp.Epsilon,
-		alpha:     exp.Alpha,
-		mechanism: exp.Mechanism,
-		delta:     exp.Delta,
-		events:    exp.Events,
-		seed:      exp.Seed,
-	}
-	sess.steps.Store(int64(fw.T()))
-	sess.touch(now)
-	var imported *store.SessionState
-	if s.durable {
-		state := store.SessionState{
-			Meta:        sess.meta(s.worldTag),
-			Tags:        make([]store.Tag, len(exp.Tags)),
-			Fingerprint: exp.Fingerprint,
-			RNG:         exp.RNG,
-		}
-		for i, tag := range exp.Tags {
-			state.Tags[i] = store.Tag{AlphaBits: tag.AlphaBits, Obs: tag.Obs}
-		}
-		imported = &state
-	}
-	if err := s.register(sess, imported); err != nil {
+	if err := s.register(sess, &exp.Snapshot); err != nil {
 		return api.SessionInfo{}, err
 	}
 	s.mgr.enforceCap()

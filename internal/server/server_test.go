@@ -16,6 +16,7 @@ import (
 	"priste/internal/grid"
 	"priste/internal/lppm"
 	"priste/internal/markov"
+	"priste/internal/store"
 	"priste/internal/world"
 )
 
@@ -328,7 +329,7 @@ func TestOversizeEventsRejected(t *testing.T) {
 			t.Errorf("%s: create: %v, want invalid_argument", name, err)
 		}
 		_, err = client.ImportSession(ctx, api.SessionExport{
-			Version: api.V1, ID: "big", World: srv.worldTag, Events: events,
+			Version: api.V1, SessionMeta: store.SessionMeta{ID: "big", World: srv.worldTag, Events: events},
 		})
 		if api.CodeOf(err) != api.CodeInvalidArgument {
 			t.Errorf("%s: import: %v, want invalid_argument", name, err)

@@ -78,8 +78,11 @@ type exportOutcome struct {
 // order is exactly enqueue order while different sessions step in
 // parallel.
 type Session struct {
-	id      string
-	created time.Time
+	id string
+	// meta is the session's immutable identity: what GET
+	// /v1/sessions/{id} reports, the journal records and an export
+	// carries.
+	meta store.SessionMeta
 
 	// lastUsed is unix nanoseconds of the latest enqueue or completed
 	// step; the TTL sweeper and LRU evictor read it without locking.
@@ -95,15 +98,6 @@ type Session struct {
 
 	// Single-writer state: guarded by the scheduled token, not mu.
 	fw *core.Framework
-
-	// Immutable session metadata for GET /v1/sessions/{id} and the
-	// durability journal.
-	epsilon   float64
-	alpha     float64
-	mechanism string
-	delta     float64
-	events    []string
-	seed      int64
 
 	// storeGen is the durability journal's generation token for this
 	// incarnation of the id (see store.Store.CreateSession). Set once
@@ -238,20 +232,4 @@ func (s *Session) idle() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.queue) == 0 && !s.scheduled
-}
-
-// meta renders the session's immutable identity for the durability
-// journal; world tags the server's world model (see store.SessionMeta).
-func (s *Session) meta(world string) store.SessionMeta {
-	return store.SessionMeta{
-		ID:              s.id,
-		World:           world,
-		Seed:            s.seed,
-		Epsilon:         s.epsilon,
-		Alpha:           s.alpha,
-		Mechanism:       s.mechanism,
-		Delta:           s.delta,
-		Events:          s.events,
-		CreatedUnixNano: s.created.UnixNano(),
-	}
 }

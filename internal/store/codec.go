@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+
+	"priste/internal/core"
 )
 
 // On-disk framing. Every file starts with an 8-byte magic; WAL bodies
@@ -176,21 +178,19 @@ func decodeSnapshot(data []byte) (SessionState, error) {
 		return state, fmt.Errorf("store: snapshot: bad tag count")
 	}
 	p = p[n:]
-	state.Tags = make([]Tag, 0, nTags)
+	state.Tags = make([]core.ReleaseTag, 0, nTags)
 	for i := uint64(0); i < nTags; i++ {
 		if len(p) < 8 {
 			return state, fmt.Errorf("store: snapshot: truncated tags")
 		}
-		var tag Tag
-		tag.AlphaBits = binary.LittleEndian.Uint64(p)
+		alphaBits := binary.LittleEndian.Uint64(p)
 		p = p[8:]
 		obs, n := binary.Uvarint(p)
 		if n <= 0 {
 			return state, fmt.Errorf("store: snapshot: bad tag obs")
 		}
 		p = p[n:]
-		tag.Obs = int(obs)
-		state.Tags = append(state.Tags, tag)
+		state.Tags = append(state.Tags, core.ReleaseTag{AlphaBits: alphaBits, Obs: int(obs)})
 	}
 	if len(p) < 8 {
 		return state, fmt.Errorf("store: snapshot: short fingerprint")

@@ -556,6 +556,7 @@ func (s *FileStore) loadSession(id string) (SessionState, bool) {
 	if !ok {
 		return SessionState{}, false
 	}
+	state.T = len(state.Tags)
 	state.Gen = gen
 	return state, true
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"priste/internal/core"
 	"priste/internal/world"
 )
 
@@ -21,7 +22,7 @@ func testMeta(id string) SessionMeta {
 
 // appendTagged appends n steps with a consistent fingerprint chain
 // starting from fp and returns the final fingerprint.
-func appendTagged(t *testing.T, s Store, id string, gen uint64, startT int, fp uint64, tags []Tag, rng []byte) uint64 {
+func appendTagged(t *testing.T, s Store, id string, gen uint64, startT int, fp uint64, tags []core.ReleaseTag, rng []byte) uint64 {
 	t.Helper()
 	for i, tag := range tags {
 		fp = world.FingerprintFold(fp, tag.AlphaBits, tag.Obs)
@@ -50,7 +51,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	meta := testMeta("alice")
 	gen := mustCreate(t, s, meta)
-	tags := []Tag{{AlphaBits: 100, Obs: 3}, {AlphaBits: 0, Obs: 7}, {AlphaBits: 55, Obs: 1}}
+	tags := []core.ReleaseTag{{AlphaBits: 100, Obs: 3}, {AlphaBits: 0, Obs: 7}, {AlphaBits: 55, Obs: 1}}
 	rng := []byte("pcg:0123456789abcdef")
 	fp := appendTagged(t, s, "alice", gen, 0, world.FingerprintSeed, tags, rng)
 	if err := s.Close(); err != nil {
@@ -89,7 +90,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	// The reloaded store keeps accepting appends for the session under
 	// its fresh generation.
-	appendTagged(t, s2, "alice", got.Gen, 3, fp, []Tag{{AlphaBits: 9, Obs: 0}}, nil)
+	appendTagged(t, s2, "alice", got.Gen, 3, fp, []core.ReleaseTag{{AlphaBits: 9, Obs: 0}}, nil)
 
 	// Re-creating the id mints a new generation; a stale writer holding
 	// the old token must not be able to touch the new journal.
@@ -106,7 +107,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err := s2.WriteSnapshot(SessionState{Meta: meta}, got.Gen); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("snapshot under dead generation: %v, want ErrUnknownSession", err)
 	}
-	appendTagged(t, s2, "alice", gen2, 0, world.FingerprintSeed, []Tag{{AlphaBits: 1, Obs: 1}}, nil)
+	appendTagged(t, s2, "alice", gen2, 0, world.FingerprintSeed, []core.ReleaseTag{{AlphaBits: 1, Obs: 1}}, nil)
 }
 
 func TestFileStoreSnapshotCompaction(t *testing.T) {
@@ -117,13 +118,13 @@ func TestFileStoreSnapshotCompaction(t *testing.T) {
 	}
 	meta := testMeta("bob")
 	gen := mustCreate(t, s, meta)
-	tags := []Tag{{AlphaBits: 1, Obs: 1}, {AlphaBits: 2, Obs: 2}}
+	tags := []core.ReleaseTag{{AlphaBits: 1, Obs: 1}, {AlphaBits: 2, Obs: 2}}
 	fp := appendTagged(t, s, "bob", gen, 0, world.FingerprintSeed, tags, nil)
-	if err := s.WriteSnapshot(SessionState{Meta: meta, Tags: tags, Fingerprint: fp, RNG: []byte("state")}, gen); err != nil {
+	if err := s.WriteSnapshot(SessionState{Meta: meta, Snapshot: core.Snapshot{T: len(tags), Tags: tags, Fingerprint: fp, RNG: []byte("state")}}, gen); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot WAL suffix.
-	suffix := []Tag{{AlphaBits: 3, Obs: 3}}
+	suffix := []core.ReleaseTag{{AlphaBits: 3, Obs: 3}}
 	fp = appendTagged(t, s, "bob", gen, 2, fp, suffix, nil)
 	// The compacted WAL holds only the suffix.
 	wal, err := os.ReadFile(s.walPath("bob"))
@@ -159,7 +160,7 @@ func TestFileStoreTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := mustCreate(t, s, testMeta("gone"))
-	appendTagged(t, s, "gone", gen, 0, world.FingerprintSeed, []Tag{{AlphaBits: 4, Obs: 4}}, nil)
+	appendTagged(t, s, "gone", gen, 0, world.FingerprintSeed, []core.ReleaseTag{{AlphaBits: 4, Obs: 4}}, nil)
 	if err := s.DeleteSession("gone"); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestFileStoreTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := mustCreate(t, s, testMeta("torn"))
-	tags := []Tag{{AlphaBits: 1, Obs: 1}, {AlphaBits: 2, Obs: 2}}
+	tags := []core.ReleaseTag{{AlphaBits: 1, Obs: 1}, {AlphaBits: 2, Obs: 2}}
 	fp := appendTagged(t, s, "torn", gen, 0, world.FingerprintSeed, tags, nil)
 	s.Close()
 
@@ -228,7 +229,7 @@ func TestFileStoreTornTail(t *testing.T) {
 		t.Fatalf("torn tail counted as corruption: %+v", st)
 	}
 	// Appends after recovery continue the prefix, not the torn record.
-	appendTagged(t, s2, "torn", states[0].Gen, 1, states[0].Fingerprint, []Tag{{AlphaBits: 8, Obs: 0}}, nil)
+	appendTagged(t, s2, "torn", states[0].Gen, 1, states[0].Fingerprint, []core.ReleaseTag{{AlphaBits: 8, Obs: 0}}, nil)
 	s2.Close()
 
 	s3, err := Open(dir, false)
@@ -243,7 +244,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	if len(states) != 1 || len(states[0].Tags) != 2 {
 		t.Fatalf("after resume: %+v, want 2 tags", states)
 	}
-	if states[0].Tags[1] != (Tag{AlphaBits: 8, Obs: 0}) {
+	if states[0].Tags[1] != (core.ReleaseTag{AlphaBits: 8, Obs: 0}) {
 		t.Fatalf("resumed tag = %+v", states[0].Tags[1])
 	}
 	if fp == states[0].Fingerprint {
@@ -260,9 +261,9 @@ func TestFileStoreBrokenChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := mustCreate(t, s, testMeta("chain"))
-	fp := appendTagged(t, s, "chain", gen, 0, world.FingerprintSeed, []Tag{{AlphaBits: 1, Obs: 1}}, nil)
+	fp := appendTagged(t, s, "chain", gen, 0, world.FingerprintSeed, []core.ReleaseTag{{AlphaBits: 1, Obs: 1}}, nil)
 	// Valid frame, wrong fingerprint.
-	if err := s.AppendStep("chain", gen, StepRecord{T: 1, Tag: Tag{AlphaBits: 2, Obs: 2}, Fingerprint: fp ^ 0xdead}); err != nil {
+	if err := s.AppendStep("chain", gen, StepRecord{T: 1, Tag: core.ReleaseTag{AlphaBits: 2, Obs: 2}, Fingerprint: fp ^ 0xdead}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -296,7 +297,7 @@ func TestFileStoreWeirdSessionIDs(t *testing.T) {
 	}
 	id := "../../etc/passwd\x00/.."
 	gen := mustCreate(t, s, testMeta(id))
-	appendTagged(t, s, id, gen, 0, world.FingerprintSeed, []Tag{{AlphaBits: 5, Obs: 5}}, nil)
+	appendTagged(t, s, id, gen, 0, world.FingerprintSeed, []core.ReleaseTag{{AlphaBits: 5, Obs: 5}}, nil)
 	s.Close()
 	s2, err := Open(dir, false)
 	if err != nil {
@@ -324,8 +325,8 @@ func TestFileStoreCorruptLoadBlocksRecreate(t *testing.T) {
 	}
 	meta := testMeta("hurt")
 	gen := mustCreate(t, s, meta)
-	fp := appendTagged(t, s, "hurt", gen, 0, world.FingerprintSeed, []Tag{{AlphaBits: 1, Obs: 1}}, nil)
-	if err := s.WriteSnapshot(SessionState{Meta: meta, Tags: []Tag{{AlphaBits: 1, Obs: 1}}, Fingerprint: fp}, gen); err != nil {
+	fp := appendTagged(t, s, "hurt", gen, 0, world.FingerprintSeed, []core.ReleaseTag{{AlphaBits: 1, Obs: 1}}, nil)
+	if err := s.WriteSnapshot(SessionState{Meta: meta, Snapshot: core.Snapshot{T: 1, Tags: []core.ReleaseTag{{AlphaBits: 1, Obs: 1}}, Fingerprint: fp}}, gen); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -409,16 +410,14 @@ func TestFileStoreImportSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tags := []Tag{{AlphaBits: 100, Obs: 3}, {AlphaBits: 0, Obs: 7}}
+	tags := []core.ReleaseTag{{AlphaBits: 100, Obs: 3}, {AlphaBits: 0, Obs: 7}}
 	fp := world.FingerprintSeed
 	for _, tag := range tags {
 		fp = world.FingerprintFold(fp, tag.AlphaBits, tag.Obs)
 	}
 	state := SessionState{
-		Meta:        testMeta("mig"),
-		Tags:        tags,
-		Fingerprint: fp,
-		RNG:         []byte("pcg:fedcba9876543210"),
+		Meta:     testMeta("mig"),
+		Snapshot: core.Snapshot{T: len(tags), Tags: tags, Fingerprint: fp, RNG: []byte("pcg:fedcba9876543210")},
 	}
 	gen, err := s.ImportSession(state)
 	if err != nil {
@@ -432,7 +431,7 @@ func TestFileStoreImportSession(t *testing.T) {
 		t.Fatalf("create over import: %v, want ErrAlreadyJournaled", err)
 	}
 	// The journal accepts appends under the import's generation.
-	appendTagged(t, s, "mig", gen, len(tags), fp, []Tag{{AlphaBits: 77, Obs: 5}}, []byte("pcg:aa"))
+	appendTagged(t, s, "mig", gen, len(tags), fp, []core.ReleaseTag{{AlphaBits: 77, Obs: 5}}, []byte("pcg:aa"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

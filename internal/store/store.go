@@ -1,12 +1,15 @@
 // Package store is the pluggable durability layer behind pristed
-// sessions. A session's mutable engine state is fully determined by its
-// committed release-tag history — the (alphaBits, obs) pair of every
-// released timestamp — plus its RNG state (see core.Snapshot), so
+// sessions. It persists the session ledger and nothing else: the
+// identity (SessionMeta) and the committed history (core.Snapshot: the
+// (alphaBits, obs) tag of every released timestamp, its rolling
+// fingerprint and the session RNG state). The same two parts make up an
+// api.SessionExport, so a journal and an export are one ledger in two
+// framings. Because a session's engine state is a function of its tags,
 // durability is a thin, deterministic log rather than matrix
 // serialization: each session owns an append-only write-ahead log of
 // step records, periodically compacted into an atomic snapshot file, and
-// restarts rebuild live sessions by replaying the log through the shared
-// compiled core.Plan.
+// restarts rebuild live sessions by replaying the tags through the
+// shared compiled core.Plan.
 //
 // Two implementations ship: FileStore (one WAL + snapshot file per
 // session under a directory, with optional per-append fsync) and Null
@@ -14,7 +17,11 @@
 // restart).
 package store
 
-import "errors"
+import (
+	"errors"
+
+	"priste/internal/core"
+)
 
 // Sentinel errors.
 var (
@@ -30,23 +37,18 @@ var (
 	ErrAlreadyJournaled = errors.New("store: session already journaled")
 )
 
-// Tag is one committed release: math.Float64bits of the certified budget
-// (0 for the uniform fallback) and the released observation. It mirrors
-// core.ReleaseTag without importing the engine.
-type Tag struct {
-	AlphaBits uint64
-	Obs       int
-}
-
-// SessionMeta is the immutable identity of a journaled session — enough
-// for the serving layer to recompile the session's plan after a restart.
+// SessionMeta is the immutable identity of a session — enough for the
+// serving layer to recompile the session's plan after a restart or an
+// import. It is the identity half of the session ledger (core.Snapshot is
+// the history half); api.SessionExport embeds it, so its field order is
+// the export's key order.
 type SessionMeta struct {
-	ID string `json:"id"`
 	// World canonically identifies the world model (grid, cell size,
 	// mobility) the session's releases were certified against. A restart
-	// under a different world must refuse to replay the session: its
-	// verdicts and history are meaningless there.
-	World           string   `json:"world,omitempty"`
+	// or import under a different world must refuse to replay the
+	// session: its verdicts and history are meaningless there.
+	World           string   `json:"world"`
+	ID              string   `json:"id"`
 	Seed            int64    `json:"seed"`
 	Epsilon         float64  `json:"epsilon"`
 	Alpha           float64  `json:"alpha"`
@@ -61,18 +63,17 @@ type SessionMeta struct {
 // again after replay), and the post-step session RNG state.
 type StepRecord struct {
 	T           int
-	Tag         Tag
+	Tag         core.ReleaseTag
 	Fingerprint uint64
 	RNG         []byte
 }
 
 // SessionState is a complete persisted session: what LoadSessions
 // returns for rehydration and what WriteSnapshot compacts the WAL into.
+// LoadSessions sets T to len(Tags).
 type SessionState struct {
-	Meta        SessionMeta
-	Tags        []Tag
-	Fingerprint uint64
-	RNG         []byte
+	Meta SessionMeta
+	core.Snapshot
 	// Gen is the journal generation LoadSessions (re-)opened this
 	// session under; pass it back to AppendStep/WriteSnapshot.
 	Gen uint64

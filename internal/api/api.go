@@ -5,8 +5,12 @@
 // internal/server, the binary RPC pair in internal/rpc, the pristectl
 // CLI — are thin codecs over this package: they decode bytes into these
 // types, call a Service, and encode the result (or the typed error)
-// back out. Growing the API means growing this package; a transport
-// only ever learns new encodings.
+// back out. A control call is declared once, in Calls: its HTTP route,
+// its RPC method byte, its body cap and the Service method that serves
+// it. Both transports' handlers and ControlClient, the control half of
+// both clients, are derived from that table, and DecodeJSON is their
+// one request decoder. Growing the API means growing this package; a
+// transport only ever learns new encodings.
 package api
 
 import (

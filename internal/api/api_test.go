@@ -182,3 +182,55 @@ func TestSessionExportValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestCallsTable: routes and RPC method bytes are unique, and the method
+// bytes keep the values the protocol shipped with (never renumber).
+func TestCallsTable(t *testing.T) {
+	shipped := map[string]byte{
+		"POST /v1/sessions": 1, "GET /v1/sessions/{id}": 2, "DELETE /v1/sessions/{id}": 3, "GET /v1/sessions": 4,
+		"GET /v1/sessions/{id}/export": 5, "POST /v1/sessions/import": 6, "GET /statsz": 7, "GET /healthz": 8,
+	}
+	routes, wires := map[string]bool{}, map[byte]bool{}
+	for _, c := range Calls {
+		if routes[c.Route] || wires[c.Wire] {
+			t.Errorf("%s: route or method byte %d declared twice", c.Route, c.Wire)
+		}
+		routes[c.Route], wires[c.Wire] = true, true
+		if w, ok := shipped[c.Route]; ok && w != c.Wire {
+			t.Errorf("%s: method byte %d, shipped as %d", c.Route, c.Wire, w)
+		}
+		delete(shipped, c.Route)
+		if c.Limit <= 0 {
+			t.Errorf("%s: body cap %d", c.Route, c.Limit)
+		}
+	}
+	for route := range shipped {
+		t.Errorf("shipped call %s is not declared", route)
+	}
+}
+
+func TestDecodeJSONIsStrict(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"id":"u"}`, true},
+		{" {\"id\":\"u\"} \n", true},
+		{`{"id":"u","bogus":1}`, false},
+		{`{"id":"u"} {"x":1}`, false},
+		{`{"id":"u"}x`, false},
+		{`{"id":`, false},
+		{`{"id":7}`, false},
+		{``, false},
+		{`{"id":"` + strings.Repeat("x", 64) + `"}`, false}, // over the cap
+	} {
+		var ref SessionRef
+		err := DecodeJSON(strings.NewReader(tc.body), 64, &ref)
+		if (err == nil) != tc.ok {
+			t.Errorf("%q: err = %v, want ok = %v", tc.body, err, tc.ok)
+		}
+		if err != nil && (CodeOf(err) != CodeInvalidArgument || !strings.HasPrefix(err.Error(), "api: bad request body: ")) {
+			t.Errorf("%q: %v is not the decoder's invalid_argument", tc.body, err)
+		}
+	}
+}

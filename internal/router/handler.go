@@ -11,8 +11,9 @@ import (
 )
 
 // Handler returns the router's HTTP transport: the same /v1 session
-// codec a pristed serves (so any priste client talks to the router
-// unchanged), plus the fleet admin surface:
+// codec a pristed serves, the control calls of api.Calls among it (so
+// any priste client talks to the router unchanged), plus the fleet
+// admin surface:
 //
 //	GET  /v1/fleet            fleet status (the /statsz fleet section)
 //	POST /v1/fleet/rebalance  drain ({"backend":"name"}) or undrain
@@ -20,6 +21,14 @@ import (
 //	                          member and re-home its sessions
 //	GET  /metricsz            priste_router_* metrics
 func (rt *Router) Handler() http.Handler {
+	return server.TraceHandler(rt.routes(), func(d time.Duration) {
+		rt.metrics.requestSeconds.Observe(d)
+	})
+}
+
+// routes returns the request router Handler serves, without the trace
+// middleware.
+func (rt *Router) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	server.RegisterAPIRoutes(mux, rt, func(total, _, _ time.Duration) {
 		rt.metrics.observeStep(total)
@@ -27,9 +36,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/fleet", rt.handleFleetStatus)
 	mux.HandleFunc("POST /v1/fleet/rebalance", rt.handleRebalance)
 	mux.Handle("GET /metricsz", rt.metrics.reg.Handler())
-	return server.TraceHandler(mux, func(d time.Duration) {
-		rt.metrics.requestSeconds.Observe(d)
-	})
+	return mux
 }
 
 func (rt *Router) handleFleetStatus(w http.ResponseWriter, _ *http.Request) {

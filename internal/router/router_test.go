@@ -120,6 +120,20 @@ func createN(t *testing.T, rt *Router, n int) []string {
 	return ids
 }
 
+// TestRouterServesEveryCall: every control call of api.Calls is a route
+// of the router's HTTP transport, as it is of a pristed's.
+func TestRouterServesEveryCall(t *testing.T) {
+	rt := newTestRouter(t, newFleet(t, 1), nil)
+	mux := rt.routes()
+	for _, call := range api.Calls {
+		method, path, _ := strings.Cut(call.Route, " ")
+		path = strings.Replace(path, "{id}", "x", 1)
+		if _, pattern := mux.Handler(httptest.NewRequest(method, path, nil)); pattern != call.Route {
+			t.Errorf("%s: %s %s resolves to pattern %q", call.Route, method, path, pattern)
+		}
+	}
+}
+
 // loc is the deterministic location sequence shared with control runs.
 func loc(session, step int) int { return (session*7 + step*3) % 36 }
 

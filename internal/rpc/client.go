@@ -20,8 +20,10 @@ import (
 // per-request connection setup, headers or JSON. The connection is
 // dialed lazily and redialed transparently after an I/O failure
 // (in-flight calls on the broken connection fail; the next call
-// reconnects).
+// reconnects). The control calls are api.ControlClient's; Client adds
+// how one travels in an opCall frame, and the step methods.
 type Client struct {
+	api.ControlClient
 	addr        string
 	dialTimeout time.Duration
 
@@ -56,7 +58,9 @@ func Dial(addr string) (*Client, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("rpc: empty address")
 	}
-	return &Client{addr: addr, dialTimeout: 10 * time.Second}, nil
+	c := &Client{addr: addr, dialTimeout: 10 * time.Second}
+	c.Do = c.call
+	return c, nil
 }
 
 // Close tears the connection down; in-flight calls fail and later calls
@@ -239,14 +243,15 @@ func (c *Client) step(ctx context.Context, id string, loc int) (api.StepResponse
 	return parseStepResp(resp.body)
 }
 
-// call issues one JSON control-plane round-trip; out nil discards the
-// response body.
-func (c *Client) call(ctx context.Context, method byte, in, out any) error {
+// call issues one JSON control-plane round-trip: an opCall frame
+// carrying the call's method byte and the JSON request. out nil
+// discards the response body.
+func (c *Client) call(ctx context.Context, call *api.Call, in, out any) error {
 	payload, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	body := append([]byte{method}, payload...)
+	body := append([]byte{call.Wire}, payload...)
 	cc, reqID, ch, err := c.send(opCall, obs.TraceFrom(ctx), body)
 	if err != nil {
 		return err
@@ -262,25 +267,6 @@ func (c *Client) call(ctx context.Context, method byte, in, out any) error {
 		return nil
 	}
 	return json.Unmarshal(resp.body, out)
-}
-
-// CreateSession implements api.Client.
-func (c *Client) CreateSession(ctx context.Context, req api.CreateSessionRequest) (api.SessionInfo, error) {
-	var info api.SessionInfo
-	err := c.call(ctx, methodCreate, req, &info)
-	return info, err
-}
-
-// Session implements api.Client.
-func (c *Client) Session(ctx context.Context, id string) (api.SessionInfo, error) {
-	var info api.SessionInfo
-	err := c.call(ctx, methodGet, idPayload{ID: id}, &info)
-	return info, err
-}
-
-// DeleteSession implements api.Client.
-func (c *Client) DeleteSession(ctx context.Context, id string) error {
-	return c.call(ctx, methodDelete, idPayload{ID: id}, nil)
 }
 
 // Step implements api.Client over the binary fast path.
@@ -333,44 +319,4 @@ func (c *Client) StepBatch(ctx context.Context, steps []api.BatchStepItem) ([]ap
 		results[i] = sr
 	}
 	return results, nil
-}
-
-// ListSessions implements api.Client.
-func (c *Client) ListSessions(ctx context.Context, req api.ListSessionsRequest) (api.SessionPage, error) {
-	var page api.SessionPage
-	err := c.call(ctx, methodList, req, &page)
-	return page, err
-}
-
-// ExportSession implements api.Client.
-func (c *Client) ExportSession(ctx context.Context, id string) (api.SessionExport, error) {
-	var exp api.SessionExport
-	err := c.call(ctx, methodExport, idPayload{ID: id}, &exp)
-	return exp, err
-}
-
-// ImportSession implements api.Client.
-func (c *Client) ImportSession(ctx context.Context, exp api.SessionExport) (api.SessionInfo, error) {
-	var info api.SessionInfo
-	err := c.call(ctx, methodImport, exp, &info)
-	return info, err
-}
-
-// Stats implements api.Client.
-func (c *Client) Stats(ctx context.Context) (api.Stats, error) {
-	var st api.Stats
-	err := c.call(ctx, methodStats, struct{}{}, &st)
-	return st, err
-}
-
-// Health implements api.Client.
-func (c *Client) Health(ctx context.Context) error {
-	var h api.Health
-	if err := c.call(ctx, methodHealth, struct{}{}, &h); err != nil {
-		return err
-	}
-	if h.Status != "ok" {
-		return api.Errf(api.CodeUnavailable, "rpc: health status "+h.Status)
-	}
-	return nil
 }

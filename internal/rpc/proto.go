@@ -1,8 +1,8 @@
 // Package rpc is the binary transport of the pristed API: a
 // length-prefixed frame protocol over a persistent TCP connection,
 // designed so the hot step path pays a fixed few dozen bytes and zero
-// JSON work per release while the control plane (create, list, export,
-// import, stats) rides JSON payloads inside the same framing. Both ends
+// JSON work per release while the control plane (api.Calls) rides JSON
+// payloads inside the same framing. Both ends
 // are thin codecs over the transport-neutral internal/api package: the
 // Server drives any api.Service and the Client implements api.Client,
 // so every caller written against the shared interfaces runs unchanged
@@ -31,6 +31,11 @@
 //
 //	opStep: [idLen:2 BE][sessionID:idLen][loc:4 BE]  — hot path, binary
 //	opCall: [method:1][JSON request body]            — control plane
+//
+// An opCall's method byte is the call's api.Call.Wire: the control
+// calls, their method bytes and their request and response types are
+// declared once in api.Calls, and the request is decoded by
+// api.DecodeJSON — strictly, as over HTTP.
 //
 // Response ops:
 //
@@ -90,18 +95,6 @@ const (
 	opStreamAcks  byte = 9
 	opStreamClose byte = 10
 	opStreamEnd   byte = 11
-)
-
-// Control-plane methods carried by opCall. Same stability rule.
-const (
-	methodCreate byte = 1
-	methodGet    byte = 2
-	methodDelete byte = 3
-	methodList   byte = 4
-	methodExport byte = 5
-	methodImport byte = 6
-	methodStats  byte = 7
-	methodHealth byte = 8
 )
 
 // maxFrame bounds a single frame; a session export carries a whole

@@ -2,12 +2,14 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -346,79 +348,22 @@ func (s *Server) fail(w *connWriter, reqID, trace uint64, start time.Time, err e
 	s.observe(start)
 }
 
-// idPayload is the JSON body of the id-addressed control calls.
-type idPayload struct {
-	ID string `json:"id"`
-}
-
-// dispatch runs one control-plane call: decode the JSON request, drive
-// the service, encode the JSON response.
+// dispatch runs one control-plane call: look the call up by its method
+// byte, decode the JSON request, drive the service, encode the JSON
+// response.
 func (s *Server) dispatch(ctx context.Context, method byte, payload []byte) ([]byte, error) {
-	switch method {
-	case methodCreate:
-		var req api.CreateSessionRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		info, err := s.svc.CreateSession(req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(info)
-	case methodGet:
-		var req idPayload
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		info, err := s.svc.GetSession(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(info)
-	case methodDelete:
-		var req idPayload
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := s.svc.DeleteSession(req.ID); err != nil {
-			return nil, err
-		}
-		return []byte("{}"), nil
-	case methodList:
-		var req api.ListSessionsRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		page, err := s.svc.ListSessions(req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(page)
-	case methodExport:
-		var req idPayload
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		exp, err := s.svc.ExportSession(ctx, req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(exp)
-	case methodImport:
-		var exp api.SessionExport
-		if err := json.Unmarshal(payload, &exp); err != nil {
-			return nil, err
-		}
-		info, err := s.svc.ImportSession(exp)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(info)
-	case methodStats:
-		return json.Marshal(s.svc.Stats())
-	case methodHealth:
-		return json.Marshal(s.svc.Health())
-	default:
+	i := slices.IndexFunc(api.Calls, func(c *api.Call) bool { return c.Wire == method })
+	if i < 0 {
 		return nil, api.Errf(api.CodeInvalidArgument, "rpc: unknown method")
 	}
+	call := api.Calls[i]
+	req := call.NewRequest()
+	if err := api.DecodeJSON(bytes.NewReader(payload), call.Limit, req); err != nil {
+		return nil, err
+	}
+	resp, err := call.Serve(ctx, s.svc, req)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(resp)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"priste/internal/api"
 	"priste/internal/obs"
@@ -16,8 +17,11 @@ import (
 // Client is the typed HTTP/JSON client for the pristed API: a thin
 // codec over the shared api wire types. It implements api.Client, the
 // transport-neutral client interface the binary RPC client satisfies
-// too, so callers can swap transports without touching call sites.
+// too, so callers can swap transports without touching call sites. The
+// control calls are api.ControlClient's; Client adds how one travels
+// over HTTP, and the step methods.
 type Client struct {
+	api.ControlClient
 	base string
 	http *http.Client
 }
@@ -53,7 +57,46 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = defaultHTTPClient
 	}
-	return &Client{base: baseURL, http: httpClient}
+	c := &Client{base: baseURL, http: httpClient}
+	c.Do = c.call
+	return c
+}
+
+// call carries one control call: a SessionRef travels as the route's
+// {id} path segment, a list request as the limit/cursor query, a call
+// without a request with no body, and any other request as the JSON
+// body.
+func (c *Client) call(ctx context.Context, call *api.Call, in, out any) error {
+	method, path, _ := strings.Cut(call.Route, " ")
+	switch req := in.(type) {
+	case api.SessionRef:
+		path, in = strings.Replace(path, "{id}", pathSegment(req.ID), 1), nil
+	case api.ListSessionsRequest:
+		q := url.Values{}
+		if req.Limit != 0 {
+			q.Set("limit", strconv.Itoa(req.Limit))
+		}
+		if req.Cursor != "" {
+			q.Set("cursor", req.Cursor)
+		}
+		if len(q) > 0 {
+			path += "?" + q.Encode()
+		}
+		in = nil
+	case struct{}:
+		in = nil
+	}
+	return c.do(ctx, method, path, in, out)
+}
+
+// pathSegment escapes id as one path segment. The ids "." and ".." are
+// spelled with %2E: written plain, the server's router would clean them
+// out of the path and redirect the request elsewhere.
+func pathSegment(id string) string {
+	if id == "." || id == ".." {
+		return strings.ReplaceAll(id, ".", "%2E")
+	}
+	return url.PathEscape(id)
 }
 
 // do issues one JSON round-trip; out nil discards the body. Non-2xx
@@ -106,35 +149,16 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		return &api.Error{Code: code, Message: msg}
 	}
-	if out == nil {
+	if out == nil || resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// CreateSession creates a session and returns its initial state.
-func (c *Client) CreateSession(ctx context.Context, req api.CreateSessionRequest) (api.SessionInfo, error) {
-	var info api.SessionInfo
-	err := c.do(ctx, http.MethodPost, "/v1/sessions", req, &info)
-	return info, err
-}
-
-// Session returns a session's current state.
-func (c *Client) Session(ctx context.Context, id string) (api.SessionInfo, error) {
-	var info api.SessionInfo
-	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id), nil, &info)
-	return info, err
-}
-
-// DeleteSession closes a session.
-func (c *Client) DeleteSession(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), nil, nil)
-}
-
 // Step releases one true location through a session.
 func (c *Client) Step(ctx context.Context, id string, loc int) (api.StepResponse, error) {
 	var out api.StepResponse
-	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/step", api.StepRequest{Loc: loc}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+pathSegment(id)+"/step", api.StepRequest{Loc: loc}, &out)
 	return out, err
 }
 
@@ -144,48 +168,4 @@ func (c *Client) StepBatch(ctx context.Context, steps []api.BatchStepItem) ([]ap
 	var out api.BatchStepResponse
 	err := c.do(ctx, http.MethodPost, "/v1/step", api.BatchStepRequest{Steps: steps}, &out)
 	return out.Results, err
-}
-
-// ListSessions fetches one page of the session list.
-func (c *Client) ListSessions(ctx context.Context, req api.ListSessionsRequest) (api.SessionPage, error) {
-	q := url.Values{}
-	if req.Limit != 0 {
-		q.Set("limit", strconv.Itoa(req.Limit))
-	}
-	if req.Cursor != "" {
-		q.Set("cursor", req.Cursor)
-	}
-	path := "/v1/sessions"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	var page api.SessionPage
-	err := c.do(ctx, http.MethodGet, path, nil, &page)
-	return page, err
-}
-
-// ExportSession fetches a session's complete migratable state.
-func (c *Client) ExportSession(ctx context.Context, id string) (api.SessionExport, error) {
-	var exp api.SessionExport
-	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/export", nil, &exp)
-	return exp, err
-}
-
-// ImportSession registers an exported session on this instance.
-func (c *Client) ImportSession(ctx context.Context, exp api.SessionExport) (api.SessionInfo, error) {
-	var info api.SessionInfo
-	err := c.do(ctx, http.MethodPost, "/v1/sessions/import", exp, &info)
-	return info, err
-}
-
-// Stats returns the service counters.
-func (c *Client) Stats(ctx context.Context) (api.Stats, error) {
-	var st api.Stats
-	err := c.do(ctx, http.MethodGet, "/statsz", nil, &st)
-	return st, err
-}
-
-// Health reports server liveness.
-func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -18,27 +17,13 @@ type errorBody struct {
 	Code  api.Code `json:"code,omitempty"`
 }
 
-// maxBodyBytes bounds ordinary request bodies; imports carry a whole
-// release history, so they get a larger cap of their own.
-const (
-	maxBodyBytes       = 1 << 20
-	maxImportBodyBytes = 64 << 20
-)
-
 // Handler returns the HTTP/JSON transport: a thin codec over the
-// api.Service the server implements.
+// api.Service the server implements. Its routes are the control calls
+// of api.Calls plus
 //
-//	POST   /v1/sessions             create a session
-//	GET    /v1/sessions             list sessions (limit/cursor pagination)
-//	GET    /v1/sessions/{id}        session state
-//	DELETE /v1/sessions/{id}        close a session
 //	POST   /v1/sessions/{id}/step   release one location
 //	GET    /v1/sessions/{id}/stream SSE push stream of certified releases
-//	GET    /v1/sessions/{id}/export export a session for migration
-//	POST   /v1/sessions/import      import a migrated session
 //	POST   /v1/step                 batch multi-user ingest
-//	GET    /healthz                 liveness (503 while draining)
-//	GET    /statsz                  service counters
 //	GET    /metricsz                Prometheus-text metrics
 //
 // Every request is traced: a client-supplied X-Priste-Trace header
@@ -48,15 +33,21 @@ const (
 // on the response — so every response names the ID to grep the server
 // logs for.
 func (s *Server) Handler() http.Handler {
+	return TraceHandler(s.Routes(), func(d time.Duration) {
+		s.metrics.observeTransport(transportHTTP, d)
+	})
+}
+
+// Routes returns the request router Handler serves, without the trace
+// middleware.
+func (s *Server) Routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	RegisterAPIRoutes(mux, s, func(total, decode, encode time.Duration) {
 		s.metrics.observeServedStep(transportHTTP, total, decode, encode)
 	})
 	mux.HandleFunc("GET /v1/sessions/{id}/stream", s.handleSessionStream)
 	mux.Handle("GET /metricsz", s.metrics.Handler())
-	return TraceHandler(mux, func(d time.Duration) {
-		s.metrics.observeTransport(transportHTTP, d)
-	})
+	return mux
 }
 
 // TraceHandler wraps h in the transport middleware every priste HTTP
@@ -87,22 +78,16 @@ func TraceHandler(h http.Handler, observe func(time.Duration)) http.Handler {
 // router. observeStep, if non-nil, receives the total/decode/encode
 // wall times of each successfully served step request.
 //
-// Routes registered: the /v1/sessions CRUD + step + export/import set,
-// /v1/step batch ingest, /healthz and /statsz. Streaming routes and
-// /metricsz stay with the caller: they depend on capabilities beyond
-// api.Service.
+// Routes registered: every call of api.Calls, the step route and the
+// /v1/step batch ingest. Streaming routes and /metricsz stay with the
+// caller: they depend on capabilities beyond api.Service.
 func RegisterAPIRoutes(mux *http.ServeMux, svc api.Service, observeStep func(total, decode, encode time.Duration)) {
 	c := &apiCodec{svc: svc, observeStep: observeStep}
-	mux.HandleFunc("POST /v1/sessions", c.handleCreate)
-	mux.HandleFunc("GET /v1/sessions", c.handleList)
-	mux.HandleFunc("GET /v1/sessions/{id}", c.handleGet)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", c.handleDelete)
+	for _, call := range api.Calls {
+		mux.HandleFunc(call.Route, func(w http.ResponseWriter, r *http.Request) { c.serveCall(w, r, call) })
+	}
 	mux.HandleFunc("POST /v1/sessions/{id}/step", c.handleStep)
-	mux.HandleFunc("GET /v1/sessions/{id}/export", c.handleExport)
-	mux.HandleFunc("POST /v1/sessions/import", c.handleImport)
 	mux.HandleFunc("POST /v1/step", c.handleBatch)
-	mux.HandleFunc("GET /healthz", c.handleHealth)
-	mux.HandleFunc("GET /statsz", c.handleStats)
 }
 
 // apiCodec is the shared HTTP/JSON request codec over an api.Service.
@@ -126,70 +111,56 @@ func WriteError(w http.ResponseWriter, err error) {
 	WriteJSON(w, e.Code.HTTPStatus(), errorBody{Error: e.Message, Code: e.Code})
 }
 
-func writeError(w http.ResponseWriter, err error) { WriteError(w, err) }
-
-func decodeJSON(r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("server: bad request body: %w", err)
-	}
-	return nil
-}
-
-func (c *apiCodec) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req api.CreateSessionRequest
-	if err := decodeJSON(r, &req, maxBodyBytes); err != nil {
-		WriteError(w, err)
-		return
-	}
-	info, err := c.svc.CreateSession(req)
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusCreated, info)
-}
-
-func (c *apiCodec) handleList(w http.ResponseWriter, r *http.Request) {
-	req := api.ListSessionsRequest{Cursor: r.URL.Query().Get("cursor")}
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			WriteError(w, api.Errf(api.CodeInvalidArgument, "server: bad limit: "+raw))
-			return
+// serveCall serves one control call. The request is the {id} path
+// segment for a SessionRef, the limit/cursor query for a list, nothing
+// for a call without one, and the JSON body otherwise. A success
+// answers 201 to a POST, 204 with no body to a DELETE and 200 to a GET,
+// except 503 for a Health that is not "ok": a draining server (or a
+// router with no reachable backend) leaves load-balancer rotation
+// before its listener closes.
+func (c *apiCodec) serveCall(w http.ResponseWriter, r *http.Request, call *api.Call) {
+	req := call.NewRequest()
+	var err error
+	switch req := req.(type) {
+	case *api.SessionRef:
+		req.ID = r.PathValue("id")
+	case *api.ListSessionsRequest:
+		req.Cursor = r.URL.Query().Get("cursor")
+		if raw := r.URL.Query().Get("limit"); raw != "" {
+			if req.Limit, err = strconv.Atoi(raw); err != nil {
+				err = api.Errf(api.CodeInvalidArgument, "server: bad limit: "+raw)
+			}
 		}
-		req.Limit = n
+	case *struct{}:
+	default:
+		err = api.DecodeJSON(r.Body, call.Limit, req)
 	}
-	page, err := c.svc.ListSessions(req)
+	var resp any
+	if err == nil {
+		resp, err = call.Serve(r.Context(), c.svc, req)
+	}
 	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, page)
-}
-
-func (c *apiCodec) handleGet(w http.ResponseWriter, r *http.Request) {
-	info, err := c.svc.GetSession(r.PathValue("id"))
-	if err != nil {
-		WriteError(w, err)
-		return
+	switch r.Method {
+	case http.MethodPost:
+		WriteJSON(w, http.StatusCreated, resp)
+	case http.MethodDelete:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		status := http.StatusOK
+		if h, ok := resp.(api.Health); ok && h.Status != "ok" {
+			status = http.StatusServiceUnavailable
+		}
+		WriteJSON(w, status, resp)
 	}
-	WriteJSON(w, http.StatusOK, info)
-}
-
-func (c *apiCodec) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if err := c.svc.DeleteSession(r.PathValue("id")); err != nil {
-		WriteError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *apiCodec) handleStep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req api.StepRequest
-	if err := decodeJSON(r, &req, maxBodyBytes); err != nil {
+	if err := api.DecodeJSON(r.Body, api.MaxBodyBytes, &req); err != nil {
 		WriteError(w, err)
 		return
 	}
@@ -213,48 +184,9 @@ func (c *apiCodec) handleStep(w http.ResponseWriter, r *http.Request) {
 
 func (c *apiCodec) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchStepRequest
-	if err := decodeJSON(r, &req, maxBodyBytes); err != nil {
+	if err := api.DecodeJSON(r.Body, api.MaxBodyBytes, &req); err != nil {
 		WriteError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, api.BatchStepResponse{Results: c.svc.StepBatch(r.Context(), req.Steps)})
-}
-
-func (c *apiCodec) handleExport(w http.ResponseWriter, r *http.Request) {
-	exp, err := c.svc.ExportSession(r.Context(), r.PathValue("id"))
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, exp)
-}
-
-func (c *apiCodec) handleImport(w http.ResponseWriter, r *http.Request) {
-	var exp api.SessionExport
-	if err := decodeJSON(r, &exp, maxImportBodyBytes); err != nil {
-		WriteError(w, err)
-		return
-	}
-	info, err := c.svc.ImportSession(exp)
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusCreated, info)
-}
-
-func (c *apiCodec) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	h := c.svc.Health()
-	status := http.StatusOK
-	if h.Status != "ok" {
-		// "draining": graceful shutdown in progress (or, on a router, no
-		// reachable backends). 503 pulls the instance out of
-		// load-balancer rotation before the listener closes.
-		status = http.StatusServiceUnavailable
-	}
-	WriteJSON(w, status, h)
-}
-
-func (c *apiCodec) handleStats(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, http.StatusOK, c.svc.Stats())
 }

@@ -171,17 +171,17 @@ type sseEnd struct {
 // more than the configured buffer.
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, ErrDraining)
+		WriteError(w, ErrDraining)
 		return
 	}
 	id := r.PathValue("id")
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, api.Errf(api.CodeInternal, "server: connection does not support streaming"))
+		WriteError(w, api.Errf(api.CodeInternal, "server: connection does not support streaming"))
 		return
 	}
 	if _, ok := s.mgr.Get(id); !ok {
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	sub := s.hub.subscribe(id)
@@ -191,7 +191,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.mgr.Get(id)
 	if !ok {
 		s.hub.unsubscribe(id, sub)
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	defer s.hub.unsubscribe(id, sub)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"go/ast"
 	"go/token"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"testing"
 
 	"priste/internal/api"
+	"priste/internal/server"
 )
 
 // flagMethods maps the flag package's definition methods (on the package
@@ -238,6 +241,11 @@ func statszPaths() map[string]bool {
 // Every pristed, pristectl and pristerouter invocation in a fenced block
 // may use only the flags and subcommands its cmd/ sources define.
 //
+// Every curl line in a fenced block must name a route pristed serves:
+// its -X method (GET without one) and path resolve to a pattern of the
+// daemon's request router. Every control call's route (api.Calls) must
+// be cited in backticks, as "METHOD /path".
+//
 // Every benchmark metric the README cites in backticks must be listed in
 // BENCHMARK.json. A per-layer citation is `layer.name` for a layer
 // BENCHMARK.json has, unless it is a /statsz path or names a function,
@@ -273,6 +281,52 @@ func TestReadmeMatchesCommands(t *testing.T) {
 	}
 	if invocations == 0 {
 		t.Fatal("found no pristed, pristectl or pristerouter invocation in the README")
+	}
+
+	cfg := server.DefaultConfig()
+	cfg.GridW, cfg.GridH = 4, 4
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	mux := srv.Routes()
+	curls := 0
+	for _, line := range fencedLines(readme) {
+		words := shellWords(line)
+		if len(words) == 0 || words[0] != "curl" {
+			continue
+		}
+		curls++
+		method, target := "GET", ""
+		for i, w := range words {
+			if w == "-X" && i+1 < len(words) {
+				method = words[i+1]
+			}
+			if _, p, ok := strings.Cut(w, ":8377/"); ok && !strings.HasPrefix(w, "-") {
+				target = "/" + p
+			}
+		}
+		u, err := url.Parse(target)
+		if err != nil || target == "" {
+			t.Errorf("README curl line names no pristed URL:\n\t%s", line)
+			continue
+		}
+		if _, pattern := mux.Handler(httptest.NewRequest(method, u.EscapedPath(), nil)); pattern == "" {
+			t.Errorf("README runs curl %s %s, which pristed does not route:\n\t%s", method, u.Path, line)
+		}
+	}
+	if curls == 0 {
+		t.Fatal("found no curl line in the README")
+	}
+	routes := map[string]bool{}
+	for _, m := range regexp.MustCompile("`([A-Z]+\\s+/[^`]*)`").FindAllStringSubmatch(readme, -1) {
+		routes[strings.Join(strings.Fields(m[1]), " ")] = true
+	}
+	for _, call := range api.Calls {
+		if !routes[call.Route] {
+			t.Errorf("README does not cite the control call route `%s`", call.Route)
+		}
 	}
 
 	raw, err = os.ReadFile("BENCHMARK.json")

@@ -112,13 +112,14 @@ func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 func TestStrictRequestDecoding(t *testing.T) {
 	forEachTransport(t, plainConfig, func(t *testing.T, srv *Server, client api.Client) {
 		_, overHTTP := client.(*Client)
+		h, p := srv.Handler(), newRPCPipe(t, srv)
 		send := func(method byte, route, body string) error {
 			if overHTTP {
 				verb, path, _ := strings.Cut(route, " ")
-				_, err := httpCall(srv.Handler(), verb, path, []byte(body))
+				_, err := httpCall(h, verb, path, []byte(body))
 				return err
 			}
-			_, err := newRPCPipe(t, srv).call(method, []byte(body))
+			_, err := p.call(method, []byte(body))
 			return err
 		}
 		type request struct {

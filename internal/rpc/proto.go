@@ -2,11 +2,11 @@
 // length-prefixed frame protocol over a persistent TCP connection,
 // designed so the hot step path pays a fixed few dozen bytes and zero
 // JSON work per release while the control plane (api.Calls) rides JSON
-// payloads inside the same framing. Both ends
-// are thin codecs over the transport-neutral internal/api package: the
-// Server drives any api.Service and the Client implements api.Client,
-// so every caller written against the shared interfaces runs unchanged
-// on either transport.
+// payloads inside the same framing. Both ends are thin codecs over the
+// transport-neutral internal/api package: the Server drives any
+// api.Service and the Client implements api.Client, so every caller
+// written against the shared interfaces runs unchanged on either
+// transport.
 //
 // # Framing
 //

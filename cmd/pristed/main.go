@@ -13,7 +13,7 @@
 //
 //	pristed [-addr :8377] [-rpc-addr :8378] [-grid 10] [-cell 1.0] \
 //	    [-sigma 1.0] [-eps 0.5] [-alpha 1.0] [-delta -1] [-event "0-9@3-7"]... \
-//	    [-sparse-cutoff 0] [-kernel auto] \
+//	    [-sparse-cutoff 0] \
 //	    [-max-sessions 4096] [-session-ttl 15m] [-workers 0] [-queue 64] \
 //	    [-cert-cache 65536] \
 //	    [-store-dir /var/lib/pristed] [-fsync] [-snapshot-every 256] \
@@ -28,6 +28,11 @@
 // cache) from the directory. -fsync additionally syncs each append to
 // stable storage. On SIGTERM the daemon drains pending steps, flushes
 // final snapshots and only then exits.
+//
+// The world picks how the operators are computed; no flag does. The
+// exact Gaussian chain commits through its Kronecker factors.
+// -sparse-cutoff makes a different chain: it carries no factors, and it
+// runs on CSR kernels when sparse enough, on dense ones otherwise.
 //
 // HTTP API (the RPC transport carries the same surface plus windowed
 // step streams, which are RPC-only; see internal/rpc for the framing):
@@ -97,7 +102,6 @@ func main() {
 		fsync       = flag.Bool("fsync", false, "fsync every WAL append before acknowledging the step (requires -store-dir)")
 		snapEvery   = flag.Int("snapshot-every", server.DefaultSnapshotEvery, "compact a session's WAL into a snapshot every N steps; negative disables")
 		cutoff      = flag.Float64("sparse-cutoff", 0, "drop mobility transitions below cutoff*(row max) and renormalise, making the chain sparse; 0 keeps the exact Gaussian kernel")
-		kernel      = flag.String("kernel", server.KernelAuto, "transition-kernel compilation: auto, dense, sparse or oracle (naive reference, for regression comparison); auto commits the Gaussian chain through its Kronecker factors, which a -sparse-cutoff drops")
 		logFormat   = flag.String("log-format", obs.LogText, "structured log format: text or json")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		slowStep    = flag.Duration("slow-step", server.DefaultSlowStep, "log a warning (with trace ID and stage breakdown) for steps at least this slow; negative disables")
@@ -139,7 +143,6 @@ func main() {
 	cfg.Alpha = *alpha
 	cfg.QPTimeout = *qpTimeout
 	cfg.SparseCutoff = *cutoff
-	cfg.Kernel = *kernel
 	cfg.MaxSessions = *maxSessions
 	cfg.SessionTTL = *sessionTTL
 	cfg.Workers = *workers
@@ -256,7 +259,6 @@ func main() {
 		"http_addr", *addr,
 		"grid", fmt.Sprintf("%dx%d", cfg.GridW, cfg.GridH),
 		"mechanism", cfg.Mechanism,
-		"kernel", effectiveKernel(cfg),
 		"parallel", effectiveParallelism(cfg),
 		"max_sessions", cfg.MaxSessions,
 		"queue_depth", cfg.QueueDepth,
@@ -284,15 +286,6 @@ func main() {
 		logger.Warn("pristed: drain cut short; WAL still covers pending state", "err", err)
 	}
 	logger.Info("pristed: shut down")
-}
-
-// effectiveKernel names the transition-kernel mode the banner reports:
-// the forced mode, or "auto" qualified by what auto resolves to.
-func effectiveKernel(cfg server.Config) string {
-	if cfg.Kernel == "" {
-		return server.KernelAuto
-	}
-	return cfg.Kernel
 }
 
 // effectiveParallelism names the kernel-pool width the banner reports:

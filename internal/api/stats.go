@@ -176,7 +176,7 @@ type PlanStats struct {
 	BlockedKernels int64 `json:"blocked_kernels"`
 	BandedKernels  int64 `json:"banded_kernels"`
 	// FactoredKernels counts the operator products run as two passes
-	// over a mobility chain's Kronecker factors (auto on a Gaussian
+	// over a mobility chain's Kronecker factors (the exact Gaussian
 	// chain; dispatch events too).
 	FactoredKernels int64 `json:"factored_kernels"`
 }

@@ -47,12 +47,13 @@ type Config struct {
 	// QPTol is the positivity tolerance of the condition solver; zero
 	// uses the solver default.
 	QPTol float64
-	// Kernel selects the transition-kernel compilation mode for the
-	// plan's world models: world.KernelAuto (the default) compiles a
-	// transition matrix to CSR when it is sparse enough and keeps it
-	// dense otherwise; KernelDense and KernelSparse force one path. The
-	// paths are bit-for-bit equivalent, so this is purely a performance
-	// knob (and a regression-test hook).
+	// Kernel selects how the plan's world models compute their
+	// operator products: world.KernelAuto (the default) lets the input
+	// pick the path; world.KernelOracle runs the naive reference loops,
+	// for tests and audits to diff against. Auto's CSR, row and banded
+	// paths are bit-identical to the oracle; its factored commits (a
+	// chain carrying Kronecker factors) are held to a relative error
+	// bound, with identical verdicts, tags and fingerprints.
 	Kernel world.KernelMode
 }
 

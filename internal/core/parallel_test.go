@@ -10,6 +10,7 @@ import (
 	"priste/internal/grid"
 	"priste/internal/lppm"
 	"priste/internal/markov"
+	"priste/internal/mat"
 	"priste/internal/par"
 	"priste/internal/world"
 )
@@ -27,7 +28,10 @@ type stepRecord struct {
 // randomScenario builds a seeded random plan: random grid geometry,
 // random mobility chain family and locality, random event window, random
 // privacy budget. The returned plan uses the given kernel mode; the
-// location sequence is derived from the same seed.
+// location sequence is derived from the same seed. The chain reaches the
+// plan in a Varying, which carries no Kronecker factors, so auto's
+// products are the row, banded and CSR paths — bit-identical to the
+// oracle — never the factored one.
 func randomScenario(t *testing.T, seed int64, mode world.KernelMode) (*Plan, []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -59,8 +63,11 @@ func randomScenario(t *testing.T, seed int64, mode world.KernelMode) (*Plan, []i
 	cfg := DefaultConfig(0.3+0.7*rng.Float64(), 1.0)
 	cfg.QPTimeout = 0 // deterministic verdicts
 	cfg.Kernel = mode
-	plan, err := NewPlan(SharedMechanism(lppm.NewPlanarLaplace(g)), world.NewHomogeneous(chain),
-		[]event.Event{ev}, cfg)
+	tp, err := world.NewVarying([]*mat.Matrix{chain.Matrix()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(SharedMechanism(lppm.NewPlanarLaplace(g)), tp, []event.Event{ev}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +149,12 @@ func TestParallelReleaseEquivalence(t *testing.T) {
 			oracle, locs := randomScenario(t, seed, world.KernelOracle)
 			want := runTrajectory(t, oracle, seed, locs, -1, nil)
 
-			// Candidates: adaptive kernels through the pool at every
+			// Candidates: auto's kernels through the pool at every
 			// width, with parallel dispatch forced.
 			pool.SetCutoffOverride(1)
 			for _, w := range widths {
 				pool.SetParallelism(w)
-				plan, _ := randomScenario(t, seed, world.KernelDense)
+				plan, _ := randomScenario(t, seed, world.KernelAuto)
 				got := runTrajectory(t, plan, seed, locs, len(locs)/2, oracle)
 				for k := range want {
 					if got[k] != want[k] {

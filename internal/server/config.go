@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"priste/internal/store"
-	"priste/internal/world"
 )
 
 // Default service limits.
@@ -76,13 +75,6 @@ type Config struct {
 	// O(m³) per commit. Changing the cutoff changes the world model:
 	// persisted sessions are scoped to it (see worldTag).
 	SparseCutoff float64
-	// Kernel selects the transition-kernel compilation mode:
-	// KernelAuto (default, empty string), KernelDense, KernelSparse or
-	// KernelOracle (the naive reference kernels, for regression
-	// comparison). All modes are bit-for-bit equivalent; forcing one is
-	// a performance/regression knob, not a semantic one — which is why
-	// it does not enter the plan-registry key.
-	Kernel string
 
 	// Parallelism fixes the width of the process-global kernel worker
 	// pool the quantifier commits fan their tile-parallel products out
@@ -148,31 +140,6 @@ const (
 	MechanismLaplace = "laplace"
 	MechanismDelta   = "delta"
 )
-
-// Kernel modes accepted by Config.Kernel.
-const (
-	KernelAuto   = "auto"
-	KernelDense  = "dense"
-	KernelSparse = "sparse"
-	KernelOracle = "oracle"
-)
-
-// kernelMode maps the config string onto the world compilation mode.
-func (c Config) kernelMode() (world.KernelMode, error) {
-	switch c.Kernel {
-	case "", KernelAuto:
-		return world.KernelAuto, nil
-	case KernelDense:
-		return world.KernelDense, nil
-	case KernelSparse:
-		return world.KernelSparse, nil
-	case KernelOracle:
-		return world.KernelOracle, nil
-	default:
-		return 0, fmt.Errorf("server: unknown kernel mode %q (want %q, %q, %q or %q)",
-			c.Kernel, KernelAuto, KernelDense, KernelSparse, KernelOracle)
-	}
-}
 
 // DefaultConfig returns a small default deployment: 10×10 km map,
 // unit-scale Gaussian mobility, geo-indistinguishability at ε=0.5, α=1,
@@ -259,9 +226,6 @@ func (c Config) validate() error {
 	}
 	if c.SparseCutoff < 0 || c.SparseCutoff >= 1 || math.IsNaN(c.SparseCutoff) {
 		return fmt.Errorf("server: sparse cutoff %g outside [0,1)", c.SparseCutoff)
-	}
-	if _, err := c.kernelMode(); err != nil {
-		return err
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("server: parallelism must be >= 0, got %d", c.Parallelism)

@@ -2,89 +2,94 @@ package server
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"priste/internal/api"
+	"priste/internal/core"
+	"priste/internal/eventspec"
+	"priste/internal/lppm"
+	"priste/internal/world"
 )
 
-// sparseTestConfig is testConfig over a sparsified mobility chain: the
-// cutoff drops the Gaussian kernel's negligible tails so the transition
-// matrix is structurally sparse, and the kernel mode picks the path.
-func sparseTestConfig(kernel string) Config {
+// sparseCutoff keeps, on testConfig's 6×6 map, only the transitions to
+// the 3×3 neighbourhood (exp(−d²/2) ≥ 0.2 iff d² ≤ 2): density 0.20,
+// at most the 0.25 at which auto compiles a chain to CSR.
+const sparseCutoff = 0.2
+
+// sparseTestConfig is testConfig over that sparsified mobility chain.
+func sparseTestConfig() Config {
 	cfg := testConfig()
-	cfg.SparseCutoff = 1e-3
-	cfg.Kernel = kernel
+	cfg.SparseCutoff = sparseCutoff
 	return cfg
 }
 
-// TestServerKernelEquivalence runs the same seeded sessions against a
-// forced-dense and a forced-sparse server over the identical (sparsified)
-// world and requires identical releases, identical session fingerprints
-// and identical serving counters — only the /statsz kernel counters may
-// differ, and they must report the path each server actually compiled.
+// TestServerKernelEquivalence: a server's seeded releases equal, tag for
+// tag, those of a bare plan on world.KernelOracle over the same chain —
+// the check the benchmark's verify phase makes — on the default world,
+// whose commits run over the chain's Kronecker factors, and on a
+// sparsified one, whose kernels are CSR.
 func TestServerKernelEquivalence(t *testing.T) {
 	const steps = 10
-	servers := map[string]*Server{
-		KernelDense:  newTestServer(t, sparseTestConfig(KernelDense)),
-		KernelSparse: newTestServer(t, sparseTestConfig(KernelSparse)),
-	}
-	results := make(map[string]map[string][]StepResponseLite)
-	for mode, srv := range servers {
-		for _, u := range restartUsers {
-			createRestartUser(t, srv, u)
-		}
-		out := make(map[string][]StepResponseLite)
-		m := srv.cfg.GridW * srv.cfg.GridH
-		for k := 0; k < steps; k++ {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		took func(api.PlanStats) bool
+	}{
+		{"default", testConfig(), func(p api.PlanStats) bool { return p.FactoredKernels > 0 }},
+		{"cutoff", sparseTestConfig(), func(p api.PlanStats) bool { return p.SparseKernels > 0 && p.DenseKernels == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newTestServer(t, tc.cfg)
+			m := srv.g.States()
+			events, err := eventspec.ParseAll(tc.cfg.Events, m, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coreCfg := core.DefaultConfig(tc.cfg.Epsilon, tc.cfg.Alpha)
+			coreCfg.QPTimeout = tc.cfg.QPTimeout
+			coreCfg.Kernel = world.KernelOracle
+			oracle, err := core.NewPlan(core.SharedMechanism(lppm.NewPlanarLaplace(srv.g)), srv.tp, events, coreCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for ui, u := range restartUsers {
-				res, err := srv.Step(bg, u.id, (k*7+ui*3)%m)
-				if err != nil {
-					t.Fatalf("%s %s step %d: %v", mode, u.id, k, err)
+				if u.mech != MechanismLaplace {
+					continue
 				}
-				out[u.id] = append(out[u.id], StepResponseLite{
-					T: res.T, Obs: res.Obs, Alpha: res.Alpha,
-					Attempts: res.Attempts, Uniform: res.Uniform,
-				})
+				createRestartUser(t, srv, u)
+				fw, err := oracle.NewSession(core.NewSessionRNG(u.seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < steps; k++ {
+					loc := (k*7 + ui*3) % m
+					got, err := srv.Step(bg, u.id, loc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fw.Step(loc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Obs != want.Obs || got.Alpha != want.Alpha || got.Attempts != want.Attempts || got.Uniform != want.Uniform {
+						t.Fatalf("%s step %d: served %+v, oracle %+v", u.id, k, got, want)
+					}
+				}
+				exp, err := srv.ExportSession(bg, u.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(exp.Tags, fw.Tags()) || exp.Fingerprint != fw.Fingerprint() {
+					t.Fatalf("%s: served tags %v (fingerprint %#x), oracle %v (%#x)",
+						u.id, exp.Tags, exp.Fingerprint, fw.Tags(), fw.Fingerprint())
+				}
 			}
-		}
-		results[mode] = out
-	}
-	for _, u := range restartUsers {
-		d, s := results[KernelDense][u.id], results[KernelSparse][u.id]
-		for k := range d {
-			if d[k] != s[k] {
-				t.Fatalf("%s step %d: dense %+v, sparse %+v", u.id, k, d[k], s[k])
+			if p := srv.Stats().Plans; !tc.took(p) {
+				t.Fatalf("plans %+v: not the path this world selects", p)
 			}
-		}
-		// The quantifier operator state must agree exactly too: the
-		// rolling fingerprints are over identical tag sequences, and the
-		// sessions sit at the same timestamp.
-		sd, _ := servers[KernelDense].mgr.Get(u.id)
-		ss, _ := servers[KernelSparse].mgr.Get(u.id)
-		if sd.fw.Fingerprint() != ss.fw.Fingerprint() {
-			t.Fatalf("%s: fingerprint %#x vs %#x", u.id, sd.fw.Fingerprint(), ss.fw.Fingerprint())
-		}
-	}
-
-	std := servers[KernelDense].Stats()
-	sts := servers[KernelSparse].Stats()
-	if std.Steps != sts.Steps {
-		t.Fatalf("step counters diverged: dense %+v, sparse %+v", std.Steps, sts.Steps)
-	}
-	if std.Plans.DenseKernels == 0 || std.Plans.SparseKernels != 0 {
-		t.Fatalf("dense server kernels %+v", std.Plans)
-	}
-	if sts.Plans.SparseKernels == 0 || sts.Plans.DenseKernels != 0 {
-		t.Fatalf("sparse server kernels %+v", sts.Plans)
-	}
-	if sts.Plans.KernelDensity <= 0 || sts.Plans.KernelDensity >= 1 {
-		t.Fatalf("sparse kernel density %v", sts.Plans.KernelDensity)
-	}
-	// A sparsified chain carries no Kronecker factors.
-	if std.Plans.FactoredKernels != 0 || sts.Plans.FactoredKernels != 0 {
-		t.Fatalf("factored products on a sparsified chain: dense %d, sparse %d",
-			std.Plans.FactoredKernels, sts.Plans.FactoredKernels)
+		})
 	}
 }
 
@@ -108,30 +113,24 @@ func TestStatszCountsFactoredProducts(t *testing.T) {
 	}
 }
 
-// StepResponseLite is the comparable subset of a step result.
-type StepResponseLite struct {
-	T        int
-	Obs      int
-	Alpha    float64
-	Attempts int
-	Uniform  bool
-}
-
 // TestRestartEquivalenceSparsePath is TestRestartEquivalence on the
-// sparse kernels: a sparsified world served with CSR kernels, shut down
-// and rehydrated, must continue seed-for-seed identically to an
-// uninterrupted run. Durable replay and the sparse hot path compose.
+// sparse kernels: a sparsified world, which its cutoff puts on CSR
+// kernels, shut down and rehydrated, must continue seed-for-seed
+// identically to an uninterrupted run. Durable replay and the sparse hot
+// path compose.
 func TestRestartEquivalenceSparsePath(t *testing.T) {
 	const pre, post = 6, 6
 	sparse := func(cfg Config) Config {
-		cfg.SparseCutoff = 1e-3
-		cfg.Kernel = KernelSparse
+		cfg.SparseCutoff = sparseCutoff
 		return cfg
 	}
 
 	ref := newTestServer(t, sparse(testConfig()))
 	for _, u := range restartUsers {
 		createRestartUser(t, ref, u)
+	}
+	if p := ref.Stats().Plans; p.SparseKernels == 0 || p.DenseKernels != 0 {
+		t.Fatalf("plans %+v: the cutoff world did not compile to CSR", p)
 	}
 	want := stepAll(t, ref, 0, pre)
 	for id, more := range stepAll(t, ref, pre, pre+post) {
@@ -169,7 +168,7 @@ func TestRestartEquivalenceSparsePath(t *testing.T) {
 // is a different world model.
 func TestSparseCutoffScopesWorldTag(t *testing.T) {
 	dir := t.TempDir()
-	srvA, err := New(sparseTestConfig(KernelAuto).withStore(t, dir))
+	srvA, err := New(sparseTestConfig().withStore(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,6 @@ func TestSparseCutoffScopesWorldTag(t *testing.T) {
 
 func TestKernelConfigValidation(t *testing.T) {
 	for _, mutate := range []func(*Config){
-		func(c *Config) { c.Kernel = "csr" },
 		func(c *Config) { c.SparseCutoff = 1 },
 		func(c *Config) { c.SparseCutoff = -0.1 },
 	} {

@@ -137,9 +137,10 @@ func New(cfg Config) (*Server, error) {
 	_, isNull := cfg.Store.(store.Null)
 	// The sparse cutoff changes the transition probabilities, so it is
 	// part of the world identity; cutoff 0 keeps the pre-cutoff tag so
-	// existing journals stay replayable. The kernel mode is NOT part of
-	// the tag: dense and sparse kernels over the same chain are
-	// bit-equivalent, so journals move freely between them.
+	// existing journals stay replayable. The operator path is not part
+	// of the tag: restore replays the journal's release tags and the
+	// fingerprint folds tags, not operator bits, so a journal restores
+	// onto whichever path computes the operators.
 	worldTag := fmt.Sprintf("grid=%dx%d;cell=%g;sigma=%g", cfg.GridW, cfg.GridH, cfg.Cell, cfg.Sigma)
 	if cfg.SparseCutoff > 0 {
 		worldTag += fmt.Sprintf(";cutoff=%g", cfg.SparseCutoff)
@@ -700,8 +701,6 @@ func (s *Server) buildPlan(eps, alpha float64, mechName string, delta float64, e
 	return s.registry.lookup(key, func() (*core.Plan, error) {
 		coreCfg := core.DefaultConfig(eps, alpha)
 		coreCfg.QPTimeout = s.cfg.QPTimeout
-		// Validated in New; the zero mode (auto) is the error fallback.
-		coreCfg.Kernel, _ = s.cfg.kernelMode()
 		return core.NewPlan(mf, s.tp, events, coreCfg)
 	})
 }

@@ -92,22 +92,23 @@ func BenchmarkQuantifierCheck(b *testing.B) {
 	}
 }
 
-// kernelBenchCase is one mobility-chain/kernel combination at m=400.
-// "gauss/auto" is the daemon's default: commits run as two passes over
-// the chain's 20×20 Kronecker factors. "gauss/dense" is the structurally dense worst case on the adaptive
-// dense dispatch (banded early, naive-skip on masked operators, blocked
-// register-tiled on full ones); "gauss/oracle" is the same world on the
-// naive reference kernels — their ratio is the adaptive speedup.
-// "trunc/sparse" is the serving configuration (pristed -sparse-cutoff):
-// negligible Gaussian tails dropped at chain build, the quantifier on
-// CSR kernels; "trunc/dense" runs the same banded chain through the
-// adaptive dense dispatch, where the small transition bandwidth keeps
-// products banded for several commits. The walk pair compares the two
-// kernel paths over one identical (bit-equivalent) sparse world.
+// kernelBenchCase prices one operator path on the input auto picks it
+// for. "gauss/auto" is the daemon's default: commits run as two passes
+// over the chain's 20×20 Kronecker factors; "gauss/oracle" is the same
+// world on the naive reference loops. "gauss-unfactored/auto" is the
+// same matrix in a Varying, which carries no factors: the row primitive,
+// banded while the operator band is narrow. "trunc/auto" drops the
+// Gaussian's tails below 1e-4 of the row maximum (pristed
+// -sparse-cutoff 1e-4), which at m = 400 leaves it sparse enough for
+// CSR; "walk/auto" is a lazy random walk, CSR too. "trunc10/auto" is
+// the same cutoff on the 10×10 map, where the chain stays dense and
+// its narrow band takes banded products.
 type kernelBenchCase struct {
-	name  string
-	chain func(g *grid.Grid) (*markov.Chain, error)
-	mode  KernelMode
+	name    string
+	side    int
+	chain   func(g *grid.Grid) (*markov.Chain, error)
+	mode    KernelMode
+	varying bool
 }
 
 func kernelBenchCases() []kernelBenchCase {
@@ -121,21 +122,25 @@ func kernelBenchCases() []kernelBenchCase {
 	}
 	walk := func(g *grid.Grid) (*markov.Chain, error) { return markov.LazyRandomWalk(g, 0.4) }
 	return []kernelBenchCase{
-		{"chain=gauss/kernel=auto", gauss, KernelAuto},
-		{"chain=gauss/kernel=dense", gauss, KernelDense},
-		{"chain=gauss/kernel=oracle", gauss, KernelOracle},
-		{"chain=trunc/kernel=sparse", trunc, KernelSparse},
-		{"chain=trunc/kernel=dense", trunc, KernelDense},
-		{"chain=walk/kernel=dense", walk, KernelDense},
-		{"chain=walk/kernel=sparse", walk, KernelSparse},
+		{name: "chain=gauss/kernel=auto", side: 20, chain: gauss},
+		{name: "chain=gauss/kernel=oracle", side: 20, chain: gauss, mode: KernelOracle},
+		{name: "chain=gauss-unfactored/kernel=auto", side: 20, chain: gauss, varying: true},
+		{name: "chain=trunc/kernel=auto", side: 20, chain: trunc},
+		{name: "chain=walk/kernel=auto", side: 20, chain: walk},
+		{name: "chain=trunc10/kernel=auto", side: 10, chain: trunc},
 	}
 }
 
-// benchCaseSetup builds the case's 20×20 (m=400) model and 20
-// planar-Laplace emission columns.
+// benchName is the case's sub-benchmark name, its state count appended.
+func (bc kernelBenchCase) benchName() string {
+	return fmt.Sprintf("%s/m%d", bc.name, bc.side*bc.side)
+}
+
+// benchCaseSetup builds the case's model and 20 planar-Laplace emission
+// columns.
 func benchCaseSetup(b *testing.B, bc kernelBenchCase) (*Model, []mat.Vector) {
 	b.Helper()
-	g := grid.MustNew(20, 20, 1)
+	g := grid.MustNew(bc.side, bc.side, 1)
 	chain, err := bc.chain(g)
 	if err != nil {
 		b.Fatal(err)
@@ -145,7 +150,13 @@ func benchCaseSetup(b *testing.B, bc kernelBenchCase) (*Model, []mat.Vector) {
 		b.Fatal(err)
 	}
 	ev := event.MustNewPresence(region, 3, 7)
-	md, err := NewModelWithOptions(NewHomogeneous(chain), ev, ModelOptions{Kernel: bc.mode})
+	var tp TransitionProvider = NewHomogeneous(chain)
+	if bc.varying {
+		if tp, err = NewVarying([]*mat.Matrix{chain.Matrix()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	md, err := NewModelWithOptions(tp, ev, ModelOptions{Kernel: bc.mode})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,13 +174,14 @@ func benchCaseSetup(b *testing.B, bc kernelBenchCase) (*Model, []mat.Vector) {
 }
 
 // BenchmarkCommit measures the per-timestamp operator update (Theorem
-// IV.1) at the paper's m=400 map: one iteration commits a 20-step
-// trajectory crossing the window entry, the in-window updates and the
-// backward phase, and releases its quantifier to the pool, so the loop
-// times commits, not the allocator. commits/sec is the per-timestamp rate.
+// IV.1), mostly at the paper's m=400 map: one iteration commits a
+// 20-step trajectory crossing the window entry, the in-window updates
+// and the backward phase, and releases its quantifier to the pool, so
+// the loop times commits, not the allocator. commits/sec is the
+// per-timestamp rate.
 func BenchmarkCommit(b *testing.B) {
 	for _, bc := range kernelBenchCases() {
-		b.Run(bc.name+"/m400", func(b *testing.B) {
+		b.Run(bc.benchName(), func(b *testing.B) {
 			md, cols := benchCaseSetup(b, bc)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -187,13 +199,13 @@ func BenchmarkCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkCheck measures one mid-window candidate check at m=400 —
-// the per-attempt cost of the LPPM candidate loop. The check path is
-// zero-allocation: b̃/c̃ and every matvec intermediate live in
+// BenchmarkCheck measures one mid-window candidate check, mostly at
+// m=400 — the per-attempt cost of the LPPM candidate loop. The check
+// path is zero-allocation: b̃/c̃ and every matvec intermediate live in
 // quantifier-owned scratch.
 func BenchmarkCheck(b *testing.B) {
 	for _, bc := range kernelBenchCases() {
-		b.Run(bc.name+"/m400", func(b *testing.B) {
+		b.Run(bc.benchName(), func(b *testing.B) {
 			md, cols := benchCaseSetup(b, bc)
 			q := NewQuantifier(md)
 			for _, c := range cols[:5] {

@@ -28,12 +28,13 @@ import (
 // that builds markov.GaussianChain as K_y ⊗ K_x and commits through the
 // factors under auto. Building the chain from its axis kernels moved
 // its entries by about an ulp, so gauss10_presence.golden holds the new
-// chain under dense, sparse and oracle, which still agree bit for bit;
-// the largest relative difference from the old file's values is
-// 3.8e-15. gauss10_presence.auto.golden holds auto's factored commits,
-// which differ from the oracle's lines by at most 1.7e-15 relative
-// (TestFactoredMatchesOracle bounds that gap) with identical
-// fingerprints.
+// chain under the dense, sparse and oracle modes of the time, which
+// agreed bit for bit (it now holds the oracle, and auto on the matrix
+// without its factors); the largest relative difference from the old
+// file's values is 3.8e-15. gauss10_presence.auto.golden holds auto's
+// factored commits, which differ from the oracle's lines by at most
+// 1.7e-15 relative (TestFactoredMatchesOracle bounds that gap) with
+// identical fingerprints.
 
 // goldenPlan is one (chain, event) pair and the seeded sessions traced
 // over it.
@@ -47,12 +48,56 @@ type goldenPlan struct {
 	factored bool
 }
 
-// goldenFile names the golden a mode is held to.
-func (p goldenPlan) goldenFile(mode KernelMode) string {
-	if p.factored && mode == KernelAuto {
+// goldenRun is one path a plan is driven through: auto on the plan's
+// own provider, auto on its matrix in a Varying, or the oracle.
+type goldenRun struct {
+	name string
+	mode KernelMode
+	// varying wraps the plan's matrix in a Varying, which carries no
+	// Kronecker factors: a factored chain then takes the dense row path.
+	varying bool
+}
+
+// runs lists the paths a plan is held on: auto and the oracle, plus
+// the dense path of a factored chain.
+func (p goldenPlan) runs() []goldenRun {
+	runs := []goldenRun{{name: "auto"}, {name: "oracle", mode: KernelOracle}}
+	if p.factored {
+		runs = append(runs, goldenRun{name: "dense", varying: true})
+	}
+	return runs
+}
+
+// factoredUnder reports whether the plan commits through its factors
+// on the run's path.
+func (p goldenPlan) factoredUnder(r goldenRun) bool {
+	return p.factored && r.mode == KernelAuto && !r.varying
+}
+
+// goldenFile names the golden a run is held to.
+func (p goldenPlan) goldenFile(r goldenRun) string {
+	if p.factoredUnder(r) {
 		return p.name + ".auto.golden"
 	}
 	return p.name + ".golden"
+}
+
+// model compiles the plan on the run's path.
+func (p goldenPlan) model(t *testing.T, r goldenRun) *Model {
+	t.Helper()
+	tp, ev := p.build(t)
+	if r.varying {
+		v, err := NewVarying(tp.DistinctMatrices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp = v
+	}
+	md, err := NewModelWithOptions(tp, ev, ModelOptions{Kernel: r.mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return md
 }
 
 var goldenPlans = []goldenPlan{
@@ -73,8 +118,7 @@ var goldenPlans = []goldenPlan{
 		},
 	},
 	{
-		// A PATTERN over a structurally sparse chain: CSR under auto,
-		// banded products under dense.
+		// A PATTERN over a structurally sparse chain: CSR under auto.
 		name: "walk5_pattern", steps: 10, sessions: 4,
 		build: func(t *testing.T) (TransitionProvider, event.Event) {
 			g := grid.MustNew(5, 5, 1)
@@ -120,18 +164,13 @@ func bitsLine(label string, v mat.Vector) string {
 	return sb.String()
 }
 
-// goldenTrace drives the plan's sessions under one kernel mode and
-// returns one line per recorded quantity: per step the b̃/c̃ of one
+// goldenTrace drives the plan's sessions on one path and returns one line per recorded quantity: per step the b̃/c̃ of one
 // CheckTrusted, then — after committing a different column — Current's
 // b̃/c̃, LogScale and the history fingerprint. It fails if the model's
 // commits did or did not run factored against the plan's declaration.
-func goldenTrace(t *testing.T, p goldenPlan, mode KernelMode) []string {
+func goldenTrace(t *testing.T, p goldenPlan, r goldenRun) []string {
 	t.Helper()
-	tp, ev := p.build(t)
-	md, err := NewModelWithOptions(tp, ev, ModelOptions{Kernel: mode})
-	if err != nil {
-		t.Fatal(err)
-	}
+	md := p.model(t, r)
 	m := md.States()
 	var lines []string
 	for s := 0; s < p.sessions; s++ {
@@ -148,24 +187,23 @@ func goldenTrace(t *testing.T, p goldenPlan, mode KernelMode) []string {
 				fmt.Sprintf("%sfingerprint %016x", at, q.HistoryFingerprint()))
 		}
 	}
-	if factored := md.KernelStats().Factored > 0; factored != (p.factored && mode == KernelAuto) {
-		t.Fatalf("%s under %v: factored commits %v", p.name, mode, factored)
+	if factored := md.KernelStats().Factored > 0; factored != p.factoredUnder(r) {
+		t.Fatalf("%s on %s: factored commits %v", p.name, r.name, factored)
 	}
 	return lines
 }
 
-// TestGoldenBits holds every kernel mode to its golden trace, bit for
-// bit.
+// TestGoldenBits holds every path to its golden trace, bit for bit.
 func TestGoldenBits(t *testing.T) {
 	for _, p := range goldenPlans {
-		for _, mode := range []KernelMode{KernelAuto, KernelDense, KernelSparse, KernelOracle} {
-			t.Run(p.name+"/"+mode.String(), func(t *testing.T) {
-				golden, err := os.ReadFile(filepath.Join("testdata", p.goldenFile(mode)))
+		for _, r := range p.runs() {
+			t.Run(p.name+"/"+r.name, func(t *testing.T) {
+				golden, err := os.ReadFile(filepath.Join("testdata", p.goldenFile(r)))
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
-				got := goldenTrace(t, p, mode)
+				got := goldenTrace(t, p, r)
 				if len(got) != len(want) {
 					t.Fatalf("%d lines, golden has %d", len(got), len(want))
 				}

@@ -7,34 +7,27 @@ import (
 	"priste/internal/mat"
 )
 
-// KernelMode selects how a Model compiles its per-timestamp transition
-// matrices into step kernels.
+// KernelMode selects how a Model computes its operator products.
 type KernelMode int
 
 const (
-	// KernelAuto compiles a matrix to CSR when its density is at or
-	// below the sparse threshold and keeps it dense otherwise. The two
-	// paths are bit-for-bit equivalent (see mat.CSR), so the choice is
-	// purely a performance decision. A homogeneous chain that carries
-	// Kronecker factors (markov.GaussianChain on a grid) commits through
-	// them instead: two √m×√m passes of the row primitive per product
-	// (mat.KronMulInto), equal to the other paths to rounding — see the
-	// package doc for what that keeps bit for bit.
+	// KernelAuto lets the input pick the path of every product. A
+	// transition matrix of density at most csrMaxDensity compiles to
+	// CSR; a denser one runs the row primitive (mat.MulRowsInto,
+	// mat.RowMulInto), band-limited while the tracked operator
+	// bandwidth beats dense flops (mat.MulBandInto). A homogeneous
+	// chain whose Kronecker factors reproduce its matrix bit for bit
+	// (markov.GaussianChain on a grid) commits through them: two √m×√m
+	// passes of the row primitive per product (mat.KronMulInto).
+	// The CSR, row and banded paths are bit-identical to KernelOracle;
+	// the factored one is held to a bound (see the package doc).
 	KernelAuto KernelMode = iota
-	// KernelDense forces the dense kernels: every product is the row
-	// primitive (mat.MulRowsInto, mat.RowMulInto), band-limited while
-	// the tracked operator bandwidth beats dense flops
-	// (mat.MulBandInto). Both forms produce bit-identical results.
-	KernelDense
-	// KernelSparse forces CSR regardless of density (test mode; a dense
-	// matrix through CSR is slower, not wrong).
-	KernelSparse
 	// KernelOracle forces plain Go loops everywhere (mat.MulInto,
 	// Matrix.MulVecInto, Matrix.VecMulInto) on the same transposed
-	// layout: no CSR, no row primitive — so no assembly — and no banded
-	// dispatch. It is the bit-identical oracle the cross-kernel
-	// equivalence tests, the benchmark's verify phase and the kernel
-	// benchmarks measure the other paths against.
+	// layout: no CSR, no row primitive — so no assembly — no factors
+	// and no banded dispatch. It is the reference the equivalence
+	// tests, the benchmark's verify phase and the kernel benchmarks
+	// measure auto against.
 	KernelOracle
 )
 
@@ -43,10 +36,6 @@ func (m KernelMode) String() string {
 	switch m {
 	case KernelAuto:
 		return "auto"
-	case KernelDense:
-		return "dense"
-	case KernelSparse:
-		return "sparse"
 	case KernelOracle:
 		return "oracle"
 	default:
@@ -54,39 +43,17 @@ func (m KernelMode) String() string {
 	}
 }
 
-// DefaultSparseThreshold is the density at or below which KernelAuto
-// compiles a transition matrix to CSR. CSR multiply-adds carry an index
-// load each, so the break-even sits near 0.4–0.5 density; 0.25 leaves
-// margin. Local mobility models (random walks, trained chains, truncated
+// csrMaxDensity is the density at or below which KernelAuto compiles a
+// transition matrix to CSR. CSR multiply-adds carry an index load each,
+// so the break-even sits near 0.4–0.5 density; 0.25 leaves margin. Local mobility models (random walks, trained chains, truncated
 // Gaussian kernels) sit far below it; an untruncated Gaussian chain is
 // structurally dense and stays on the dense path.
-const DefaultSparseThreshold = 0.25
+const csrMaxDensity = 0.25
 
 // ModelOptions tunes model compilation.
 type ModelOptions struct {
-	// Kernel selects the transition-kernel compilation mode.
+	// Kernel selects auto or the oracle.
 	Kernel KernelMode
-	// SparseThreshold overrides DefaultSparseThreshold for KernelAuto;
-	// zero or negative uses the default.
-	SparseThreshold float64
-}
-
-func (o ModelOptions) threshold() float64 {
-	if o.SparseThreshold > 0 {
-		return o.SparseThreshold
-	}
-	return DefaultSparseThreshold
-}
-
-// MatrixLister is an optional TransitionProvider extension enumerating
-// every distinct matrix the provider can return. Model compilation uses
-// it to build the complete step-kernel set (CSR forms and transposes)
-// up front, keeping the quantifier hot path lock- and allocation-free.
-// Both built-in providers implement it; a provider that does not is
-// probed over an initial window and falls back to per-call compilation
-// beyond it.
-type MatrixLister interface {
-	DistinctMatrices() []*mat.Matrix
 }
 
 // stepKernel is one compiled transition matrix: the original dense form
@@ -94,7 +61,7 @@ type MatrixLister interface {
 // transpose (dense path). Every commit multiplies by Mᵀ and every dense
 // check product runs xᵀ·Mᵀ, so the transpose is always built with the
 // kernel — once per Model for the kernels in its map, once per call for
-// a matrix a provider first shows past the probe window.
+// a matrix its provider does not list.
 type stepKernel struct {
 	dense  *mat.Matrix
 	denseT *mat.Matrix // non-nil iff csr == nil
@@ -119,22 +86,16 @@ type stepKernel struct {
 // outer and inner are the Kronecker factors its chain carries, or nil;
 // KernelAuto keeps them only if they reproduce m exactly.
 func compileKernel(m *mat.Matrix, opts ModelOptions, outer, inner *mat.Matrix) *stepKernel {
-	k := &stepKernel{dense: m, bw: mat.Bandwidth(m)}
-	if opts.Kernel == KernelAuto && isKronecker(m, outer, inner) {
-		k.outerT, k.innerT = outer.Transpose(), inner.Transpose()
-		// A factor product can underflow to 0 in M while the passes
-		// keep that path nonzero, so widen the band to the factors'.
-		w := inner.Rows
-		k.bw = min(mat.Bandwidth(outer)*w+mat.Bandwidth(inner), m.Rows-1)
-	}
-	switch opts.Kernel {
-	case KernelDense:
-	case KernelOracle:
-		k.oracle = true
-	case KernelSparse:
-		k.csr = mat.CSRFromDense(m)
-	default:
-		if c := mat.CSRFromDense(m); c.Density() <= opts.threshold() {
+	k := &stepKernel{dense: m, bw: mat.Bandwidth(m), oracle: opts.Kernel == KernelOracle}
+	if !k.oracle {
+		if isKronecker(m, outer, inner) {
+			k.outerT, k.innerT = outer.Transpose(), inner.Transpose()
+			// A factor product can underflow to 0 in M while the passes
+			// keep that path nonzero, so widen the band to the factors'.
+			w := inner.Rows
+			k.bw = min(mat.Bandwidth(outer)*w+mat.Bandwidth(inner), m.Rows-1)
+		}
+		if c := mat.CSRFromDense(m); c.Density() <= csrMaxDensity {
 			k.csr = c
 		}
 	}

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,8 +13,8 @@ import (
 )
 
 // walkModel builds a model over a structurally sparse mobility chain
-// (lazy random walk: ≤5 nonzeros per row) with the given kernel options.
-func walkModel(t *testing.T, side int, opts ModelOptions) *Model {
+// (lazy random walk: ≤5 nonzeros per row).
+func walkModel(t *testing.T, side int) *Model {
 	t.Helper()
 	g := grid.MustNew(side, side, 1)
 	chain, err := markov.LazyRandomWalk(g, 0.4)
@@ -25,7 +26,7 @@ func walkModel(t *testing.T, side int, opts ModelOptions) *Model {
 		t.Fatal(err)
 	}
 	ev := event.MustNewPresence(region, 2, 4)
-	md, err := NewModelWithOptions(NewHomogeneous(chain), ev, opts)
+	md, err := NewModel(NewHomogeneous(chain), ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestKernelAutoSelection(t *testing.T) {
 	if ks.Sparse != 1 || ks.Dense != 0 {
 		t.Fatalf("random walk compiled %+v, want 1 sparse kernel", ks)
 	}
-	if ks.NNZ == 0 || ks.Density <= 0 || ks.Density > DefaultSparseThreshold {
+	if ks.NNZ == 0 || ks.Density <= 0 || ks.Density > csrMaxDensity {
 		t.Fatalf("implausible sparse stats %+v", ks)
 	}
 
@@ -69,70 +70,124 @@ func TestKernelAutoSelection(t *testing.T) {
 	if ks := md.KernelStats(); ks.Dense != 1 || ks.Sparse != 0 {
 		t.Fatalf("gaussian chain compiled %+v, want 1 dense kernel", ks)
 	}
-
-	// Forcing overrides the density decision both ways.
-	md, err = NewModelWithOptions(NewHomogeneous(gauss), ev, ModelOptions{Kernel: KernelSparse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks := md.KernelStats(); ks.Sparse != 1 {
-		t.Fatalf("forced sparse compiled %+v", ks)
-	}
-	md, err = NewModelWithOptions(NewHomogeneous(walk), ev, ModelOptions{Kernel: KernelDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks := md.KernelStats(); ks.Dense != 1 {
-		t.Fatalf("forced dense compiled %+v", ks)
-	}
 }
 
-// TestKernelPathsBitIdentical drives a forced-dense and a forced-sparse
-// quantifier through the same long sequence — crossing the window entry,
-// the in-window updates and the backward phase — and requires exact
-// (bitwise) agreement of every Check, Current and LogScale along the
-// way. This is the property that lets release sequences, fingerprints
-// and restart replay move freely between the kernels.
+// TestKernelPathsBitIdentical reaches each of auto's four operator
+// paths through the input that selects it and diffs it against the
+// oracle over the same input, through the window entry, the in-window
+// updates, a forced renormalisation and the backward phase: every Check
+// and Current b̃/c̃, LogScale and the fingerprint. KernelStats must show
+// the path was taken. The CSR, row and banded paths are held to the
+// oracle bit for bit — the property that lets release sequences,
+// fingerprints and restart replay move between a path and the oracle;
+// the factored path is held to TestFactoredMatchesOracle's bound.
 func TestKernelPathsBitIdentical(t *testing.T) {
-	const side = 6
-	dense := walkModel(t, side, ModelOptions{Kernel: KernelDense})
-	sparse := walkModel(t, side, ModelOptions{Kernel: KernelSparse})
-
-	// The compiled suffix vectors must already agree exactly.
-	for tt := 0; tt <= dense.end; tt++ {
-		sameBits(t, "vF", dense.vF[tt], sparse.vF[tt])
-		sameBits(t, "vT", dense.vT[tt], sparse.vT[tt])
+	g := grid.MustNew(10, 10, 1)
+	m := g.States()
+	gauss, err := markov.GaussianChain(g, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sameBits(t, "atilde", dense.ATilde(), sparse.ATilde())
+	unfactored, err := NewVarying([]*mat.Matrix{gauss.Matrix()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trunc, err := gauss.Sparsified(1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, err := markov.LazyRandomWalk(g, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := grid.RegionRange(m, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := event.MustNewPresence(region, 3, 7)
 
-	qd := NewQuantifier(dense)
-	qs := NewQuantifier(sparse)
-	rng := rand.New(rand.NewSource(7))
-	m := side * side
-	for step := 0; step < 12; step++ { // window end 4: half the steps run the backward phase
-		col := randomEmissionColumn(rng, m)
-		cd, err := qd.Check(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs, err := qs.Check(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, "check b", cd.BTilde, cs.BTilde)
-		sameBits(t, "check c", cd.CTilde, cs.CTilde)
-		if err := qd.Commit(col); err != nil {
-			t.Fatal(err)
-		}
-		if err := qs.Commit(col); err != nil {
-			t.Fatal(err)
-		}
-		if qd.LogScale() != qs.LogScale() {
-			t.Fatalf("step %d: logScale %v vs %v", step, qd.LogScale(), qs.LogScale())
-		}
-		curD, curS := qd.Current(), qs.Current()
-		sameBits(t, "current b", curD.BTilde, curS.BTilde)
-		sameBits(t, "current c", curD.CTilde, curS.CTilde)
+	for _, tc := range []struct {
+		path string
+		tp   TransitionProvider
+		took func(KernelStats) bool
+	}{
+		// The chain's Kronecker factors reproduce its matrix.
+		{"factored", NewHomogeneous(gauss), func(ks KernelStats) bool {
+			return ks.Factored > 0 && ks.Blocked+ks.Banded == 0 && ks.Sparse == 0
+		}},
+		// The same matrix without its factors: the row primitive (and the
+		// banded product while the operators are narrow).
+		{"row", unfactored, func(ks KernelStats) bool {
+			return ks.Blocked > 0 && ks.Factored == 0 && ks.Sparse == 0
+		}},
+		// Tails cut below 1e-4 of the row maximum (pristed's
+		// -sparse-cutoff 1e-4 on the default map): still dense (density
+		// 0.40), its band narrower.
+		{"banded", NewHomogeneous(trunc), func(ks KernelStats) bool {
+			return ks.Banded > 0 && ks.Factored == 0 && ks.Sparse == 0
+		}},
+		// A random walk is sparse enough for CSR.
+		{"csr", NewHomogeneous(walk), func(ks KernelStats) bool {
+			return ks.Sparse == 1 && ks.Dense == 0 && ks.Blocked+ks.Banded+ks.Factored == 0
+		}},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			auto, err := NewModel(tc.tp, ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := NewModelWithOptions(tc.tp, ev, ModelOptions{Kernel: KernelOracle})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gaps gapTracker
+			dt := depthTracker{m: m}
+			same := func(label string, got, want mat.Vector) {
+				t.Helper()
+				if tc.path == "factored" {
+					gaps.within(t, label, got, want, dt.bound())
+					return
+				}
+				sameBits(t, label, got, want)
+			}
+			qa, qo := NewQuantifier(auto), NewQuantifier(oracle)
+			rng := rand.New(rand.NewSource(7))
+			for step := 0; step < 12; step++ {
+				col := randomEmissionColumn(rng, m)
+				if step == 2 {
+					col.Scale(1e-130)
+				}
+				ca, co := qa.CheckTrusted(col), qo.CheckTrusted(col)
+				same("check b", ca.BTilde, co.BTilde)
+				same("check c", ca.CTilde, co.CTilde)
+				before := qo.LogScale()
+				qa.CommitTaggedTrusted(col, uint64(step)+1, step)
+				qo.CommitTaggedTrusted(col, uint64(step)+1, step)
+				dt.commit(qo.LogScale() != before)
+				la, lo := qa.LogScale(), qo.LogScale()
+				tol := 0.0
+				if tc.path == "factored" {
+					tol = 2*dt.bound() + float64(dt.renorms)*0x1p-52*math.Abs(lo)
+				}
+				if math.Abs(la-lo) > tol {
+					t.Fatalf("step %d: LogScale %v, oracle %v", step, la, lo)
+				}
+				if qa.HistoryFingerprint() != qo.HistoryFingerprint() {
+					t.Fatalf("step %d: fingerprint diverged", step)
+				}
+				cura, curo := qa.Current(), qo.Current()
+				same("current b", cura.BTilde, curo.BTilde)
+				same("current c", cura.CTilde, curo.CTilde)
+			}
+			if dt.renorms == 0 {
+				t.Fatal("the session never renormalised")
+			}
+			ks := auto.KernelStats()
+			if !tc.took(ks) {
+				t.Fatalf("auto compiled and dispatched %+v: not the %s path", ks, tc.path)
+			}
+			t.Logf("%+v", ks)
+		})
 	}
 }
 
@@ -140,7 +195,7 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 // a Check result survives Commit and Current (separate buffer pairs) and
 // is only overwritten by the next Check.
 func TestCheckCurrentBufferOwnership(t *testing.T) {
-	md := walkModel(t, 4, ModelOptions{})
+	md := walkModel(t, 4)
 	q := NewQuantifier(md)
 	rng := rand.New(rand.NewSource(3))
 	colA := randomEmissionColumn(rng, 16)
@@ -167,70 +222,14 @@ func TestCheckCurrentBufferOwnership(t *testing.T) {
 	}
 }
 
-// opaqueProvider hides DistinctMatrices, exercising the probe fallback.
-type opaqueProvider struct{ tp TransitionProvider }
-
-func (o opaqueProvider) States() int              { return o.tp.States() }
-func (o opaqueProvider) Matrix(t int) *mat.Matrix { return o.tp.Matrix(t) }
-
-// TestKernelProbeFallback: a provider without DistinctMatrices must
-// still compile its kernels (via the probe) and agree exactly with the
-// lister path, including for a time-varying chain.
-func TestKernelProbeFallback(t *testing.T) {
-	g := grid.MustNew(4, 4, 1)
-	walk, err := markov.LazyRandomWalk(g, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	walk2, err := markov.LazyRandomWalk(g, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vary, err := NewVarying([]*mat.Matrix{walk.Matrix(), walk2.Matrix()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	region, err := grid.RegionRange(16, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := event.MustNewPresence(region, 1, 3)
-
-	ref, err := NewModel(vary, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probed, err := NewModel(opaqueProvider{vary}, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := probed.KernelStats(), ref.KernelStats(); got != want {
-		t.Fatalf("probe compiled %+v, lister %+v", got, want)
-	}
-
-	qr, qp2 := NewQuantifier(ref), NewQuantifier(probed)
-	rng := rand.New(rand.NewSource(11))
-	for step := 0; step < 8; step++ {
-		col := randomEmissionColumn(rng, 16)
-		if err := qr.Commit(col); err != nil {
-			t.Fatal(err)
-		}
-		if err := qp2.Commit(col); err != nil {
-			t.Fatal(err)
-		}
-		cr, cp := qr.Current(), qp2.Current()
-		sameBits(t, "probe current b", cr.BTilde, cp.BTilde)
-		sameBits(t, "probe current c", cr.CTilde, cp.CTilde)
-	}
-}
-
-// freshMatrixProvider returns a new matrix pointer on every call — the
-// pathological shape that defeats both the lister and the probe, so
-// every kernel() lookup misses and compiles call-private.
+// freshMatrixProvider lists no matrix and returns a new matrix pointer
+// on every call — the worst break of the DistinctMatrices contract: every
+// kernel() lookup misses and compiles call-private.
 type freshMatrixProvider struct{ m *mat.Matrix }
 
-func (p freshMatrixProvider) States() int            { return p.m.Rows }
-func (p freshMatrixProvider) Matrix(int) *mat.Matrix { return p.m.Clone() }
+func (p freshMatrixProvider) States() int                     { return p.m.Rows }
+func (p freshMatrixProvider) Matrix(int) *mat.Matrix          { return p.m.Clone() }
+func (p freshMatrixProvider) DistinctMatrices() []*mat.Matrix { return nil }
 
 // TestKernelMissCompilesComplete: unstable matrix pointers stay correct
 // — a miss compiles a complete kernel, transpose included, for the
@@ -271,27 +270,30 @@ func TestKernelMissCompilesComplete(t *testing.T) {
 	}
 }
 
-// lateMatrixProvider switches to a second matrix past the probe window
-// and hides DistinctMatrices, so that matrix is never in the Model's
-// kernel map and every step there compiles on a miss.
+// lateMatrixProvider switches to a second matrix from step lateAt on but
+// lists only the first, so the second is never in the Model's kernel
+// map and every step there compiles on a miss.
 type lateMatrixProvider struct{ early, late *mat.Matrix }
+
+const lateAt = 4
 
 func (p lateMatrixProvider) States() int { return p.early.Rows }
 func (p lateMatrixProvider) Matrix(t int) *mat.Matrix {
-	if t < kernelProbeLimit+2 {
+	if t < lateAt {
 		return p.early
 	}
 	return p.late
 }
+func (p lateMatrixProvider) DistinctMatrices() []*mat.Matrix { return []*mat.Matrix{p.early} }
 
-// TestKernelMissPastProbeWindowConcurrent steps two quantifiers over one
-// shared model from two goroutines across the probe limit, for every
-// kernel mode. A miss used to hand out a kernel whose transpose the
+// TestKernelMissConcurrent steps two quantifiers over one shared model
+// from two goroutines across the switch to an unlisted matrix, on auto
+// and the oracle. A miss used to hand out a kernel whose transpose the
 // product dispatch filled in on first use — a write on a read path that
 // was safe only because the kernel was call-private; now nothing on the
 // step path writes to a kernel. Run under -race; both goroutines must
-// also reproduce the lister-compiled reference bit for bit.
-func TestKernelMissPastProbeWindowConcurrent(t *testing.T) {
+// also reproduce a reference that lists every matrix, bit for bit.
+func TestKernelMissConcurrent(t *testing.T) {
 	g := grid.MustNew(4, 4, 1)
 	early, err := markov.LazyRandomWalk(g, 0.3)
 	if err != nil {
@@ -307,8 +309,8 @@ func TestKernelMissPastProbeWindowConcurrent(t *testing.T) {
 	}
 	// The window straddles the switch: forward commits, checks and
 	// backward commits all meet the uncached matrix.
-	ev := event.MustNewPresence(region, kernelProbeLimit, kernelProbeLimit+4)
-	const steps = kernelProbeLimit + 8
+	ev := event.MustNewPresence(region, lateAt-2, lateAt+2)
+	const steps = lateAt + 6
 	tp := lateMatrixProvider{early.Matrix(), late.Matrix()}
 	mats := make([]*mat.Matrix, steps)
 	for i := range mats {
@@ -333,7 +335,7 @@ func TestKernelMissPastProbeWindowConcurrent(t *testing.T) {
 		}
 		return out
 	}
-	for _, mode := range []KernelMode{KernelAuto, KernelDense, KernelSparse, KernelOracle} {
+	for _, mode := range []KernelMode{KernelAuto, KernelOracle} {
 		ref, err := NewModelWithOptions(listed, ev, ModelOptions{Kernel: mode})
 		if err != nil {
 			t.Fatal(err)
@@ -344,7 +346,7 @@ func TestKernelMissPastProbeWindowConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, cached := md.kernels[tp.late]; cached {
-			t.Fatal("late matrix was compiled by the probe")
+			t.Fatal("the unlisted matrix was compiled")
 		}
 		var got [2][][2]mat.Vector
 		var wg sync.WaitGroup
@@ -368,34 +370,30 @@ func TestKernelMissPastProbeWindowConcurrent(t *testing.T) {
 // TestZeroBlockProductsSkipped: on unique-mid's plan (window 3–7, so
 // A_T ≡ 0 until the commit at t = 3 opens the window) 11 commits run 17
 // operator products, of which the three over the empty A_T are skipped
-// and 14 dispatched: under auto all 14 through the chain's Kronecker
-// factors, under dense 12 full-band + 2 banded (the skipped ones are one
-// banded at t = 1 and two full-band at t = 2, 3). The goldens hold the
-// releases to their traces.
+// and 14 dispatched: all 14 through the chain's Kronecker factors, or,
+// on the same matrix without its factors, 12 full-band + 2 banded (the
+// skipped ones are one banded at t = 1 and two full-band at t = 2, 3).
+// The goldens hold the releases to their traces.
 func TestZeroBlockProductsSkipped(t *testing.T) {
 	for _, tc := range []struct {
-		mode KernelMode
+		run  goldenRun
 		want KernelStats
 	}{
-		{KernelAuto, KernelStats{Factored: 14}},
-		{KernelDense, KernelStats{Blocked: 12, Banded: 2}},
+		{goldenRun{name: "auto"}, KernelStats{Factored: 14}},
+		{goldenRun{name: "dense", varying: true}, KernelStats{Blocked: 12, Banded: 2}},
 	} {
-		tp, ev := goldenPlans[0].build(t)
-		md, err := NewModelWithOptions(tp, ev, ModelOptions{Kernel: tc.mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+		md := goldenPlans[0].model(t, tc.run)
 		q := NewQuantifier(md)
 		rng := rand.New(rand.NewSource(17))
 		for step := 0; step < 11; step++ {
 			if want := step < 4; q.t > 0 && q.atZero != want {
-				t.Fatalf("%v t=%d: atZero = %v, want %v", tc.mode, q.t, q.atZero, want)
+				t.Fatalf("%s t=%d: atZero = %v, want %v", tc.run.name, q.t, q.atZero, want)
 			}
 			q.commitTrusted(randomEmissionColumn(rng, md.States()))
 		}
 		ks := md.KernelStats()
 		if ks.Blocked != tc.want.Blocked || ks.Banded != tc.want.Banded || ks.Factored != tc.want.Factored {
-			t.Fatalf("%v dispatched blocked/banded/factored = %d/%d/%d, want %d/%d/%d", tc.mode,
+			t.Fatalf("%s dispatched blocked/banded/factored = %d/%d/%d, want %d/%d/%d", tc.run.name,
 				ks.Blocked, ks.Banded, ks.Factored, tc.want.Blocked, tc.want.Banded, tc.want.Factored)
 		}
 	}

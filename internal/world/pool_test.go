@@ -11,18 +11,14 @@ import (
 // TestPooledQuantifierMatchesFresh: a quantifier taken back from the
 // model's pool after a full session — renormalised, past the window, B₁
 // written — computes what a fresh one does, to the bit: every Check and
-// Current vector, LogScale and HistoryFingerprint at every t, under every
-// kernel mode. The session replayed on both is golden session 3, whose
+// Current vector, LogScale and HistoryFingerprint at every t, on every
+// path TestGoldenBits runs. The session replayed on both is golden session 3, whose
 // 1e-130 column forces a renormalisation.
 func TestPooledQuantifierMatchesFresh(t *testing.T) {
 	for _, p := range goldenPlans {
-		for _, mode := range []KernelMode{KernelAuto, KernelDense, KernelSparse, KernelOracle} {
-			t.Run(p.name+"/"+mode.String(), func(t *testing.T) {
-				tp, ev := p.build(t)
-				md, err := NewModelWithOptions(tp, ev, ModelOptions{Kernel: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
+		for _, r := range p.runs() {
+			t.Run(p.name+"/"+r.name, func(t *testing.T) {
+				md := p.model(t, r)
 				end := md.end
 				if p.steps <= end+2 {
 					t.Fatalf("%d steps never reach B₁ (window ends at %d)", p.steps, end)

@@ -26,14 +26,14 @@
 // Kernel invariant. Within a build, releases are bit-identical across
 // replay, restart, migration, deferred vs eager commit and pool width 1
 // vs 4: every kernel path is deterministic, and a parallel one splits at
-// fixed row boundaries with one writer per row. The dense, sparse and
-// oracle modes are also bit-identical to each other. Auto on a chain that
-// carries Kronecker factors commits through them in a different
-// summation order; against the oracle it is held to a relative error
-// bound derived from the chain lengths, with identical release verdicts,
-// tags and fingerprints (factored_test.go). A kernel change that moves
-// bits regenerates the goldens once, and reports the bound and the
-// largest observed difference (golden_test.go).
+// fixed row boundaries with one writer per row. The input picks the path
+// (KernelAuto): the CSR, row-primitive and banded paths are bit-identical
+// to the oracle. A chain that carries Kronecker factors commits through
+// them in a different summation order; against the oracle it is held to
+// a relative error bound derived from the chain lengths, with identical
+// release verdicts, tags and fingerprints (factored_test.go). A kernel
+// change that moves bits regenerates the goldens once, and reports the
+// bound and the largest observed difference (golden_test.go).
 //
 // View lifetime. A Quantifier is a view of a committed release history,
 // rebuilt by replaying it, and its storage is recycled: three m×m
@@ -59,10 +59,16 @@ import (
 // TransitionProvider supplies the (possibly time-varying) transition
 // matrix for each step. Matrix(t) maps the distribution at time t to time
 // t+1 and must be row-stochastic. The returned matrix must not be mutated
-// and must remain valid for the provider's lifetime.
+// and must remain valid for the provider's lifetime. DistinctMatrices
+// lists every matrix Matrix can return: a Model compiles their step
+// kernels (CSR forms and transposes) up front, keeping the quantifier's
+// hot path lock- and allocation-free. A matrix Matrix returns that the
+// list lacks is still computed correctly, on a kernel compiled for that
+// one call.
 type TransitionProvider interface {
 	States() int
 	Matrix(t int) *mat.Matrix
+	DistinctMatrices() []*mat.Matrix
 }
 
 // Homogeneous adapts a time-homogeneous markov.Chain to a
@@ -80,7 +86,8 @@ func (h *Homogeneous) States() int { return h.chain.States() }
 // Matrix implements TransitionProvider.
 func (h *Homogeneous) Matrix(int) *mat.Matrix { return h.chain.Matrix() }
 
-// DistinctMatrices implements MatrixLister: one matrix for every step.
+// DistinctMatrices implements TransitionProvider: one matrix for every
+// step.
 func (h *Homogeneous) DistinctMatrices() []*mat.Matrix {
 	return []*mat.Matrix{h.chain.Matrix()}
 }
@@ -123,7 +130,7 @@ func (v *Varying) Matrix(t int) *mat.Matrix {
 	return v.Matrices[t]
 }
 
-// DistinctMatrices implements MatrixLister.
+// DistinctMatrices implements TransitionProvider.
 func (v *Varying) DistinctMatrices() []*mat.Matrix { return v.Matrices }
 
 // Model binds an event to a mobility model and precomputes the suffix
@@ -226,32 +233,10 @@ func NewModelWithOptions(tp TransitionProvider, ev event.Event, opts ModelOption
 	return md, nil
 }
 
-// kernelProbeLimit bounds the Matrix(t) probe used to enumerate the step
-// matrices of a provider without DistinctMatrices — and therefore the
-// kernels (each carrying a precomputed transpose) such a provider can
-// pin. A provider synthesizing a fresh matrix per call retains at most
-// this many useless kernels and falls back to per-call compilation.
-const kernelProbeLimit = 64
-
 // compileKernels builds the step kernel (CSR form or dense transpose) of
-// every distinct transition matrix the provider can return. Providers
-// implementing MatrixLister are compiled exhaustively; others are probed
-// over the first kernelProbeLimit steps — a matrix first appearing beyond
-// the probe window falls back to uncached per-call compilation in
-// kernel(), which is correct but allocates.
+// every distinct transition matrix the provider lists.
 func (md *Model) compileKernels() {
-	var distinct []*mat.Matrix
-	if l, ok := md.tp.(MatrixLister); ok {
-		distinct = l.DistinctMatrices()
-	} else {
-		seen := make(map[*mat.Matrix]bool)
-		for t := 0; t < kernelProbeLimit; t++ {
-			if m := md.tp.Matrix(t); !seen[m] {
-				seen[m] = true
-				distinct = append(distinct, m)
-			}
-		}
-	}
+	distinct := md.tp.DistinctMatrices()
 	var outer, inner *mat.Matrix
 	if h, ok := md.tp.(*Homogeneous); ok {
 		outer, inner = h.chain.Kronecker()
@@ -287,10 +272,10 @@ func (md *Model) KernelStats() KernelStats {
 }
 
 // kernel returns the compiled kernel for the transition from time t to
-// t+1. The compile-time map covers every matrix of a MatrixLister
-// provider (and the probe window of any other); a miss compiles a
-// complete call-private kernel without caching — correct for exotic
-// providers at the cost of allocation.
+// t+1. The compile-time map covers every matrix the provider lists; a
+// miss — a provider whose Matrix returns one it did not list — compiles
+// a complete call-private kernel without caching: correct, but it
+// allocates on every call.
 func (md *Model) kernel(t int) *stepKernel {
 	m := md.tp.Matrix(t)
 	if k, ok := md.kernels[m]; ok {

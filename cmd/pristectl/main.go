@@ -230,7 +230,6 @@ func runStats(ctx context.Context, client api.Client, args []string) {
 			{"sparse_kernels", fmt.Sprintf("%d", p.SparseKernels)},
 			{"kernel_density", fmt.Sprintf("%.4f", p.KernelDensity)},
 			{"blocked_products", fmt.Sprintf("%d", p.BlockedKernels)},
-			{"banded_products", fmt.Sprintf("%d", p.BandedKernels)},
 			{"factored_products", fmt.Sprintf("%d", p.FactoredKernels)},
 			{"pool_parallelism", fmt.Sprintf("%d", pool.Parallelism)},
 			{"pool_workers", fmt.Sprintf("%d", pool.Workers)},

@@ -13,9 +13,8 @@
 //
 //	pristed [-addr :8377] [-rpc-addr :8378] [-grid 10] [-cell 1.0] \
 //	    [-sigma 1.0] [-eps 0.5] [-alpha 1.0] [-delta -1] [-event "0-9@3-7"]... \
-//	    [-sparse-cutoff 0] \
 //	    [-max-sessions 4096] [-session-ttl 15m] [-workers 0] [-queue 64] \
-//	    [-cert-cache 65536] \
+//	    [-qp-timeout 1s] [-parallel 0] [-cert-cache 65536] \
 //	    [-store-dir /var/lib/pristed] [-fsync] [-snapshot-every 256] \
 //	    [-log-format text] [-log-level info] [-slow-step 500ms] \
 //	    [-drain-batch 64] [-stream-buffer 256] \
@@ -29,10 +28,9 @@
 // stable storage. On SIGTERM the daemon drains pending steps, flushes
 // final snapshots and only then exits.
 //
-// The world picks how the operators are computed; no flag does. The
-// exact Gaussian chain commits through its Kronecker factors.
-// -sparse-cutoff makes a different chain: it carries no factors, and it
-// runs on CSR kernels when sparse enough, on dense ones otherwise.
+// The daemon serves one world, the exact Gaussian mobility chain of
+// -grid, -cell and -sigma, and commits it through its Kronecker
+// factors; no flag picks how the operators are computed.
 //
 // HTTP API (the RPC transport carries the same surface plus windowed
 // step streams, which are RPC-only; see internal/rpc for the framing):
@@ -101,7 +99,6 @@ func main() {
 		storeDir    = flag.String("store-dir", "", "session durability directory (WAL + snapshots); empty = in-memory only")
 		fsync       = flag.Bool("fsync", false, "fsync every WAL append before acknowledging the step (requires -store-dir)")
 		snapEvery   = flag.Int("snapshot-every", server.DefaultSnapshotEvery, "compact a session's WAL into a snapshot every N steps; negative disables")
-		cutoff      = flag.Float64("sparse-cutoff", 0, "drop mobility transitions below cutoff*(row max) and renormalise, making the chain sparse; 0 keeps the exact Gaussian kernel")
 		logFormat   = flag.String("log-format", obs.LogText, "structured log format: text or json")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		slowStep    = flag.Duration("slow-step", server.DefaultSlowStep, "log a warning (with trace ID and stage breakdown) for steps at least this slow; negative disables")
@@ -142,7 +139,6 @@ func main() {
 	cfg.Epsilon = *eps
 	cfg.Alpha = *alpha
 	cfg.QPTimeout = *qpTimeout
-	cfg.SparseCutoff = *cutoff
 	cfg.MaxSessions = *maxSessions
 	cfg.SessionTTL = *sessionTTL
 	cfg.Workers = *workers

@@ -168,13 +168,11 @@ type PlanStats struct {
 	SparseKernels int64   `json:"sparse_kernels"`
 	DenseKernels  int64   `json:"dense_kernels"`
 	KernelDensity float64 `json:"kernel_density"`
-	// BlockedKernels and BandedKernels count the dense operator products
-	// executed full-band through the row primitive and band-limited
-	// through the banded kernel across retained plans (dispatch events,
-	// not compiled kernels; "blocked" is the name of the kernel the
-	// first field used to count).
+	// BlockedKernels counts the dense operator products executed
+	// through the row primitive across retained plans (dispatch events,
+	// not compiled kernels; "blocked" is the name of the kernel it used
+	// to count).
 	BlockedKernels int64 `json:"blocked_kernels"`
-	BandedKernels  int64 `json:"banded_kernels"`
 	// FactoredKernels counts the operator products run as two passes
 	// over a mobility chain's Kronecker factors (the exact Gaussian
 	// chain; dispatch events too).

@@ -50,8 +50,8 @@ type Config struct {
 	// Kernel selects how the plan's world models compute their
 	// operator products: world.KernelAuto (the default) lets the input
 	// pick the path; world.KernelOracle runs the naive reference loops,
-	// for tests and audits to diff against. Auto's CSR, row and banded
-	// paths are bit-identical to the oracle; its factored commits (a
+	// for tests and audits to diff against. Auto's CSR and row paths
+	// are bit-identical to the oracle; its factored commits (a
 	// chain carrying Kronecker factors) are held to a relative error
 	// bound, with identical verdicts, tags and fingerprints.
 	Kernel world.KernelMode

@@ -33,21 +33,18 @@ func kernelPlan(t *testing.T, tp world.TransitionProvider, mode world.KernelMode
 	return plan
 }
 
-// kernelChains builds the Gaussian chain, its tails cut below 1e-4, and
-// a lazy random walk on kernelGrid.
-func kernelChains(t *testing.T) (gauss, trunc, walk *markov.Chain) {
+// kernelChains builds the Gaussian chain and a lazy random walk on
+// kernelGrid.
+func kernelChains(t *testing.T) (gauss, walk *markov.Chain) {
 	t.Helper()
 	gauss, err := markov.GaussianChain(kernelGrid, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trunc, err = gauss.Sparsified(1e-4); err != nil {
-		t.Fatal(err)
-	}
 	if walk, err = markov.LazyRandomWalk(kernelGrid, 0.4); err != nil {
 		t.Fatal(err)
 	}
-	return gauss, trunc, walk
+	return gauss, walk
 }
 
 // varying hands the matrices over in a world.Varying, which carries no
@@ -123,7 +120,7 @@ func restoresOnto(t *testing.T, f *Framework, plan *Plan, seed int64) {
 // boundary both ways.
 func TestDenseSparseReleaseEquivalence(t *testing.T) {
 	const seed, steps = 42, 14
-	gauss, _, walk := kernelChains(t)
+	gauss, walk := kernelChains(t)
 	tp := varying(t, gauss.Matrix(), walk.Matrix(), gauss.Matrix(), walk.Matrix())
 	auto := kernelPlan(t, tp, world.KernelAuto)
 	oracle := kernelPlan(t, tp, world.KernelOracle)
@@ -145,7 +142,7 @@ func TestDenseSparseReleaseEquivalence(t *testing.T) {
 // verdicts, and so its releases, are the same.
 func TestOracleAdaptiveReleaseEquivalence(t *testing.T) {
 	const seed, steps = 7, 14
-	gauss, trunc, walk := kernelChains(t)
+	gauss, walk := kernelChains(t)
 	for _, tc := range []struct {
 		path string
 		tp   world.TransitionProvider
@@ -153,7 +150,6 @@ func TestOracleAdaptiveReleaseEquivalence(t *testing.T) {
 	}{
 		{"factored", world.NewHomogeneous(gauss), func(ks world.KernelStats) bool { return ks.Factored > 0 }},
 		{"row", varying(t, gauss.Matrix()), func(ks world.KernelStats) bool { return ks.Blocked > 0 && ks.Factored == 0 }},
-		{"banded", world.NewHomogeneous(trunc), func(ks world.KernelStats) bool { return ks.Banded > 0 && ks.Factored == 0 }},
 		{"csr", world.NewHomogeneous(walk), func(ks world.KernelStats) bool { return ks.Sparse == 1 && ks.Dense == 0 }},
 	} {
 		t.Run(tc.path, func(t *testing.T) {

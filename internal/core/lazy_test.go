@@ -468,7 +468,7 @@ func TestHitPathTouchesNoOperator(t *testing.T) {
 	plan := lazyDense.plan(t, world.KernelAuto, nil)
 	plan.EnableCache(certcache.New(1 << 14))
 	traj := walk(seed, plan.States(), horizon)
-	products := func() int64 { ks := plan.KernelStats(); return ks.Blocked + ks.Banded + ks.Factored }
+	products := func() int64 { ks := plan.KernelStats(); return ks.Blocked + ks.Factored }
 
 	if got := allocatedBytes(func() { _, _ = plan.NewSession(NewSessionRNG(seed)) }); got >= 8<<10 {
 		t.Errorf("NewSession on m=256 allocated %d bytes, want < 8 KB (no quantifier)", got)

@@ -30,7 +30,7 @@ type stepRecord struct {
 // privacy budget. The returned plan uses the given kernel mode; the
 // location sequence is derived from the same seed. The chain reaches the
 // plan in a Varying, which carries no Kronecker factors, so auto's
-// products are the row, banded and CSR paths — bit-identical to the
+// products are the row and CSR paths — bit-identical to the
 // oracle — never the factored one.
 func randomScenario(t *testing.T, seed int64, mode world.KernelMode) (*Plan, []int) {
 	t.Helper()

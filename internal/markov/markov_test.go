@@ -232,53 +232,6 @@ func TestGaussianChainValidation(t *testing.T) {
 	}
 }
 
-func TestSparsified(t *testing.T) {
-	g := grid.MustNew(8, 8, 1)
-	chain, err := GaussianChain(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := chain.Sparsified(1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sp.Matrix().IsRowStochastic(1e-9) {
-		t.Fatal("sparsified chain not row-stochastic")
-	}
-	zeros := 0
-	for i := 0; i < sp.States(); i++ {
-		row := sp.Matrix().Row(i)
-		if row.Max() == 0 {
-			t.Fatalf("row %d lost all mass", i)
-		}
-		// The dominant transition must survive at the argmax of the
-		// original row.
-		if k := chain.Matrix().Row(i).ArgMax(); row[k] == 0 {
-			t.Fatalf("row %d dropped its dominant transition", i)
-		}
-		for _, v := range row {
-			if v == 0 {
-				zeros++
-			}
-		}
-	}
-	if zeros == 0 {
-		t.Fatal("cutoff dropped nothing — test premise broken")
-	}
-	// The original chain is untouched.
-	if n := CSRDensityOf(chain.Matrix()); n != 1 {
-		t.Fatalf("original chain density %v after Sparsified", n)
-	}
-	for _, bad := range []float64{0, -1, 1, 1.5, math.NaN()} {
-		if _, err := chain.Sparsified(bad); err == nil {
-			t.Errorf("cutoff %v accepted", bad)
-		}
-	}
-}
-
-// CSRDensityOf reports the nonzero density of a matrix.
-func CSRDensityOf(m *mat.Matrix) float64 { return mat.CSRFromDense(m).Density() }
-
 func TestLazyRandomWalk(t *testing.T) {
 	g := grid.MustNew(3, 3, 1)
 	c, err := LazyRandomWalk(g, 0.5)

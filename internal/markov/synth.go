@@ -96,29 +96,3 @@ func LazyRandomWalk(g *grid.Grid, stay float64) (*Chain, error) {
 	}
 	return NewChain(t)
 }
-
-// Sparsified returns a copy of the chain with every transition
-// probability below cutoff×(row maximum) dropped and each row
-// renormalised. A Gaussian mobility kernel is mathematically dense —
-// exp(−d²/2σ²) never reaches exact zero — but its mass is concentrated
-// on a handful of neighbour cells, so a small cutoff (e.g. 1e-4) turns
-// it into a structurally sparse chain that the quantifier compiles to
-// CSR kernels; each row's dominant transition always survives. cutoff
-// must lie in (0,1).
-func (c *Chain) Sparsified(cutoff float64) (*Chain, error) {
-	if cutoff <= 0 || cutoff >= 1 || math.IsNaN(cutoff) {
-		return nil, fmt.Errorf("markov: sparsify cutoff %g outside (0,1)", cutoff)
-	}
-	t := c.t.Clone()
-	for i := 0; i < c.m; i++ {
-		row := t.Row(i)
-		floor := cutoff * row.Max()
-		for j, v := range row {
-			if v < floor {
-				row[j] = 0
-			}
-		}
-		row.Normalize()
-	}
-	return NewChain(t)
-}

@@ -190,15 +190,15 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-// scaleCols returns a·diag(d) through MulBandInto's diagonal path: a
-// right operand of bandwidth 0 is a column scaling.
+// scaleCols returns a·diag(d) through the dense product: a diagonal
+// right operand is a column scaling.
 func scaleCols(a *Matrix, d Vector) *Matrix {
 	dg := NewMatrix(len(d), len(d))
 	for i, v := range d {
 		dg.Set(i, i, v)
 	}
 	out := NewMatrix(a.Rows, len(d))
-	MulBandInto(out, a, dg, a.Cols-1, 0)
+	MulInto(out, a, dg)
 	return out
 }
 

@@ -249,6 +249,34 @@ func (m *Matrix) EqualApprox(n *Matrix, tol float64) bool {
 	return true
 }
 
+// Bandwidth returns the bandwidth of a: the largest |i−j| over nonzero
+// entries (0 for a diagonal or zero matrix). Under a grid ordering the
+// mobility kernels are spatially local, so a transition matrix has a
+// band narrower than m, and each committed step widens the operators'
+// band by it; RowMulInto and CSR.MulMatInto skip the columns outside a
+// declared band. For a non-square matrix the same |i−j| measure applies.
+func Bandwidth(a *Matrix) int {
+	bw := 0
+	for i := 0; i < a.Rows; i++ {
+		row := a.Data[i*a.Cols : (i+1)*a.Cols]
+		// Only columns outside [i−bw, i+bw] can grow the band; scan
+		// outward-first so dense rows terminate in O(1) amortised.
+		for j := 0; j < i-bw; j++ {
+			if row[j] != 0 {
+				bw = i - j
+				break
+			}
+		}
+		for j := a.Cols - 1; j > i+bw; j-- {
+			if row[j] != 0 {
+				bw = j - i
+				break
+			}
+		}
+	}
+	return bw
+}
+
 // IsRowStochastic reports whether every row of m is a probability
 // distribution within tol.
 func (m *Matrix) IsRowStochastic(tol float64) bool {

@@ -14,14 +14,14 @@ import "priste/internal/par"
 // the 2-row register tile serves rows that share B (the rows of a
 // commit, a check's rows against the same operator).
 //
-// Bit-identity with MulInto, Matrix.VecMulInto, MulBandInto and the CSR
-// kernels: every dst[j] is one accumulation chain that starts at zero
-// and takes its k terms in ascending order, one multiply then one add
-// per term (never fused — the Go loops round each product with an
-// explicit float64 conversion, which forbids the fusion arm64 would
-// otherwise apply). The other kernels differ only in skipping terms
-// with a zero factor, which on the engine's non-negative data
-// contribute an exact +0.
+// Bit-identity with MulInto, Matrix.VecMulInto and the CSR kernels:
+// every dst[j] is one accumulation chain that starts at zero and takes
+// its k terms in ascending order, one multiply then one add per term
+// (never fused — the Go loops round each product with an explicit
+// float64 conversion, which forbids the fusion arm64 would otherwise
+// apply). The other kernels differ only in skipping terms with a zero
+// factor, which on the engine's non-negative data contribute an exact
+// +0.
 
 // rowMulAsm reports whether the row primitive runs the assembly body;
 // set once by the amd64 init, false elsewhere.
@@ -96,8 +96,10 @@ func rowMulGo(dst, a, b []float64, stride int) {
 // result, bit for bit — for b with bandwidth band (entries outside
 // |i−j| ≤ band must be exactly zero; any band ≥ b.Rows−1 declares
 // nothing). A band that skips columns runs band-limited, row k touching
-// only columns [k−band, k+band] — the skipped terms are exact zeros;
-// otherwise the product is the row primitive. dst must not alias x.
+// only columns [k−band, k+band], k ascending and zero x[k] skipped — the
+// skipped terms are exact zeros on the engine's non-negative data, and
+// the column window moves with k, so it stays a Go loop; otherwise the
+// product is the row primitive. dst must not alias x.
 func RowMulInto(dst, x Vector, b *Matrix, band int) Vector {
 	if len(x) != b.Rows || len(dst) != b.Cols {
 		panic("mat: RowMul shape mismatch")
@@ -107,7 +109,17 @@ func RowMulInto(dst, x Vector, b *Matrix, band int) Vector {
 		return dst
 	}
 	clear(dst)
-	rowMulBand(dst, x, 0, b.Rows-1, b, band)
+	n := b.Cols
+	for k, xk := range x {
+		if xk == 0 {
+			continue
+		}
+		j0, j1 := max(k-band, 0), min(k+band, n-1)
+		dseg := dst[j0 : j1+1]
+		for j, bv := range b.Data[k*n+j0 : k*n+j1+1] {
+			dseg[j] += float64(xk * bv)
+		}
+	}
 	return dst
 }
 

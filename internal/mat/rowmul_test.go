@@ -15,6 +15,62 @@ import (
 	"priste/internal/par"
 )
 
+// randomBanded returns an m×m non-negative matrix with all nonzeros in
+// |i−j| ≤ band and the given interior zero fraction.
+func randomBanded(rng *rand.Rand, m, band int, zeroFrac float64) *Matrix {
+	a := NewMatrix(m, m)
+	for i := 0; i < m; i++ {
+		for j := max(0, i-band); j <= min(m-1, i+band); j++ {
+			if rng.Float64() < zeroFrac {
+				continue
+			}
+			a.Set(i, j, rng.Float64())
+		}
+	}
+	return a
+}
+
+func TestBandwidth(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for _, tc := range []struct{ m, band int }{
+		{1, 0}, {5, 0}, {8, 1}, {20, 3}, {30, 29}, {17, 16},
+	} {
+		a := randomBanded(rng, tc.m, tc.band, 0)
+		if got := Bandwidth(a); got != tc.band {
+			t.Fatalf("m=%d band=%d: Bandwidth = %d", tc.m, tc.band, got)
+		}
+	}
+	if got := Bandwidth(NewMatrix(7, 7)); got != 0 {
+		t.Fatalf("zero matrix bandwidth = %d", got)
+	}
+}
+
+// TestRowMulIntoBandedMatchesDot: the band-limited row product on the
+// transposed operator is the matvec a·x the quantifier's checks need
+// (the band of aᵀ is the band of a), bit for bit against the row dots.
+func TestRowMulIntoBandedMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	for _, tc := range []struct{ m, band int }{
+		{1, 0}, {7, 0}, {12, 3}, {40, 39}, {55, 9},
+	} {
+		a := randomBanded(rng, tc.m, tc.band, 0.2)
+		x := make(Vector, tc.m)
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		want := make(Vector, tc.m)
+		a.MulVecInto(want, x)
+		got := make(Vector, tc.m)
+		got[0] = math.NaN() // must be fully overwritten
+		RowMulInto(got, x, a.Transpose(), tc.band)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("m=%d band=%d: element %d differs", tc.m, tc.band, i)
+			}
+		}
+	}
+}
+
 type rowMulBody struct {
 	name string
 	run  func(dst, a, b *Matrix) // dst = a·b, every row through the body

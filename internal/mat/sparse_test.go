@@ -115,6 +115,17 @@ func TestCSRMatchesDenseKernels(t *testing.T) {
 		// term for term.
 		s.Transpose().MulMatInto(gotT, a.Transpose(), tc.n-1)
 		sameExact(t, "MulMat transposed", gotT.Data, mul(a, m).Transpose().Data)
+
+		// A banded b is read only inside the declared band.
+		band := tc.n / 5
+		for i := range a.Data {
+			if d := i/tc.n - i%tc.n; d > band || -d > band {
+				a.Data[i] = 0
+			}
+		}
+		MulInto(wantT, m.Transpose(), a)
+		s.Transpose().MulMatInto(gotT, a, band)
+		sameExact(t, "MulMat banded", gotT.Data, wantT.Data)
 	}
 }
 

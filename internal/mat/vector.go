@@ -1,7 +1,7 @@
 // Package mat provides the linear-algebra substrate used by the PriSTE
 // quantifier: row-major matrices and vectors, the row primitive behind
-// every dense product (rowmul.go), banded and compressed-sparse-row
-// kernels, Hadamard products and diagonal scaling.
+// every dense product (rowmul.go), compressed-sparse-row kernels,
+// Hadamard products and diagonal scaling.
 //
 // The package is deliberately small and allocation-conscious: the PriSTE
 // release loop multiplies m×m matrices at every committed timestamp, so

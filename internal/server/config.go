@@ -66,16 +66,6 @@ type Config struct {
 	// release loop; zero means no limit (fully deterministic stepping).
 	QPTimeout time.Duration
 
-	// SparseCutoff, when positive, drops mobility-chain transition
-	// probabilities below cutoff×(row maximum) and renormalises each row
-	// at startup (markov.Chain.Sparsified). The Gaussian kernel is
-	// mathematically dense, so without a cutoff the quantifier runs on
-	// the dense kernels; a small cutoff (e.g. 1e-4) makes the chain
-	// structurally sparse and the release loop O(m·nnz) instead of
-	// O(m³) per commit. Changing the cutoff changes the world model:
-	// persisted sessions are scoped to it (see worldTag).
-	SparseCutoff float64
-
 	// Parallelism fixes the width of the process-global kernel worker
 	// pool the quantifier commits fan their tile-parallel products out
 	// on (`pristed -parallel`). 0 = auto: the pool tracks GOMAXPROCS.
@@ -223,9 +213,6 @@ func (c Config) validate() error {
 		}
 	default:
 		return fmt.Errorf("server: unknown mechanism %q (want %q or %q)", c.Mechanism, MechanismLaplace, MechanismDelta)
-	}
-	if c.SparseCutoff < 0 || c.SparseCutoff >= 1 || math.IsNaN(c.SparseCutoff) {
-		return fmt.Errorf("server: sparse cutoff %g outside [0,1)", c.SparseCutoff)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("server: parallelism must be >= 0, got %d", c.Parallelism)

@@ -187,7 +187,6 @@ func (r *PlanRegistry) Stats() api.PlanStats {
 		DenseKernels:    int64(ks.Dense),
 		KernelDensity:   ks.Density,
 		BlockedKernels:  ks.Blocked,
-		BandedKernels:   ks.Banded,
 		FactoredKernels: ks.Factored,
 	}
 }

@@ -338,46 +338,121 @@ func TestRestartStartsCold(t *testing.T) {
 // TestWorldMismatchRefusesReplay: sessions journaled under one world
 // model must not replay into a server running a different one — the
 // certified verdicts would be meaningless — and the journals must
-// survive for a restart under the original world.
+// survive on disk. Two mismatches: a restart under another sigma, after
+// which the original world recovers the journal, and a journal whose
+// world tag carries the ";cutoff=" suffix older daemons wrote when they
+// served the chain with its tails truncated, which a daemon serving the
+// exact chain refuses like any other world.
 func TestWorldMismatchRefusesReplay(t *testing.T) {
-	dir := t.TempDir()
-	srvA, err := New(durableConfig(t, dir))
+	for _, tc := range []struct {
+		name string
+		// restart edits the journals in dir if the input needs it and
+		// returns the config the server restarts with; world is the tag
+		// the journal was written under.
+		restart func(t *testing.T, dir, world string) Config
+		// recovers: a server under the original world replays the
+		// journal afterwards.
+		recovers bool
+	}{
+		{"sigma", func(t *testing.T, dir, _ string) Config {
+			cfg := durableConfig(t, dir)
+			cfg.Sigma = 2.5
+			return cfg
+		}, true},
+		{"cutoff", func(t *testing.T, dir, world string) Config {
+			rewriteWorld(t, dir, "u", world+";cutoff=0.0001")
+			return durableConfig(t, dir)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srvA, err := New(durableConfig(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := int64(4)
+			if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 3; k++ {
+				if _, err := srvA.Step(bg, "u", k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srvA.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			// Same store, different world model: replay must be refused.
+			srvB, err := New(tc.restart(t, dir, srvA.worldTag))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := srvB.Stats()
+			if st.Store.Replayed != 0 || st.Store.ReplayFailures != 1 {
+				t.Fatalf("cross-world replay: %+v, want 0 replayed / 1 failure", st.Store)
+			}
+			srvB.Close()
+
+			// The journal survived the mismatch.
+			if !tc.recovers {
+				if states := loadJournals(t, dir); len(states) != 1 || states[0].Meta.ID != "u" || states[0].T != 3 {
+					t.Fatalf("journals on disk after the refused replay: %+v; want u at T=3", states)
+				}
+				return
+			}
+			srvC := newTestServer(t, durableConfig(t, dir))
+			if info, err := srvC.GetSession("u"); err != nil || info.T != 3 {
+				t.Fatalf("after returning to the original world: %+v, %v; want T=3", info, err)
+			}
+		})
+	}
+}
+
+// loadJournals returns the sessions journaled in dir.
+func loadJournals(t *testing.T, dir string) []store.SessionState {
+	t.Helper()
+	st, err := store.Open(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := int64(4)
-	if _, err := srvA.CreateSession(api.CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+	defer st.Close()
+	states, err := st.LoadSessions()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 3; k++ {
-		if _, err := srvA.Step(bg, "u", k); err != nil {
+	return states
+}
+
+// rewriteWorld re-journals session id in dir under the world tag world,
+// its history unchanged.
+func rewriteWorld(t *testing.T, dir, id, world string) {
+	t.Helper()
+	st, err := store.Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	states, err := st.LoadSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, state := range states {
+		if state.Meta.ID != id {
+			continue
+		}
+		if err := st.DeleteSession(id); err != nil {
 			t.Fatal(err)
 		}
+		state.Meta.World = world
+		if _, err := st.ImportSession(state); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srvA.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same store, different mobility model: replay must be refused.
-	cfgB := durableConfig(t, dir)
-	cfgB.Sigma = 2.5
-	srvB, err := New(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := srvB.Stats()
-	if st.Store.Replayed != 0 || st.Store.ReplayFailures != 1 {
-		t.Fatalf("cross-world replay: %+v, want 0 replayed / 1 failure", st.Store)
-	}
-	srvB.Close()
-
-	// The journal survived the mismatch: the original world recovers it.
-	srvC := newTestServer(t, durableConfig(t, dir))
-	if info, err := srvC.GetSession("u"); err != nil || info.T != 3 {
-		t.Fatalf("after returning to the original world: %+v, %v; want T=3", info, err)
-	}
+	t.Fatalf("no journal for %q in %s", id, dir)
 }
 
 // TestOverBoundJournalIsNotReplayed: a journal whose events exceed the
@@ -439,17 +514,8 @@ func TestOverBoundJournalIsNotReplayed(t *testing.T) {
 	}
 	srvB.Close()
 
-	st, err = store.Open(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	states, err := st.LoadSessions()
-	if err != nil {
-		t.Fatal(err)
-	}
 	kept := map[string]bool{}
-	for _, s := range states {
+	for _, s := range loadJournals(t, dir) {
 		kept[s.Meta.ID] = true
 	}
 	if !kept["wide"] || !kept["many"] {

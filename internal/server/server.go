@@ -110,12 +110,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: mobility chain: %w", err)
 	}
-	if cfg.SparseCutoff > 0 {
-		chain, err = chain.Sparsified(cfg.SparseCutoff)
-		if err != nil {
-			return nil, fmt.Errorf("server: sparsify mobility chain: %w", err)
-		}
-	}
 	// Fail fast on a default event set no session could be created with.
 	if _, err := parseSessionEvents(cfg.Events, g.States()); err != nil {
 		return nil, err
@@ -135,16 +129,11 @@ func New(cfg Config) (*Server, error) {
 		cache = certcache.New(cfg.CertCacheSize)
 	}
 	_, isNull := cfg.Store.(store.Null)
-	// The sparse cutoff changes the transition probabilities, so it is
-	// part of the world identity; cutoff 0 keeps the pre-cutoff tag so
-	// existing journals stay replayable. The operator path is not part
-	// of the tag: restore replays the journal's release tags and the
-	// fingerprint folds tags, not operator bits, so a journal restores
-	// onto whichever path computes the operators.
+	// The operator path is not part of the world tag: restore replays
+	// the journal's release tags and the fingerprint folds tags, not
+	// operator bits, so a journal restores onto whichever path computes
+	// the operators.
 	worldTag := fmt.Sprintf("grid=%dx%d;cell=%g;sigma=%g", cfg.GridW, cfg.GridH, cfg.Cell, cfg.Sigma)
-	if cfg.SparseCutoff > 0 {
-		worldTag += fmt.Sprintf(";cutoff=%g", cfg.SparseCutoff)
-	}
 	s := &Server{
 		cfg:         cfg,
 		g:           g,

@@ -96,16 +96,10 @@ func BenchmarkQuantifierCheck(b *testing.B) {
 // for. "gauss/auto" is the daemon's default: commits run as two passes
 // over the chain's 20×20 Kronecker factors; "gauss/oracle" is the same
 // world on the naive reference loops. "gauss-unfactored/auto" is the
-// same matrix in a Varying, which carries no factors: the row primitive,
-// banded while the operator band is narrow. "trunc/auto" drops the
-// Gaussian's tails below 1e-4 of the row maximum (pristed
-// -sparse-cutoff 1e-4), which at m = 400 leaves it sparse enough for
-// CSR; "walk/auto" is a lazy random walk, CSR too. "trunc10/auto" is
-// the same cutoff on the 10×10 map, where the chain stays dense and
-// its narrow band takes banded products.
+// same matrix in a Varying, which carries no factors: the row
+// primitive. "walk/auto" is a lazy random walk, sparse enough for CSR.
 type kernelBenchCase struct {
 	name    string
-	side    int
 	chain   func(g *grid.Grid) (*markov.Chain, error)
 	mode    KernelMode
 	varying bool
@@ -113,34 +107,29 @@ type kernelBenchCase struct {
 
 func kernelBenchCases() []kernelBenchCase {
 	gauss := func(g *grid.Grid) (*markov.Chain, error) { return markov.GaussianChain(g, 1) }
-	trunc := func(g *grid.Grid) (*markov.Chain, error) {
-		c, err := markov.GaussianChain(g, 1)
-		if err != nil {
-			return nil, err
-		}
-		return c.Sparsified(1e-4)
-	}
 	walk := func(g *grid.Grid) (*markov.Chain, error) { return markov.LazyRandomWalk(g, 0.4) }
 	return []kernelBenchCase{
-		{name: "chain=gauss/kernel=auto", side: 20, chain: gauss},
-		{name: "chain=gauss/kernel=oracle", side: 20, chain: gauss, mode: KernelOracle},
-		{name: "chain=gauss-unfactored/kernel=auto", side: 20, chain: gauss, varying: true},
-		{name: "chain=trunc/kernel=auto", side: 20, chain: trunc},
-		{name: "chain=walk/kernel=auto", side: 20, chain: walk},
-		{name: "chain=trunc10/kernel=auto", side: 10, chain: trunc},
+		{name: "chain=gauss/kernel=auto", chain: gauss},
+		{name: "chain=gauss/kernel=oracle", chain: gauss, mode: KernelOracle},
+		{name: "chain=gauss-unfactored/kernel=auto", chain: gauss, varying: true},
+		{name: "chain=walk/kernel=auto", chain: walk},
 	}
 }
 
+// kernelBenchSide is the side of the map every kernel case runs on: the
+// paper's 20×20.
+const kernelBenchSide = 20
+
 // benchName is the case's sub-benchmark name, its state count appended.
 func (bc kernelBenchCase) benchName() string {
-	return fmt.Sprintf("%s/m%d", bc.name, bc.side*bc.side)
+	return fmt.Sprintf("%s/m%d", bc.name, kernelBenchSide*kernelBenchSide)
 }
 
 // benchCaseSetup builds the case's model and 20 planar-Laplace emission
 // columns.
 func benchCaseSetup(b *testing.B, bc kernelBenchCase) (*Model, []mat.Vector) {
 	b.Helper()
-	g := grid.MustNew(bc.side, bc.side, 1)
+	g := grid.MustNew(kernelBenchSide, kernelBenchSide, 1)
 	chain, err := bc.chain(g)
 	if err != nil {
 		b.Fatal(err)
@@ -174,7 +163,7 @@ func benchCaseSetup(b *testing.B, bc kernelBenchCase) (*Model, []mat.Vector) {
 }
 
 // BenchmarkCommit measures the per-timestamp operator update (Theorem
-// IV.1), mostly at the paper's m=400 map: one iteration commits a
+// IV.1) at the paper's m=400 map: one iteration commits a
 // 20-step trajectory crossing the window entry, the in-window updates
 // and the backward phase, and releases its quantifier to the pool, so
 // the loop times commits, not the allocator. commits/sec is the

@@ -14,18 +14,18 @@ const (
 	// KernelAuto lets the input pick the path of every product. A
 	// transition matrix of density at most csrMaxDensity compiles to
 	// CSR; a denser one runs the row primitive (mat.MulRowsInto,
-	// mat.RowMulInto), band-limited while the tracked operator
-	// bandwidth beats dense flops (mat.MulBandInto). A homogeneous
-	// chain whose Kronecker factors reproduce its matrix bit for bit
-	// (markov.GaussianChain on a grid) commits through them: two √m×√m
-	// passes of the row primitive per product (mat.KronMulInto).
-	// The CSR, row and banded paths are bit-identical to KernelOracle;
-	// the factored one is held to a bound (see the package doc).
+	// mat.RowMulInto, the check's rows band-limited while the tracked
+	// operator band skips columns). A homogeneous chain whose Kronecker
+	// factors reproduce its matrix bit for bit (markov.GaussianChain on
+	// a grid) commits through them: two √m×√m passes of the row
+	// primitive per product (mat.KronMulInto). The CSR and row paths
+	// are bit-identical to KernelOracle; the factored one is held to a
+	// bound (see the package doc).
 	KernelAuto KernelMode = iota
 	// KernelOracle forces plain Go loops everywhere (mat.MulInto,
 	// Matrix.MulVecInto, Matrix.VecMulInto) on the same transposed
 	// layout: no CSR, no row primitive — so no assembly — no factors
-	// and no banded dispatch. It is the reference the equivalence
+	// and no band limits. It is the reference the equivalence
 	// tests, the benchmark's verify phase and the kernel benchmarks
 	// measure auto against.
 	KernelOracle
@@ -45,9 +45,10 @@ func (m KernelMode) String() string {
 
 // csrMaxDensity is the density at or below which KernelAuto compiles a
 // transition matrix to CSR. CSR multiply-adds carry an index load each,
-// so the break-even sits near 0.4–0.5 density; 0.25 leaves margin. Local mobility models (random walks, trained chains, truncated
-// Gaussian kernels) sit far below it; an untruncated Gaussian chain is
-// structurally dense and stays on the dense path.
+// so the break-even sits near 0.4–0.5 density; 0.25 leaves margin.
+// Local mobility models (random walks, trained chains) sit far below
+// it; a Gaussian chain is structurally dense and stays on the dense
+// path.
 const csrMaxDensity = 0.25
 
 // ModelOptions tunes model compilation.
@@ -70,8 +71,8 @@ type stepKernel struct {
 
 	// bw is the bandwidth of the transition matrix (largest |i−j| over
 	// nonzeros, the same for Mᵀ): the amount each committed step widens
-	// the operators' band. Computed for every mode; only the dense
-	// non-oracle dispatch consumes it.
+	// the operators' band. Computed for every mode; the non-oracle check
+	// rows and CSR commits consume it.
 	bw     int
 	oracle bool
 
@@ -139,23 +140,7 @@ func isKronecker(m, outer, inner *mat.Matrix) bool {
 // across sessions, so the counters are atomic.
 type kernelCounters struct {
 	blocked  atomic.Int64
-	banded   atomic.Int64
 	factored atomic.Int64
-}
-
-// bandedWins reports whether a banded product over bands (aBand, bBand)
-// beats the full-band row primitive on an m×m product. The banded
-// scatter costs at least 2× per multiply-add what the primitive does,
-// so the band wins while its flop count is under half of m³. Bands at
-// or beyond m−1 are full rows — banded degenerates to a slower loop.
-func bandedWins(m, aBand, bBand int) bool {
-	if aBand >= m-1 && bBand >= m-1 {
-		return false
-	}
-	ka := min(aBand, m-1)
-	kb := min(bBand, m-1)
-	flops := int64(m) * int64(2*ka+1) * int64(2*kb+1)
-	return 2*flops < int64(m)*int64(m)*int64(m)
 }
 
 // mulVecInto stores M·x into dst — as xᵀ·Mᵀ within M's band on the
@@ -193,7 +178,6 @@ func (k *stepKernel) mulVec2Into(dst0, dst1, x0, x1 mat.Vector) {
 // product keeps its intermediate there. dst, op and scratch must be
 // distinct. All paths but the factored one are bit-identical.
 func (k *stepKernel) mulInto(dst, op, scratch *mat.Matrix, opBand int, opZero bool, kc *kernelCounters) {
-	m := op.Rows
 	switch {
 	case k.oracle:
 		mat.MulInto(dst, k.denseT, op)
@@ -204,9 +188,6 @@ func (k *stepKernel) mulInto(dst, op, scratch *mat.Matrix, opBand int, opZero bo
 		kc.factored.Add(1)
 	case k.csrT != nil:
 		k.csrT.MulMatInto(dst, op, opBand)
-	case bandedWins(m, k.bw, opBand):
-		mat.MulBandInto(dst, k.denseT, op, k.bw, min(opBand, m-1))
-		kc.banded.Add(1)
 	default:
 		mat.MulRowsInto(dst, k.denseT, op)
 		kc.blocked.Add(1)
@@ -224,14 +205,12 @@ type KernelStats struct {
 	// Density is the mean per-kernel density; a dense-path kernel
 	// counts as 1 regardless of its zero pattern.
 	Density float64 `json:"density"`
-	// Blocked and Banded count the dense operator products executed
-	// full-band through the row primitive and band-limited through the
-	// banded kernel, and Factored those run as two passes over a
+	// Blocked counts the dense operator products executed through the
+	// row primitive, and Factored those run as two passes over a
 	// chain's Kronecker factors (CSR and oracle products are not
 	// counted). Blocked keeps the name of the register-tiled kernel it
 	// used to count.
 	Blocked  int64 `json:"blocked"`
-	Banded   int64 `json:"banded"`
 	Factored int64 `json:"factored"`
 }
 
@@ -243,7 +222,6 @@ func (s KernelStats) Add(o KernelStats) KernelStats {
 	s.Dense += o.Dense
 	s.NNZ += o.NNZ
 	s.Blocked += o.Blocked
-	s.Banded += o.Banded
 	s.Factored += o.Factored
 	if se+oe > 0 {
 		s.Density = (float64(s.Density*se) + float64(o.Density*oe)) / (se + oe)

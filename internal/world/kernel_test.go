@@ -72,12 +72,12 @@ func TestKernelAutoSelection(t *testing.T) {
 	}
 }
 
-// TestKernelPathsBitIdentical reaches each of auto's four operator
+// TestKernelPathsBitIdentical reaches each of auto's three operator
 // paths through the input that selects it and diffs it against the
 // oracle over the same input, through the window entry, the in-window
 // updates, a forced renormalisation and the backward phase: every Check
 // and Current b̃/c̃, LogScale and the fingerprint. KernelStats must show
-// the path was taken. The CSR, row and banded paths are held to the
+// the path was taken. The CSR and row paths are held to the
 // oracle bit for bit — the property that lets release sequences,
 // fingerprints and restart replay move between a path and the oracle;
 // the factored path is held to TestFactoredMatchesOracle's bound.
@@ -89,10 +89,6 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	unfactored, err := NewVarying([]*mat.Matrix{gauss.Matrix()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc, err := gauss.Sparsified(1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,22 +109,15 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 	}{
 		// The chain's Kronecker factors reproduce its matrix.
 		{"factored", NewHomogeneous(gauss), func(ks KernelStats) bool {
-			return ks.Factored > 0 && ks.Blocked+ks.Banded == 0 && ks.Sparse == 0
+			return ks.Factored > 0 && ks.Blocked == 0 && ks.Sparse == 0
 		}},
-		// The same matrix without its factors: the row primitive (and the
-		// banded product while the operators are narrow).
+		// The same matrix without its factors: the row primitive.
 		{"row", unfactored, func(ks KernelStats) bool {
 			return ks.Blocked > 0 && ks.Factored == 0 && ks.Sparse == 0
 		}},
-		// Tails cut below 1e-4 of the row maximum (pristed's
-		// -sparse-cutoff 1e-4 on the default map): still dense (density
-		// 0.40), its band narrower.
-		{"banded", NewHomogeneous(trunc), func(ks KernelStats) bool {
-			return ks.Banded > 0 && ks.Factored == 0 && ks.Sparse == 0
-		}},
 		// A random walk is sparse enough for CSR.
 		{"csr", NewHomogeneous(walk), func(ks KernelStats) bool {
-			return ks.Sparse == 1 && ks.Dense == 0 && ks.Blocked+ks.Banded+ks.Factored == 0
+			return ks.Sparse == 1 && ks.Dense == 0 && ks.Blocked+ks.Factored == 0
 		}},
 	} {
 		t.Run(tc.path, func(t *testing.T) {
@@ -371,16 +360,15 @@ func TestKernelMissConcurrent(t *testing.T) {
 // A_T ≡ 0 until the commit at t = 3 opens the window) 11 commits run 17
 // operator products, of which the three over the empty A_T are skipped
 // and 14 dispatched: all 14 through the chain's Kronecker factors, or,
-// on the same matrix without its factors, 12 full-band + 2 banded (the
-// skipped ones are one banded at t = 1 and two full-band at t = 2, 3).
-// The goldens hold the releases to their traces.
+// on the same matrix without its factors, all 14 through the row
+// primitive. The goldens hold the releases to their traces.
 func TestZeroBlockProductsSkipped(t *testing.T) {
 	for _, tc := range []struct {
 		run  goldenRun
 		want KernelStats
 	}{
 		{goldenRun{name: "auto"}, KernelStats{Factored: 14}},
-		{goldenRun{name: "dense", varying: true}, KernelStats{Blocked: 12, Banded: 2}},
+		{goldenRun{name: "dense", varying: true}, KernelStats{Blocked: 14}},
 	} {
 		md := goldenPlans[0].model(t, tc.run)
 		q := NewQuantifier(md)
@@ -392,9 +380,9 @@ func TestZeroBlockProductsSkipped(t *testing.T) {
 			q.commitTrusted(randomEmissionColumn(rng, md.States()))
 		}
 		ks := md.KernelStats()
-		if ks.Blocked != tc.want.Blocked || ks.Banded != tc.want.Banded || ks.Factored != tc.want.Factored {
-			t.Fatalf("%s dispatched blocked/banded/factored = %d/%d/%d, want %d/%d/%d", tc.run.name,
-				ks.Blocked, ks.Banded, ks.Factored, tc.want.Blocked, tc.want.Banded, tc.want.Factored)
+		if ks.Blocked != tc.want.Blocked || ks.Factored != tc.want.Factored {
+			t.Fatalf("%s dispatched blocked/factored = %d/%d, want %d/%d", tc.run.name,
+				ks.Blocked, ks.Factored, tc.want.Blocked, tc.want.Factored)
 		}
 	}
 }

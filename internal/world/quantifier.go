@@ -55,12 +55,13 @@ type Quantifier struct {
 	// fwdBand and b1Band track the live bandwidth of the forward
 	// operators and the backward accumulator: each committed step widens
 	// the band by the step matrix's bandwidth (clamped at m−1 = full).
-	// The dense dispatch uses them to run banded products while they
-	// beat dense flops. afZero/atZero/b1Zero record, from the largest
-	// absolute entry each commit's final write pass produces for free,
-	// that a block was written all-zero (A_T until the window opens, B₁
-	// after an impossible observation): commit and check products over
-	// it are zeros and are skipped.
+	// Check rows over the operators run band-limited while the band
+	// skips columns, and CSR commits read each operator within it.
+	// afZero/atZero/b1Zero record, from the largest absolute entry each
+	// commit's final write pass produces for free, that a block was
+	// written all-zero (A_T until the window opens, B₁ after an
+	// impossible observation): commit and check products over it are
+	// zeros and are skipped.
 	fwdBand, b1Band        int
 	afZero, atZero, b1Zero bool
 

@@ -27,8 +27,8 @@
 // replay, restart, migration, deferred vs eager commit and pool width 1
 // vs 4: every kernel path is deterministic, and a parallel one splits at
 // fixed row boundaries with one writer per row. The input picks the path
-// (KernelAuto): the CSR, row-primitive and banded paths are bit-identical
-// to the oracle. A chain that carries Kronecker factors commits through
+// (KernelAuto): the CSR and row-primitive paths are bit-identical to the
+// oracle. A chain that carries Kronecker factors commits through
 // them in a different summation order; against the oracle it is held to
 // a relative error bound derived from the chain lengths, with identical
 // release verdicts, tags and fingerprints (factored_test.go). A kernel
@@ -266,7 +266,6 @@ func (md *Model) foldKernelStats(k *stepKernel) {
 func (md *Model) KernelStats() KernelStats {
 	ks := md.kstats
 	ks.Blocked = md.kc.blocked.Load()
-	ks.Banded = md.kc.banded.Load()
 	ks.Factored = md.kc.factored.Load()
 	return ks
 }

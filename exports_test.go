@@ -35,8 +35,8 @@ type goFile struct {
 	f    *ast.File
 }
 
-// parseTree parses every Go file under the repository root, skipping
-// hidden directories and testdata.
+// parseTree parses every Go file under the repository root, comments
+// included, skipping hidden directories and testdata.
 func parseTree(t *testing.T) []goFile {
 	t.Helper()
 	var files []goFile
@@ -54,7 +54,7 @@ func parseTree(t *testing.T) []goFile {
 		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -287,6 +287,18 @@ func selectedElsewhere(dirs map[string]bool, dir string) bool {
 		}
 	}
 	return false
+}
+
+// TestOracleStaysInTests: the reference package is for tests. No
+// non-test file of either module imports it, so no binary links it.
+func TestOracleStaysInTests(t *testing.T) {
+	for _, gf := range parseTree(t) {
+		for _, spec := range gf.f.Imports {
+			if !gf.test && strings.Trim(spec.Path.Value, `"`) == "priste/internal/oracle" {
+				t.Errorf("%s imports priste/internal/oracle", path.Join(gf.dir, gf.name))
+			}
+		}
+	}
 }
 
 // TestExportsHaveCallers holds priste.go and internal/ to the code that

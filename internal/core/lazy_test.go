@@ -2,232 +2,18 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"math/rand/v2"
 	"runtime"
 	"testing"
 
 	"priste/internal/certcache"
-	"priste/internal/event"
-	"priste/internal/grid"
 	"priste/internal/lppm"
 	"priste/internal/markov"
 	"priste/internal/mat"
+	"priste/internal/oracle"
 	"priste/internal/qp"
 	"priste/internal/world"
 )
-
-// lazyWorld is one map the deferred-commit tests run on: a side×side grid
-// under the Gaussian chain the daemon serves (σ = 1, dense at every size
-// used here) with PRESENCE events over state ranges.
-type lazyWorld struct {
-	name   string
-	side   int
-	events [][4]int // lo, hi, start, end
-}
-
-var (
-	lazySmall = lazyWorld{name: "6x6", side: 6, events: [][4]int{{0, 5, 2, 4}}}
-	lazyMid   = lazyWorld{name: "10x10", side: 10, events: [][4]int{{0, 9, 3, 7}}}
-	lazyDense = lazyWorld{name: "16x16-dense", side: 16, events: [][4]int{{0, 127, 3, 7}}}
-)
-
-// plan compiles the world for a mechanism factory (nil: one shared planar
-// Laplace) with the QP deadline off, so verdicts are functions of the
-// inputs alone.
-func (w lazyWorld) plan(t testing.TB, kernel world.KernelMode, mf func(*grid.Grid, *markov.Chain) MechanismFactory) *Plan {
-	t.Helper()
-	g := grid.MustNew(w.side, w.side, 1)
-	chain, err := markov.GaussianChain(g, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []event.Event
-	for _, e := range w.events {
-		region, err := grid.RegionRange(g.States(), e[0], e[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		events = append(events, event.MustNewPresence(region, e[2], e[3]))
-	}
-	cfg := DefaultConfig(0.5, 1.0)
-	cfg.QPTimeout = 0
-	cfg.Kernel = kernel
-	factory := SharedMechanism(lppm.NewPlanarLaplace(g))
-	if mf != nil {
-		factory = mf(g, chain)
-	}
-	p, err := NewPlan(factory, world.NewHomogeneous(chain), events, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func walk(seed int64, m, steps int) []int {
-	rng := rand.New(rand.NewPCG(uint64(seed), 99))
-	traj := make([]int, steps)
-	for i := range traj {
-		traj[i] = rng.IntN(m)
-	}
-	return traj
-}
-
-// TestDeferredCommitEquivalence is the contract of the lazily built
-// operators: a session that defers every commit to the next cache miss
-// releases exactly what a session that folds every commit into its
-// operators at once does. There are two eager references. One runs the
-// same kernels (auto, which commits the Gaussian chain through its
-// Kronecker factors) and must match bit for bit, realised loss included.
-// The other runs the naive oracle kernels, so it shares neither the
-// deferral nor the products: releases, tags and fingerprints must match
-// exactly and the realised loss to lossBound. The cache is warmed for a
-// random subset of each session's steps, so runs of hits of every length
-// from 0 to the horizon are followed by a miss that must rebuild the
-// whole run.
-func TestDeferredCommitEquivalence(t *testing.T) {
-	const horizon = 12
-	cases := []struct {
-		lazyWorld
-		sessions int
-	}{
-		// 46 sessions; fewer where a step is dear (the QP at m = 100, the
-		// oracle's naive 256³ products), since CI runs this under -race at
-		// two widths.
-		{lazySmall, 32},
-		{lazyMid, 8},
-		{lazyWorld{name: "10x10-two-events", side: 10, events: [][4]int{{0, 9, 3, 7}, {40, 59, 5, 9}}}, 4},
-		{lazyDense, 2},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if testing.Short() && c.side > 10 {
-				t.Skip("m = 256 oracle products")
-			}
-			plan := c.plan(t, world.KernelAuto, nil)
-			eagerAuto := c.plan(t, world.KernelAuto, nil)
-			eager := c.plan(t, world.KernelOracle, nil)
-			cache := certcache.New(1 << 16)
-			m := plan.States()
-			var hitSteps, longestRun int
-			var lossGap float64
-			for s := 0; s < c.sessions; s++ {
-				seed := int64(7000 + s)
-				traj := walk(seed, m, horizon)
-				pick := rand.New(rand.NewPCG(uint64(seed), 5))
-				warmed := make([]bool, horizon)
-				for i := range warmed {
-					warmed[i] = pick.Float64() < 0.65
-				}
-
-				// Warm the cache on the chosen steps only: a session with
-				// the same seed draws the same candidates, so it hits there
-				// and misses everywhere else.
-				warm, err := plan.NewSession(NewSessionRNG(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, loc := range traj {
-					plan.cache = nil
-					if warmed[i] {
-						plan.cache = cache
-					}
-					if _, err := warm.Step(loc); err != nil {
-						t.Fatal(err)
-					}
-				}
-				plan.cache = cache
-
-				lazy, err := plan.NewSession(NewSessionRNG(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				refs := make([]*Framework, 2) // eager auto, eager oracle
-				for r, p := range []*Plan{eagerAuto, eager} {
-					if refs[r], err = p.NewSession(NewSessionRNG(seed)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				refAuto, ref := refs[0], refs[1]
-				pending := 0
-				for i, loc := range traj {
-					got, err := lazy.Step(loc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, r := range refs {
-						want, err := r.Step(loc)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := r.materialise(nil); err != nil {
-							t.Fatal(err)
-						}
-						if got.Obs != want.Obs || got.Alpha != want.Alpha || got.Attempts != want.Attempts ||
-							got.ConservativeRejections != want.ConservativeRejections || got.Uniform != want.Uniform {
-							t.Fatalf("session %d step %d: deferred %+v, eager %+v", s, i, got, want)
-						}
-						if lazy.Fingerprint() != r.Fingerprint() {
-							t.Fatalf("session %d step %d: fingerprint %#x, eager %#x", s, i, lazy.Fingerprint(), r.Fingerprint())
-						}
-					}
-					switch {
-					case got.CertCacheMisses == 0 && got.CertCacheHits > 0:
-						hitSteps++
-						if got.Rebuilt != 0 || lazy.applied != i-pending {
-							t.Fatalf("session %d step %d: a hit step replayed %d tags (applied %d)", s, i, got.Rebuilt, lazy.applied)
-						}
-						pending++
-					default:
-						// Every commit since the last miss, and only those.
-						if got.Rebuilt != pending || lazy.applied != i {
-							t.Fatalf("session %d step %d: miss replayed %d tags, %d were pending (applied %d)", s, i, got.Rebuilt, pending, lazy.applied)
-						}
-						longestRun = max(longestRun, pending)
-						pending = 1
-					}
-					if warmed[i] && got.CertCacheMisses != 0 {
-						t.Fatalf("session %d step %d: warmed step missed the cache", s, i)
-					}
-				}
-				for _, r := range refs {
-					if got, want := lazy.Tags(), r.Tags(); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("session %d: tags %v, eager %v", s, got, want)
-					}
-				}
-				for e := range c.events {
-					for _, pi := range []mat.Vector{markov.Uniform(m), vertex(m, int(seed)%m)} {
-						got, gerr := lazy.RealizedLoss(e, pi)
-						want, werr := refAuto.RealizedLoss(e, pi)
-						if (gerr == nil) != (werr == nil) || math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("session %d event %d: realised loss %v (%v), eager auto %v (%v)", s, e, got, gerr, want, werr)
-						}
-						oracle, oerr := ref.RealizedLoss(e, pi)
-						if (gerr == nil) != (oerr == nil) || math.IsInf(got, 1) != math.IsInf(oracle, 1) {
-							t.Fatalf("session %d event %d: realised loss %v (%v), oracle %v (%v)", s, e, got, gerr, oracle, oerr)
-						}
-						if gerr != nil || math.IsInf(got, 1) {
-							continue
-						}
-						bound := lossBound(t, ref.quants[e], pi, horizon)
-						if d := math.Abs(got - oracle); d > bound {
-							t.Fatalf("session %d event %d: realised loss %v, oracle %v: gap %.3g over the bound %.3g", s, e, got, oracle, d, bound)
-						}
-						lossGap = max(lossGap, math.Abs(got-oracle)/bound)
-					}
-				}
-				if lazy.applied != horizon {
-					t.Fatalf("session %d: RealizedLoss left %d of %d tags unapplied", s, horizon-lazy.applied, horizon)
-				}
-			}
-			if hitSteps == 0 || longestRun < 2 {
-				t.Fatalf("no run of hits was followed by a miss: %d hit steps, longest rebuilt run %d", hitSteps, longestRun)
-			}
-			t.Logf("%d hit steps, longest run rebuilt by one miss: %d; largest realised-loss gap to the oracle %.2g of the bound", hitSteps, longestRun, lossGap)
-		})
-	}
-}
 
 // lossBound is how far the realised loss of a session may sit from the
 // oracle's after steps commits, given the oracle's quantifier q. Per
@@ -269,12 +55,12 @@ func vertex(m, i int) mat.Vector {
 // are TestRestoreFingerprintMismatch and
 // TestRestoreRejectsInconsistentSnapshot.)
 func TestRestoreValidatesBeforeAnyOperator(t *testing.T) {
-	plan := lazySmall.plan(t, world.KernelAuto, nil)
+	plan := scenarioPlan(t, oracle.Lookup("6x6"), world.KernelAuto, nil)
 	fw, err := plan.NewSession(NewSessionRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Run(walk(3, plan.States(), 5)); err != nil {
+	if _, err := fw.Run(oracle.Walk(3, plan.States(), 5)); err != nil {
 		t.Fatal(err)
 	}
 	good, err := fw.Snapshot()
@@ -340,17 +126,16 @@ func (f *flakyLaplace) Emission(alpha float64) (*mat.Matrix, error) {
 // stopped and releases what an undisturbed session releases.
 func TestMaterialiseErrorSurfacesAndResumes(t *testing.T) {
 	mech := &flakyLaplace{}
-	plan := lazySmall.plan(t, world.KernelAuto, func(g *grid.Grid, _ *markov.Chain) MechanismFactory {
-		mech.PlanarLaplace = lppm.NewPlanarLaplace(g)
-		return SharedMechanism(mech)
-	})
+	sc := oracle.Lookup("6x6")
+	mech.PlanarLaplace = lppm.NewPlanarLaplace(sc.Grid())
+	plan := scenarioPlan(t, sc, world.KernelAuto, SharedMechanism(mech))
 	if !plan.stateless {
 		t.Fatal("wrapper lost history independence")
 	}
 	cache := certcache.New(1 << 12)
 	plan.EnableCache(cache)
 	const seed, pre = 11, 5
-	traj := walk(seed, plan.States(), pre+3)
+	traj := oracle.Walk(seed, plan.States(), pre+3)
 
 	undisturbed, err := plan.NewSession(NewSessionRNG(seed))
 	if err != nil {
@@ -427,12 +212,12 @@ func TestMaterialiseErrorSurfacesAndResumes(t *testing.T) {
 // TestMaterialiseHoldsOperatorsToTheLog: operators that do not fold to the
 // log's fingerprint are refused whenever they are advanced.
 func TestMaterialiseHoldsOperatorsToTheLog(t *testing.T) {
-	plan := lazySmall.plan(t, world.KernelAuto, nil)
+	plan := scenarioPlan(t, oracle.Lookup("6x6"), world.KernelAuto, nil)
 	fw, err := plan.NewSession(NewSessionRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Run(walk(1, plan.States(), 4)); err != nil {
+	if _, err := fw.Run(oracle.Walk(1, plan.States(), 4)); err != nil {
 		t.Fatal(err)
 	}
 	fw.fp ^= 1
@@ -465,9 +250,9 @@ func TestHitPathTouchesNoOperator(t *testing.T) {
 		t.Skip("m = 256 warm-up")
 	}
 	const seed, horizon = 21, 12
-	plan := lazyDense.plan(t, world.KernelAuto, nil)
+	plan := scenarioPlan(t, oracle.Lookup("16x16-dense"), world.KernelAuto, nil)
 	plan.EnableCache(certcache.New(1 << 14))
-	traj := walk(seed, plan.States(), horizon)
+	traj := oracle.Walk(seed, plan.States(), horizon)
 	products := func() int64 { ks := plan.KernelStats(); return ks.Blocked + ks.Factored }
 
 	if got := allocatedBytes(func() { _, _ = plan.NewSession(NewSessionRNG(seed)) }); got >= 8<<10 {
@@ -547,11 +332,7 @@ func TestHitPathTouchesNoOperator(t *testing.T) {
 // its Observe needs each committed column before the next Begin, so its
 // operators never lag its log — the same materialise, called by commit.
 func TestStatefulCommitStaysEager(t *testing.T) {
-	plan := lazySmall.plan(t, world.KernelAuto, func(g *grid.Grid, chain *markov.Chain) MechanismFactory {
-		return func() (lppm.Perturber, error) {
-			return lppm.NewDeltaLocationSet(g, chain, markov.Uniform(g.States()), 0.05)
-		}
-	})
+	plan := scenarioPlan(t, oracle.Lookup("delta-5x5"), world.KernelAuto, nil)
 	if plan.stateless {
 		t.Fatal("δ-location-set reported history-independent")
 	}
@@ -559,7 +340,7 @@ func TestStatefulCommitStaysEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, loc := range walk(5, plan.States(), 8) {
+	for i, loc := range oracle.Walk(5, plan.States(), 8) {
 		res, err := fw.Step(loc)
 		if err != nil {
 			t.Fatal(err)

@@ -4,9 +4,8 @@ import (
 	"runtime"
 	"testing"
 
-	"priste/internal/grid"
-	"priste/internal/lppm"
 	"priste/internal/markov"
+	"priste/internal/oracle"
 	"priste/internal/world"
 )
 
@@ -15,9 +14,9 @@ import (
 // session released between steps — its storage taken by other sessions
 // meanwhile — releases exactly what one never released does.
 func TestReleaseMovesNoRelease(t *testing.T) {
-	plan := lazyMid.plan(t, world.KernelAuto, nil)
+	plan := scenarioPlan(t, oracle.Lookup("10x10"), world.KernelAuto, nil)
 	const steps = 12
-	traj := walk(4, plan.States(), steps)
+	traj := oracle.Walk(4, plan.States(), steps)
 	ref, err := plan.NewSession(NewSessionRNG(4))
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +48,7 @@ func TestReleaseMovesNoRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := other.Run(walk(int64(k), plan.States(), 3)); err != nil {
+		if _, err := other.Run(oracle.Walk(int64(k), plan.States(), 3)); err != nil {
 			t.Fatal(err)
 		}
 		other.Release()
@@ -66,16 +65,12 @@ func TestReleaseMovesNoRelease(t *testing.T) {
 // state has consumed its log and no replay rebuilds it, so after Release
 // it refuses to step rather than release from the wrong posterior.
 func TestReleaseEndsStatefulSession(t *testing.T) {
-	plan := lazySmall.plan(t, world.KernelAuto, func(g *grid.Grid, chain *markov.Chain) MechanismFactory {
-		return func() (lppm.Perturber, error) {
-			return lppm.NewDeltaLocationSet(g, chain, markov.Uniform(g.States()), 0.05)
-		}
-	})
+	plan := scenarioPlan(t, oracle.Lookup("delta-5x5"), world.KernelAuto, nil)
 	fw, err := plan.NewSession(NewSessionRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Run(walk(5, plan.States(), 3)); err != nil {
+	if _, err := fw.Run(oracle.Walk(5, plan.States(), 3)); err != nil {
 		t.Fatal(err)
 	}
 	fw.Release()
@@ -95,14 +90,14 @@ func TestReleaseCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	plan := lazyMid.plan(t, world.KernelAuto, nil)
+	plan := scenarioPlan(t, oracle.Lookup("10x10"), world.KernelAuto, nil)
 	m := plan.States()
 	cycle := func(seed int64) {
 		fw, err := plan.NewSession(NewSessionRNG(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fw.Run(walk(seed, m, 12)); err != nil {
+		if _, err := fw.Run(oracle.Walk(seed, m, 12)); err != nil {
 			t.Fatal(err)
 		}
 		fw.Release()

@@ -2,151 +2,14 @@ package core
 
 import (
 	"errors"
-	"math/rand/v2"
 	"testing"
 
-	"priste/internal/event"
-	"priste/internal/grid"
-	"priste/internal/lppm"
-	"priste/internal/markov"
+	"priste/internal/oracle"
 	"priste/internal/world"
 )
 
-// restoreHarness compiles a small plan for the given mechanism factory.
-func restoreHarness(t *testing.T, mf MechanismFactory) *Plan {
-	t.Helper()
-	g, err := grid.New(5, 5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := markov.GaussianChain(g, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region, err := grid.RegionRect(g, 0, 0, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := event.NewPresence(region, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(0.5, 1.0)
-	cfg.QPTimeout = 0 // deterministic verdicts
-	p, err := NewPlan(mf, world.NewHomogeneous(chain), []event.Event{ev}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func deltaFactory(t *testing.T) MechanismFactory {
-	t.Helper()
-	g, err := grid.New(5, 5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := markov.GaussianChain(g, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi := markov.Uniform(g.States())
-	return func() (lppm.Perturber, error) {
-		return lppm.NewDeltaLocationSet(g, chain, pi, 0.05)
-	}
-}
-
-// testRestoreEquivalence steps a session, snapshots it mid-run, restores
-// the snapshot into a fresh session, and checks the restored session's
-// remaining releases are seed-for-seed identical to the uninterrupted
-// run's.
-func testRestoreEquivalence(t *testing.T, plan *Plan, restorePlan *Plan) {
-	const (
-		seed  = int64(42)
-		pre   = 6
-		post  = 6
-		total = pre + post
-	)
-	traj := make([]int, total)
-	pathRNG := rand.New(rand.NewPCG(7, 7))
-	for i := range traj {
-		traj[i] = pathRNG.IntN(plan.States())
-	}
-
-	full, err := plan.NewSession(NewSessionRNG(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := full.Run(traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	half, err := plan.NewSession(NewSessionRNG(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := half.Run(traj[:pre]); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := half.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if snap.T != pre || len(snap.Tags) != pre {
-		t.Fatalf("snapshot T=%d tags=%d, want %d", snap.T, len(snap.Tags), pre)
-	}
-	if len(snap.RNG) == 0 {
-		t.Fatal("snapshot carries no RNG state for a SessionRNG session")
-	}
-
-	restored, err := restorePlan.Restore(snap, NewSessionRNG(0))
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if restored.T() != pre {
-		t.Fatalf("restored T = %d, want %d", restored.T(), pre)
-	}
-	if restored.Fingerprint() != half.Fingerprint() {
-		t.Fatalf("restored fingerprint %#x != original %#x", restored.Fingerprint(), half.Fingerprint())
-	}
-	got, err := restored.Run(traj[pre:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range got {
-		g, w := got[k], want[pre+k]
-		if g.T != w.T || g.Obs != w.Obs || g.Alpha != w.Alpha ||
-			g.Attempts != w.Attempts || g.Uniform != w.Uniform {
-			t.Errorf("post-restore step %d: got %+v, want %+v", k, g, w)
-		}
-	}
-	// The restored session's full state matches: same fingerprint chain.
-	if restored.Fingerprint() != full.Fingerprint() {
-		t.Fatalf("final fingerprint %#x != uninterrupted %#x", restored.Fingerprint(), full.Fingerprint())
-	}
-}
-
-func TestRestoreEquivalenceLaplace(t *testing.T) {
-	g, err := grid.New(5, 5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := restoreHarness(t, SharedMechanism(lppm.NewPlanarLaplace(g)))
-	testRestoreEquivalence(t, plan, plan)
-}
-
-func TestRestoreEquivalenceDelta(t *testing.T) {
-	plan := restoreHarness(t, deltaFactory(t))
-	testRestoreEquivalence(t, plan, plan)
-}
-
 func TestRestoreFingerprintMismatch(t *testing.T) {
-	g, err := grid.New(5, 5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := restoreHarness(t, SharedMechanism(lppm.NewPlanarLaplace(g)))
+	plan := scenarioPlan(t, oracle.Lookup("laplace-5x5"), world.KernelAuto, nil)
 	fw, err := plan.NewSession(NewSessionRNG(1))
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +28,7 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 }
 
 func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
-	g, err := grid.New(5, 5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := restoreHarness(t, SharedMechanism(lppm.NewPlanarLaplace(g)))
+	plan := scenarioPlan(t, oracle.Lookup("laplace-5x5"), world.KernelAuto, nil)
 	snap := Snapshot{T: 3, Fingerprint: world.FingerprintSeed}
 	if _, err := plan.Restore(snap, NewSessionRNG(0)); err == nil {
 		t.Fatal("T/tag-count mismatch accepted")

@@ -83,178 +83,19 @@ func TestStoreCapabilitiesWired(t *testing.T) {
 	}
 }
 
-type restartUser struct {
-	id    string
-	seed  int64
-	mech  string
-	delta float64
-}
-
-var restartUsers = []restartUser{
-	{id: "alice", seed: 11, mech: MechanismLaplace},
-	{id: "bob", seed: 22, mech: MechanismLaplace},
-	{id: "carol", seed: 33, mech: MechanismDelta, delta: 0.05},
-}
-
-func createRestartUser(t *testing.T, srv *Server, u restartUser) {
-	t.Helper()
-	req := api.CreateSessionRequest{ID: u.id, Seed: &u.seed, Mechanism: u.mech}
-	if u.mech == MechanismDelta {
-		d := u.delta
-		req.Delta = &d
-	}
-	if _, err := srv.CreateSession(req); err != nil {
-		t.Fatalf("create %s: %v", u.id, err)
-	}
-}
-
-// stepAll steps every user once per timestamp in [from, to) and returns
-// the results keyed by user then timestamp offset.
-func stepAll(t *testing.T, srv *Server, from, to int) map[string][]api.StepResponse {
-	t.Helper()
-	m := srv.cfg.GridW * srv.cfg.GridH
-	out := make(map[string][]api.StepResponse)
-	for k := from; k < to; k++ {
-		for ui, u := range restartUsers {
-			loc := (k*7 + ui*3) % m // deterministic trajectory per user
-			res, err := srv.Step(bg, u.id, loc)
-			if err != nil {
-				t.Fatalf("%s step %d: %v", u.id, k, err)
-			}
-			out[u.id] = append(out[u.id], res)
-		}
-	}
-	return out
-}
-
-func sameSteps(t *testing.T, label string, got, want []api.StepResponse) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d steps, want %d", label, len(got), len(want))
-	}
-	for k := range want {
-		g, w := got[k], want[k]
-		if g.T != w.T || g.Obs != w.Obs || g.Alpha != w.Alpha ||
-			g.Attempts != w.Attempts || g.Uniform != w.Uniform {
-			t.Errorf("%s step %d: got %+v, want %+v", label, k, g, w)
-		}
-	}
-}
-
-// TestRestartEquivalence is the acceptance check: sessions stepped N
-// times, snapshotted and shut down, then rehydrated by a fresh server
-// over the same store, must release the next M steps seed-for-seed
-// identically to an uninterrupted run — for both the shared-plan planar
-// Laplace sessions and the stateful δ-location-set one.
-func TestRestartEquivalence(t *testing.T) {
-	const pre, post = 6, 6
-
-	// Uninterrupted reference over an in-memory server.
-	ref := newTestServer(t, testConfig())
-	for _, u := range restartUsers {
-		createRestartUser(t, ref, u)
-	}
-	want := stepAll(t, ref, 0, pre)
-	for id, more := range stepAll(t, ref, pre, pre+post) {
-		want[id] = append(want[id], more...)
-	}
-
-	// Durable run, interrupted by a graceful shutdown after pre steps.
-	dir := t.TempDir()
-	srvA, err := New(durableConfig(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range restartUsers {
-		createRestartUser(t, srvA, u)
-	}
-	gotPre := stepAll(t, srvA, 0, pre)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srvA.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-
-	// Restart: a fresh server over the same directory rehydrates all
-	// three sessions and continues them.
-	srvB := newTestServer(t, durableConfig(t, dir))
-	st := srvB.Stats()
-	if st.Store.Replayed != int64(len(restartUsers)) || st.Store.ReplayFailures != 0 {
-		t.Fatalf("replayed = %d (failures %d), want %d", st.Store.Replayed, st.Store.ReplayFailures, len(restartUsers))
-	}
-	for _, u := range restartUsers {
-		info, err := srvB.GetSession(u.id)
-		if err != nil {
-			t.Fatalf("rehydrated %s: %v", u.id, err)
-		}
-		if info.T != pre {
-			t.Fatalf("rehydrated %s at T=%d, want %d", u.id, info.T, pre)
-		}
-		if info.Mechanism != u.mech {
-			t.Fatalf("rehydrated %s mechanism %q, want %q", u.id, info.Mechanism, u.mech)
-		}
-	}
-	gotPost := stepAll(t, srvB, pre, pre+post)
-	for _, u := range restartUsers {
-		sameSteps(t, u.id+" (pre)", gotPre[u.id], want[u.id][:pre])
-		sameSteps(t, u.id+" (post-restart)", gotPost[u.id], want[u.id][pre:])
-	}
-}
-
-// TestCrashRecovery checks WAL-only rehydration: the first server is
-// abandoned without Shutdown (no final snapshot — the in-process
-// equivalent of a crash; the CI smoke test covers a real
-// kill -9), so recovery replays the write-ahead log alone.
-func TestCrashRecovery(t *testing.T) {
-	const pre, post = 5, 5
-	ref := newTestServer(t, testConfig())
-	for _, u := range restartUsers {
-		createRestartUser(t, ref, u)
-	}
-	want := stepAll(t, ref, 0, pre)
-	for id, more := range stepAll(t, ref, pre, pre+post) {
-		want[id] = append(want[id], more...)
-	}
-
-	dir := t.TempDir()
-	cfgA := durableConfig(t, dir)
-	cfgA.SnapshotEvery = -1 // never snapshot: recovery is pure WAL replay
-	srvA, err := New(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range restartUsers {
-		createRestartUser(t, srvA, u)
-	}
-	stepAll(t, srvA, 0, pre)
-	// "Crash": close the raw store files without flushing any session
-	// state, then abandon the server.
-	srvA.Close()
-
-	srvB := newTestServer(t, durableConfig(t, dir))
-	if st := srvB.Stats(); st.Store.Replayed != int64(len(restartUsers)) {
-		t.Fatalf("replayed = %d, want %d", st.Store.Replayed, len(restartUsers))
-	}
-	gotPost := stepAll(t, srvB, pre, pre+post)
-	for _, u := range restartUsers {
-		sameSteps(t, u.id+" (post-crash)", gotPost[u.id], want[u.id][pre:])
-	}
-}
-
 // TestTombstonedSessionsStayDead: explicitly deleted sessions must not
 // be rehydrated, while their peers are.
 func TestTombstonedSessionsStayDead(t *testing.T) {
+	sessions := servedSessions(t)
 	dir := t.TempDir()
 	srvA, err := New(durableConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range restartUsers {
-		createRestartUser(t, srvA, u)
-	}
-	stepAll(t, srvA, 0, 3)
-	if err := srvA.DeleteSession("bob"); err != nil {
-		t.Fatalf("delete bob: %v", err)
+	createAll(t, sessions, srvA.CreateSession)
+	stepRange(t, srvA, sessions, 0, 3, nil)
+	if err := srvA.DeleteSession(sessions[1].id); err != nil {
+		t.Fatalf("delete %s: %v", sessions[1].id, err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -263,12 +104,13 @@ func TestTombstonedSessionsStayDead(t *testing.T) {
 	}
 
 	srvB := newTestServer(t, durableConfig(t, dir))
-	if _, err := srvB.GetSession("bob"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted session resurrected: %v", err)
-	}
-	for _, id := range []string{"alice", "carol"} {
-		if info, err := srvB.GetSession(id); err != nil || info.T != 3 {
-			t.Fatalf("%s: %+v, %v; want T=3", id, info, err)
+	for i, s := range sessions {
+		info, err := srvB.GetSession(s.id)
+		switch {
+		case i == 1 && !errors.Is(err, ErrNotFound):
+			t.Fatalf("deleted session resurrected: %v", err)
+		case i != 1 && (err != nil || info.T != 3):
+			t.Fatalf("%s: %+v, %v; want T=3", s.id, info, err)
 		}
 	}
 }

@@ -22,7 +22,7 @@
 //
 // This file declares what the examples, the command-line tools
 // (cmd/priste, cmd/quantify, cmd/tracegen) and the benchmarks use, and
-// the types those declarations name; TestFacadeExportsHaveCallers keeps
+// the types those declarations name; TestExportsHaveCallers keeps
 // it that way. The release service (cmd/pristed, cmd/pristerouter) is
 // not part of it: its clients speak HTTP/JSON or the binary RPC
 // protocol documented in the README.

@@ -390,3 +390,39 @@ func TestReadmeMatchesCommands(t *testing.T) {
 		t.Fatal("found no benchmark metric cited in the README")
 	}
 }
+
+// TestCitedTestsExist: every TestX, FuzzX and BenchmarkX that README.md
+// or a comment in a non-test Go file of either module names is a
+// function declared in some _test.go file, so a renamed or deleted test
+// leaves no pointer to nothing behind.
+func TestCitedTestsExist(t *testing.T) {
+	files := parseTree(t)
+	declared := map[string]bool{}
+	for _, gf := range files {
+		for _, d := range gf.f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && gf.test && fd.Recv == nil {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	check := func(where, text string) {
+		for _, name := range cited.FindAllString(text, -1) {
+			if !declared[name] {
+				t.Errorf("%s cites %s, which no _test.go file declares", where, name)
+			}
+		}
+	}
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("README.md", string(raw))
+	for _, gf := range files {
+		if !gf.test {
+			for _, cg := range gf.f.Comments {
+				check(path.Join(gf.dir, gf.name), cg.Text())
+			}
+		}
+	}
+}

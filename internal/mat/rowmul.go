@@ -12,7 +12,11 @@ import "priste/internal/par"
 // in rowmul_amd64.s — chosen once at init from what the CPU reports. The
 // assembly covers every column and comes in a 1-row and a 2-row form;
 // the 2-row register tile serves rows that share B (the rows of a
-// commit, a check's rows against the same operator).
+// commit, a check's rows against the same operator). The same switch
+// picks the bodies of the package's two other AVX2 kernels, the O(m²)
+// loops beside the products: the release check's edge screen
+// (ScreenEdges, edges.go) and the commit's mask epilogue (MaskRow,
+// mask.go). Each keeps its Go loop as the portable body.
 //
 // Bit-identity with MulInto, Matrix.VecMulInto and the CSR kernels:
 // every dst[j] is one accumulation chain that starts at zero and takes
@@ -23,14 +27,15 @@ import "priste/internal/par"
 // factor, which on the engine's non-negative data contribute an exact
 // +0.
 
-// rowMulAsm reports whether the row primitive runs the assembly body;
-// set once by the amd64 init, false elsewhere.
-var rowMulAsm bool
+// useAVX2 reports whether the row primitive, the edge screen
+// (ScreenEdges) and the mask epilogue (MaskRow) run their assembly
+// bodies; set once by the amd64 init, false elsewhere.
+var useAVX2 bool
 
-// RowKernel names the active body of the row primitive: "avx2" or
-// "portable".
+// RowKernel names the active body set of the row primitive, the edge
+// screen and the mask epilogue: "avx2" or "portable".
 func RowKernel() string {
-	if rowMulAsm {
+	if useAVX2 {
 		return "avx2"
 	}
 	return "portable"
@@ -42,7 +47,7 @@ func rowMul(dst, a, b []float64, stride int) {
 	case len(dst) == 0:
 	case len(a) == 0:
 		clear(dst)
-	case rowMulAsm:
+	case useAVX2:
 		_ = b[(len(a)-1)*stride+len(dst)-1]
 		rowMulAVX2(&dst[0], &a[0], &b[0], len(a), len(dst), stride)
 	default:
@@ -53,7 +58,7 @@ func rowMul(dst, a, b []float64, stride int) {
 // rowMul2 is rowMul for two rows against the same b: dst0 from a0 and
 // dst1 from a1, which have the lengths of dst0 and a0.
 func rowMul2(dst0, dst1, a0, a1, b []float64, stride int) {
-	if !rowMulAsm || len(dst0) == 0 || len(a0) == 0 {
+	if !useAVX2 || len(dst0) == 0 || len(a0) == 0 {
 		rowMul(dst0, a0, b, stride)
 		rowMul(dst1, a1, b, stride)
 		return

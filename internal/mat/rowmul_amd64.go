@@ -16,13 +16,30 @@ func rowMulAVX2(dst, a, b *float64, kk, n, stride int)
 //go:noescape
 func rowMul2AVX2(dst0, dst1, a0, a1, b *float64, kk, n, stride int)
 
+// screenEdgesAVX2 is the assembly body of ScreenEdges over all n pairs,
+// four to a YMM register, the last n mod 4 through a masked load: it
+// returns the first k whose pair passes, or n when none does. n must be
+// ≥ 1.
+//
+//go:noescape
+func screenEdgesAVX2(ai, wi, qi float64, a, w, q *float64, n int) int
+
+// maskRowAVX2 is the assembly body of MaskRow over the first n entries,
+// four a step, with the masks' complements nft = 1−ft and ntt = 1−tt
+// passed in; the maxima are taken lane by lane with VMAXPD, which keeps
+// the old maximum against a NaN, then across the four lanes. n must be
+// a positive multiple of 4.
+//
+//go:noescape
+func maskRowAVX2(f, t, x, y *float64, n int, nft, ntt, ft, tt, e float64) (fMax, tMax float64)
+
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 reads extended control register 0.
 func xgetbv0() (eax, edx uint32)
 
-// The assembly body needs AVX2 from the CPU (leaf 7 EBX bit 5, with AVX
+// The assembly bodies need AVX2 from the CPU (leaf 7 EBX bit 5, with AVX
 // at leaf 1 ECX bit 28) and YMM state saved by the OS (OSXSAVE at leaf 1
 // ECX bit 27, then XCR0 bits 1 and 2).
 func init() {
@@ -39,5 +56,5 @@ func init() {
 		return
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	rowMulAsm = ebx7&(1<<5) != 0
+	useAVX2 = ebx7&(1<<5) != 0
 }

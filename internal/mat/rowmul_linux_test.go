@@ -30,7 +30,7 @@ func guarded(t *testing.T, n int) []float64 {
 // when stride > n — so a masked tail, a 4-column group or a block that
 // read or wrote one element too far would fault the test binary.
 func TestRowMulStaysInBounds(t *testing.T) {
-	if !rowMulAsm {
+	if !useAVX2 {
 		t.Skip("no AVX2 on this machine: assembly body not exercised")
 	}
 	rng := rand.New(rand.NewPCG(25, 26))
@@ -81,5 +81,53 @@ func TestKronMulStaysInBounds(t *testing.T) {
 		dst, tmp := guardedMatrix(m, m), guardedMatrix(m, m)
 		KronMulInto(dst, tmp, a, b, op)
 		sameBitsRow(t, fmt.Sprintf("h=%d w=%d", h, w), dst.Data, kronRef(a, b, op).Data)
+	}
+}
+
+// TestScreenEdgesStaysInBounds runs the edge screen's assembly with a, w
+// and q each ending at an unmapped page, on tails where no pair passes
+// (so the screen reads to the end, the masked tail included) and where
+// only the last one does.
+func TestScreenEdgesStaysInBounds(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 on this machine: assembly body not exercised")
+	}
+	const ai, wi, qi = 0.25, 0.75, -0.125
+	for n := 1; n <= 37; n++ {
+		a, w, q := guarded(t, n), guarded(t, n), guarded(t, n)
+		for k := range a {
+			a[k], w[k], q[k] = ai, float64(k), float64(k) // A = 0: no pair passes
+		}
+		if got := ScreenEdges(ai, wi, qi, a, w, q); got != n {
+			t.Fatalf("n=%d: flat tail screened to %d", n, got)
+		}
+		a[n-1], w[n-1], q[n-1] = ai+0.5, wi-1, qi+ai-0.5*wi+0.5
+		if got := ScreenEdges(ai, wi, qi, a, w, q); got != n-1 {
+			t.Fatalf("n=%d: only the last pair passes, screened to %d", n, got)
+		}
+	}
+}
+
+// TestMaskRowStaysInBounds runs the mask epilogue with f, t, x and y each
+// ending at an unmapped page and holds it to the Go body.
+func TestMaskRowStaysInBounds(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 on this machine: assembly body not exercised")
+	}
+	rng := rand.New(rand.NewPCG(39, 40))
+	for n := 1; n <= 37; n++ {
+		f, tr, x, y := guarded(t, n), guarded(t, n), guarded(t, n), guarded(t, n)
+		for i := range x {
+			x[i], y[i] = rng.Float64(), rng.Float64()
+		}
+		wantF, wantT := make([]float64, n), make([]float64, n)
+		wantFMax, wantTMax := maskRowGo(wantF, wantT, x, y, 0.5, 0.25, 0.75)
+		fMax, tMax := MaskRow(f, tr, x, y, 0.5, 0.25, 0.75)
+		label := fmt.Sprintf("n=%d", n)
+		sameBitsRow(t, label+" f", f, wantF)
+		sameBitsRow(t, label+" t", tr, wantT)
+		if fMax != wantFMax || tMax != wantTMax {
+			t.Fatalf("%s: maxima (%v, %v), want (%v, %v)", label, fMax, tMax, wantFMax, wantTMax)
+		}
 	}
 }

@@ -90,7 +90,7 @@ func rowMulBodies(t testing.TB) []rowMulBody {
 		}
 	}
 	bodies := []rowMulBody{{"go", perRow(rowMulGo)}}
-	if !rowMulAsm {
+	if !useAVX2 {
 		t.Log("no AVX2 on this machine: assembly body not exercised")
 		return bodies
 	}
@@ -272,7 +272,7 @@ func TestKronMulIntoMatchesNaive(t *testing.T) {
 // has it and the OS saves YMM state. Elsewhere the assembly must be off.
 func TestRowKernelMatchesCPUInfo(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		if rowMulAsm {
+		if useAVX2 {
 			t.Fatal("assembly body selected off amd64")
 		}
 		return
@@ -299,11 +299,37 @@ func TestRowKernelMatchesCPUInfo(t *testing.T) {
 // where the Go body rounds twice, and would move releases between
 // machines; AVX-512 would split the fleet a third way. Neither mnemonic
 // family nor a ZMM or mask register may appear in any assembly file of
-// the package.
+// the module — the row primitive's, the edge screen's and the mask
+// epilogue's, and any added later.
 func TestRowMulAssemblyHasNoFMA(t *testing.T) {
-	files, err := filepath.Glob("*.s")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no assembly files found (%v)", err)
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
+			break
+		}
+		parent := filepath.Dir(root)
+		if parent == root {
+			t.Fatal("no go.mod above the package")
+		}
+		root = parent
+	}
+	var files []string
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, and the benchmark's build caches
+		case !d.IsDir() && filepath.Ext(path) == ".s":
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil || len(files) < 3 {
+		t.Fatalf("found %d assembly files under %s, want the three of internal/mat at least (%v)", len(files), root, err)
 	}
 	banned := regexp.MustCompile(`VFN?M|\bZ[0-9]|\bK[1-7]\b`)
 	for _, name := range files {

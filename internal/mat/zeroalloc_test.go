@@ -52,6 +52,8 @@ func TestSerialKernelsZeroAlloc(t *testing.T) {
 		{"RowMul2Into/banded", func() { RowMul2Into(y, y2, x, a.Row(1), b, 3) }},
 		{"CSR.MulMatInto", func() { csr.MulMatInto(dst, b, n-1) }},
 		{"KronMulInto", func() { KronMulInto(kdst, ktmp, kh, kw, kop) }},
+		{"ScreenEdges", func() { ScreenEdges(0.5, 0.5, 0.5, x, y, y2) }},
+		{"MaskRow", func() { MaskRow(dst.Row(0), dst.Row(1), a.Row(0), b.Row(0), 0.5, 0.25, 0.75) }},
 	}
 	for _, tc := range cases {
 		tc.op() // warm up (one-time lazy state, if any)

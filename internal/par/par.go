@@ -65,11 +65,9 @@ func tileOf(n int) (tile, tiles int) {
 	return tile, tiles
 }
 
-// task is one published For/ForMax call.
+// task is one published For call.
 type task struct {
 	body    func(lo, hi int)
-	bodyMax func(lo, hi int) float64
-	maxes   []float64 // per-tile maxima (ForMax only), reduced after join
 	n, tile int
 	tiles   int64
 	next    atomic.Int64 // tile claim counter
@@ -84,11 +82,7 @@ func (t *task) runTile(i int64) {
 	if hi > t.n {
 		hi = t.n
 	}
-	if t.bodyMax != nil {
-		t.maxes[i] = t.bodyMax(lo, hi)
-	} else {
-		t.body(lo, hi)
-	}
+	t.body(lo, hi)
 	t.wg.Done()
 }
 
@@ -105,7 +99,7 @@ type Pool struct {
 	external       atomic.Int64 // inter-session load sharing the budget
 
 	busy        atomic.Int64 // helpers currently executing tiles
-	parallelFor atomic.Int64 // For/ForMax dispatches
+	parallelFor atomic.Int64 // For dispatches
 	serialFor   atomic.Int64 // Parallel()==false decisions
 	steals      atomic.Int64 // tiles executed by helpers (not the submitter)
 }
@@ -157,7 +151,7 @@ func (p *Pool) SetCutoffOverride(v int64) { p.cutoffOverride.Store(v) }
 func (p *Pool) AddExternal(delta int) { p.external.Add(int64(delta)) }
 
 // Parallel reports whether an n-tile kernel costing flops multiply-adds
-// should dispatch through For/ForMax. Callers branch on it *before*
+// should dispatch through For. Callers branch on it *before*
 // materialising the tile closure, keeping the serial fast path
 // allocation-free. A false return counts one serial dispatch.
 func (p *Pool) Parallel(n int, flops, cutoff int64) bool {
@@ -181,25 +175,6 @@ func (p *Pool) For(n int, body func(lo, hi int)) {
 		return
 	}
 	p.dispatch(&task{body: body}, n)
-}
-
-// ForMax is For for tile bodies that also reduce a maximum (e.g. the
-// largest absolute entry written); it returns the max over tiles. Max is
-// exact under any evaluation order, so the result is split-independent.
-func (p *Pool) ForMax(n int, body func(lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	_, tiles := tileOf(n)
-	t := &task{bodyMax: body, maxes: make([]float64, tiles)}
-	p.dispatch(t, n)
-	best := t.maxes[0]
-	for _, v := range t.maxes[1:] {
-		if v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 func (p *Pool) dispatch(t *task, n int) {
@@ -312,7 +287,7 @@ type Stats struct {
 	// External is the registered inter-session load (busy server drain
 	// workers sharing the CPU budget).
 	External int64
-	// ParallelDispatch counts For/ForMax calls; SerialDispatch counts
+	// ParallelDispatch counts For calls; SerialDispatch counts
 	// Parallel()==false decisions (kernel ran its serial loop).
 	ParallelDispatch int64
 	SerialDispatch   int64

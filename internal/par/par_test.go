@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,40 +56,6 @@ func TestForCoversAllIndices(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestForMax checks the tile-max reduction against a serial scan.
-func TestForMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, width := range []int{1, 3, 8} {
-		p := NewPool()
-		p.SetParallelism(width)
-		n := 513
-		vals := make([]float64, n)
-		want := 0.0
-		for i := range vals {
-			vals[i] = rng.NormFloat64()
-			if vals[i] > want {
-				want = vals[i]
-			}
-		}
-		got := p.ForMax(n, func(lo, hi int) float64 {
-			best := 0.0
-			for i := lo; i < hi; i++ {
-				if vals[i] > best {
-					best = vals[i]
-				}
-			}
-			return best
-		})
-		if got != want {
-			t.Errorf("width=%d: ForMax=%v want %v", width, got, want)
-		}
-	}
-	p := NewPool()
-	if v := p.ForMax(0, func(lo, hi int) float64 { return 99 }); v != 0 {
-		t.Errorf("ForMax(0)=%v want 0", v)
 	}
 }
 

@@ -109,10 +109,22 @@ func fuzzCheck(data []byte) (ReleaseCheck, bool) {
 	return chk, true
 }
 
+// sameDecision reports whether two decisions agree in every field but
+// Elapsed, the bounds bit for bit.
+func sameDecision(a, b ReleaseDecision) bool {
+	for _, r := range []*Result{&a.Eq15, &a.Eq16, &b.Eq15, &b.Eq16} {
+		r.Elapsed = 0
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a == b && same(a.Eq15.Lower, b.Eq15.Lower) && same(a.Eq15.Upper, b.Eq15.Upper) &&
+		same(a.Eq16.Lower, b.Eq16.Lower) && same(a.Eq16.Upper, b.Eq16.Upper)
+}
+
 // FuzzCheckRelease: the check and the reference's two full solves never
 // disagree on a release, every value the check reports lies between the
-// bounds the reference certified, and no prior on a grid over the simplex
-// loses more than ε on a release the check certified.
+// bounds the reference certified, the edge screen changes nothing the
+// check reports, and no prior on a grid over the simplex loses more than
+// ε on a release the check certified.
 func FuzzCheckRelease(f *testing.F) {
 	// The seed corpus is testdata/fuzz/FuzzCheckRelease.
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -123,6 +135,15 @@ func FuzzCheckRelease(f *testing.F) {
 		got, err := CheckRelease(chk, ReleaseOptions{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		screen = false
+		scalar, err := CheckRelease(chk, ReleaseOptions{})
+		screen = true
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameDecision(got, scalar) {
+			t.Fatalf("screened scan %+v, scalar scan %+v on %+v", got, scalar, chk)
 		}
 		want, err := refCheckReleaseNodes(chk, ReleaseOptions{}, 2000)
 		if err != nil {

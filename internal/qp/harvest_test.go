@@ -159,6 +159,17 @@ func violated(dec qp.ReleaseDecision) qp.Result {
 	return dec.Eq15
 }
 
+// harvestRuns are the seeded sessions, per world, whose release checks
+// the scan is held to the reference and to the unscreened scan on.
+var harvestRuns = []struct {
+	spec            loopSpec
+	sessions, steps int
+}{
+	{small, 32, 12},
+	{mid, 12, 12},
+	{dense, 1, 8},
+}
+
 // TestHarvestedProblemsMatchReference holds the scan to the
 // branch-and-bound on every release check seeded sessions pose on the
 // benchmark's three worlds: the verdicts of both conditions and the
@@ -166,14 +177,7 @@ func violated(dec qp.ReleaseDecision) qp.Result {
 // reference certified, and whatever CheckRelease reports is attained by the
 // π it reports.
 func TestHarvestedProblemsMatchReference(t *testing.T) {
-	for _, c := range []struct {
-		spec            loopSpec
-		sessions, steps int
-	}{
-		{small, 32, 12},
-		{mid, 12, 12},
-		{dense, 1, 8},
-	} {
+	for _, c := range harvestRuns {
 		t.Run(c.spec.name, func(t *testing.T) {
 			if testing.Short() && c.spec.side > 10 {
 				t.Skip("the reference takes seconds at m = 256")
@@ -245,6 +249,42 @@ func TestHarvestedProblemsMatchReference(t *testing.T) {
 	}
 }
 
+// TestScreenedScanMatchesScalar: on every release check the harvest
+// sessions pose, the scan behind mat.ScreenEdges decides exactly as the
+// scan that puts every pair through its scalar test — every field of the
+// decision but the wall time, down to the bits of each bound and the
+// point that attains it — because the screen skips only pairs that test
+// rejects.
+func TestScreenedScanMatchesScalar(t *testing.T) {
+	for _, c := range harvestRuns {
+		t.Run(c.spec.name, func(t *testing.T) {
+			w := c.spec.build(t)
+			checks := 0
+			check := func(chk qp.ReleaseCheck) qp.ReleaseDecision {
+				got, err := qp.CheckRelease(chk, qp.ReleaseOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				restore := qp.ScalarScan()
+				want, err := qp.CheckRelease(chk, qp.ReleaseOptions{})
+				restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !qp.SameDecision(got, want) {
+					t.Fatalf("check %d: screened scan %+v, scalar scan %+v", checks, got, want)
+				}
+				checks++
+				return got
+			}
+			for s := 0; s < c.sessions; s++ {
+				w.algo1(t, int64(1000+s), c.steps, check)
+			}
+			t.Logf("%d checks decided alike", checks)
+		})
+	}
+}
+
 // TestEngineReleasesMatchReference is the same claim one level up: what
 // core.Framework reports for seeded sessions — release, budget, attempts,
 // conservative rejections, fallback — is what Algorithm 1 reports when
@@ -310,7 +350,8 @@ func (h harvested) outcomes() []outcome {
 	return []outcome{{"accept", h.accept[0]}, {"reject-vertex", h.atVertex[0]}, {"reject-edge", h.atEdge[0]}}
 }
 
-// harvest runs seeded sessions until it holds a check of every kind.
+// harvest runs seeded sessions and keeps every check they pose; each kind
+// must turn up.
 func harvest(t testing.TB, spec loopSpec, sessions, steps int) harvested {
 	w := spec.build(t)
 	var h harvested
@@ -330,12 +371,12 @@ func harvest(t testing.TB, spec loopSpec, sessions, steps int) harvested {
 		}
 		return dec
 	}
-	for s := 0; len(h.accept) == 0 || len(h.atVertex) == 0 || len(h.atEdge) == 0; s++ {
-		if s == sessions {
-			t.Fatalf("%s: %d sessions gave %d accepts, %d vertex rejections, %d edge rejections",
-				spec.name, sessions, len(h.accept), len(h.atVertex), len(h.atEdge))
-		}
+	for s := 0; s < sessions; s++ {
 		w.algo1(t, int64(s), steps, check)
+	}
+	if len(h.accept) == 0 || len(h.atVertex) == 0 || len(h.atEdge) == 0 {
+		t.Fatalf("%s: %d sessions gave %d accepts, %d vertex rejections, %d edge rejections",
+			spec.name, sessions, len(h.accept), len(h.atVertex), len(h.atEdge))
 	}
 	return h
 }
@@ -344,7 +385,7 @@ func harvest(t testing.TB, spec loopSpec, sessions, steps int) harvested {
 // its linear data lives in pooled scratch, and a result carries the
 // maximiser's support, not a dense BestPi.
 func TestCheckReleaseAllocs(t *testing.T) {
-	for _, c := range harvest(t, mid, 64, 12).outcomes() {
+	for _, c := range harvest(t, mid, 8, 12).outcomes() {
 		if got := testing.AllocsPerRun(50, func() { qp.CheckRelease(c.chk, qp.ReleaseOptions{}) }); got != 0 {
 			t.Errorf("%s: %v allocations per check, want 0", c.name, got)
 		}
@@ -357,7 +398,7 @@ func TestCheckReleaseAllocs(t *testing.T) {
 func TestCheckReleaseConcurrent(t *testing.T) {
 	var cases []qp.ReleaseCheck
 	for _, spec := range []loopSpec{small, mid} {
-		for _, c := range harvest(t, spec, 64, 12).outcomes() {
+		for _, c := range harvest(t, spec, 8, 12).outcomes() {
 			cases = append(cases, c.chk)
 		}
 	}
@@ -403,26 +444,47 @@ func pairsScanned(dec qp.ReleaseDecision) (pairs int) {
 	return pairs
 }
 
-// BenchmarkCheckRelease times the release check on harvested candidates:
-// one the engine accepted (two full scans), one rejected at the best
-// vertex, one rejected on an edge; at m = 100 (unique-mid's map), 256 and
-// 400 (the paper's 20×20). pairs/op is the number of edges looked at, which
-// is what the time follows: m(m−1) on an accept. A developer tool, not a
-// gate.
+// BenchmarkCheckRelease times the release check on candidates harvested
+// from real sessions, by how the check ended — accepted (two full
+// scans), rejected at the best vertex, rejected on an edge — at m = 100
+// (unique-mid's map, 40 sessions), 256 and 400 (the paper's 20×20, 4
+// sessions each). Each sub-benchmark rotates over every check of its
+// kind, so neither the branch predictor nor the cache learns one input,
+// and runs twice: "scalar" puts every pair through the scan's own test,
+// the other (named by mat.RowKernel) runs the edge screen. pairs/op is
+// the mean number of edges looked at, which is what the time follows:
+// m(m−1) on an accept. A developer tool, not a gate.
 func BenchmarkCheckRelease(b *testing.B) {
-	for _, spec := range []loopSpec{mid, dense, paper} {
-		for _, c := range harvest(b, spec, 64, 12).outcomes() {
-			b.Run(fmt.Sprintf("m%d/%s", len(c.chk.ATilde), c.name), func(b *testing.B) {
-				var dec qp.ReleaseDecision
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if dec, err = qp.CheckRelease(c.chk, qp.ReleaseOptions{}); err != nil {
-						b.Fatal(err)
+	for _, c := range []struct {
+		spec     loopSpec
+		sessions int
+	}{{mid, 40}, {dense, 4}, {paper, 4}} {
+		h := harvest(b, c.spec, c.sessions, 12)
+		for _, kind := range []struct {
+			name   string
+			checks []qp.ReleaseCheck
+		}{{"accept", h.accept}, {"reject-vertex", h.atVertex}, {"reject-edge", h.atEdge}} {
+			pairs := 0
+			for _, chk := range kind.checks {
+				dec, _ := qp.CheckRelease(chk, qp.ReleaseOptions{})
+				pairs += pairsScanned(dec)
+			}
+			for _, screen := range []string{"scalar", mat.RowKernel()} {
+				name := fmt.Sprintf("m%d/%s/%s", c.spec.side*c.spec.side, kind.name, screen)
+				b.Run(name, func(b *testing.B) {
+					if screen == "scalar" {
+						defer qp.ScalarScan()()
 					}
-				}
-				b.ReportMetric(float64(pairsScanned(dec)), "pairs/op")
-			})
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := qp.CheckRelease(kind.checks[i%len(kind.checks)], qp.ReleaseOptions{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(pairs)/float64(len(kind.checks)), "pairs/op")
+					b.ReportMetric(float64(len(kind.checks)), "checks")
+				})
+			}
 		}
 	}
 }

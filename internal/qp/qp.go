@@ -53,11 +53,18 @@
 // matrix–vector products world.Quantifier.CheckTrusted spends on b̃ and c̃
 // and the two operator products of a commit: 2n³ on a dense chain,
 // 2n²(W+H) through the Kronecker factors of a Gaussian chain on a W×H
-// grid. A check allocates nothing. CheckRelease screens before it
-// certifies: a violation of either condition rejects the release, so it
-// runs the vertex pass of both conditions (O(n)), then the edge pass of
-// each, and returns at the first value past Tol, leaving the other
-// condition Skipped.
+// grid. Almost every edge is dismissed, so the edge pass runs
+// mat.ScreenEdges ahead of its own test: on a CPU with AVX2 it tests four
+// edges of a row at once, in the same rounded operations, and hands the
+// scan only the first that passes, which the scan tests and evaluates as
+// before. Rotating over checks harvested at n = 100, an edge of an
+// accepted check costs about 1.7 ns through the screen and 4.7 ns through
+// the scalar test alone. A check allocates nothing.
+//
+// CheckRelease looks for a violation before it certifies: a violation of
+// either condition rejects the release, so it runs the vertex pass of
+// both conditions (O(n)), then the edge pass of each, and returns at the
+// first value past Tol, leaving the other condition Skipped.
 //
 // The paper's conservative release (§IV-C) — release only when the solver
 // is sure before a time threshold — survives as Options.Deadline: the edge
@@ -245,8 +252,15 @@ func (s *scan) edges(stop float64, deadline time.Time) {
 		wi, qi := w[i], q[i]
 		aj := a[i+1:]
 		wj, qj := w[i+1:][:len(aj)], q[i+1:][:len(aj)]
-		for k, ajk := range aj {
-			da, dw := ajk-ai, wj[k]-wi
+		for k := 0; k < len(aj); k++ {
+			if screen {
+				// Jump to the first pair from k on that passes the test
+				// below; every pair skipped fails it.
+				if k += mat.ScreenEdges(ai, wi, qi, aj[k:], wj[k:], qj[k:]); k == len(aj) {
+					break
+				}
+			}
+			da, dw := aj[k]-ai, wj[k]-wi
 			qa := da * dw
 			if !(qa < 0) {
 				continue
@@ -266,6 +280,12 @@ func (s *scan) edges(stop float64, deadline time.Time) {
 	}
 	s.complete = true
 }
+
+// screen sends scan.edges through mat.ScreenEdges, which skips a row's
+// failing pairs four at a time on a CPU with AVX2, ahead of its own
+// test. Tests clear it to compare against the scan that puts every pair
+// through that test.
+var screen = true
 
 // at returns g((1−lam)·eᵢ + lam·eⱼ), i < j, term for term as Problem.Eval
 // sums it over the dense vector, whose other terms are exact zeros.

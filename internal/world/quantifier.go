@@ -3,10 +3,8 @@ package world
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"priste/internal/mat"
-	"priste/internal/par"
 	"priste/internal/qp"
 )
 
@@ -323,68 +321,23 @@ func (q *Quantifier) commitTrusted(emis mat.Vector) {
 	q.renormalise(scale)
 }
 
-// maskFlopsCutoff is the multiply-add count above which maskAndScale
-// splits its rows across CPUs: with the matrix products on the sparse
-// path this O(m²) loop dominates Commit, and at the paper's m=400 the
-// 4·m² ≈ 6.4·10⁵ multiply-adds comfortably amortise goroutine start-up.
-const maskFlopsCutoff = 1 << 17
-
 // maskAndScale folds the step masks and the emission column into the
 // forward blocks: A_F' = X·diag(1−ft) + Y·diag(1−tt), A_T' = X·diag(ft)
 // + Y·diag(tt), with Xᵀ and Yᵀ in sc, both column-scaled by the
-// emission — row scalings of the transposed blocks — and returns the
+// emission — row scalings of the transposed blocks, one mat.MaskRow
+// each: row j carries column j's mask and emission. It returns the
 // largest absolute entry written and whether each block came out
 // all-zero (fused so renormalisation and the zero-block skips need no
-// second sweep of the operators). Row tiles go
-// through the shared pool with fixed boundaries and a single writer per
-// row, so the split is bit-deterministic; the max and zero reductions
-// are exact under any split. The serial path materialises no closure
-// (commit stays allocation-free).
+// second sweep of the operators). The pass is serial: at m = 256 and
+// 400 a row split across two CPUs was no faster than one CPU running the
+// vectorised rows.
 func (q *Quantifier) maskAndScale(ft, tt, emis mat.Vector, sc *commitScratch) (scale float64, afZero, atZero bool) {
-	m := q.md.m
-	if !par.Default().Parallel(m, 4*int64(m)*int64(m), maskFlopsCutoff) {
-		fMax, tMax := q.maskRows(ft, tt, emis, sc, 0, m)
-		return math.Max(fMax, tMax), fMax == 0, tMax == 0
+	var fMax, tMax float64
+	for j := 0; j < q.md.m; j++ {
+		f, t := mat.MaskRow(q.af.Row(j), q.at.Row(j), sc.x.Row(j), sc.y.Row(j), ft[j], tt[j], emis[j])
+		fMax, tMax = max(fMax, f), max(tMax, t)
 	}
-	var afNonzero, atNonzero atomic.Bool
-	scale = par.Default().ForMax(m, func(lo, hi int) float64 {
-		fMax, tMax := q.maskRows(ft, tt, emis, sc, lo, hi)
-		if fMax != 0 {
-			afNonzero.Store(true)
-		}
-		if tMax != 0 {
-			atNonzero.Store(true)
-		}
-		return math.Max(fMax, tMax)
-	})
-	return scale, !afNonzero.Load(), !atNonzero.Load()
-}
-
-// maskRows runs the fused mask+emission+max loop over rows [lo,hi) of
-// the transposed blocks — row j carries column j's mask and emission —
-// and returns the largest absolute entry written to each block.
-func (q *Quantifier) maskRows(ft, tt, emis mat.Vector, sc *commitScratch, lo, hi int) (fMax, tMax float64) {
-	m := q.md.m
-	for j := lo; j < hi; j++ {
-		xr := sc.x.Row(j)
-		yr := sc.y.Row(j)
-		fr := q.af.Row(j)
-		trw := q.at.Row(j)
-		ftj, ttj, e := ft[j], tt[j], emis[j]
-		for i := 0; i < m; i++ {
-			f := (float64(xr[i]*(1-ftj)) + float64(yr[i]*(1-ttj))) * e
-			tr := (float64(xr[i]*ftj) + float64(yr[i]*ttj)) * e
-			fr[i] = f
-			trw[i] = tr
-			if f = math.Abs(f); f > fMax {
-				fMax = f
-			}
-			if tr = math.Abs(tr); tr > tMax {
-				tMax = tr
-			}
-		}
-	}
-	return fMax, tMax
+	return max(fMax, tMax), fMax == 0, tMax == 0
 }
 
 // FNV-1a parameters for the rolling history fingerprint.

@@ -20,11 +20,15 @@
 //	    [-drain-batch 64] [-stream-buffer 256] \
 //	    [-pprof-addr ""]
 //
-// With -store-dir set, every committed release is journaled to a
-// per-session write-ahead log before it is acknowledged, WALs are
-// compacted into snapshots every -snapshot-every steps, and a restarted
-// daemon rehydrates all surviving sessions (and the certified-release
-// cache) from the directory. -fsync additionally syncs each append to
+// With -store-dir set, every committed release is appended to the
+// directory's one write-ahead journal, shared by all sessions, before it
+// is acknowledged; every -snapshot-every steps a session's full history
+// is journaled as one snapshot record that supersedes its earlier
+// records, and the journal drops superseded and deleted sessions' bytes
+// by rewriting itself once they outweigh the live ones. A restarted
+// daemon rehydrates all surviving sessions from the journal, migrating
+// a directory an older build left with one WAL and snapshot file per
+// session on its first start. -fsync additionally syncs each append to
 // stable storage. On SIGTERM the daemon drains pending steps, flushes
 // final snapshots and only then exits.
 //
@@ -96,9 +100,9 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "kernel worker-pool width: cores one commit's tile-parallel products may occupy; 0 = auto (GOMAXPROCS)")
 		queue       = flag.Int("queue", server.DefaultQueueDepth, "per-session pending-step queue depth")
 		certCache   = flag.Int("cert-cache", server.DefaultCertCacheSize, "certified-release cache capacity in entries, shared across sessions; 0 disables")
-		storeDir    = flag.String("store-dir", "", "session durability directory (WAL + snapshots); empty = in-memory only")
-		fsync       = flag.Bool("fsync", false, "fsync every WAL append before acknowledging the step (requires -store-dir)")
-		snapEvery   = flag.Int("snapshot-every", server.DefaultSnapshotEvery, "compact a session's WAL into a snapshot every N steps; negative disables")
+		storeDir    = flag.String("store-dir", "", "session durability directory (one append-only journal); empty = in-memory only")
+		fsync       = flag.Bool("fsync", false, "fsync every journal append before acknowledging the step (requires -store-dir)")
+		snapEvery   = flag.Int("snapshot-every", server.DefaultSnapshotEvery, "journal a session's full history as one snapshot record every N steps; negative disables")
 		logFormat   = flag.String("log-format", obs.LogText, "structured log format: text or json")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		slowStep    = flag.Duration("slow-step", server.DefaultSlowStep, "log a warning (with trace ID and stage breakdown) for steps at least this slow; negative disables")
@@ -279,7 +283,7 @@ func main() {
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Warn("pristed: drain cut short; WAL still covers pending state", "err", err)
+		logger.Warn("pristed: drain cut short; journal still covers pending state", "err", err)
 	}
 	logger.Info("pristed: shut down")
 }

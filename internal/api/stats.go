@@ -202,8 +202,8 @@ type CertCacheStats struct {
 type StoreStats struct {
 	store.Stats
 	// AppendErrors counts failed write-ahead journal appends (acknowledged
-	// steps whose record was lost); SnapshotErrors failed compactions
-	// (self-healing at the next cadence); TombstoneErrors failed
+	// steps whose record was lost); SnapshotErrors failed snapshot
+	// records (self-healing at the next cadence); TombstoneErrors failed
 	// delete/evict tombstones.
 	AppendErrors    int64   `json:"append_errors"`
 	SnapshotErrors  int64   `json:"snapshot_errors"`
@@ -259,7 +259,7 @@ type TransportStats struct {
 //	wal_append  write-ahead journaling of the committed release
 //	encode      render + write the response (JSON / binary frame)
 //
-// WAL fsync time is not per-transport (the sync batches appends from
+// Journal fsync time is not per-transport (the sync batches appends from
 // every transport); it is reported in StoreStats.FsyncMicros and the
 // priste_wal_fsync_seconds histogram.
 type StageStats struct {

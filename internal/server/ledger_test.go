@@ -12,8 +12,9 @@ import (
 )
 
 // parentLedger is testdata/parent-ledger: journals and an export written
-// by an older build, before the ledger types were declared once. See its
-// README.md for how it was made. The store's files are
+// by an older build, before the ledger types were declared once, in the
+// per-session file layout the store migrates from. See its README.md for
+// how it was made. The store's files are
 //
 //	sessions/<hex id>.wal   wal-only (3 steps), snap-wal (WAL suffix), torn
 //	sessions/<hex id>.snap  snap-wal (the first 4 steps)
@@ -116,5 +117,67 @@ func TestRestartParentLedger(t *testing.T) {
 	}
 	if !bytes.Equal(got, fixture) {
 		t.Fatalf("re-export\n%s\ndiffers from the older build's export\n%s", got, fixture)
+	}
+}
+
+// TestRestartMigratedLedger: the first start on the older build's
+// per-session files migrates them into the journal and removes them;
+// a second start reads the journal alone and rehydrates the same
+// exports and the same next releases.
+func TestRestartMigratedLedger(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(parentLedger, "expect.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var expect map[string]struct {
+		Rehydrated json.RawMessage `json:"rehydrated"`
+		Next       []api.StepResponse
+	}
+	if err := json.Unmarshal(raw, &expect); err != nil {
+		t.Fatal(err)
+	}
+	dir := copyLedger(t)
+	first, err := New(durableConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	if _, err := os.Stat(filepath.Join(dir, "sessions")); !os.IsNotExist(err) {
+		t.Fatalf("sessions/ survived the migration: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "journal")); err != nil {
+		t.Fatalf("no journal after the migration: %v", err)
+	}
+
+	srv := newTestServer(t, durableConfig(t, dir))
+	if st := srv.Stats().Store; st.Replayed != 3 || st.ReplayFailures != 0 || st.LoadFailures != 0 {
+		t.Fatalf("second start replayed %d, %d replay / %d load failures; want 3, 0, 0", st.Replayed, st.ReplayFailures, st.LoadFailures)
+	}
+	for id, want := range expect {
+		exp, err := srv.ExportSession(bg, id)
+		if err != nil {
+			t.Fatalf("%s: export: %v", id, err)
+		}
+		got, err := json.Marshal(exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantJSON bytes.Buffer
+		if err := json.Compact(&wantJSON, want.Rehydrated); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantJSON.Bytes()) {
+			t.Fatalf("%s rehydrated from the journal to\n%s\nthe older build to\n%s", id, got, wantJSON.Bytes())
+		}
+		for k, next := range want.Next {
+			res, err := srv.Step(bg, id, 20+k)
+			if err != nil {
+				t.Fatalf("%s: step %d: %v", id, next.T, err)
+			}
+			if res.T != next.T || res.Obs != next.Obs || math.Float64bits(res.Alpha) != math.Float64bits(next.Alpha) ||
+				res.Attempts != next.Attempts || res.Uniform != next.Uniform {
+				t.Fatalf("%s: released %+v from the journal, the older build %+v", id, res, next)
+			}
+		}
 	}
 }

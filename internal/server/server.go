@@ -225,12 +225,18 @@ func (s *Server) registerExternalMetrics() {
 			func() float64 { return float64(c.Stats().Entries) })
 	}
 	if s.durable {
-		reg.CounterFunc("priste_store_appends_total", "WAL step records journaled.",
+		reg.CounterFunc("priste_store_appends_total", "Step records journaled.",
 			func() float64 { return float64(s.cfg.Store.Stats().Appends) })
 		reg.CounterFunc("priste_store_fsyncs_total", "Explicit data syncs (0 without -fsync).",
 			func() float64 { return float64(s.cfg.Store.Stats().Fsyncs) })
-		reg.CounterFunc("priste_store_snapshots_total", "Snapshot compactions.",
+		reg.CounterFunc("priste_store_snapshots_total", "Snapshot records journaled.",
 			func() float64 { return float64(s.cfg.Store.Stats().Snapshots) })
+		reg.CounterFunc("priste_store_compactions_total", "Journal rewrites that dropped dead records.",
+			func() float64 { return float64(s.cfg.Store.Stats().Compactions) })
+		reg.GaugeFunc("priste_store_journal_bytes", "Journal size.",
+			func() float64 { return float64(s.cfg.Store.Stats().JournalBytes) })
+		reg.GaugeFunc("priste_store_dead_bytes", "Journal bytes of superseded and deleted sessions, dropped by the next compaction.",
+			func() float64 { return float64(s.cfg.Store.Stats().DeadBytes) })
 	}
 	// Kernel worker pool (process-global, see internal/par).
 	reg.GaugeFunc("priste_pool_parallelism", "Effective kernel-pool width (configured or GOMAXPROCS).",

@@ -3,30 +3,32 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"priste/internal/core"
 )
 
-// On-disk framing. Every file starts with an 8-byte magic; WAL bodies
-// are a sequence of self-checking records
+// On-disk framing. The journal starts with an 8-byte magic followed by
+// self-checking records
 //
 //	[type:1][len:uvarint][payload:len][crc32(type‖payload):4]
 //
 // so a torn tail (crash mid-append) is detected by length or checksum
-// and the valid prefix survives. Snapshot files hold a single framed
-// blob and are only ever replaced atomically (tmp + rename).
-var (
-	walMagic  = []byte("PRWAL001")
-	snapMagic = []byte("PRSNAP01")
-)
+// and the valid prefix survives. Every journal payload opens with the
+// uvarint generation token of the session incarnation it belongs to.
+var journalMagic = []byte("PRJNL001")
 
-// WAL record types.
+// Journal record types. A generation's first record is a meta record
+// (create) or a snapshot record (import); a later snapshot record
+// supersedes every earlier record of its generation.
 const (
-	recMeta      byte = 1 // JSON SessionMeta
-	recStep      byte = 2 // binary StepRecord
-	recTombstone byte = 3 // empty payload: session deleted
+	recMeta      byte = 1 // gen ‖ JSON SessionMeta
+	recStep      byte = 2 // gen ‖ binary StepRecord
+	recTombstone byte = 3 // gen: session deleted
+	recSnapshot  byte = 4 // gen ‖ snapshot body (encodeSnapshot)
 )
 
 // maxRecordLen bounds a single record so a corrupt length prefix cannot
@@ -36,7 +38,7 @@ const (
 // so a file that was written can always be read back.
 const maxRecordLen = 1 << 28
 
-// checkFrameLen refuses payloads readFrame would reject: persisting an
+// checkFrameLen refuses payloads a load would reject: persisting an
 // unloadable record silently destroys the state it claims to save.
 func checkFrameLen(what string, n int) error {
 	if n > maxRecordLen {
@@ -47,44 +49,134 @@ func checkFrameLen(what string, n int) error {
 
 // appendFrame appends one framed record to buf.
 func appendFrame(buf []byte, typ byte, payload []byte) []byte {
+	start := len(buf)
 	buf = append(buf, typ)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	return binary.LittleEndian.AppendUint32(buf, crc.Sum32())
+	return binary.LittleEndian.AppendUint32(buf, frameCRC(buf[start:start+1], payload))
 }
 
-// readFrame parses the record at data[off:]. Any truncation or checksum
-// mismatch returns an error; the caller treats it as the end of the
-// valid prefix.
-func readFrame(data []byte, off int) (typ byte, payload []byte, next int, err error) {
-	if off >= len(data) {
-		return 0, nil, 0, fmt.Errorf("store: end of log")
-	}
-	typ = data[off]
-	n, k := binary.Uvarint(data[off+1:])
-	if k <= 0 || n > maxRecordLen {
-		return 0, nil, 0, fmt.Errorf("store: bad record length")
-	}
-	body := off + 1 + k
-	end := body + int(n) + 4
-	if end > len(data) {
-		return 0, nil, 0, fmt.Errorf("store: truncated record")
-	}
-	payload = data[body : body+int(n)]
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	if crc.Sum32() != binary.LittleEndian.Uint32(data[body+int(n):]) {
-		return 0, nil, 0, fmt.Errorf("store: record checksum mismatch")
-	}
-	return typ, payload, end, nil
+// frameCRC is the checksum of a frame: its type byte, then its payload.
+func frameCRC(typ, payload []byte) uint32 {
+	return crc32.Update(typeCRC[typ[0]], crc32.IEEETable, payload)
 }
 
-func encodeStep(rec StepRecord) []byte {
-	buf := make([]byte, 0, 40+len(rec.RNG))
+// typeCRC is the checksum of each one-byte frame type.
+var typeCRC = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = crc32.ChecksumIEEE([]byte{byte(i)})
+	}
+	return t
+}()
+
+// journalFrame frames a journal record of generation gen.
+func journalFrame(typ byte, gen uint64, body []byte) []byte {
+	payload := make([]byte, 0, binary.MaxVarintLen64+len(body))
+	payload = append(binary.AppendUvarint(payload, gen), body...)
+	return appendFrame(make([]byte, 0, len(payload)+binary.MaxVarintLen32+5), typ, payload)
+}
+
+// splitGen splits a journal payload into its generation and body.
+func splitGen(payload []byte) (gen uint64, body []byte, ok bool) {
+	gen, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return 0, nil, false
+	}
+	return gen, payload[n:], true
+}
+
+// Frame read outcomes other than io.EOF (a clean end): the data ends
+// inside the frame, or the frame is damaged and bytes follow it.
+var (
+	errTornFrame    = errors.New("store: torn frame")
+	errCorruptFrame = errors.New("store: corrupt frame")
+)
+
+// scanner streams the frames of a region of src through one buffer,
+// which grows only to hold the largest frame.
+type scanner struct {
+	src io.ReaderAt
+	// off is the offset of the next frame and end the region's end;
+	// buf[lo:hi] holds src from off on.
+	off, end int64
+	buf      []byte
+	lo, hi   int
+}
+
+func newScanner(src io.ReaderAt, off, end int64) *scanner {
+	return &scanner{src: src, off: off, end: end, buf: make([]byte, 256<<10)}
+}
+
+// fill makes n bytes from off available in buf[lo:hi], or as many as the
+// region has left.
+func (sc *scanner) fill(n int) error {
+	if sc.hi-sc.lo >= n {
+		return nil
+	}
+	sc.hi = copy(sc.buf, sc.buf[sc.lo:sc.hi])
+	sc.lo = 0
+	if n > len(sc.buf) {
+		sc.buf = append(sc.buf[:sc.hi], make([]byte, n-sc.hi)...)
+	}
+	want := int(min(int64(len(sc.buf)-sc.hi), sc.end-sc.off-int64(sc.hi)))
+	if want <= 0 {
+		return nil
+	}
+	m, err := sc.src.ReadAt(sc.buf[sc.hi:sc.hi+want], sc.off+int64(sc.hi))
+	sc.hi += m
+	if m < want && err != nil && err != io.EOF {
+		return err
+	}
+	return nil
+}
+
+// next returns the next frame's type, payload and whole encoding, all
+// valid until the following call; check verifies its checksum. It
+// returns io.EOF at the region's end, errTornFrame when the region ends
+// inside the frame, and errCorruptFrame when the frame is damaged and
+// bytes follow it.
+func (sc *scanner) next(check bool) (typ byte, payload, frame []byte, err error) {
+	if err := sc.fill(1 + binary.MaxVarintLen64); err != nil {
+		return 0, nil, nil, err
+	}
+	if sc.hi == sc.lo {
+		return 0, nil, nil, io.EOF
+	}
+	n, k := binary.Uvarint(sc.buf[sc.lo+1 : sc.hi])
+	switch {
+	case k == 0:
+		return 0, nil, nil, errTornFrame
+	case k < 0 || n > maxRecordLen:
+		return 0, nil, nil, errCorruptFrame
+	}
+	size := 1 + k + int(n) + 4
+	if err := sc.fill(size); err != nil {
+		return 0, nil, nil, err
+	}
+	if sc.hi-sc.lo < size {
+		return 0, nil, nil, errTornFrame
+	}
+	frame = sc.buf[sc.lo : sc.lo+size]
+	payload = frame[1+k : size-4]
+	if check && frameCRC(frame[:1], payload) != binary.LittleEndian.Uint32(frame[size-4:]) {
+		if sc.off+int64(size) < sc.end {
+			return 0, nil, nil, errCorruptFrame
+		}
+		return 0, nil, nil, errTornFrame
+	}
+	sc.lo += size
+	sc.off += int64(size)
+	return frame[0], payload, frame, nil
+}
+
+// stepFrame frames the step record rec of generation gen.
+func stepFrame(gen uint64, rec StepRecord) []byte {
+	payload := appendStep(binary.AppendUvarint(make([]byte, 0, 48+len(rec.RNG)), gen), rec)
+	return appendFrame(make([]byte, 0, len(payload)+8), recStep, payload)
+}
+
+// appendStep appends the binary StepRecord body to buf.
+func appendStep(buf []byte, rec StepRecord) []byte {
 	buf = binary.AppendUvarint(buf, uint64(rec.T))
 	buf = binary.LittleEndian.AppendUint64(buf, rec.Tag.AlphaBits)
 	buf = binary.AppendUvarint(buf, uint64(rec.Tag.Obs))
@@ -127,6 +219,7 @@ func decodeStep(p []byte) (StepRecord, error) {
 	return rec, nil
 }
 
+// encodeSnapshot encodes a session's whole state as a snapshot body.
 func encodeSnapshot(state SessionState) ([]byte, error) {
 	meta, err := json.Marshal(state.Meta)
 	if err != nil {
@@ -143,23 +236,16 @@ func encodeSnapshot(state SessionState) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, state.Fingerprint)
 	buf = binary.AppendUvarint(buf, uint64(len(state.RNG)))
 	buf = append(buf, state.RNG...)
-	if err := checkFrameLen("snapshot", len(buf)); err != nil {
+	if err := checkFrameLen("snapshot", len(buf)+binary.MaxVarintLen64); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(snapMagic)+len(buf)+16)
-	out = append(out, snapMagic...)
-	return appendFrame(out, recMeta, buf), nil
+	return buf, nil
 }
 
-func decodeSnapshot(data []byte) (SessionState, error) {
+// decodeSnapshot decodes a snapshot body: the identity, every committed
+// tag, the fingerprint and the RNG state.
+func decodeSnapshot(p []byte) (SessionState, error) {
 	var state SessionState
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic) {
-		return state, fmt.Errorf("store: bad snapshot magic")
-	}
-	_, p, _, err := readFrame(data, len(snapMagic))
-	if err != nil {
-		return state, err
-	}
 	metaLen, n := binary.Uvarint(p)
 	// Compare in the uint64 domain: casting a huge corrupt length to int
 	// would wrap negative and slip past the bound into a slice panic.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -12,10 +13,10 @@ const (
 	fuzzSnapshot
 )
 
-// FuzzDecodeRecords feeds the journal decoders arbitrary payloads. The
-// payload is framed with appendFrame first (behind the file magic, for
-// snapshots), so the fuzzer reaches the decoders instead
-// of stopping at the CRC. No decoder may panic, and whatever decodes
+// FuzzDecodeRecords feeds the journal decoders arbitrary payloads. A
+// step payload is framed with appendFrame first, so the fuzzer reaches
+// the decoder instead of stopping at the CRC; a snapshot body is decoded
+// as it is. No decoder may panic, and whatever decodes
 // must re-encode and decode to an equal value. The seed corpus is
 // testdata/fuzz/FuzzDecodeRecords.
 func FuzzDecodeRecords(f *testing.F) {
@@ -26,7 +27,8 @@ func FuzzDecodeRecords(f *testing.F) {
 		payload := data[1:]
 		switch data[0] % 2 {
 		case fuzzStep:
-			_, p, _, err := readFrame(appendFrame(nil, recStep, payload), 0)
+			frame := appendFrame(nil, recStep, payload)
+			_, p, _, err := newScanner(bytes.NewReader(frame), 0, int64(len(frame))).next(true)
 			if err != nil {
 				t.Fatalf("framed step payload does not read back: %v", err)
 			}
@@ -34,12 +36,12 @@ func FuzzDecodeRecords(f *testing.F) {
 			if err != nil {
 				return
 			}
-			again, err := decodeStep(encodeStep(rec))
+			again, err := decodeStep(appendStep(nil, rec))
 			if err != nil || !reflect.DeepEqual(again, rec) {
 				t.Fatalf("step %+v re-decoded as %+v (err %v)", rec, again, err)
 			}
 		case fuzzSnapshot:
-			state, err := decodeSnapshot(appendFrame(append([]byte(nil), snapMagic...), recMeta, payload))
+			state, err := decodeSnapshot(payload)
 			if err != nil {
 				return
 			}

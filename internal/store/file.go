@@ -1,13 +1,15 @@
 package store
 
 import (
-	"encoding/hex"
+	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,13 +17,25 @@ import (
 	"priste/internal/world"
 )
 
-// FileStore is the default durable Store: one append-only WAL plus one
-// snapshot file per session under dir/sessions (filenames are the hex of
-// the session id, so arbitrary ids are safe). WriteSnapshot compacts a session's WAL
-// to empty after atomically replacing its snapshot, so recovery reads
-// snapshot + WAL suffix. With fsync enabled every append is synced
-// before the step is acknowledged (durable to power loss); without it,
-// appends rely on the page cache (durable to process crash only).
+// FileStore is the default durable Store: one append-only journal,
+// <dir>/journal, shared by every session. Every record carries the
+// generation token of the session incarnation it belongs to: a meta
+// record when a session is created, a snapshot record when one is
+// imported or WriteSnapshot compacts its history, then its step records
+// and at most one tombstone. Creating or deleting a session therefore
+// costs one append, and LoadSessions reads the journal sequentially,
+// decoding only the records of sessions that survive. When the bytes of
+// superseded and deleted generations exceed both the live bytes and
+// 1 MiB, a compactor goroutine copies the live generations into a fresh
+// journal that replaces the old one atomically; Close does the same
+// whenever they exceed the live bytes, so a planned restart reads live
+// records only.
+//
+// Each append is one write under the store's append lock. With fsync
+// enabled, an append returns only after a data sync that began after
+// its write (durable to power loss; concurrent appenders share syncs);
+// without it, appends rely on the page cache (durable to process crash
+// only).
 type FileStore struct {
 	dir   string
 	fsync bool
@@ -30,28 +44,85 @@ type FileStore struct {
 	// process journaling into the same directory; closed on Close.
 	lock *os.File
 
-	mu      sync.Mutex
-	handles map[string]*walHandle
+	// syncMu serialises data syncs; synced (guarded by it) is the append
+	// count the last completed sync covers. Lock order: syncMu, mu.
+	syncMu sync.Mutex
+	synced uint64
+
+	// kick wakes the compactor goroutine, stop ends it, and done is
+	// closed once it has returned; stopOnce guards stop.
+	kick, stop, done chan struct{}
+	stopOnce         sync.Once
+
+	// mu is the append lock: it is held for one journal write and the
+	// index update that goes with it, and guards every field below.
+	mu sync.Mutex
+	f  journalFile // nil until the journal is opened
+	// size is the journal's length up to its last whole frame; torn
+	// reports a failed write whose bytes past size are not yet cut off.
+	size int64
+	torn bool
+	// seq counts appends written, for the sync rule above.
+	seq uint64
+	// sessions maps each journaled id to its current generation; live is
+	// the journal header plus every current generation's bytes, so
+	// size-live is what a compaction would drop.
+	sessions map[string]*journaled
+	live     int64
+	// pending holds what the open recovered until LoadSessions takes it.
+	pending []SessionState
 	closed  bool
+
+	// opened is set once the journal is open and the index built (the
+	// first LoadSessions, CreateSession, ImportSession or DeleteSession).
+	opened atomic.Bool
+	// nextGen is the last generation token minted; the open raises it
+	// past every generation in the journal.
+	nextGen atomic.Uint64
 
 	appends, appendBytes, fsyncs atomic.Int64
 	fsyncNanos                   atomic.Int64
 	snapshots, tombstones        atomic.Int64
 	sessionsLoaded, loadFailures atomic.Int64
-	corruptSuffixes              atomic.Int64
+	corruptSuffixes, compactions atomic.Int64
 
-	// gens mints journal generation tokens (see Store.CreateSession).
-	gens atomic.Uint64
-
-	// syncObs, when set, receives the duration of every WAL append sync
+	// syncObs, when set, receives the duration of every append sync
 	// (the serving-path fsync; see SetSyncObserver).
 	syncObs atomic.Pointer[func(time.Duration)]
 	// logger reports load-time anomalies; defaults to discard.
 	logger atomic.Pointer[slog.Logger]
 }
 
-// SetSyncObserver installs fn to receive the wall time of every WAL
-// append fsync — the serving layer feeds it into the wal_fsync latency
+// journalFile is what the store needs of the journal's descriptor.
+type journalFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
+// journaled is one id's current generation in the journal.
+type journaled struct {
+	gen uint64
+	// base is the offset of the generation's latest meta or snapshot
+	// record, and bytes the size of its frames from there on: what a
+	// compaction copies.
+	base, bytes int64
+	// blocked marks a generation that failed to load: it refuses writes
+	// and its records are kept for post-mortem until DeleteSession.
+	blocked bool
+	// legacy marks a blocked session still in the legacy per-session
+	// files (see migrateLegacy); it has no journal records.
+	legacy bool
+}
+
+// compactFloor is the dead-byte count below which the journal is never
+// compacted, however small the live set.
+const compactFloor = 1 << 20
+
+// SetSyncObserver installs fn to receive the wall time of every append
+// fsync — the serving layer feeds it into the wal_fsync latency
 // histogram. Pass nil to remove. Safe to call concurrently with appends.
 func (s *FileStore) SetSyncObserver(fn func(time.Duration)) {
 	if fn == nil {
@@ -62,8 +133,8 @@ func (s *FileStore) SetSyncObserver(fn func(time.Duration)) {
 }
 
 // SetLogger installs a structured logger for load-time anomalies
-// (sessions skipped as corrupt, truncated WAL suffixes). Nil restores
-// the silent default.
+// (sessions skipped as corrupt, corrupt suffixes). Nil restores the
+// silent default.
 func (s *FileStore) SetLogger(l *slog.Logger) { s.logger.Store(l) }
 
 func (s *FileStore) log() *slog.Logger {
@@ -73,76 +144,33 @@ func (s *FileStore) log() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-// walHandle serialises writes to one session's WAL. gen is the
-// incarnation token handed out when the journal was opened; appends and
-// snapshots carrying a different token are refused. The descriptor is
-// lazy: LoadSessions registers handles without opening files, so a
-// store directory with far more journaled sessions than the fd limit
-// (or than MaxSessions) costs nothing until a session actually appends.
-type walHandle struct {
-	mu   sync.Mutex
-	f    *os.File // nil when not yet opened (lazy) or already closed
-	dead bool     // tombstoned / store closed: refuse writes
-	path string
-	meta SessionMeta
-	gen  uint64
-}
-
-// file returns the WAL descriptor, opening it for appending on first
-// use. Caller holds h.mu.
-func (h *walHandle) file() (*os.File, error) {
-	if h.dead {
-		return nil, ErrUnknownSession
-	}
-	if h.f != nil {
-		return h.f, nil
-	}
-	f, err := os.OpenFile(h.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: reopen wal: %w", err)
-	}
-	h.f = f
-	return f, nil
-}
-
-// closeLocked closes the descriptor and marks the handle dead when asked.
-// Caller holds h.mu.
-func (h *walHandle) closeLocked(dead bool) {
-	if h.f != nil {
-		h.f.Close()
-		h.f = nil
-	}
-	if dead {
-		h.dead = true
-	}
-}
-
 // Open opens (creating if needed) a file store rooted at dir. With fsync
-// true, every WAL append and file replacement is synced to stable
-// storage before returning.
+// true, every append is synced to stable storage before returning. A
+// journal.tmp left by a compaction that crashed before its rename is
+// discarded; the journal itself is read by the first LoadSessions (or
+// the first create, import or delete, if one comes first).
 func Open(dir string, fsync bool) (*FileStore, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	lock, err := lockDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &FileStore{dir: dir, fsync: fsync, lock: lock, handles: make(map[string]*walHandle)}, nil
-}
-
-func (s *FileStore) walPath(id string) string {
-	return filepath.Join(s.dir, "sessions", hex.EncodeToString([]byte(id))+".wal")
-}
-
-func (s *FileStore) snapPath(id string) string {
-	return filepath.Join(s.dir, "sessions", hex.EncodeToString([]byte(id))+".snap")
-}
-
-func (s *FileStore) maybeSync(f *os.File) error {
-	if !s.fsync {
-		return nil
+	if err := os.Remove(filepath.Join(dir, "journal.tmp")); err != nil && !os.IsNotExist(err) {
+		lock.Close()
+		return nil, fmt.Errorf("store: %w", err)
 	}
+	s := &FileStore{dir: dir, fsync: fsync, lock: lock, sessions: make(map[string]*journaled),
+		kick: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
+	go s.compactor()
+	return s, nil
+}
+
+func (s *FileStore) journalPath() string { return filepath.Join(s.dir, "journal") }
+
+// timedSync syncs f and counts it.
+func (s *FileStore) timedSync(f journalFile) error {
 	start := time.Now()
 	if err := f.Sync(); err != nil {
 		return err
@@ -156,15 +184,40 @@ func (s *FileStore) maybeSync(f *os.File) error {
 	return nil
 }
 
-// syncDir fsyncs the directory containing path so file creations,
-// renames and unlinks survive power loss — file data syncs alone do not
-// persist the directory entry. No-op without the fsync policy (which
-// only promises crash durability).
-func (s *FileStore) syncDir(path string) error {
+// syncAfter returns once a data sync that began after append seq was
+// written has completed: the first waiter syncs, and every append it
+// covers returns without another. Syncs of one file do not overlap in
+// the kernel, so concurrent ones would only queue there instead. No-op
+// without the fsync policy.
+func (s *FileStore) syncAfter(seq uint64) error {
 	if !s.fsync {
 		return nil
 	}
-	d, err := os.Open(filepath.Dir(path))
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	if s.synced >= seq {
+		return nil
+	}
+	s.mu.Lock()
+	f, target := s.f, s.seq
+	s.mu.Unlock()
+	if f == nil {
+		return ErrClosed
+	}
+	if err := s.timedSync(f); err != nil {
+		return err
+	}
+	s.synced = target
+	return nil
+}
+
+// syncDir fsyncs the store directory so a rename survives power loss.
+// No-op without the fsync policy (which only promises crash durability).
+func (s *FileStore) syncDir() error {
+	if !s.fsync {
+		return nil
+	}
+	d, err := os.Open(s.dir)
 	if err != nil {
 		return err
 	}
@@ -178,136 +231,170 @@ func (s *FileStore) syncDir(path string) error {
 	return nil
 }
 
-// newWAL writes a fresh WAL (magic + meta record) to path.
-func (s *FileStore) newWAL(path string, meta SessionMeta) (*os.File, error) {
-	metaJSON, err := json.Marshal(meta)
+// writeLocked appends one whole frame at the journal's end. A failed or
+// short write is cut off again before any other append can land; if
+// that truncation fails too, the next append retries it first and
+// fails rather than write behind the torn bytes. Caller holds s.mu.
+func (s *FileStore) writeLocked(frame []byte) error {
+	if s.f == nil {
+		return ErrClosed
+	}
+	if s.torn {
+		if err := s.f.Truncate(s.size); err != nil {
+			return fmt.Errorf("store: cut torn journal tail: %w", err)
+		}
+		s.torn = false
+	}
+	n, err := s.f.WriteAt(frame, s.size)
+	if err == nil && n < len(frame) {
+		err = io.ErrShortWrite
+	}
 	if err != nil {
-		return nil, fmt.Errorf("store: marshal meta: %w", err)
+		s.torn = s.f.Truncate(s.size) != nil
+		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	buf := append([]byte(nil), walMagic...)
-	buf = appendFrame(buf, recMeta, metaJSON)
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := s.maybeSync(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return f, nil
+	s.size += int64(n)
+	s.seq++
+	return nil
 }
 
-// CreateSession implements Store.
-func (s *FileStore) CreateSession(meta SessionMeta) (uint64, error) {
-	return s.openJournal(meta, nil)
-}
-
-// ImportSession implements Store: the migrated history is persisted as
-// the session's snapshot before its fresh WAL opens, so a crash at any
-// point either recovers the complete imported state (snapshot with or
-// without the WAL — load creates a missing WAL) or, before the snapshot
-// rename lands, nothing at all.
-func (s *FileStore) ImportSession(state SessionState) (uint64, error) {
-	data, err := encodeSnapshot(state)
-	if err != nil {
-		return 0, err
+// ensureOpen opens the journal once: recovery, then migration of a
+// legacy directory.
+func (s *FileStore) ensureOpen() error {
+	if s.opened.Load() {
+		return nil
 	}
-	return s.openJournal(state.Meta, data)
-}
-
-// openJournal reserves the id and opens its journal: an optional
-// pre-encoded snapshot (imports), then a fresh WAL. The handle is
-// reserved under s.mu but all file I/O (including fsyncs) runs under
-// its own lock only: every step append's handle lookup takes s.mu, so
-// create-time disk work must not sit on the store-wide mutex.
-func (s *FileStore) openJournal(meta SessionMeta, snapshot []byte) (uint64, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if _, ok := s.handles[meta.ID]; ok {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrAlreadyJournaled, meta.ID)
-	}
-	gen := s.gens.Add(1)
-	h := &walHandle{path: s.walPath(meta.ID), meta: meta, gen: gen}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s.handles[meta.ID] = h
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return s.openLocked()
+}
 
-	unreserve := func(err error) (uint64, error) {
-		s.mu.Lock()
-		if s.handles[meta.ID] == h {
-			delete(s.handles, meta.ID)
-		}
-		s.mu.Unlock()
+func (s *FileStore) openLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.opened.Load() {
+		return nil
+	}
+	f, err := os.OpenFile(s.journalPath(), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.f = f
+	err = s.recoverLocked()
+	if err == nil {
+		err = s.migrateLegacy()
+	}
+	if err != nil {
+		s.f, s.pending = nil, nil
+		clear(s.sessions)
+		f.Close()
+		return err
+	}
+	s.opened.Store(true)
+	return nil
+}
+
+// CreateSession implements Store: one meta record opens the session's
+// generation.
+func (s *FileStore) CreateSession(meta SessionMeta) (uint64, error) {
+	body, err := json.Marshal(meta)
+	if err != nil {
+		return 0, fmt.Errorf("store: marshal meta: %w", err)
+	}
+	return s.begin(meta.ID, recMeta, body)
+}
+
+// ImportSession implements Store: the migrated history is the new
+// generation's first record, a snapshot record, so a crash recovers
+// either all of it or (a torn record) nothing.
+func (s *FileStore) ImportSession(state SessionState) (uint64, error) {
+	body, err := encodeSnapshot(state)
+	if err != nil {
 		return 0, err
 	}
-	if snapshot == nil {
-		// A re-created id (deleted or lost in a previous life) starts
-		// fresh.
-		_ = os.Remove(s.snapPath(meta.ID))
-	} else {
-		// Imported history becomes the snapshot first: a WAL existing
-		// without it would recover an empty session under this id. The
-		// stale WAL (if any) must go before the snapshot so a crash
-		// in between cannot pair the new history with old records.
-		_ = os.Remove(s.walPath(meta.ID))
-		if err := s.replaceFile(s.snapPath(meta.ID), snapshot); err != nil {
-			return unreserve(fmt.Errorf("store: import snapshot: %w", err))
-		}
+	gen, err := s.begin(state.Meta.ID, recSnapshot, body)
+	if err == nil {
 		s.snapshots.Add(1)
 	}
-	f, err := s.newWAL(h.path, meta)
-	if err == nil {
-		if serr := s.syncDir(h.path); serr != nil {
-			f.Close()
-			f, err = nil, fmt.Errorf("store: %w", serr)
-		}
+	return gen, err
+}
+
+// begin journals the first record of a new generation of id.
+func (s *FileStore) begin(id string, typ byte, body []byte) (uint64, error) {
+	if err := s.ensureOpen(); err != nil {
+		return 0, err
 	}
+	gen := s.nextGen.Add(1)
+	frame := journalFrame(typ, gen, body)
+	s.mu.Lock()
+	seq, err := s.beginLocked(id, gen, frame)
+	s.mu.Unlock()
 	if err != nil {
-		return unreserve(err)
+		return 0, err
 	}
-	h.f = f
+	if err := s.syncAfter(seq); err != nil {
+		// Unreserve: the caller treats the create as failed.
+		s.mu.Lock()
+		if j := s.sessions[id]; j != nil && j.gen == gen {
+			delete(s.sessions, id)
+			s.live -= j.bytes
+		}
+		s.mu.Unlock()
+		return 0, fmt.Errorf("store: %w", err)
+	}
 	return gen, nil
 }
 
-func (s *FileStore) handle(id string, gen uint64) (*walHandle, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// beginLocked writes frame as generation gen's first record and makes
+// it id's current generation. Caller holds s.mu.
+func (s *FileStore) beginLocked(id string, gen uint64, frame []byte) (uint64, error) {
+	if s.closed {
+		return 0, ErrClosed
+	}
+	if _, ok := s.sessions[id]; ok {
+		return 0, fmt.Errorf("%w: %q", ErrAlreadyJournaled, id)
+	}
+	base := s.size
+	if err := s.writeLocked(frame); err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	s.sessions[id] = &journaled{gen: gen, base: base, bytes: int64(len(frame))}
+	s.live += int64(len(frame))
+	return s.seq, nil
+}
+
+// currentLocked returns id's generation if gen is it and takes writes.
+// Caller holds s.mu.
+func (s *FileStore) currentLocked(id string, gen uint64) (*journaled, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	h, ok := s.handles[id]
-	if !ok || h.gen != gen {
+	j := s.sessions[id]
+	if j == nil || j.gen != gen || j.blocked {
 		return nil, ErrUnknownSession
 	}
-	return h, nil
+	return j, nil
 }
 
 // AppendStep implements Store.
 func (s *FileStore) AppendStep(id string, gen uint64, rec StepRecord) error {
-	h, err := s.handle(id, gen)
+	frame := stepFrame(gen, rec)
+	s.mu.Lock()
+	j, err := s.currentLocked(id, gen)
 	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	frame := appendFrame(nil, recStep, encodeStep(rec))
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	f, err := h.file()
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(frame); err != nil {
+	if err := s.writeLocked(frame); err != nil {
+		s.mu.Unlock()
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if err := s.maybeSync(f); err != nil {
+	j.bytes += int64(len(frame))
+	s.live += int64(len(frame))
+	seq := s.seq
+	s.mu.Unlock()
+	if err := s.syncAfter(seq); err != nil {
 		return fmt.Errorf("store: append sync: %w", err)
 	}
 	s.appends.Add(1)
@@ -315,307 +402,551 @@ func (s *FileStore) AppendStep(id string, gen uint64, rec StepRecord) error {
 	return nil
 }
 
-// replaceFile atomically writes data at path via tmp + rename.
-func (s *FileStore) replaceFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	// A snapshot that survives a rename but not its own write is a
-	// corrupt primary, so sync the data regardless of the fsync policy.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return s.syncDir(path)
-}
-
-// WriteSnapshot implements Store.
+// WriteSnapshot implements Store: a snapshot record of the full state
+// supersedes every earlier record of the generation, which a later
+// compaction drops.
 func (s *FileStore) WriteSnapshot(state SessionState, gen uint64) error {
-	h, err := s.handle(state.Meta.ID, gen)
+	body, err := encodeSnapshot(state)
 	if err != nil {
 		return err
 	}
-	data, err := encodeSnapshot(state)
+	frame := journalFrame(recSnapshot, gen, body)
+	s.mu.Lock()
+	j, err := s.currentLocked(state.Meta.ID, gen)
 	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.dead {
-		return ErrUnknownSession
-	}
-	if err := s.replaceFile(s.snapPath(state.Meta.ID), data); err != nil {
+	base := s.size
+	if err := s.writeLocked(frame); err != nil {
+		s.mu.Unlock()
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	// Compact: the snapshot now carries the whole history, so the WAL
-	// restarts empty. A crash between the two renames leaves pre-snapshot
-	// records in the WAL; replay skips them by timestamp.
-	tmpPath := s.walPath(state.Meta.ID) + ".rotate"
-	nf, err := s.newWAL(tmpPath, h.meta)
-	if err != nil {
-		return err
+	s.live += int64(len(frame)) - j.bytes
+	j.base, j.bytes = base, int64(len(frame))
+	seq, due := s.seq, s.compactDueLocked()
+	s.mu.Unlock()
+	if err := s.syncAfter(seq); err != nil {
+		return fmt.Errorf("store: snapshot sync: %w", err)
 	}
-	if err := os.Rename(tmpPath, s.walPath(state.Meta.ID)); err != nil {
-		nf.Close()
-		return fmt.Errorf("store: wal rotate: %w", err)
-	}
-	// The renamed file is the live WAL from here on: swap the handle
-	// before reporting any directory-sync failure, so appends never land
-	// on the unlinked old inode.
-	h.closeLocked(false)
-	h.f = nf
 	s.snapshots.Add(1)
-	if err := s.syncDir(s.walPath(state.Meta.ID)); err != nil {
-		return fmt.Errorf("store: wal rotate: %w", err)
+	if due {
+		s.kickCompaction()
 	}
 	return nil
 }
 
-// DeleteSession implements Store. An id the store is not journaling and
-// has no files for reports ErrUnknownSession so callers can distinguish
-// a real tombstone from a no-op.
+// DeleteSession implements Store: a tombstone record ends the id's
+// generation. An id the store is not journaling reports
+// ErrUnknownSession so callers can tell a real tombstone from a no-op.
 func (s *FileStore) DeleteSession(id string) error {
+	if err := s.ensureOpen(); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	h := s.handles[id]
-	delete(s.handles, id)
-	s.mu.Unlock()
-	if h != nil {
-		h.mu.Lock()
-		// Durable tombstone first: if the unlinks never happen (crash),
-		// the record still kills the session on load.
-		if f, err := h.file(); err == nil {
-			if _, err := f.Write(appendFrame(nil, recTombstone, nil)); err == nil {
-				_ = s.maybeSync(f)
-			}
-		}
-		h.closeLocked(true)
-		h.mu.Unlock()
-	}
-	snapErr := os.Remove(s.snapPath(id))
-	walErr := os.Remove(s.walPath(id))
-	if h == nil && snapErr != nil && walErr != nil {
+	j := s.sessions[id]
+	if j == nil {
+		s.mu.Unlock()
 		return ErrUnknownSession
 	}
+	delete(s.sessions, id)
+	s.live -= j.bytes
+	if j.legacy {
+		s.mu.Unlock()
+		s.removeLegacy(id)
+		s.tombstones.Add(1)
+		return nil
+	}
+	err := s.writeLocked(journalFrame(recTombstone, j.gen, nil))
+	seq, due := s.seq, s.compactDueLocked()
+	s.mu.Unlock()
+	if err == nil {
+		err = s.syncAfter(seq)
+	}
+	if err != nil {
+		return fmt.Errorf("store: tombstone: %w", err)
+	}
 	s.tombstones.Add(1)
-	// Best-effort: the tombstone record already kills the session on
-	// load even if the unlinks' directory entry update is lost, so a
-	// failed dir sync must not make a completed delete report failure.
-	_ = s.syncDir(s.walPath(id))
+	if due {
+		s.kickCompaction()
+	}
 	return nil
 }
 
 // LoadSessions implements Store.
 func (s *FileStore) LoadSessions() ([]SessionState, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+	if err := s.openLocked(); err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
-	entries, err := os.ReadDir(filepath.Join(s.dir, "sessions"))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	ids := make(map[string]bool)
-	for _, e := range entries {
-		name := e.Name()
-		ext := filepath.Ext(name)
-		if ext != ".wal" && ext != ".snap" {
-			continue
-		}
-		raw, err := hex.DecodeString(strings.TrimSuffix(name, ext))
-		if err != nil {
-			continue
-		}
-		ids[string(raw)] = true
-	}
-	var out []SessionState
-	for id := range ids {
-		state, ok := s.loadSession(id)
-		if !ok {
-			continue
-		}
-		out = append(out, state)
-		s.sessionsLoaded.Add(1)
+	out := s.pending
+	s.pending = nil
+	due := s.compactDueLocked()
+	s.mu.Unlock()
+	s.sessionsLoaded.Add(int64(len(out)))
+	if due {
+		s.kickCompaction()
 	}
 	return out, nil
 }
 
-// loadSession recovers one session: snapshot as the base, then the WAL
-// suffix, verifying the fingerprint chain throughout. It registers an
-// append handle (minting state.Gen) on success. A session with an
-// unreadable snapshot counts a load failure and its files are left for
-// post-mortem; a CRC-valid WAL suffix that fails the fingerprint chain,
-// leaves a timestamp gap, or will not decode is real corruption — the
-// session loads from the consistent prefix, the damaged original is
-// preserved as a .corrupt sidecar, and CorruptSuffixes counts it.
-func (s *FileStore) loadSession(id string) (SessionState, bool) {
-	var state SessionState
-	state.Fingerprint = world.FingerprintSeed
-	hasMeta := false
-	fail := func() (SessionState, bool) {
-		s.loadFailures.Add(1)
-		s.log().Warn("store: session load failed; files preserved for post-mortem",
-			"session", id, "wal", s.walPath(id))
-		// Register a write-refusing placeholder so the id's surviving
-		// files — the post-mortem evidence — cannot be silently wiped by
-		// a later CreateSession (it reports ErrAlreadyJournaled; an
-		// explicit DeleteSession reclaims the id).
-		s.handles[id] = &walHandle{path: s.walPath(id), dead: true, meta: SessionMeta{ID: id}, gen: s.gens.Add(1)}
-		return SessionState{}, false
-	}
-
-	if snapData, err := os.ReadFile(s.snapPath(id)); err == nil {
-		snap, err := decodeSnapshot(snapData)
-		if err != nil || snap.Meta.ID != id {
-			return fail()
-		}
-		fp := world.FingerprintSeed
-		for _, tag := range snap.Tags {
-			fp = world.FingerprintFold(fp, tag.AlphaBits, tag.Obs)
-		}
-		if fp != snap.Fingerprint {
-			return fail()
-		}
-		state = snap
-		hasMeta = true
-	}
-
-	walData, err := os.ReadFile(s.walPath(id))
-	if err != nil && !os.IsNotExist(err) {
-		return fail()
-	}
-	validLen := 0
-	corrupt := false
-	if len(walData) >= len(walMagic) && string(walData[:len(walMagic)]) == string(walMagic) {
-		off := len(walMagic)
-	scan:
-		for {
-			typ, payload, next, err := readFrame(walData, off)
-			if err != nil {
-				break // torn tail: the expected crash artifact, not corruption
-			}
-			switch typ {
-			case recMeta:
-				var meta SessionMeta
-				if err := json.Unmarshal(payload, &meta); err == nil && meta.ID == id && !hasMeta {
-					state.Meta = meta
-					hasMeta = true
-				}
-			case recStep:
-				rec, err := decodeStep(payload)
-				if err != nil {
-					corrupt = true
-					break scan
-				}
-				switch {
-				case rec.T < len(state.Tags):
-					// Pre-snapshot duplicate (crash between snapshot rename
-					// and WAL rotation): already folded into the base.
-				case rec.T == len(state.Tags):
-					want := world.FingerprintFold(state.Fingerprint, rec.Tag.AlphaBits, rec.Tag.Obs)
-					if want != rec.Fingerprint {
-						corrupt = true
-						break scan
-					}
-					state.Tags = append(state.Tags, rec.Tag)
-					state.Fingerprint = want
-					if len(rec.RNG) > 0 {
-						state.RNG = rec.RNG
-					}
-				default:
-					// Gap: records lost; the contiguous prefix stands.
-					corrupt = true
-					break scan
-				}
-			case recTombstone:
-				_ = os.Remove(s.snapPath(id))
-				_ = os.Remove(s.walPath(id))
-				return SessionState{}, false
-			}
-			off = next
-			validLen = off
-		}
-	}
-	gen, ok := s.finishLoad(id, state, hasMeta, validLen, corrupt)
-	if !ok {
-		return SessionState{}, false
-	}
-	state.T = len(state.Tags)
-	state.Gen = gen
-	return state, true
+// genScan is what the first pass over the journal learns of one
+// generation: where its live records start (its latest snapshot record,
+// else its first meta record), where its first meta record is, and
+// whether a tombstone ended it.
+type genScan struct {
+	base, meta int64
+	dead       bool
 }
 
-// finishLoad truncates the WAL past its valid prefix — preserving the
-// original as a .corrupt sidecar when the suffix was real corruption
-// rather than a torn tail — and re-opens it for appending under a fresh
-// generation. A session with no recoverable meta is a load failure.
-func (s *FileStore) finishLoad(id string, state SessionState, hasMeta bool, validLen int, corrupt bool) (uint64, bool) {
-	if !hasMeta {
-		s.loadFailures.Add(1)
-		s.log().Warn("store: session journal has no recoverable meta record", "session", id)
-		return 0, false
+// loadGen is one generation's recovery state in the second pass.
+type loadGen struct {
+	id    string
+	gen   uint64
+	state SessionState
+	base  int64
+	bytes int64
+	// corrupt: a step record broke the chain, left a gap or would not
+	// decode, and the generation's later steps are skipped. failed: its
+	// snapshot record would not decode or verify, so it is kept blocked.
+	// dead: superseded by a later generation of the same id. lost: its
+	// identity never decoded.
+	corrupt, failed, dead, lost bool
+}
+
+// recoverLocked reads the journal in two sequential passes. The first
+// checks every frame, cuts a torn tail, and — when a damaged frame has
+// bytes after it — appends everything from it on to journal.corrupt and
+// cuts the journal there; it also finds each generation's tombstone and
+// latest snapshot record. The second decodes only what survives: each
+// live generation's records from its latest meta or snapshot record on,
+// under the per-session rules (steps must extend the fingerprint chain
+// with contiguous T, and a chain break marks a corrupt suffix of that
+// session only), so deleted and superseded sessions cost a frame header
+// each. Caller holds s.mu.
+func (s *FileStore) recoverLocked() error {
+	info, err := os.Stat(s.journalPath())
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
-	path := s.walPath(id)
-	if corrupt {
+	fileSize := info.Size()
+	hdr := int64(len(journalMagic))
+	head := make([]byte, min(fileSize, hdr))
+	if _, err := s.f.ReadAt(head, 0); err != nil || string(head) != string(journalMagic[:len(head)]) {
+		return fmt.Errorf("store: %s is not a journal", s.journalPath())
+	}
+	if fileSize < hdr {
+		// Empty, or its header never made it to disk: start fresh.
+		if _, err := s.f.WriteAt(journalMagic, 0); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		s.size, s.live = hdr, hdr
+		return nil
+	}
+
+	scans := make(map[uint64]*genScan)
+	var maxGen uint64
+	sc := newScanner(s.f, hdr, fileSize)
+	for {
+		off := sc.off
+		typ, payload, _, err := sc.next(true)
+		if err != nil {
+			if err == errCorruptFrame {
+				s.corruptSuffixes.Add(1)
+				s.log().Warn("store: journal corrupt; rest kept as journal.corrupt",
+					"offset", off, "bytes", fileSize-off)
+				if err := s.keepCorrupt(off, fileSize); err != nil {
+					return err
+				}
+			} else if err != errTornFrame && err != io.EOF {
+				return fmt.Errorf("store: read journal: %w", err)
+			}
+			break
+		}
+		gen, _, ok := splitGen(payload)
+		if !ok {
+			continue
+		}
+		maxGen = max(maxGen, gen)
+		g := scans[gen]
+		if g == nil {
+			g = &genScan{base: -1, meta: -1}
+			scans[gen] = g
+		}
+		switch typ {
+		case recMeta:
+			if g.meta < 0 {
+				g.meta = off
+			}
+			if g.base < 0 {
+				g.base = off
+			}
+		case recSnapshot:
+			g.base = off
+		case recTombstone:
+			g.dead = true
+		}
+	}
+	end := sc.off
+	if end < fileSize {
+		if err := s.f.Truncate(end); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
+	s.nextGen.Store(maxGen)
+	s.size, s.live = end, hdr
+
+	gens := make(map[uint64]*loadGen)
+	byID := make(map[string]*loadGen)
+	sc = newScanner(s.f, hdr, end)
+	for {
+		off := sc.off
+		typ, payload, _, err := sc.next(false)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("store: read journal: %w", err)
+		}
+		gen, body, ok := splitGen(payload)
+		g := scans[gen]
+		if !ok || g.dead || g.base < 0 || off < g.base {
+			continue
+		}
+		size := sc.off - off
+		lg := gens[gen]
+		if lg == nil {
+			lg = s.startGen(gen, g, typ, body)
+			lg.base = off
+			gens[gen] = lg
+			if lg.lost {
+				continue
+			}
+			if prev := byID[lg.id]; prev != nil {
+				prev.dead = true
+			}
+			byID[lg.id] = lg
+		}
+		if lg.lost {
+			continue
+		}
+		lg.bytes += size
+		if typ != recStep || lg.failed || lg.corrupt || off == lg.base {
+			continue
+		}
+		rec, err := decodeStep(body)
+		if err != nil || !applyStep(&lg.state, rec) {
+			lg.corrupt = true
+		}
+	}
+
+	var rebase []*loadGen
+	for id, lg := range byID {
+		if lg.dead {
+			continue
+		}
+		j := &journaled{gen: lg.gen, base: lg.base, bytes: lg.bytes}
+		s.sessions[id] = j
+		s.live += lg.bytes
+		switch {
+		case lg.failed:
+			j.blocked = true
+			s.loadFailures.Add(1)
+			s.log().Warn("store: session load failed; records kept for post-mortem", "session", id)
+		case lg.corrupt:
+			rebase = append(rebase, lg)
+		default:
+			lg.state.T = len(lg.state.Tags)
+			s.pending = append(s.pending, lg.state)
+		}
+	}
+	for _, lg := range gens {
+		if lg.lost {
+			s.loadFailures.Add(1)
+			s.log().Warn("store: journal generation has no recoverable identity", "gen", lg.gen)
+		}
+	}
+	// A generation recovered from a corrupt suffix continues from its
+	// consistent prefix: a snapshot record of that prefix supersedes the
+	// damaged records, so appends that follow it load next time.
+	for _, lg := range rebase {
 		s.corruptSuffixes.Add(1)
 		s.log().Warn("store: wal suffix corrupt; loaded consistent prefix",
-			"session", id, "recovered_steps", len(state.Tags), "sidecar", path+".corrupt")
-		if orig, err := os.ReadFile(path); err == nil {
-			_ = os.WriteFile(path+".corrupt", orig, 0o644)
-		}
-	}
-	// Handles are registered without a descriptor (lazy): a store may
-	// hold orders of magnitude more journaled sessions than the process
-	// fd limit, and only sessions that actually step need a file.
-	register := func() (uint64, bool) {
-		gen := s.gens.Add(1)
-		s.handles[id] = &walHandle{path: path, meta: state.Meta, gen: gen}
-		return gen, true
-	}
-	failLoad := func() (uint64, bool) {
-		s.loadFailures.Add(1)
-		s.handles[id] = &walHandle{path: path, dead: true, meta: state.Meta, gen: s.gens.Add(1)}
-		return 0, false
-	}
-	if validLen < len(walMagic) {
-		// Header never made it to disk (or no WAL at all): start fresh.
-		f, err := s.newWAL(path, state.Meta)
+			"session", lg.id, "recovered_steps", len(lg.state.Tags))
+		body, err := encodeSnapshot(lg.state)
 		if err != nil {
-			return failLoad()
+			return err
 		}
-		f.Close()
-		return register()
+		j := s.sessions[lg.id]
+		base := s.size
+		frame := journalFrame(recSnapshot, j.gen, body)
+		if err := s.writeLocked(frame); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		s.snapshots.Add(1)
+		s.live += int64(len(frame)) - j.bytes
+		j.base, j.bytes = base, int64(len(frame))
+		lg.state.T = len(lg.state.Tags)
+		s.pending = append(s.pending, lg.state)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	slices.SortFunc(s.pending, func(a, b SessionState) int { return cmp.Compare(a.Gen, b.Gen) })
+	return nil
+}
+
+// startGen decodes a live generation's base record: a meta record
+// starts an empty history, a snapshot record the history it holds. A
+// snapshot that does not decode or verify blocks the generation under
+// the id of its first meta record, when it has one.
+func (s *FileStore) startGen(gen uint64, g *genScan, typ byte, body []byte) *loadGen {
+	lg := &loadGen{gen: gen}
+	if typ == recMeta {
+		if err := json.Unmarshal(body, &lg.state.Meta); err != nil {
+			lg.lost = true
+		}
+		lg.id = lg.state.Meta.ID
+		lg.state.Fingerprint = world.FingerprintSeed
+		lg.state.Gen = gen
+		return lg
+	}
+	snap, err := decodeSnapshot(body)
+	if err == nil && foldTags(snap) == snap.Fingerprint {
+		lg.id, lg.state = snap.Meta.ID, snap
+		lg.state.Gen = gen
+		return lg
+	}
+	lg.failed = true
+	if err == nil {
+		lg.id = snap.Meta.ID
+		return lg
+	}
+	lg.lost = true
+	if g.meta >= 0 {
+		_, payload, _, err := newScanner(s.f, g.meta, s.size).next(false)
+		if err == nil {
+			if _, body, ok := splitGen(payload); ok && json.Unmarshal(body, &lg.state.Meta) == nil {
+				lg.id, lg.lost = lg.state.Meta.ID, false
+			}
+		}
+	}
+	return lg
+}
+
+// keepCorrupt appends the journal bytes [from, to) to journal.corrupt.
+func (s *FileStore) keepCorrupt(from, to int64) error {
+	out, err := os.OpenFile(filepath.Join(s.dir, "journal.corrupt"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return failLoad()
+		return fmt.Errorf("store: %w", err)
 	}
-	if err := f.Truncate(int64(validLen)); err != nil {
-		f.Close()
-		return failLoad()
+	_, err = io.Copy(out, io.NewSectionReader(s.f, from, to-from))
+	if err == nil {
+		err = out.Sync()
 	}
-	f.Close()
-	return register()
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: keep corrupt journal tail: %w", err)
+	}
+	return nil
+}
+
+// applyStep extends state by rec under the chain rules: a record before
+// the state's end is a duplicate already folded in, the next one must
+// extend the fingerprint chain, and a later one is a gap. It reports
+// false on a chain break or a gap.
+func applyStep(state *SessionState, rec StepRecord) bool {
+	switch {
+	case rec.T < len(state.Tags):
+		return true
+	case rec.T > len(state.Tags):
+		return false
+	}
+	want := world.FingerprintFold(state.Fingerprint, rec.Tag.AlphaBits, rec.Tag.Obs)
+	if want != rec.Fingerprint {
+		return false
+	}
+	state.Tags = append(state.Tags, rec.Tag)
+	state.Fingerprint = want
+	if len(rec.RNG) > 0 {
+		state.RNG = rec.RNG
+	}
+	return true
+}
+
+// foldTags is the fingerprint of state's tags.
+func foldTags(state SessionState) uint64 {
+	fp := world.FingerprintSeed
+	for _, tag := range state.Tags {
+		fp = world.FingerprintFold(fp, tag.AlphaBits, tag.Obs)
+	}
+	return fp
+}
+
+// compactDueLocked is the serving-time compaction rule: dead bytes
+// exceed both the live bytes and compactFloor. Caller holds s.mu.
+func (s *FileStore) compactDueLocked() bool {
+	return s.size-s.live > max(s.live, compactFloor)
+}
+
+// kickCompaction asks the compactor for a compaction without waiting.
+func (s *FileStore) kickCompaction() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
+}
+
+// compactor runs the compactions appends ask for, one at a time and off
+// their callers' paths: a compaction syncs a copy of the live records,
+// which a delete or a snapshot must not wait for. A failure is logged;
+// the old journal stays in place, whole, and the next trigger retries.
+func (s *FileStore) compactor() {
+	defer close(s.done)
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-s.kick:
+			if err := s.compact(s.compactDueLocked); err != nil {
+				s.log().Warn("store: journal compaction failed", "err", err)
+			}
+		}
+	}
+}
+
+// compact copies each live generation's frames, byte for byte from its
+// latest meta or snapshot record on, into journal.tmp, syncs it and
+// renames it over the journal. The bulk is copied without the append
+// lock, up to the journal's end when the compaction began; the lock is
+// then held to copy whatever was appended meanwhile, verbatim, and to
+// swap the files (with fsync, after syncing that tail). A crash before
+// the rename leaves the old journal and a journal.tmp that Open
+// discards; after it, the new journal is complete. due, called under
+// s.mu, decides whether to go ahead. Only the compactor and, once it has
+// stopped, Close call it.
+func (s *FileStore) compact(due func() bool) error {
+	s.mu.Lock()
+	if s.closed || s.f == nil || !due() {
+		s.mu.Unlock()
+		return nil
+	}
+	src, end := s.f, s.size
+	bases := make(map[uint64]int64, len(s.sessions))
+	for _, j := range s.sessions {
+		if !j.legacy {
+			bases[j.gen] = j.base
+		}
+	}
+	s.mu.Unlock()
+
+	tmpPath := filepath.Join(s.dir, "journal.tmp")
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	fail := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	w.Write(journalMagic)
+	moved, tailStart, err := copyLive(w, src, end, bases)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
+		return fail(err)
+	}
+
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return fail(ErrClosed)
+	}
+	tail := s.size - end
+	_, err = io.Copy(w, io.NewSectionReader(s.f, end, tail))
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil && s.fsync {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmpPath, s.journalPath())
+	}
+	if err != nil {
+		s.mu.Unlock()
+		return fail(err)
+	}
+	old := s.f
+	s.f = tmp
+	s.size, s.torn = tailStart+tail, false
+	for _, j := range s.sessions {
+		switch {
+		case j.legacy:
+		case j.base >= end:
+			j.base += tailStart - end
+		default:
+			j.base = moved[j.gen]
+		}
+	}
+	s.mu.Unlock()
+	s.compactions.Add(1)
+	s.syncMu.Lock()
+	old.Close()
+	s.syncMu.Unlock()
+	if err := s.syncDir(); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	return nil
+}
+
+// copyLive streams the frames of src's [header, end) to w, keeping only
+// those of a generation in bases at or after its base offset. It reads
+// each frame's framing and generation and decodes nothing, and returns
+// each copied generation's new base offset and the bytes written.
+func copyLive(w io.Writer, src io.ReaderAt, end int64, bases map[uint64]int64) (map[uint64]int64, int64, error) {
+	moved := make(map[uint64]int64, len(bases))
+	out := int64(len(journalMagic))
+	sc := newScanner(src, out, end)
+	for {
+		off := sc.off
+		_, payload, frame, err := sc.next(false)
+		if err == io.EOF {
+			return moved, out, nil
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		gen, _, ok := splitGen(payload)
+		base, live := bases[gen]
+		if !ok || !live || off < base {
+			continue
+		}
+		if off == base {
+			moved[gen] = out
+		}
+		if _, err := w.Write(frame); err != nil {
+			return nil, 0, err
+		}
+		out += int64(len(frame))
+	}
 }
 
 // Stats implements Store.
 func (s *FileStore) Stats() Stats {
+	s.mu.Lock()
+	journal, dead := s.size, s.size-s.live
+	s.mu.Unlock()
 	return Stats{
 		Enabled:         true,
 		Appends:         s.appends.Load(),
@@ -627,25 +958,40 @@ func (s *FileStore) Stats() Stats {
 		SessionsLoaded:  s.sessionsLoaded.Load(),
 		LoadFailures:    s.loadFailures.Load(),
 		CorruptSuffixes: s.corruptSuffixes.Load(),
+		Compactions:     s.compactions.Load(),
+		JournalBytes:    journal,
+		DeadBytes:       dead,
 	}
 }
 
-// Close implements Store.
+// Close implements Store. It stops the compactor, waiting for a running
+// compaction, then compacts once more if dead bytes outweigh live ones,
+// whatever their size: a restart reads the whole journal, and a planned
+// one should not read the records of sessions that are gone.
 func (s *FileStore) Close() error {
+	s.stopOnce.Do(func() {
+		close(s.stop)
+		<-s.done
+		if err := s.compact(func() bool { return s.size-s.live > s.live }); err != nil {
+			s.log().Warn("store: journal compaction failed", "err", err)
+		}
+	})
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	for _, h := range s.handles {
-		h.mu.Lock()
-		h.closeLocked(true)
-		h.mu.Unlock()
+	var err error
+	if s.f != nil {
+		err = s.f.Close()
+		s.f = nil
 	}
-	s.handles = nil
+	s.sessions, s.pending = nil, nil
 	if s.lock != nil {
 		s.lock.Close()
 	}
-	return nil
+	return err
 }

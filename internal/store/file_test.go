@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"priste/internal/core"
@@ -123,17 +127,13 @@ func TestFileStoreSnapshotCompaction(t *testing.T) {
 	if err := s.WriteSnapshot(SessionState{Meta: meta, Snapshot: core.Snapshot{T: len(tags), Tags: tags, Fingerprint: fp, RNG: []byte("state")}}, gen); err != nil {
 		t.Fatal(err)
 	}
-	// Post-snapshot WAL suffix.
+	// The snapshot record supersedes the meta record and both steps:
+	// they are dead bytes now, and the suffix appends after it.
+	if st := s.Stats(); st.Snapshots != 1 || st.DeadBytes != journalMetaBytes(t, meta, gen)+stepBytes(gen, tags, fp) {
+		t.Fatalf("after the snapshot: %+v; want 1 snapshot and the meta and 2 steps dead", st)
+	}
 	suffix := []core.ReleaseTag{{AlphaBits: 3, Obs: 3}}
 	fp = appendTagged(t, s, "bob", gen, 2, fp, suffix, nil)
-	// The compacted WAL holds only the suffix.
-	wal, err := os.ReadFile(s.walPath("bob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wal) > 300 {
-		t.Fatalf("compacted WAL is %d bytes — rotation failed?", len(wal))
-	}
 	s.Close()
 
 	s2, err := Open(dir, false)
@@ -151,6 +151,34 @@ func TestFileStoreSnapshotCompaction(t *testing.T) {
 	if st := s2.Stats(); st.SessionsLoaded != 1 || st.LoadFailures != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+	if string(states[0].RNG) != "state" {
+		t.Fatalf("rng = %q, want the snapshot's", states[0].RNG)
+	}
+}
+
+// journalMetaBytes is the size of the meta record CreateSession writes.
+func journalMetaBytes(t *testing.T, meta SessionMeta, gen uint64) int64 {
+	t.Helper()
+	body, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(journalFrame(recMeta, gen, body)))
+}
+
+// stepBytes is the size of the step records appendTagged writes for
+// tags from T 0 and fingerprint seed (ending at fp, checked).
+func stepBytes(gen uint64, tags []core.ReleaseTag, fp uint64) int64 {
+	var n int64
+	f := world.FingerprintSeed
+	for i, tag := range tags {
+		f = world.FingerprintFold(f, tag.AlphaBits, tag.Obs)
+		n += int64(len(stepFrame(gen, StepRecord{T: i, Tag: tag, Fingerprint: f})))
+	}
+	if f != fp {
+		panic("stepBytes: fingerprint mismatch")
+	}
+	return n
 }
 
 func TestFileStoreTombstone(t *testing.T) {
@@ -200,7 +228,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	s.Close()
 
 	// Tear the final record in half.
-	path := s.walPath("torn")
+	path := filepath.Join(dir, "journal")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -262,10 +290,12 @@ func TestFileStoreBrokenChain(t *testing.T) {
 	}
 	gen := mustCreate(t, s, testMeta("chain"))
 	fp := appendTagged(t, s, "chain", gen, 0, world.FingerprintSeed, []core.ReleaseTag{{AlphaBits: 1, Obs: 1}}, nil)
-	// Valid frame, wrong fingerprint.
+	// Valid frame, wrong fingerprint, then a record that would extend the
+	// prefix: the suffix from the break on is corrupt, all of it.
 	if err := s.AppendStep("chain", gen, StepRecord{T: 1, Tag: core.ReleaseTag{AlphaBits: 2, Obs: 2}, Fingerprint: fp ^ 0xdead}); err != nil {
 		t.Fatal(err)
 	}
+	appendTagged(t, s, "chain", gen, 1, fp, []core.ReleaseTag{{AlphaBits: 3, Obs: 3}}, nil)
 	s.Close()
 
 	s2, err := Open(dir, false)
@@ -280,12 +310,30 @@ func TestFileStoreBrokenChain(t *testing.T) {
 	if len(states) != 1 || len(states[0].Tags) != 1 {
 		t.Fatalf("recovered %+v, want the 1-tag prefix", states)
 	}
-	// Real corruption is counted and the damaged original preserved.
-	if st := s2.Stats(); st.CorruptSuffixes != 1 {
-		t.Fatalf("corrupt_suffixes = %d, want 1", st.CorruptSuffixes)
+	// Real corruption is counted, and the damaged record stays in the
+	// journal, superseded by a snapshot of the consistent prefix.
+	if st := s2.Stats(); st.CorruptSuffixes != 1 || st.Snapshots != 1 {
+		t.Fatalf("corrupt_suffixes = %d, snapshots = %d; want 1, 1", st.CorruptSuffixes, st.Snapshots)
 	}
-	if _, err := os.Stat(s2.walPath("chain") + ".corrupt"); err != nil {
-		t.Fatalf("corrupt sidecar missing: %v", err)
+	bad := stepFrame(gen, StepRecord{T: 1, Tag: core.ReleaseTag{AlphaBits: 2, Obs: 2}, Fingerprint: fp ^ 0xdead})
+	if raw, err := os.ReadFile(filepath.Join(dir, "journal")); err != nil || !bytes.Contains(raw, bad) {
+		t.Fatalf("damaged record gone from the journal (%v)", err)
+	}
+	// Appends continue the prefix, and the next load neither stops at
+	// the damaged record nor counts it again.
+	fp2 := appendTagged(t, s2, "chain", states[0].Gen, 1, fp, []core.ReleaseTag{{AlphaBits: 7, Obs: 0}}, nil)
+	s2.Close()
+	s3, err := Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	states, err = s3.LoadSessions()
+	if err != nil || len(states) != 1 || len(states[0].Tags) != 2 || states[0].Fingerprint != fp2 {
+		t.Fatalf("after resume: %+v, %v; want 2 tags fp %#x", states, err, fp2)
+	}
+	if st := s3.Stats(); st.CorruptSuffixes != 0 {
+		t.Fatalf("superseded corruption counted again: %+v", st)
 	}
 }
 
@@ -313,10 +361,10 @@ func TestFileStoreWeirdSessionIDs(t *testing.T) {
 	}
 }
 
-// TestFileStoreCorruptLoadBlocksRecreate: a session whose snapshot is
-// unreadable fails to load, but its files — the post-mortem evidence —
-// must not be silently wiped by a re-create; an explicit delete
-// reclaims the id.
+// TestFileStoreCorruptLoadBlocksRecreate: a session whose snapshot
+// record is unreadable fails to load, but its records — the post-mortem
+// evidence — must not be silently superseded by a re-create or dropped
+// by a compaction; an explicit delete reclaims the id.
 func TestFileStoreCorruptLoadBlocksRecreate(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, false)
@@ -325,14 +373,11 @@ func TestFileStoreCorruptLoadBlocksRecreate(t *testing.T) {
 	}
 	meta := testMeta("hurt")
 	gen := mustCreate(t, s, meta)
-	fp := appendTagged(t, s, "hurt", gen, 0, world.FingerprintSeed, []core.ReleaseTag{{AlphaBits: 1, Obs: 1}}, nil)
-	if err := s.WriteSnapshot(SessionState{Meta: meta, Snapshot: core.Snapshot{T: 1, Tags: []core.ReleaseTag{{AlphaBits: 1, Obs: 1}}, Fingerprint: fp}}, gen); err != nil {
-		t.Fatal(err)
-	}
+	appendTagged(t, s, "hurt", gen, 0, world.FingerprintSeed, []core.ReleaseTag{{AlphaBits: 1, Obs: 1}}, nil)
 	s.Close()
-	if err := os.WriteFile(s.snapPath("hurt"), []byte("PRSNAP01garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A CRC-valid snapshot record whose body does not decode.
+	garbage := journalFrame(recSnapshot, gen, []byte("garbage"))
+	appendRaw(t, dir, garbage)
 
 	s2, err := Open(dir, false)
 	if err != nil {
@@ -350,16 +395,62 @@ func TestFileStoreCorruptLoadBlocksRecreate(t *testing.T) {
 		t.Fatalf("load_failures = %d, want 1", st.LoadFailures)
 	}
 	if _, err := s2.CreateSession(meta); !errors.Is(err, ErrAlreadyJournaled) {
-		t.Fatalf("re-create over failed-load files: %v, want ErrAlreadyJournaled", err)
+		t.Fatalf("re-create over a failed load: %v, want ErrAlreadyJournaled", err)
 	}
-	if _, err := os.Stat(s2.snapPath("hurt")); err != nil {
-		t.Fatalf("post-mortem snapshot gone: %v", err)
+	if err := s2.AppendStep("hurt", gen, StepRecord{}); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("append to a failed load: %v, want ErrUnknownSession", err)
+	}
+	// Churn other sessions until the journal compacts: the evidence stays.
+	churnUntilCompacted(t, s2)
+	if raw, err := os.ReadFile(filepath.Join(dir, "journal")); err != nil || !bytes.Contains(raw, garbage) {
+		t.Fatalf("post-mortem record gone after compaction (%v)", err)
 	}
 	if err := s2.DeleteSession("hurt"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.CreateSession(meta); err != nil {
 		t.Fatalf("create after explicit delete: %v", err)
+	}
+}
+
+// appendRaw appends bytes to the journal in dir, as a crash or a bug
+// might have left them.
+func appendRaw(t *testing.T, dir string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, "journal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// churnUntilCompacted snapshots and deletes throwaway sessions until the
+// store has compacted its journal once.
+func churnUntilCompacted(t *testing.T, s *FileStore) {
+	t.Helper()
+	tags := make([]core.ReleaseTag, 1<<14)
+	for i := range tags {
+		tags[i] = core.ReleaseTag{AlphaBits: uint64(i), Obs: i % 7}
+	}
+	state := SessionState{Snapshot: core.Snapshot{T: len(tags), Tags: tags}}
+	state.Fingerprint = foldTags(state)
+	for i := 0; s.Stats().Compactions == 0; i++ {
+		if i == 64 {
+			t.Fatalf("no compaction after %d MiB of dead snapshots: %+v", i/4, s.Stats())
+		}
+		state.Meta = testMeta(fmt.Sprintf("churn-%d", i))
+		if _, err := s.ImportSession(state); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DeleteSession(state.Meta.ID); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, s)
 	}
 }
 

@@ -2,54 +2,45 @@ package store
 
 import (
 	"bytes"
-	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"priste/internal/world"
 )
 
-// fuzzLoadID is the session id FuzzLoadSession journals under.
-const fuzzLoadID = "f"
-
-// FuzzLoadSession drives the whole WAL loader — framing, meta, step and
-// tombstone records, fingerprint chain, truncation and the .corrupt
-// sidecar — with an arbitrary journal body behind the WAL magic. The
-// loader may recover nothing or one session with the journal's id whose
-// fingerprint is the fold of its tags; a second open of the same
-// directory must recover exactly the same tags, fingerprint and RNG, so
-// the first load's repairs never change what survives. The seed corpus
-// is testdata/fuzz/FuzzLoadSession.
+// FuzzLoadSession drives the whole journal loader — framing, meta,
+// snapshot, step and tombstone records of any generations, the
+// fingerprint chain, supersession, torn and corrupt tails — with an
+// arbitrary journal body behind the journal magic. No load may panic;
+// every recovered session's fingerprint is the fold of its tags; and a
+// second open of the same directory must recover exactly the same
+// sessions, so the first load's repairs (cutting a tail, superseding a
+// corrupt suffix) never change what survives. The seed corpus is
+// testdata/fuzz/FuzzLoadSession.
 func FuzzLoadSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
-		if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		wal := filepath.Join(dir, "sessions", hex.EncodeToString([]byte(fuzzLoadID))+".wal")
-		if err := os.WriteFile(wal, append(append([]byte(nil), walMagic...), body...), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "journal"), append(append([]byte(nil), journalMagic...), body...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		first := loadOnce(t, dir)
 		second := loadOnce(t, dir)
-		if (first == nil) != (second == nil) {
-			t.Fatalf("first load recovered %v, second %v", first != nil, second != nil)
+		if len(first) != len(second) {
+			t.Fatalf("first load recovered %d sessions, second %d", len(first), len(second))
 		}
-		if first == nil {
-			return
-		}
-		if !reflect.DeepEqual(first.Tags, second.Tags) || first.Fingerprint != second.Fingerprint ||
-			!bytes.Equal(first.RNG, second.RNG) {
-			t.Fatalf("reload changed the recovered state:\n first  %+v\n second %+v", first, second)
+		for id, a := range first {
+			b, ok := second[id]
+			if !ok || !reflect.DeepEqual(a.Tags, b.Tags) || a.Fingerprint != b.Fingerprint ||
+				!bytes.Equal(a.RNG, b.RNG) || !reflect.DeepEqual(a.Meta, b.Meta) {
+				t.Fatalf("reload changed session %q:\n first  %+v\n second %+v", id, a, b)
+			}
 		}
 	})
 }
 
 // loadOnce opens the store at dir, loads it, closes it, and returns the
-// recovered session (nil when none), checking the per-load properties.
-func loadOnce(t *testing.T, dir string) *SessionState {
+// recovered sessions by id, checking the per-load properties.
+func loadOnce(t *testing.T, dir string) map[string]SessionState {
 	t.Helper()
 	s, err := Open(dir, false)
 	if err != nil {
@@ -62,22 +53,18 @@ func loadOnce(t *testing.T, dir string) *SessionState {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(states) > 1 {
-		t.Fatalf("recovered %d sessions from one journal", len(states))
+	out := make(map[string]SessionState, len(states))
+	for _, st := range states {
+		if _, dup := out[st.Meta.ID]; dup {
+			t.Fatalf("session %q recovered twice", st.Meta.ID)
+		}
+		if fp := foldTags(st); fp != st.Fingerprint {
+			t.Fatalf("%q: fingerprint %#x is not the fold %#x of its %d tags", st.Meta.ID, st.Fingerprint, fp, len(st.Tags))
+		}
+		if st.T != len(st.Tags) {
+			t.Fatalf("%q: T = %d with %d tags", st.Meta.ID, st.T, len(st.Tags))
+		}
+		out[st.Meta.ID] = st
 	}
-	if len(states) == 0 {
-		return nil
-	}
-	st := states[0]
-	if st.Meta.ID != fuzzLoadID {
-		t.Fatalf("recovered session %q from the journal of %q", st.Meta.ID, fuzzLoadID)
-	}
-	fp := world.FingerprintSeed
-	for _, tag := range st.Tags {
-		fp = world.FingerprintFold(fp, tag.AlphaBits, tag.Obs)
-	}
-	if fp != st.Fingerprint {
-		t.Fatalf("fingerprint %#x is not the fold %#x of the %d recovered tags", st.Fingerprint, fp, len(st.Tags))
-	}
-	return &st
+	return out
 }

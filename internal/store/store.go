@@ -6,13 +6,12 @@
 // api.SessionExport, so a journal and an export are one ledger in two
 // framings. Because a session's engine state is a function of its tags,
 // durability is a thin, deterministic log rather than matrix
-// serialization: each session owns an append-only write-ahead log of
-// step records, periodically compacted into an atomic snapshot file, and
-// restarts rebuild live sessions by replaying the tags through the
-// shared compiled core.Plan.
+// serialization, and restarts rebuild live sessions by replaying the
+// tags through the shared compiled core.Plan.
 //
-// Two implementations ship: FileStore (one WAL + snapshot file per
-// session under a directory, with optional per-append fsync) and Null
+// Two implementations ship: FileStore (one append-only journal per store
+// directory, shared by every session, each record tagged with its
+// session's generation token, with optional per-append fsync) and Null
 // (in-memory no-op for deployments that accept losing sessions on
 // restart).
 package store
@@ -58,7 +57,7 @@ type SessionMeta struct {
 	CreatedUnixNano int64    `json:"created_unix_nano"`
 }
 
-// StepRecord is one WAL entry: the committed tag of timestamp T, the
+// StepRecord is one journaled step: the committed tag of timestamp T, the
 // rolling history fingerprint after committing it (verified on load and
 // again after replay), and the post-step session RNG state.
 type StepRecord struct {
@@ -69,7 +68,7 @@ type StepRecord struct {
 }
 
 // SessionState is a complete persisted session: what LoadSessions
-// returns for rehydration and what WriteSnapshot compacts the WAL into.
+// returns for rehydration and what WriteSnapshot records.
 // LoadSessions sets T to len(Tags).
 type SessionState struct {
 	Meta SessionMeta
@@ -92,17 +91,25 @@ type Stats struct {
 	// per-transport stage breakdown.
 	Fsyncs      int64   `json:"fsyncs"`
 	FsyncMicros float64 `json:"fsync_us"`
-	// Snapshots counts snapshot compactions; Tombstones deleted sessions.
+	// Snapshots counts snapshot records written (WriteSnapshot, imports,
+	// migrated sessions); Tombstones deleted sessions.
 	Snapshots  int64 `json:"snapshots"`
 	Tombstones int64 `json:"tombstones"`
+	// Compactions counts journal rewrites that dropped dead records;
+	// JournalBytes is the journal's size and DeadBytes the part of it
+	// the next compaction drops (superseded and deleted generations).
+	Compactions  int64 `json:"compactions"`
+	JournalBytes int64 `json:"journal_bytes"`
+	DeadBytes    int64 `json:"dead_bytes"`
 	// SessionsLoaded counts sessions recovered by LoadSessions;
 	// LoadFailures counts persisted sessions skipped as corrupt.
 	SessionsLoaded int64 `json:"sessions_loaded"`
 	LoadFailures   int64 `json:"load_failures"`
-	// CorruptSuffixes counts WALs whose CRC-valid suffix failed the
-	// fingerprint chain, had a timestamp gap, or would not decode: the
-	// session loaded from the consistent prefix and the damaged original
-	// was preserved as a .corrupt sidecar.
+	// CorruptSuffixes counts sessions whose CRC-valid journal suffix
+	// failed the fingerprint chain, had a timestamp gap, or would not
+	// decode (the session loaded from the consistent prefix), and
+	// journals whose damaged frame had bytes after it (kept in
+	// journal.corrupt).
 	CorruptSuffixes int64 `json:"corrupt_suffixes"`
 }
 
@@ -116,19 +123,18 @@ type Store interface {
 	// incarnation of the id: a stale writer holding the token of a
 	// deleted session can never corrupt a re-created session's journal.
 	CreateSession(meta SessionMeta) (uint64, error)
-	// AppendStep appends one committed release to the session's WAL. The
+	// AppendStep journals one committed release of the session. The
 	// serving layer calls it write-ahead: before acknowledging the step.
 	// gen must match the id's current journal generation
 	// (ErrUnknownSession otherwise).
 	AppendStep(id string, gen uint64, rec StepRecord) error
-	// WriteSnapshot atomically replaces the session's snapshot with the
-	// full state and compacts the WAL to empty. gen as for AppendStep.
+	// WriteSnapshot records the session's full state, superseding its
+	// earlier records. gen as for AppendStep.
 	WriteSnapshot(state SessionState, gen uint64) error
 	// ImportSession starts journaling a migrated session that already
 	// carries history: the full state is persisted as the session's
-	// snapshot and a fresh WAL is opened, atomically enough that a crash
-	// at any point either recovers the complete imported history or
-	// (before the snapshot lands) nothing. Like CreateSession it returns
+	// first record, so a crash at any point either recovers the
+	// complete imported history or nothing. Like CreateSession it returns
 	// the new journal generation and refuses an id the store already
 	// journals (ErrAlreadyJournaled) — migrated history must never
 	// silently overwrite existing state.
@@ -137,7 +143,7 @@ type Store interface {
 	// a tombstoned session is never returned by LoadSessions.
 	DeleteSession(id string) error
 	// LoadSessions returns every surviving session for rehydration and
-	// re-opens their logs for appending. Call once, before any
+	// re-opens their journals for appending. Call once, before any
 	// CreateSession/AppendStep.
 	LoadSessions() ([]SessionState, error)
 	Stats() Stats

@@ -180,14 +180,16 @@ type PlanStats struct {
 }
 
 // CertCacheStats is the /statsz certified-release cache section. HitRate
-// is hits/(hits+misses) over the cache lifetime; all-zero with Enabled
-// false when the cache is disabled.
+// is hits/(hits+misses) over the cache lifetime; Bytes is the size of
+// the cache's tables; all-zero with Enabled false when the cache is
+// disabled.
 type CertCacheStats struct {
 	Enabled   bool    `json:"enabled"`
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
 	Evictions int64   `json:"evictions"`
 	Entries   int64   `json:"entries"`
+	Bytes     int64   `json:"bytes"`
 	HitRate   float64 `json:"hit_rate"`
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"priste/internal/certcache"
 	"priste/internal/store"
 )
 
@@ -91,7 +92,7 @@ type Config struct {
 	// CertCacheSize bounds the certified-release cache shared by every
 	// session whose mechanism is history-independent (entries). Zero uses
 	// DefaultCertCacheSize; negative disables the cache (every release
-	// condition is re-solved).
+	// condition is re-solved). A full cache costs 72 bytes an entry.
 	CertCacheSize int
 	// DrainBatch caps the steps one worker visit commits for a single
 	// session before parking it back at the run-queue tail. Zero uses
@@ -213,6 +214,9 @@ func (c Config) validate() error {
 		}
 	default:
 		return fmt.Errorf("server: unknown mechanism %q (want %q or %q)", c.Mechanism, MechanismLaplace, MechanismDelta)
+	}
+	if c.CertCacheSize > certcache.MaxCapacity {
+		return fmt.Errorf("server: cert cache size %d exceeds %d entries", c.CertCacheSize, certcache.MaxCapacity)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("server: parallelism must be >= 0, got %d", c.Parallelism)

@@ -223,6 +223,8 @@ func (s *Server) registerExternalMetrics() {
 			func() float64 { return float64(c.Stats().Misses) })
 		reg.GaugeFunc("priste_cert_cache_entries", "Certified-release cache entries.",
 			func() float64 { return float64(c.Stats().Entries) })
+		reg.GaugeFunc("priste_cert_cache_bytes", "Certified-release cache table bytes.",
+			func() float64 { return float64(c.Stats().Bytes) })
 	}
 	if s.durable {
 		reg.CounterFunc("priste_store_appends_total", "Step records journaled.",
@@ -408,6 +410,7 @@ func (s *Server) Stats() api.Stats {
 			Misses:    cs.Misses,
 			Evictions: cs.Evictions,
 			Entries:   cs.Entries,
+			Bytes:     cs.Bytes,
 		}
 		if total := cs.Hits + cs.Misses; total > 0 {
 			st.CertCache.HitRate = float64(cs.Hits) / float64(total)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"priste/internal/api"
+	"priste/internal/certcache"
 	"priste/internal/core"
 	"priste/internal/eventspec"
 	"priste/internal/grid"
@@ -344,6 +346,21 @@ func TestOversizeEventsRejected(t *testing.T) {
 		Events: []string{fmt.Sprintf("0-0@0-%d", maxEventHorizon-1)},
 	}); err != nil {
 		t.Fatalf("window ending at %d: %v", maxEventHorizon-1, err)
+	}
+}
+
+// TestCertCacheSizeBounded: a cert cache beyond what the table's int32
+// links address is a configuration error, not a panic at start-up.
+func TestCertCacheSizeBounded(t *testing.T) {
+	size := certcache.MaxCapacity
+	if size == math.MaxInt {
+		t.Skip("every int is a valid capacity here")
+	}
+	cfg := testConfig()
+	cfg.CertCacheSize = size + 1
+	if srv, err := New(cfg); err == nil {
+		srv.Close()
+		t.Fatalf("New accepted a cert cache of %d entries", size+1)
 	}
 }
 

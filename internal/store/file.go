@@ -497,10 +497,11 @@ func (s *FileStore) LoadSessions() ([]SessionState, error) {
 
 // genScan is what the first pass over the journal learns of one
 // generation: where its live records start (its latest snapshot record,
-// else its first meta record), where its first meta record is, and
-// whether a tombstone ended it.
+// else its first meta record), where its first meta record is, how many
+// step records follow its base, and whether a tombstone ended it.
 type genScan struct {
 	base, meta int64
+	steps      int
 	dead       bool
 }
 
@@ -587,7 +588,11 @@ func (s *FileStore) recoverLocked() error {
 				g.base = off
 			}
 		case recSnapshot:
-			g.base = off
+			g.base, g.steps = off, 0
+		case recStep:
+			if g.base >= 0 {
+				g.steps++
+			}
 		case recTombstone:
 			g.dead = true
 		}
@@ -699,7 +704,8 @@ func (s *FileStore) recoverLocked() error {
 }
 
 // startGen decodes a live generation's base record: a meta record
-// starts an empty history, a snapshot record the history it holds. A
+// starts an empty history, a snapshot record the history it holds, each
+// with room for the step records the first pass counted after it. A
 // snapshot that does not decode or verify blocks the generation under
 // the id of its first meta record, when it has one.
 func (s *FileStore) startGen(gen uint64, g *genScan, typ byte, body []byte) *loadGen {
@@ -709,6 +715,7 @@ func (s *FileStore) startGen(gen uint64, g *genScan, typ byte, body []byte) *loa
 			lg.lost = true
 		}
 		lg.id = lg.state.Meta.ID
+		lg.state.Tags = slices.Grow(lg.state.Tags, g.steps)
 		lg.state.Fingerprint = world.FingerprintSeed
 		lg.state.Gen = gen
 		return lg
@@ -716,6 +723,7 @@ func (s *FileStore) startGen(gen uint64, g *genScan, typ byte, body []byte) *loa
 	snap, err := decodeSnapshot(body)
 	if err == nil && foldTags(snap) == snap.Fingerprint {
 		lg.id, lg.state = snap.Meta.ID, snap
+		lg.state.Tags = slices.Grow(lg.state.Tags, g.steps)
 		lg.state.Gen = gen
 		return lg
 	}

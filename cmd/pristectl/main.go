@@ -25,7 +25,7 @@
 //	export ID              write the session's migratable state to stdout
 //	import                 read an exported session from stdin and register it
 //	stats [-stages|-kernels]  service counters (-stages: per-transport stage
-//	                       table; -kernels: kernel dispatch and pool table)
+//	                       table; -kernels: kernel dispatch table)
 //	health                 liveness probe
 //	fleet status           ring membership, health and per-backend session
 //	                       counts (target must be a pristerouter)
@@ -209,19 +209,16 @@ func runCreate(ctx context.Context, client api.Client, args []string) {
 func runStats(ctx context.Context, client api.Client, args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	stages := fs.Bool("stages", false, "render the per-transport step-stage breakdown as a table instead of JSON")
-	kernels := fs.Bool("kernels", false, "render the compiled-kernel, dispatch and kernel-pool summary as a table instead of JSON")
+	kernels := fs.Bool("kernels", false, "render the compiled-kernel and dispatch summary as a table instead of JSON")
 	_ = fs.Parse(args)
 	st, err := client.Stats(ctx)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	if *kernels {
-		p, pool := st.Plans, st.Pool
+		p := st.Plans
 		// Rows render through one tabwriter so the METRIC column is
-		// sized to the longest counter name present — the pool counters
-		// (pool_parallel_dispatch, …) outgrow the pad width the old
-		// fixed-width rendering assumed, which skewed every VALUE after
-		// the first long name.
+		// sized to the longest counter name present.
 		rows := []struct {
 			name  string
 			value string
@@ -231,14 +228,6 @@ func runStats(ctx context.Context, client api.Client, args []string) {
 			{"kernel_density", fmt.Sprintf("%.4f", p.KernelDensity)},
 			{"blocked_products", fmt.Sprintf("%d", p.BlockedKernels)},
 			{"factored_products", fmt.Sprintf("%d", p.FactoredKernels)},
-			{"pool_parallelism", fmt.Sprintf("%d", pool.Parallelism)},
-			{"pool_workers", fmt.Sprintf("%d", pool.Workers)},
-			{"pool_busy", fmt.Sprintf("%d", pool.Busy)},
-			{"pool_occupancy", fmt.Sprintf("%.4f", pool.Occupancy)},
-			{"pool_external_load", fmt.Sprintf("%d", pool.External)},
-			{"pool_parallel_dispatch", fmt.Sprintf("%d", pool.ParallelDispatch)},
-			{"pool_serial_dispatch", fmt.Sprintf("%d", pool.SerialDispatch)},
-			{"pool_steals", fmt.Sprintf("%d", pool.Steals)},
 		}
 		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
 		fmt.Fprintln(tw, "METRIC\tVALUE")

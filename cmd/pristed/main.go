@@ -14,7 +14,7 @@
 //	pristed [-addr :8377] [-rpc-addr :8378] [-grid 10] [-cell 1.0] \
 //	    [-sigma 1.0] [-eps 0.5] [-alpha 1.0] [-delta -1] [-event "0-9@3-7"]... \
 //	    [-max-sessions 4096] [-session-ttl 15m] [-workers 0] [-queue 64] \
-//	    [-qp-timeout 1s] [-parallel 0] [-cert-cache 65536] \
+//	    [-qp-timeout 1s] [-cert-cache 65536] \
 //	    [-store-dir /var/lib/pristed] [-fsync] [-snapshot-every 256] \
 //	    [-log-format text] [-log-level info] [-slow-step 500ms] \
 //	    [-drain-batch 64] [-stream-buffer 256] \
@@ -70,8 +70,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -97,7 +95,6 @@ func main() {
 		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "live-session cap (LRU eviction beyond)")
 		sessionTTL  = flag.Duration("session-ttl", server.DefaultSessionTTL, "idle-session eviction TTL; negative disables")
 		workers     = flag.Int("workers", 0, "step worker pool size; 0 = GOMAXPROCS")
-		parallel    = flag.Int("parallel", 0, "kernel worker-pool width: cores one commit's tile-parallel products may occupy; 0 = auto (GOMAXPROCS)")
 		queue       = flag.Int("queue", server.DefaultQueueDepth, "per-session pending-step queue depth")
 		certCache   = flag.Int("cert-cache", server.DefaultCertCacheSize, "certified-release cache capacity in entries, shared across sessions; 0 disables")
 		storeDir    = flag.String("store-dir", "", "session durability directory (one append-only journal); empty = in-memory only")
@@ -131,10 +128,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pristed: -workers must be >= 0 (0 = GOMAXPROCS)")
 		os.Exit(2)
 	}
-	if *parallel < 0 {
-		fmt.Fprintln(os.Stderr, "pristed: -parallel must be >= 0 (0 = auto)")
-		os.Exit(2)
-	}
 
 	cfg := server.DefaultConfig()
 	cfg.GridW, cfg.GridH = *gridN, *gridN
@@ -146,7 +139,6 @@ func main() {
 	cfg.MaxSessions = *maxSessions
 	cfg.SessionTTL = *sessionTTL
 	cfg.Workers = *workers
-	cfg.Parallelism = *parallel
 	cfg.QueueDepth = *queue
 	if *certCache <= 0 {
 		cfg.CertCacheSize = -1 // disable
@@ -259,7 +251,6 @@ func main() {
 		"http_addr", *addr,
 		"grid", fmt.Sprintf("%dx%d", cfg.GridW, cfg.GridH),
 		"mechanism", cfg.Mechanism,
-		"parallel", effectiveParallelism(cfg),
 		"max_sessions", cfg.MaxSessions,
 		"queue_depth", cfg.QueueDepth,
 		"durability", durability,
@@ -286,13 +277,4 @@ func main() {
 		logger.Warn("pristed: drain cut short; journal still covers pending state", "err", err)
 	}
 	logger.Info("pristed: shut down")
-}
-
-// effectiveParallelism names the kernel-pool width the banner reports:
-// the forced width, or what auto resolves to right now.
-func effectiveParallelism(cfg server.Config) string {
-	if cfg.Parallelism > 0 {
-		return strconv.Itoa(cfg.Parallelism)
-	}
-	return fmt.Sprintf("auto (%d)", runtime.GOMAXPROCS(0))
 }

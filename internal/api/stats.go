@@ -15,7 +15,6 @@ type Stats struct {
 	Transports TransportsStats `json:"transports"`
 	Streams    StreamStats     `json:"streams"`
 	Scheduler  SchedulerStats  `json:"scheduler"`
-	Pool       PoolStats       `json:"pool"`
 	Runtime    RuntimeStats    `json:"runtime"`
 	// Fleet is the router's fleet section: present only on the /statsz
 	// document of a pristerouter (internal/router), where Sessions and
@@ -54,28 +53,6 @@ type FleetMemberStats struct {
 	Draining bool   `json:"draining"`
 	Sessions int64  `json:"sessions"`
 	Routes   int64  `json:"routes"`
-}
-
-// PoolStats is the /statsz kernel-worker-pool section (internal/par):
-// the process-global pool the quantifier commits fan their tile-parallel
-// operator products out on. Parallelism is the effective width
-// (configured via -parallel, or GOMAXPROCS); Workers the helper
-// goroutines spawned so far (parked when idle); Busy how many are
-// executing tiles right now and Occupancy busy/workers; External the
-// registered inter-session load (busy drain workers) sharing the CPU
-// budget. ParallelDispatch counts kernels fanned out across the pool,
-// SerialDispatch kernels kept on their serial path (below the flops
-// cutoff, width 1, or budget already spent on sessions), and Steals the
-// tiles executed by pool helpers rather than the submitting goroutine.
-type PoolStats struct {
-	Parallelism      int     `json:"parallelism"`
-	Workers          int     `json:"workers"`
-	Busy             int64   `json:"busy"`
-	Occupancy        float64 `json:"occupancy"`
-	External         int64   `json:"external"`
-	ParallelDispatch int64   `json:"parallel_dispatch"`
-	SerialDispatch   int64   `json:"serial_dispatch"`
-	Steals           int64   `json:"steals"`
 }
 
 // StreamStats is the /statsz streaming section: RPC step streams, SSE

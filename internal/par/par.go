@@ -22,16 +22,6 @@
 // idle) that steal tiles from published tasks via an atomic claim
 // counter — the "work-stealing" here is tile-granular self-scheduling,
 // which load-balances uneven tiles without ever splitting one.
-//
-// # One CPU budget
-//
-// Intra-op parallelism (tiles of one product) and inter-session
-// parallelism (the server pool draining many sessions) share the same
-// budget. The server registers its busy drain workers via AddExternal;
-// Parallel() refuses intra-op dispatch while that external load already
-// covers the pool width, so a saturated server runs every kernel serially
-// (the cores are busy with other sessions) while a lone interactive
-// session fans its products out across the idle cores.
 package par
 
 import (
@@ -96,9 +86,7 @@ type Pool struct {
 
 	configured     atomic.Int64 // SetParallelism; 0 = track GOMAXPROCS
 	cutoffOverride atomic.Int64 // test hook; >0 replaces caller cutoffs
-	external       atomic.Int64 // inter-session load sharing the budget
 
-	busy        atomic.Int64 // helpers currently executing tiles
 	parallelFor atomic.Int64 // For dispatches
 	serialFor   atomic.Int64 // Parallel()==false decisions
 	steals      atomic.Int64 // tiles executed by helpers (not the submitter)
@@ -117,8 +105,8 @@ var std = NewPool()
 // Default returns the process-global pool shared by every kernel.
 func Default() *Pool { return std }
 
-// SetParallelism fixes the pool width to n (pristed's `-parallel` flag /
-// server.Config.Parallelism). n <= 0 restores the default: track
+// SetParallelism fixes the pool width to n; tests use it to sweep
+// widths on their own pools. n <= 0 restores the default: track
 // runtime.GOMAXPROCS dynamically. Safe to call concurrently; takes
 // effect on the next dispatch decision.
 func (p *Pool) SetParallelism(n int) {
@@ -144,12 +132,6 @@ func (p *Pool) Parallelism() int {
 // production cutoffs.
 func (p *Pool) SetCutoffOverride(v int64) { p.cutoffOverride.Store(v) }
 
-// AddExternal registers delta units of inter-session load (server drain
-// workers busy committing other sessions' steps). While the external
-// load covers the pool width, Parallel reports false and kernels stay
-// serial — the CPU budget is already spent on session-level parallelism.
-func (p *Pool) AddExternal(delta int) { p.external.Add(int64(delta)) }
-
 // Parallel reports whether an n-tile kernel costing flops multiply-adds
 // should dispatch through For. Callers branch on it *before*
 // materialising the tile closure, keeping the serial fast path
@@ -158,8 +140,7 @@ func (p *Pool) Parallel(n int, flops, cutoff int64) bool {
 	if o := p.cutoffOverride.Load(); o > 0 {
 		cutoff = o
 	}
-	w := p.Parallelism()
-	if w <= 1 || n <= 1 || flops < cutoff || p.external.Load() >= int64(w) {
+	if p.Parallelism() <= 1 || n <= 1 || flops < cutoff {
 		p.serialFor.Add(1)
 		return false
 	}
@@ -259,7 +240,6 @@ func (p *Pool) worker() {
 			continue
 		}
 		p.mu.Unlock()
-		p.busy.Add(1)
 		for {
 			i := t.next.Add(1) - 1
 			if i >= t.tiles {
@@ -269,24 +249,13 @@ func (p *Pool) worker() {
 			t.runTile(i)
 		}
 		t.helpers.Add(1)
-		p.busy.Add(-1)
 		p.mu.Lock()
 	}
 }
 
-// Stats is a point-in-time snapshot of the pool's counters, surfaced in
-// /statsz ("pool" section) and `pristectl stats -kernels`.
+// Stats is a point-in-time snapshot of the pool's counters; the
+// benchmark's layer report reads its dispatch and steal counts.
 type Stats struct {
-	// Parallelism is the effective width (configured or GOMAXPROCS).
-	Parallelism int
-	// Workers is the number of helper goroutines ever spawned (parked
-	// when idle, never released).
-	Workers int
-	// Busy is the number of helpers executing tiles right now.
-	Busy int64
-	// External is the registered inter-session load (busy server drain
-	// workers sharing the CPU budget).
-	External int64
 	// ParallelDispatch counts For calls; SerialDispatch counts
 	// Parallel()==false decisions (kernel ran its serial loop).
 	ParallelDispatch int64
@@ -298,14 +267,7 @@ type Stats struct {
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	w := p.spawned
-	p.mu.Unlock()
 	return Stats{
-		Parallelism:      p.Parallelism(),
-		Workers:          w,
-		Busy:             p.busy.Load(),
-		External:         p.external.Load(),
 		ParallelDispatch: p.parallelFor.Load(),
 		SerialDispatch:   p.serialFor.Load(),
 		Steals:           p.steals.Load(),

@@ -100,7 +100,7 @@ func TestConcurrentFor(t *testing.T) {
 }
 
 // TestParallelGate checks every serial-dispatch condition: width 1,
-// single tile, flops below cutoff, and external load covering the width.
+// single tile, and flops below cutoff.
 func TestParallelGate(t *testing.T) {
 	p := NewPool()
 	p.SetParallelism(1)
@@ -117,19 +117,10 @@ func TestParallelGate(t *testing.T) {
 	if !p.Parallel(100, 1000, 1000) {
 		t.Error("at-cutoff kernels should dispatch")
 	}
-	p.AddExternal(4)
-	if p.Parallel(100, 1<<30, 1) {
-		t.Error("external load covering the width should force serial")
-	}
-	p.AddExternal(-1)
-	if !p.Parallel(100, 1<<30, 1) {
-		t.Error("external load below the width should allow dispatch")
-	}
-	p.AddExternal(-3)
 
 	st := p.Stats()
-	if st.SerialDispatch != 4 {
-		t.Errorf("serial dispatches = %d, want 4", st.SerialDispatch)
+	if st.SerialDispatch != 3 {
+		t.Errorf("serial dispatches = %d, want 3", st.SerialDispatch)
 	}
 }
 
@@ -151,13 +142,12 @@ func TestCutoffOverride(t *testing.T) {
 	}
 }
 
-// TestStatsCounters checks the dispatch/steal accounting surfaced at
-// /statsz.
+// TestStatsCounters checks the dispatch/steal accounting.
 func TestStatsCounters(t *testing.T) {
 	p := NewPool()
 	p.SetParallelism(4)
-	if st := p.Stats(); st.Parallelism != 4 {
-		t.Errorf("Parallelism = %d, want 4", st.Parallelism)
+	if w := p.Parallelism(); w != 4 {
+		t.Errorf("Parallelism = %d, want 4", w)
 	}
 	for rep := 0; rep < 50; rep++ {
 		p.For(256, func(lo, hi int) {
@@ -172,14 +162,14 @@ func TestStatsCounters(t *testing.T) {
 	if st.ParallelDispatch != 50 {
 		t.Errorf("ParallelDispatch = %d, want 50", st.ParallelDispatch)
 	}
-	if st.Workers < 0 || st.Workers > maxWorkers {
-		t.Errorf("Workers = %d out of range", st.Workers)
+	p.mu.Lock()
+	workers := p.spawned
+	p.mu.Unlock()
+	if workers < 0 || workers > maxWorkers {
+		t.Errorf("workers = %d out of range", workers)
 	}
 	if st.Steals < 0 {
 		t.Errorf("Steals = %d negative", st.Steals)
-	}
-	if st.Busy != 0 {
-		t.Errorf("Busy = %d after all joins", st.Busy)
 	}
 }
 

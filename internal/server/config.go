@@ -67,15 +67,6 @@ type Config struct {
 	// release loop; zero means no limit (fully deterministic stepping).
 	QPTimeout time.Duration
 
-	// Parallelism fixes the width of the process-global kernel worker
-	// pool the quantifier commits fan their tile-parallel products out
-	// on (`pristed -parallel`). 0 = auto: the pool tracks GOMAXPROCS.
-	// Parallel and serial kernels are bit-identical, so this never
-	// changes releases, fingerprints or replay — it only decides how
-	// many cores one commit may occupy when the drain workers leave
-	// budget free (see /statsz "pool").
-	Parallelism int
-
 	// MaxSessions caps live sessions; creating one more evicts the least
 	// recently used session. Default DefaultMaxSessions.
 	MaxSessions int
@@ -217,9 +208,6 @@ func (c Config) validate() error {
 	}
 	if c.CertCacheSize > certcache.MaxCapacity {
 		return fmt.Errorf("server: cert cache size %d exceeds %d entries", c.CertCacheSize, certcache.MaxCapacity)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("server: parallelism must be >= 0, got %d", c.Parallelism)
 	}
 	if len(c.Events) == 0 {
 		return fmt.Errorf("server: at least one default event spec is required")

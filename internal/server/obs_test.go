@@ -16,7 +16,6 @@ import (
 	"priste/internal/api"
 	"priste/internal/mat"
 	"priste/internal/obs"
-	"priste/internal/par"
 )
 
 // syncBuffer is a goroutine-safe log sink: pool workers emit slow-step
@@ -173,15 +172,10 @@ func TestHealthzDraining(t *testing.T) {
 
 // TestMetricsEndpoint drives real steps over HTTP and asserts the
 // Prometheus exposition carries the series the README documents, with
-// counts that match the work done.
+// counts that match the work done, and that neither document reports
+// the kernel pool, which no served step uses.
 func TestMetricsEndpoint(t *testing.T) {
-	// The kernel pool is process-global: put its width back for the
-	// tests that follow.
-	t.Cleanup(func() { par.Default().SetParallelism(0) })
-	cfg := testConfig()
-	cfg.Parallelism = 4
-	srv := newTestServer(t, cfg)
-	before := srv.Stats().Pool
+	srv := newTestServer(t, testConfig())
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	client := NewClient(ts.URL, nil)
@@ -225,7 +219,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE priste_steps_served_total counter",
 		"priste_plans_live 1",
 		"priste_cert_cache_hits_total",
-		"priste_pool_parallelism 4",
 		"go_goroutines",
 	} {
 		if !strings.Contains(body, want) {
@@ -247,21 +240,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	if hitMiss != steps {
 		t.Errorf("commit hit+miss count = %d, want %d\n%s", hitMiss, steps, body)
 	}
+	if strings.Contains(body, "priste_pool_") {
+		t.Errorf("exposition has a priste_pool_ series\n%s", body)
+	}
 
-	// The /statsz pool section: the configured width, no helper left
-	// busy once the steps have returned, and the pool's dispatch
-	// decisions counted. A served world's commit asks the pool nothing
-	// (the Kronecker passes and the mask pass are serial), so the test
-	// makes one decision itself.
-	par.Default().Parallel(1, 0, 1)
-	pool := srv.Stats().Pool
-	if pool.Parallelism != 4 {
-		t.Errorf("pool parallelism = %d, want 4", pool.Parallelism)
+	sresp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pool.Busy != 0 {
-		t.Errorf("pool busy = %d after the steps returned, want 0", pool.Busy)
+	defer sresp.Body.Close()
+	var sections map[string]json.RawMessage
+	if err := json.NewDecoder(sresp.Body).Decode(&sections); err != nil {
+		t.Fatal(err)
 	}
-	if got := pool.ParallelDispatch + pool.SerialDispatch - before.ParallelDispatch - before.SerialDispatch; got <= 0 {
-		t.Errorf("pool dispatches = %d after a serial decision, want > 0", got)
+	if _, ok := sections["pool"]; ok {
+		t.Errorf("/statsz has a \"pool\" section: %s", sections["pool"])
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"priste/internal/api"
 	"priste/internal/core"
 	"priste/internal/obs"
-	"priste/internal/par"
 )
 
 // pool is the step execution layer: a fixed set of workers pulling
@@ -125,16 +124,7 @@ func (p *pool) worker() {
 // empties — releasing the scheduled token — or the drain-batch cap is
 // hit, in which case the session keeps its token and drain returns
 // true so the worker re-queues it behind its peers.
-//
-// A visit registers itself with the kernel worker pool for its duration:
-// inter-session parallelism (busy drain workers) and intra-op tile
-// parallelism share one CPU budget, so while enough visits run
-// concurrently to cover the pool width, each session's kernels stay
-// serial instead of oversubscribing the cores; a lone active session
-// fans its products out across the idle budget.
 func (p *pool) drain(s *Session) (requeue bool) {
-	par.Default().AddExternal(1)
-	defer par.Default().AddExternal(-1)
 	steps := 0
 	for {
 		if p.drainBatch > 0 && steps >= p.drainBatch {

@@ -31,7 +31,6 @@ import (
 	"priste/internal/markov"
 	"priste/internal/mat"
 	"priste/internal/obs"
-	"priste/internal/par"
 	"priste/internal/store"
 	"priste/internal/world"
 )
@@ -118,11 +117,6 @@ func New(cfg Config) (*Server, error) {
 	workers := cfg.Workers
 	if workers < 0 {
 		workers = 0
-	}
-	if cfg.Parallelism > 0 {
-		// The kernel pool is process-global (shared with any other
-		// server in the process); 0 leaves it tracking GOMAXPROCS.
-		par.Default().SetParallelism(cfg.Parallelism)
 	}
 	var cache *certcache.Cache
 	if cfg.CertCacheSize > 0 {
@@ -240,17 +234,6 @@ func (s *Server) registerExternalMetrics() {
 		reg.GaugeFunc("priste_store_dead_bytes", "Journal bytes of superseded and deleted sessions, dropped by the next compaction.",
 			func() float64 { return float64(s.cfg.Store.Stats().DeadBytes) })
 	}
-	// Kernel worker pool (process-global, see internal/par).
-	reg.GaugeFunc("priste_pool_parallelism", "Effective kernel-pool width (configured or GOMAXPROCS).",
-		func() float64 { return float64(par.Default().Stats().Parallelism) })
-	reg.GaugeFunc("priste_pool_busy_workers", "Pool helpers currently executing kernel tiles.",
-		func() float64 { return float64(par.Default().Stats().Busy) })
-	reg.CounterFunc("priste_pool_parallel_dispatch_total", "Kernels dispatched across the pool.",
-		func() float64 { return float64(par.Default().Stats().ParallelDispatch) })
-	reg.CounterFunc("priste_pool_serial_dispatch_total", "Kernels kept on their serial path (below cutoff or budget spent).",
-		func() float64 { return float64(par.Default().Stats().SerialDispatch) })
-	reg.CounterFunc("priste_pool_steals_total", "Kernel tiles executed by pool helpers rather than the submitter.",
-		func() float64 { return float64(par.Default().Stats().Steals) })
 }
 
 // rehydrate rebuilds every surviving journaled session through restore,
@@ -421,19 +404,6 @@ func (s *Server) Stats() api.Stats {
 		n := s.streamWindows[i].Load()
 		st.Streams.PerShardWindow[i] = n
 		st.Streams.WindowOccupancy += n
-	}
-	ps := par.Default().Stats()
-	st.Pool = api.PoolStats{
-		Parallelism:      ps.Parallelism,
-		Workers:          ps.Workers,
-		Busy:             ps.Busy,
-		External:         ps.External,
-		ParallelDispatch: ps.ParallelDispatch,
-		SerialDispatch:   ps.SerialDispatch,
-		Steals:           ps.Steals,
-	}
-	if ps.Workers > 0 {
-		st.Pool.Occupancy = float64(ps.Busy) / float64(ps.Workers)
 	}
 	st.Store = api.StoreStats{
 		Stats:           s.cfg.Store.Stats(),

@@ -75,6 +75,7 @@ func BenchmarkLoadSessions(b *testing.B) {
 		}
 	}
 	s.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := Open(dir, false)

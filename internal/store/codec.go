@@ -185,6 +185,8 @@ func appendStep(buf []byte, rec StepRecord) []byte {
 	return append(buf, rec.RNG...)
 }
 
+// decodeStep decodes a step record body. rec.RNG aliases p: it is valid
+// only while p is, so a caller that keeps it copies it (applyStep does).
 func decodeStep(p []byte) (StepRecord, error) {
 	var rec StepRecord
 	t, n := binary.Uvarint(p)
@@ -214,7 +216,7 @@ func decodeStep(p []byte) (StepRecord, error) {
 		return rec, fmt.Errorf("store: step record: bad rng length")
 	}
 	if rngLen > 0 {
-		rec.RNG = append([]byte(nil), p[n:]...)
+		rec.RNG = p[n:len(p):len(p)]
 	}
 	return rec, nil
 }

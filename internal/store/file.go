@@ -766,7 +766,8 @@ func (s *FileStore) keepCorrupt(from, to int64) error {
 // applyStep extends state by rec under the chain rules: a record before
 // the state's end is a duplicate already folded in, the next one must
 // extend the fingerprint chain, and a later one is a gap. It reports
-// false on a chain break or a gap.
+// false on a chain break or a gap. rec.RNG may alias a scan buffer, so
+// it is copied into the state's own.
 func applyStep(state *SessionState, rec StepRecord) bool {
 	switch {
 	case rec.T < len(state.Tags):
@@ -781,7 +782,7 @@ func applyStep(state *SessionState, rec StepRecord) bool {
 	state.Tags = append(state.Tags, rec.Tag)
 	state.Fingerprint = want
 	if len(rec.RNG) > 0 {
-		state.RNG = rec.RNG
+		state.RNG = append(state.RNG[:0], rec.RNG...)
 	}
 	return true
 }

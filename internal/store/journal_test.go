@@ -666,6 +666,104 @@ func TestLegacyMigration(t *testing.T) {
 	}
 }
 
+// TestRNGOutlivesScanWindow: a step record's RNG state is decoded as a
+// view of the scanner's window, which the next window overwrites, so a
+// loaded session must hold a copy. Each session's steps are written one
+// session after another, so the first sessions' last steps sit in
+// windows the load has long reused by the time it ends; every session,
+// from the journal and from migrated legacy files, must come back with
+// its last step's RNG.
+func TestRNGOutlivesScanWindow(t *testing.T) {
+	const window = 256 << 10
+	rngOf := func(id string, i int) []byte {
+		return []byte(fmt.Sprintf("pcg:%s:%08d:0123456789abcdef", id, i))
+	}
+	check := func(t *testing.T, got map[string]SessionState, ids []string, steps int) {
+		t.Helper()
+		if len(got) != len(ids) {
+			t.Fatalf("loaded %d sessions, want %d", len(got), len(ids))
+		}
+		for _, id := range ids {
+			st := got[id]
+			if len(st.Tags) != steps {
+				t.Fatalf("%s: %d tags, want %d", id, len(st.Tags), steps)
+			}
+			if want := rngOf(id, steps-1); !bytes.Equal(st.RNG, want) {
+				t.Fatalf("%s: RNG %q, want %q", id, st.RNG, want)
+			}
+		}
+	}
+	tagOf := func(i int) core.ReleaseTag { return core.ReleaseTag{AlphaBits: uint64(i), Obs: i % 36} }
+
+	t.Run("journal", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := Open(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const steps = 800
+		var ids []string
+		for k := 0; k < 12; k++ {
+			id := fmt.Sprintf("j%d", k)
+			ids = append(ids, id)
+			gen := mustCreate(t, s, testMeta(id))
+			fp := world.FingerprintSeed
+			for i := 0; i < steps; i++ {
+				fp = world.FingerprintFold(fp, tagOf(i).AlphaBits, tagOf(i).Obs)
+				if err := s.AppendStep(id, gen, StepRecord{T: i, Tag: tagOf(i), Fingerprint: fp, RNG: rngOf(id, i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, "journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() < 2*window {
+			t.Fatalf("journal of %d bytes spans less than two scan windows", fi.Size())
+		}
+		check(t, loadOnce(t, dir), ids, steps)
+	})
+
+	t.Run("legacy", func(t *testing.T) {
+		dir := t.TempDir()
+		legacy := filepath.Join(dir, "sessions")
+		if err := os.MkdirAll(legacy, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		meta := func(id string) []byte {
+			b, err := json.Marshal(testMeta(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		const steps = 5000
+		var ids []string
+		for k := 0; k < 3; k++ {
+			id := fmt.Sprintf("l%d", k)
+			ids = append(ids, id)
+			wal := appendFrame(append([]byte(nil), walMagic...), recMeta, meta(id))
+			fp := world.FingerprintSeed
+			for i := 0; i < steps; i++ {
+				fp = world.FingerprintFold(fp, tagOf(i).AlphaBits, tagOf(i).Obs)
+				wal = appendFrame(wal, recStep, appendStep(nil, StepRecord{T: i, Tag: tagOf(i), Fingerprint: fp, RNG: rngOf(id, i)}))
+			}
+			if len(wal) < window {
+				t.Fatalf("%s: legacy WAL of %d bytes fits one scan window", id, len(wal))
+			}
+			if err := os.WriteFile(filepath.Join(legacy, fmt.Sprintf("%x", id)+".wal"), wal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, loadOnce(t, dir), ids, steps)
+		check(t, loadOnce(t, dir), ids, steps)
+	})
+}
+
 // TestCompactionUnderAppends: compactions run while other goroutines
 // create, append to, snapshot and delete sessions, so records land
 // during both the unlocked copy and the locked tail copy; every
